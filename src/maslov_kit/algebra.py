@@ -24,7 +24,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import jacobi
 from .config import DEFAULT, Tolerances
 from .errors import DomainError
 
@@ -346,12 +345,12 @@ def spectral_decompose_real(x, tol: Tolerances = DEFAULT):
         vals, frame = _spin_spectral(alg, x.coords)
         return Spectrum(vals, frame)
     mat = _to_matrix(alg, x.coords)
+    vals, vecs = np.linalg.eigh(mat)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
     if alg.kind == SYM_R:
-        vals, vecs = jacobi.eigh_real(mat)
         outers = vecs.T[:, :, None] * vecs.T[:, None, :]
         frame_coords = _from_matrix(alg, outers)
     else:
-        vals, vecs = jacobi.eigh(mat)
         cols = vecs.T
         outers = cols[:, :, None] * np.conj(cols[:, None, :])
         frame_coords = _from_matrix(alg, outers).real

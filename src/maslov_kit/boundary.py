@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jacobi
 from .algebra import (AlgebraDescriptor, ElementJ, _det, _from_matrix, _lmul,
                       _mul, _to_matrix, _trace, element, lmul_operator,
                       random_element, random_frame, spectral_decompose_real,
@@ -432,6 +431,32 @@ def cayley_c(w, tol: Tolerances = DEFAULT):
 # Group words
 
 
+def _expm_symmetric(s):
+    """exp(S) for real symmetric S (positive definite result)."""
+    vals, vecs = np.linalg.eigh(s)
+    return (vecs * np.exp(vals)) @ vecs.T
+
+
+def _expm_i_symmetric(s):
+    """exp(iS) for real symmetric S, as a unitary complex matrix."""
+    vals, vecs = np.linalg.eigh(s)
+    return (vecs * np.exp(1j * vals)) @ vecs.T
+
+
+def _expm_antisymmetric(k):
+    """exp(K) for real antisymmetric K, as a real orthogonal matrix.
+
+    iK is Hermitian, so exp(K) = exp(-i(iK)) comes from one Hermitian
+    eigendecomposition.
+    """
+    vals, vecs = np.linalg.eigh(1j * k)
+    out = (vecs * np.exp(-1j * vals)) @ vecs.conj().T
+    drift = np.max(np.abs(out.imag)) if out.size else 0.0
+    if drift > 1e-10 * (1.0 + np.max(np.abs(out.real))):
+        raise AmbiguityError("exp of antisymmetric matrix drifted off the reals")
+    return out.real.copy()
+
+
 class TranslateGen:
     """Tube generator z -> z + u, u real."""
 
@@ -469,11 +494,11 @@ class LinearGen:
         mat = None
         for kind, *ops in self.factors:
             if kind == "lmul":
-                f = jacobi.expm_symmetric(lmul_operator(ops[0]))
+                f = _expm_symmetric(lmul_operator(ops[0]))
             elif kind == "derivation":
                 la = lmul_operator(ops[0])
                 lb = lmul_operator(ops[1])
-                f = jacobi.expm_antisymmetric(la @ lb - lb @ la)
+                f = _expm_antisymmetric(la @ lb - lb @ la)
             else:
                 raise DomainError(f"unknown linear factor {kind!r}")
             mat = f if mat is None else mat @ f
@@ -503,11 +528,11 @@ class UnitaryGen:
         mat = None
         for kind, *ops in self.factors:
             if kind == "exp-iL":
-                f = jacobi.expm_i_symmetric(lmul_operator(ops[0]))
+                f = _expm_i_symmetric(lmul_operator(ops[0]))
             elif kind == "derivation":
                 la = lmul_operator(ops[0])
                 lb = lmul_operator(ops[1])
-                f = jacobi.expm_antisymmetric(la @ lb - lb @ la).astype(np.complex128)
+                f = _expm_antisymmetric(la @ lb - lb @ la).astype(np.complex128)
             else:
                 raise DomainError(f"unknown unitary factor {kind!r}")
             mat = f if mat is None else mat @ f
@@ -553,7 +578,7 @@ class GroupWord:
         zero = ElementC(self.alg, np.zeros(self.alg.dim, dtype=np.complex128))
         pre = apply_word(bare, zero)
         return GroupWord(self.alg, gens,
-                         base_arg=-_determination_interior(self, pre, 64, DEFAULT))
+                         base_arg=-_radial_unwrap(self, pre.coords, 64, DEFAULT)[0])
 
     def __repr__(self):
         kinds = ",".join(type(g).__name__.replace("Gen", "") for g in self.generators)
@@ -577,7 +602,7 @@ def compose_words(outer, inner, steps=64, tol: Tolerances = DEFAULT):
     alg = outer.alg
     zero = ElementC(alg, np.zeros(alg.dim, dtype=np.complex128))
     inner0 = apply_word(inner, zero, tol)
-    base = (_determination_interior(outer, inner0, steps, tol)
+    base = (_radial_unwrap(outer, inner0.coords, steps, tol)[0]
             + _base_determination(inner, tol))
     return GroupWord(alg, inner.generators + outer.generators, base_arg=base)
 
@@ -655,11 +680,16 @@ def differential_word(word, z, tol: Tolerances = DEFAULT):
     return jac
 
 
+def _chi(alg, mat):
+    """chi(A) = det(A e) for a linear map A of the complexified algebra."""
+    return complex(_det(alg, mat @ unit(alg).coords.astype(np.complex128)))
+
+
 def cocycle_j(word, z, tol: Tolerances = DEFAULT):
     """j(g, z) = chi(Dg(z)) = det(Dg(z) e)."""
     z = z.value if isinstance(z, ShilovPoint) else z
     _, jac = _evaluate(word, z, True, tol)
-    return complex(_det(word.alg, jac @ unit(word.alg).coords.astype(np.complex128)))
+    return _chi(word.alg, jac)
 
 
 def word_chi(word):
@@ -669,7 +699,7 @@ def word_chi(word):
     mat = np.eye(word.alg.dim, dtype=np.complex128)
     for g in word.generators:
         mat = g.matrix @ mat
-    return complex(_det(word.alg, mat @ unit(word.alg).coords.astype(np.complex128)))
+    return _chi(word.alg, mat)
 
 
 def _base_determination(word, tol):
@@ -695,62 +725,30 @@ def determination_phi(word, sigma, steps=64, tol: Tolerances = DEFAULT):
     the disk, where j is holomorphic and nonvanishing), seeded at phi(g, 0).
     Doubles the sample count until every increment is below pi/2.
     """
-    phi, _ = _determination_with_image(word, sigma, steps, tol)
+    sigma = as_shilov(sigma, tol)
+    phi, image = _radial_unwrap(word, sigma.value.coords, steps, tol)
+    ShilovPoint(ElementC(word.alg, image), tol)   # g(sigma) must stay on S
     return phi
 
 
-def _determination_interior(word, z, steps, tol):
-    """phi(g, z) for any z in the closed disk, by the same radial unwrap."""
-    z = complexify(z)
-    base = _base_determination(word, tol)
-    if word.is_unitary():
-        return base
-    target = z.coords
+def _radial_unwrap(word, target, steps, tol):
+    """(phi(g, z), g(z) coordinates) for z with the given coordinates in the
+    closed disk; the endpoint sample yields both from one evaluation."""
     alg = word.alg
-    while True:
-        prev = None
-        ok = True
-        total = base
-        for t in np.linspace(0.0, 1.0, steps + 1):
-            jval = cocycle_j(word, ElementC(alg, t * target), tol)
-            if abs(jval) < 1e-14:
-                raise AmbiguityError("cocycle vanished along the unwrap segment")
-            if prev is not None:
-                delta = np.angle(jval / prev)
-                if abs(delta) > 0.5 * math.pi:
-                    ok = False
-                    break
-                total += delta
-            prev = jval
-        if ok:
-            return total
-        if steps * 2 > MAX_UNWRAP_STEPS:
-            raise AmbiguityError(
-                f"argument unwrap failed at {steps} steps (jump > pi/2)")
-        steps *= 2
-
-
-def _determination_with_image(word, sigma, steps, tol):
-    sigma = as_shilov(sigma, tol)
     base = _base_determination(word, tol)
     if word.is_unitary():
         # j(u, .) is constant, so the determination is too
-        return base, apply_word(word, sigma, tol)
-    target = sigma.value.coords
-    alg = word.alg
+        out, _ = _evaluate(word, ElementC(alg, target), False, tol)
+        return base, out.coords
     while True:
-        ts = np.linspace(0.0, 1.0, steps + 1)
-        args = np.empty(steps + 1)
         prev = None
         ok = True
         total = base
-        image = None
-        for k, t in enumerate(ts):
+        for k, t in enumerate(np.linspace(0.0, 1.0, steps + 1)):
             z = ElementC(alg, t * target)
             if k == steps:
                 out, jac = _evaluate(word, z, True, tol)
-                image = ShilovPoint(out, tol)
-                jval = complex(_det(alg, jac @ unit(alg).coords.astype(complex)))
+                jval = _chi(alg, jac)
             else:
                 jval = cocycle_j(word, z, tol)
             if abs(jval) < 1e-14:
@@ -763,7 +761,7 @@ def _determination_with_image(word, sigma, steps, tol):
                 total += delta
             prev = jval
         if ok:
-            return total, image
+            return total, out.coords
         if steps * 2 > MAX_UNWRAP_STEPS:
             raise AmbiguityError(
                 f"argument unwrap failed at {steps} steps (jump > pi/2)")
@@ -773,8 +771,9 @@ def _determination_with_image(word, sigma, steps, tol):
 def act_lift(word, lifted, steps=64, tol: Tolerances = DEFAULT):
     """Action on the universal cover: (sigma, theta) ->
     (g(sigma), theta + phi(g, sigma)/r)."""
-    phi, image = _determination_with_image(word, lifted.point, steps, tol)
-    return LiftedPoint(image, lifted.theta + phi / word.alg.rank)
+    phi, image = _radial_unwrap(word, lifted.point.value.coords, steps, tol)
+    return LiftedPoint(ShilovPoint(ElementC(word.alg, image), tol),
+                       lifted.theta + phi / word.alg.rank)
 
 
 def random_word(alg, rng, mode="tube", n_gens=3, scale=0.4):

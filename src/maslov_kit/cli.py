@@ -106,7 +106,7 @@ def main():
     """Maslov-type indices on Shilov boundaries of tube-type domains.
 
     Points, words, and paths are JSON documents (see `maslov-kit gen` for
-    samples).  MASLOV_KIT_THREADS caps selftest parallelism.
+    samples).
     """
 
 

@@ -3,16 +3,12 @@
 Thirteen independent suites exercise the index machinery end to end on the
 seven desk-scale algebras (sym-r 1..3, herm-c 1..2, spin 3 and 5).  Each
 suite draws from its own seeded generator, so a fixed seed produces the
-same report bytes on every run; timings go to stderr only.  Parallelism
-across suites is capped by the MASLOV_KIT_THREADS environment variable and
-never changes the output.
+same report bytes on every run; timings go to stderr only.
 """
 
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -533,14 +529,6 @@ def _run_one(idx, name, fn, seed, scale):
     return SuiteResult(name, checks, tuple(fails), time.perf_counter() - start)
 
 
-def thread_cap():
-    raw = os.environ.get("MASLOV_KIT_THREADS", "1")
-    try:
-        return max(1, min(len(SUITES), int(raw)))
-    except ValueError:
-        return 1
-
-
 def run(level="full", seed=0, out=None, err=None):
     """Run every suite; returns 0 when all pass, 1 otherwise."""
     out = sys.stdout if out is None else out
@@ -548,15 +536,8 @@ def run(level="full", seed=0, out=None, err=None):
     if level not in SCALES:
         raise DomainError(f"unknown selftest level {level!r}")
     scale = SCALES[level]
-    jobs = [(i, name, fn) for i, (name, fn) in enumerate(SUITES)]
-    workers = thread_cap()
-    if workers == 1:
-        results = [_run_one(i, name, fn, seed, scale) for i, name, fn in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_one, i, name, fn, seed, scale)
-                       for i, name, fn in jobs]
-            results = [f.result() for f in futures]
+    results = [_run_one(i, name, fn, seed, scale)
+               for i, (name, fn) in enumerate(SUITES)]
 
     out.write(f"maslov-kit selftest  level={level}  seed={seed}\n")
     passed = 0

@@ -194,6 +194,9 @@ def test_spectral_examples():
     for alg in ALGEBRAS:
         spec = al.spectral_decompose_real(al.unit(alg))
         assert np.allclose(spec.values, 1.0)
+        spec = al.spectral_decompose_real(al.zero(alg))
+        assert np.allclose(spec.values, 0.0)
+        assert al.norm(sum(spec.frame, al.zero(alg)) - al.unit(alg)) <= 1e-12
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)

@@ -277,6 +277,26 @@ def test_cocycle_values(alg):
         assert lhs == pytest.approx(rhs, abs=1e-7)
 
 
+def composed_determinations(alg, rng, mode, count):
+    """Yield (phi(gh, s), phi(g, h s), phi(h, s), j(gh, s)) for `count`
+    random two-generator words g, h and points s where all are defined."""
+    done = 0
+    while done < count:
+        g = bd.random_word(alg, rng, mode=mode, n_gens=2)
+        h = bd.random_word(alg, rng, mode=mode, n_gens=2)
+        s = bd.random_shilov(alg, rng)
+        try:
+            phi_g_hs = bd.determination_phi(g, bd.apply_word(h, s))
+            phi_h = bd.determination_phi(h, s)
+            gh = bd.compose_words(g, h)
+            phi_gh = bd.determination_phi(gh, s)
+            jval = bd.cocycle_j(gh, s.value)
+        except DomainError:
+            continue
+        done += 1
+        yield phi_gh, phi_g_hs, phi_h, jval
+
+
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
 def test_determination_phi(alg):
     rng = np.random.default_rng(36)
@@ -292,23 +312,22 @@ def test_determination_phi(alg):
         assert bd.determination_phi(uword, s) == pytest.approx(
             bd.principal_arg(chi), abs=1e-9)
     # e^{i phi} = j/|j| along tube words, and the composition defect is 2 pi k
-    done = 0
-    while done < 6:
-        g = bd.random_word(alg, rng, mode="mixed", n_gens=2)
-        h = bd.random_word(alg, rng, mode="mixed", n_gens=2)
-        s = bd.random_shilov(alg, rng)
-        try:
-            phi_g_hs = bd.determination_phi(g, bd.apply_word(h, s))
-            phi_h = bd.determination_phi(h, s)
-            gh = bd.compose_words(g, h)
-            phi_gh = bd.determination_phi(gh, s)
-            jval = bd.cocycle_j(gh, s.value)
-        except DomainError:
-            continue
-        done += 1
+    for phi_gh, phi_g_hs, phi_h, jval in composed_determinations(
+            alg, rng, "mixed", 6):
         assert np.exp(1j * phi_gh) == pytest.approx(jval / abs(jval), abs=1e-8)
         defect = (phi_gh - phi_g_hs - phi_h) / (2 * math.pi)
         assert abs(defect - round(defect)) <= 1e-7
+
+
+@pytest.mark.parametrize("mode", ["tube", "mixed"])
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_compose_words_seed_matches_determination(alg, mode):
+    """compose_words seeds phi(gh, 0) through the interior entry of the
+    radial unwrap; the boundary entry must then give phi(gh, s) =
+    phi(g, h s) + phi(h, s) exactly, with no deck translate between them."""
+    rng = np.random.default_rng(37)
+    for phi_gh, phi_g_hs, phi_h, _ in composed_determinations(alg, rng, mode, 4):
+        assert phi_gh == pytest.approx(phi_g_hs + phi_h, abs=1e-9)
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)

@@ -1,12 +1,14 @@
-"""Jacobi eigensolver kernel against LAPACK and scipy."""
+"""The eigh-based kernels against LAPACK and scipy: the Jordan spectral
+decomposition of the matrix kinds, and the exponentials behind the
+structure-group and unitary generators."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from maslov_kit import jacobi
-
-RNG = np.random.default_rng(20260825)
+from _cases import ALGEBRAS
+from maslov_kit import algebra as al
+from maslov_kit import boundary as bd
 
 
 def random_hermitian(n, rng, scale=1.0):
@@ -19,102 +21,65 @@ def random_symmetric(n, rng, scale=1.0):
     return scale * 0.5 * (a + a.T)
 
 
+def check_decomposition(alg, a):
+    """Descending eigenvalues of a, and a frame of orthogonal projectors
+    that rebuilds it; returns the projector matrices."""
+    spec = al.spectral_decompose_real(al.from_matrix(alg, a))
+    ref = np.sort(np.linalg.eigvalsh(a))[::-1]
+    scale = 1.0 + np.max(np.abs(ref))
+    assert np.allclose(spec.values, ref, atol=1e-11 * scale)
+    projs = [al.to_matrix(c) for c in spec.frame]
+    recon = sum(lam * p for lam, p in zip(spec.values, projs))
+    assert np.allclose(recon, a, atol=1e-10 * scale)
+    for i, p in enumerate(projs):
+        for j, q in enumerate(projs):
+            assert np.allclose(p @ q, p if i == j else 0.0, atol=1e-12)
+    return projs
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9])
 def test_eigh_matches_lapack_hermitian(n):
     rng = np.random.default_rng(100 + n)
+    alg = al.algebra(al.HERM_C, n)
     for _ in range(20):
-        a = random_hermitian(n, rng)
-        vals, vecs = jacobi.eigh(a)
-        ref = np.sort(np.linalg.eigvalsh(a))[::-1]
-        scale = 1.0 + np.max(np.abs(ref))
-        assert np.allclose(vals, ref, atol=1e-11 * scale)
-        assert np.allclose(a @ vecs, vecs * vals, atol=1e-10 * scale)
-        assert np.allclose(vecs.conj().T @ vecs, np.eye(n), atol=1e-12)
+        check_decomposition(alg, random_hermitian(n, rng))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_eigh_real_stays_real(n):
     rng = np.random.default_rng(200 + n)
+    alg = al.algebra(al.SYM_R, n)
     for _ in range(20):
-        a = random_symmetric(n, rng)
-        vals, vecs = jacobi.eigh_real(a)
-        assert vecs.dtype == np.float64
-        ref = np.sort(np.linalg.eigvalsh(a))[::-1]
-        scale = 1.0 + np.max(np.abs(ref))
-        assert np.allclose(vals, ref, atol=1e-11 * scale)
-        assert np.allclose(a @ vecs, vecs * vals, atol=1e-10 * scale)
-        assert np.allclose(vecs.T @ vecs, np.eye(n), atol=1e-12)
+        for p in check_decomposition(alg, random_symmetric(n, rng)):
+            assert p.dtype == np.float64
 
 
 def test_eigh_descending_and_degenerate():
-    a = np.diag([2.0, 2.0, -1.0, 5.0])
-    vals, vecs = jacobi.eigh(a)
-    assert np.allclose(vals, [5.0, 2.0, 2.0, -1.0])
-    assert np.allclose(vecs.conj().T @ vecs, np.eye(4), atol=1e-13)
+    alg = al.algebra(al.SYM_R, 4)
+    projs = check_decomposition(alg, np.diag([2.0, 2.0, -1.0, 5.0]))
+    assert np.allclose(projs[1] + projs[2], np.diag([1.0, 1.0, 0.0, 0.0]),
+                       atol=1e-13)
 
 
 def test_eigh_zero_matrix():
-    vals, vecs = jacobi.eigh(np.zeros((3, 3)))
-    assert np.allclose(vals, 0.0)
-    assert np.allclose(vecs, np.eye(3))
-
-
-def test_singular_values_match_svd():
-    rng = np.random.default_rng(7)
-    for n in (2, 4, 6):
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        ours = jacobi.singular_values(a)
-        ref = np.linalg.svd(a, compute_uv=False)
-        assert np.allclose(ours, ref, atol=1e-10 * (1 + ref[0]))
-
-
-def test_singular_values_rank_deficient():
-    col = np.array([1.0, 2.0, 2.0])
-    a = np.outer(col, col)
-    s = jacobi.singular_values(a)
-    assert s[0] == pytest.approx(9.0, abs=1e-10)
-    # forming the Gram matrix squares the condition number, so exact zeros
-    # only resolve to about sqrt(eps) relative
-    assert np.all(s[1:] < 1e-7 * s[0])
+    for alg in (al.algebra(al.SYM_R, 3), al.algebra(al.HERM_C, 3)):
+        projs = check_decomposition(alg, np.zeros((3, 3)))
+        assert np.allclose(sum(projs), np.eye(3))
 
 
 def test_expm_helpers_match_scipy():
     rng = np.random.default_rng(11)
-    for n in (2, 3, 5):
-        s = random_symmetric(n, rng)
-        assert np.allclose(jacobi.expm_i_symmetric(s),
-                           scipy.linalg.expm(1j * s), atol=1e-11)
-        assert np.allclose(jacobi.expm_symmetric(0.3 * s),
-                           scipy.linalg.expm(0.3 * s), atol=1e-11)
-        k = rng.standard_normal((n, n))
-        k = k - k.T
-        ours = jacobi.expm_antisymmetric(k)
-        assert np.allclose(ours, scipy.linalg.expm(k), atol=1e-11)
-        assert np.allclose(ours @ ours.T, np.eye(n), atol=1e-12)
-
-
-def test_python_and_numba_kernels_agree():
-    if jacobi.jacobi_kernel_numba is None:
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(13)
-    a = random_hermitian(5, rng)
-    a1 = a.copy()
-    v1 = np.eye(5, dtype=np.complex128)
-    a2 = a.copy()
-    v2 = np.eye(5, dtype=np.complex128)
-    s1 = jacobi.jacobi_kernel_python(a1, v1, jacobi.MAX_SWEEPS, jacobi.OFF_DIAGONAL_TOL)
-    s2 = jacobi.jacobi_kernel_numba(a2, v2, jacobi.MAX_SWEEPS, jacobi.OFF_DIAGONAL_TOL)
-    assert s1 == s2
-    # numba may contract multiplies into FMAs, so agreement is to rounding,
-    # not bitwise
-    assert np.allclose(np.sort(np.diag(a1).real), np.sort(np.diag(a2).real),
-                       atol=1e-12)
-    assert np.allclose(np.abs(v1.conj().T @ v2), np.eye(5), atol=1e-9)
-
-
-def test_backend_flag(monkeypatch):
-    monkeypatch.setenv("MASLOV_KIT_BACKEND", "numpy")
-    assert jacobi.active_backend() == "numpy"
-    monkeypatch.delenv("MASLOV_KIT_BACKEND")
-    if jacobi.jacobi_kernel_numba is not None:
-        assert jacobi.active_backend() == "numba"
+    for alg in ALGEBRAS:
+        v, a, b = (al.random_element(alg, rng) for _ in range(3))
+        lv = al.lmul_operator(v)
+        assert np.allclose(bd.LinearGen([("lmul", v)]).matrix,
+                           scipy.linalg.expm(lv), atol=1e-11)
+        assert np.allclose(bd.UnitaryGen([("exp-iL", v)]).matrix,
+                           scipy.linalg.expm(1j * lv), atol=1e-11)
+        la, lb = al.lmul_operator(a), al.lmul_operator(b)
+        ref = scipy.linalg.expm(la @ lb - lb @ la)
+        ours = bd.LinearGen([("derivation", a, b)]).matrix
+        assert np.allclose(ours, ref, atol=1e-11)
+        assert np.allclose(ours @ ours.T, np.eye(alg.dim), atol=1e-12)
+        assert np.allclose(bd.UnitaryGen([("derivation", a, b)]).matrix,
+                           ref, atol=1e-11)
