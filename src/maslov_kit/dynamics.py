@@ -6,10 +6,15 @@ total angular displacement) and unwrapped, so crossings of the Maslov cycle
 become passages of a strand through pi + 2 pi Z.  The Arnold number and the
 pair-path index are signed crossing counts; the translation number and the
 rotation number come from iterating a group word on the universal cover.
+
+Sampling contract: between consecutive samples (stored or refined) every
+true strand must move by less than min(pi/4, pi/r) at rank r.  Under it a
+step whose matched moves all stay below that limit has the true sum of
+moves (both sums lie in (-pi, pi) and agree mod 2 pi), and the crossing
+counts depend only on that sum.
 """
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -100,18 +105,26 @@ def _point_source(obj):
 
 
 def _match_step(prev, raw):
-    """Continue `prev` by the permutation of `raw` of minimal total motion.
+    """Continue `prev` by the matching to `raw` of minimal total motion.
+
+    Some cyclic shift of the two circularly sorted orders is an optimal
+    matching under arc-length cost (Karp & Li, Discrete Math. 13, 1975), so
+    only the r shifts are scored.  Near-equal costs come from strands moving
+    the same way; among those the smallest largest move is kept, so a step is
+    never refined where the search over all permutations would accept it.
 
     Returns (continued angles, max single-strand motion).
     """
     r = prev.size
-    best = None
-    for perm in itertools.permutations(range(r)):
-        moves = bd.wrap_angle(raw[list(perm)] - bd.wrap_angle(prev))
-        cost = float(np.sum(np.abs(moves)))
-        if best is None or cost < best[0]:
-            best = (cost, prev + moves, float(np.max(np.abs(moves))))
-    return best[1], best[2]
+    src = np.argsort(bd.wrap_angle(prev))
+    shifts = (np.arange(r)[:, None] + np.arange(r)) % r
+    moves = bd.wrap_angle(np.sort(raw)[shifts] - bd.wrap_angle(prev[src]))
+    cost = np.sum(np.abs(moves), axis=1)
+    span = np.max(np.abs(moves), axis=1)
+    best = int(np.argmin(np.where(cost <= cost.min() + 1e-12, span, np.inf)))
+    out = np.empty(r)
+    out[src] = moves[best]
+    return prev + out, float(span[best])
 
 
 def eigenangle_flow(path, reference, tol: Tolerances = DEFAULT, mode=STRICT):
@@ -119,6 +132,11 @@ def eigenangle_flow(path, reference, tol: Tolerances = DEFAULT, mode=STRICT):
 
     reference may be a fixed ShilovPoint or a second BoundaryPath; grids
     are merged, resampling through the paths' samplers where needed.
+
+    Each true strand step between samples must stay below min(pi/4, pi/r)
+    at rank r.  A step whose matched moves reach that limit is halved
+    through the samplers, at most REFINE_DEPTH times; with no sampler, or
+    at that depth, AmbiguityError is raised.
     """
     check_mode(mode)
     main_grid, main_fn, alg = _point_source(path)
@@ -145,12 +163,13 @@ def eigenangle_flow(path, reference, tol: Tolerances = DEFAULT, mode=STRICT):
                              value_at(ref_grid, ref_fn, t), tol)
         return bd.shilov_spectral(w, tol).angles
 
+    limit = min(STRAND_STEP_LIMIT, math.pi / alg.rank)
     out_t = [ts[0]]
     out_a = [np.array(raw_at(ts[0]))]
 
     def advance(t0, a0, t1, raw1, depth):
         cand, move = _match_step(a0, raw1)
-        if move < STRAND_STEP_LIMIT:
+        if move < limit:
             out_t.append(t1)
             out_a.append(cand)
             return cand
@@ -161,7 +180,8 @@ def eigenangle_flow(path, reference, tol: Tolerances = DEFAULT, mode=STRICT):
         if (main_fn is None) or (ref_grid is not None and ref_fn is None):
             raise AmbiguityError(
                 f"strands move {move:.3f} rad between t={t0:.6g} and "
-                f"t={t1:.6g} (limit pi/4) and no sampler is available to refine")
+                f"t={t1:.6g} (limit {limit:.3f}) and no sampler is available "
+                "to refine")
         tm = 0.5 * (t0 + t1)
         am = advance(t0, a0, tm, raw_at(tm), depth - 1)
         return advance(tm, am, t1, raw1, depth - 1)

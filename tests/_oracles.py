@@ -3,8 +3,11 @@
 Everything here deliberately takes a different route than the library:
 LAPACK instead of the Jacobi kernel, associative matrix products instead of
 Jordan operator polynomials, operator-exponential series instead of closed
-forms, angle arithmetic instead of spectral passes.
+forms, angle arithmetic instead of spectral passes, a search over all
+strand permutations instead of circular matching.
 """
+
+import itertools
 
 import numpy as np
 import scipy.linalg
@@ -66,3 +69,16 @@ def wrap_angle(a):
 def wrap_angle_open(a):
     """Reduce to [-pi, pi); convenient for sums that must avoid +pi."""
     return np.mod(np.asarray(a, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
+
+
+def match_step_brute(prev, raw):
+    """Strand matching by search over all r! permutations: continue `prev`
+    by the permutation of `raw` of least total motion (the first one found
+    on ties).  Returns (continued angles, max single-strand motion)."""
+    best = None
+    for perm in itertools.permutations(range(prev.size)):
+        moves = wrap_angle(raw[list(perm)] - wrap_angle(prev))
+        cost = float(np.sum(np.abs(moves)))
+        if best is None or cost < best[0]:
+            best = (cost, prev + moves, float(np.max(np.abs(moves))))
+    return best[1], best[2]

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import _oracles as orc
 from _cases import ALGEBRAS, IDS
 from maslov_kit import algebra as al
 from maslov_kit import boundary as bd
@@ -22,6 +23,15 @@ def phase_loop(sigma, turns=1.0):
     def fn(t):
         return bd.ShilovPoint(np.exp(2j * math.pi * turns * t) * sigma.value)
     return fn
+
+
+def transverse_pair(alg, rng):
+    """Random (sigma, ref) whose relative eigenangles stay 0.05 from pi."""
+    while True:
+        sigma, ref = bd.random_shilov(alg, rng), bd.random_shilov(alg, rng)
+        angles = bd.shilov_spectral(ix.relative_element(sigma, ref)).angles
+        if float(np.min(math.pi - np.abs(angles))) >= 0.05:
+            return sigma, ref
 
 
 def frame_path_fn(alg, frame, starts, drifts, amps, phases):
@@ -150,6 +160,39 @@ def test_arnold_refinement_invariance(alg):
     assert dy.arnold_number(path, ref) == dy.arnold_number(fine, ref)
     coarse = dy.BoundaryPath.from_function(fn, n=5)
     assert dy.arnold_number(coarse, ref) == dy.arnold_number(fine, ref)
+
+
+def assert_matching_optimal(prev, raw):
+    """Circular matching against the permutation search: the same total
+    motion, no larger largest move, the same sum of continued angles."""
+    got, got_max = dy._match_step(prev, raw)
+    want, want_max = orc.match_step_brute(prev, raw)
+    assert np.sum(np.abs(got - prev)) == pytest.approx(
+        np.sum(np.abs(want - prev)), abs=1e-12)
+    assert got_max <= want_max + 1e-12
+    assert np.sum(got) == pytest.approx(np.sum(want), abs=1e-12)
+    return got, want
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_match_step_matches_permutation_search(r):
+    rng = np.random.default_rng(200 + r)
+    for _ in range(150):
+        prev = rng.uniform(-10.0, 10.0, r)
+        assert_matching_optimal(prev, rng.uniform(-math.pi, math.pi, r))
+        # path-like step: small moves, labels shuffled by the eigensolver
+        step = rng.uniform(-1.0, 1.0, r) * min(math.pi / 4, math.pi / r)
+        assert_matching_optimal(prev, bd.wrap_angle(rng.permutation(prev + step)))
+
+
+def test_match_step_same_direction_tie():
+    # both strands move up, by 0.327 and 0.040 or by 0.319 and 0.048: the
+    # crossing and non-crossing matchings tie in cost, so the two searches
+    # may label the strands differently but agree on the set of angles
+    prev = np.array([3.717, 3.996])
+    raw = np.array([-2.239, -2.247])
+    got, want = assert_matching_optimal(prev, raw)
+    assert np.allclose(np.sort(got), np.sort(want), atol=1e-12)
 
 
 def test_coarse_path_without_sampler_errors():
@@ -381,3 +424,42 @@ def test_csv_output():
     assert lines[0] == "t,strand_id,angle,crossing_flag,sign"
     assert len(lines) == 1 + 33 * alg.rank + len(records)
     assert sum(1 for ln in lines[1:] if ln.split(",")[3] == "1") == alg.rank
+
+
+@pytest.mark.parametrize("turns", [-1, 1, 2])
+@pytest.mark.parametrize("alg", [al.algebra(al.SYM_R, m) for m in (7, 8, 10, 12, 16)]
+                         + [al.algebra(al.HERM_C, m) for m in (6, 8)],
+                         ids=lambda a: f"{a.kind}-{a.param}")
+def test_arnold_phase_loop_rank_sweep(alg, turns):
+    # strand steps of 2 pi turns / 32 exceed pi/r from rank 9 on (turns 2):
+    # only the rank-safe step limit refines them
+    sigma, ref = transverse_pair(alg, np.random.default_rng(alg.param))
+    loop = dy.BoundaryPath.from_function(phase_loop(sigma, turns), n=33)
+    assert dy.arnold_number(loop, ref) == turns * alg.rank
+
+
+def undersampled_corpus():
+    """Phase loops on sym-r 5, 6 and herm-c 4 at 8-17 samples.  Stored
+    strand steps run from pi/4 to pi/3, at or past the sampling contract, so
+    each loop relies on refinement; the search over all permutations with a
+    pi/4 limit at every rank returned 12 of these 144 wrong."""
+    for kind, m in ((al.SYM_R, 5), (al.SYM_R, 6), (al.HERM_C, 4)):
+        for seed in range(12):
+            for n, turns in ((8, 1), (10, 1), (13, 2), (17, 2)):
+                case = (kind, m, seed, n, turns)
+                marks = ()
+                if case == (al.HERM_C, 4, 7, 13, 2):
+                    marks = pytest.mark.xfail(
+                        strict=True, reason="the true strand step pi/3 breaks "
+                        "the sampling contract min(pi/4, pi/r) and a wrong "
+                        "matching stays under the limit")
+                yield pytest.param(*case, marks=marks,
+                                   id=f"{kind}-{m}-s{seed}-n{n}-t{turns}")
+
+
+@pytest.mark.parametrize("kind,m,seed,n,turns", undersampled_corpus())
+def test_arnold_undersampled_phase_loop(kind, m, seed, n, turns):
+    alg = al.algebra(kind, m)
+    sigma, ref = transverse_pair(alg, np.random.default_rng(seed))
+    loop = dy.BoundaryPath.from_function(phase_loop(sigma, turns), n=n)
+    assert dy.arnold_number(loop, ref) == turns * alg.rank
