@@ -578,7 +578,7 @@ class GroupWord:
         zero = ElementC(self.alg, np.zeros(self.alg.dim, dtype=np.complex128))
         pre = apply_word(bare, zero)
         return GroupWord(self.alg, gens,
-                         base_arg=-_radial_unwrap(self, pre.coords, 64, DEFAULT)[0])
+                         base_arg=-_determination(self, pre.coords, DEFAULT)[0])
 
     def __repr__(self):
         kinds = ",".join(type(g).__name__.replace("Gen", "") for g in self.generators)
@@ -589,7 +589,7 @@ def identity_word(alg):
     return GroupWord(alg, [])
 
 
-def compose_words(outer, inner, steps=64, tol: Tolerances = DEFAULT):
+def compose_words(outer, inner, tol: Tolerances = DEFAULT):
     """The word acting as outer(inner(z)), as a covering-group element.
 
     The composed determination is seeded at phi(outer, inner(0)) +
@@ -602,13 +602,25 @@ def compose_words(outer, inner, steps=64, tol: Tolerances = DEFAULT):
     alg = outer.alg
     zero = ElementC(alg, np.zeros(alg.dim, dtype=np.complex128))
     inner0 = apply_word(inner, zero, tol)
-    base = (_radial_unwrap(outer, inner0.coords, steps, tol)[0]
-            + _base_determination(inner, tol))
+    base = (_determination(outer, inner0.coords, tol)[0]
+            + _base_determination(inner, tol)[0])
     return GroupWord(alg, inner.generators + outer.generators, base_arg=base)
 
 
+def _arg_det(alg, a):
+    """Sum of the principal args of the Jordan eigenvalues of a: a continuous
+    branch of arg det on {Re a in the closed cone} (Faraut-Koranyi, ch. X)."""
+    if alg.kind == "spin":
+        root = np.sqrt(a[1:] @ a[1:])
+        big = max(a[0] + root, a[0] - root, key=abs)
+        return float(np.angle(big) + np.angle(_det(alg, a) / big))
+    return float(np.sum(np.angle(np.linalg.eigvals(_to_matrix(alg, a)))))
+
+
 def _evaluate(word, z, need_jacobian, tol):
-    """Apply the word; optionally accumulate the differential matrix."""
+    """(g(z), Dg(z), branch); with the Jacobian, branch sums -2 _arg_det(a)
+    for a = e - z (into the tube), -iz (inversion), e - iz (back to the disk):
+    arg j(g, .) on the closed disk up to a constant phase."""
     alg = word.alg
     z = complexify(z)
     if z.alg != alg:
@@ -616,6 +628,7 @@ def _evaluate(word, z, need_jacobian, tol):
     n = alg.dim
     cur = z.coords.copy()
     jac = np.eye(n, dtype=np.complex128) if need_jacobian else None
+    branch = 0.0
     e = unit(alg).coords
 
     idx = 0
@@ -637,6 +650,7 @@ def _evaluate(word, z, need_jacobian, tol):
             inv = cinverse(ElementC(alg, diff), tol)
             if need_jacobian:
                 jac = (2j * cquad_rep_operator(inv)) @ jac
+                branch -= 2.0 * _arg_det(alg, diff)
             cur = -1j * e + 2j * inv.coords
             for k in range(idx, run_end):
                 g = gens[k]
@@ -650,33 +664,35 @@ def _evaluate(word, z, need_jacobian, tol):
                     inv = cinverse(ElementC(alg, cur), tol)
                     if need_jacobian:
                         jac = cquad_rep_operator(inv) @ jac
+                        branch -= 2.0 * _arg_det(alg, -1j * cur)
                     cur = -inv.coords
                 else:
                     raise DomainError(f"unknown tube generator {type(g).__name__}")
             shifted = cinverse(ElementC(alg, cur + 1j * e), tol)
             if need_jacobian:
                 jac = (2j * cquad_rep_operator(shifted)) @ jac
+                branch -= 2.0 * _arg_det(alg, e - 1j * cur)
             cur = e - 2j * shifted.coords
         except DomainError as exc:
             raise DomainError(
                 f"word undefined at generator {idx}..{run_end - 1}: {exc}") from exc
         idx = run_end
-    return ElementC(alg, cur), jac
+    return ElementC(alg, cur), jac, branch
 
 
 def apply_word(word, z, tol: Tolerances = DEFAULT):
     """Evaluate the word at z (ElementC, ElementJ, or ShilovPoint)."""
     if isinstance(z, ShilovPoint):
-        out, _ = _evaluate(word, z.value, False, tol)
+        out, _, _ = _evaluate(word, z.value, False, tol)
         return ShilovPoint(out, tol)
-    out, _ = _evaluate(word, z, False, tol)
+    out, _, _ = _evaluate(word, z, False, tol)
     return out
 
 
 def differential_word(word, z, tol: Tolerances = DEFAULT):
     """The complex-linear differential Dg(z) as an n x n matrix."""
     z = z.value if isinstance(z, ShilovPoint) else z
-    _, jac = _evaluate(word, z, True, tol)
+    _, jac, _ = _evaluate(word, z, True, tol)
     return jac
 
 
@@ -688,7 +704,7 @@ def _chi(alg, mat):
 def cocycle_j(word, z, tol: Tolerances = DEFAULT):
     """j(g, z) = chi(Dg(z)) = det(Dg(z) e)."""
     z = z.value if isinstance(z, ShilovPoint) else z
-    _, jac = _evaluate(word, z, True, tol)
+    _, jac, _ = _evaluate(word, z, True, tol)
     return _chi(word.alg, jac)
 
 
@@ -703,75 +719,53 @@ def word_chi(word):
 
 
 def _base_determination(word, tol):
-    """phi(g, 0): principal by default, else the validated stored base_arg."""
-    j0 = cocycle_j(word, ElementC(word.alg, np.zeros(word.alg.dim, complex)), tol)
+    """(phi(g, 0), branch at 0): phi is principal by default, else the
+    validated stored base_arg."""
+    zero = ElementC(word.alg, np.zeros(word.alg.dim, complex))
+    _, jac, branch = _evaluate(word, zero, True, tol)
+    j0 = _chi(word.alg, jac)
     principal = principal_arg(j0)
     if word.base_arg is None:
-        return principal
+        return principal, branch
     if abs(np.exp(1j * word.base_arg) - j0 / abs(j0)) > 1e-6:
         raise DomainError(
             "base_arg is not a determination of Arg j(g, 0) "
             f"(base_arg={word.base_arg:.6f}, principal={principal:.6f})")
-    return word.base_arg
+    return word.base_arg, branch
 
 
-MAX_UNWRAP_STEPS = 2 ** 14
-
-
-def determination_phi(word, sigma, steps=64, tol: Tolerances = DEFAULT):
-    """The continuous determination phi(g, sigma).
-
-    Unwraps Arg j(g, t sigma) along the radial segment t in [0, 1] (inside
-    the disk, where j is holomorphic and nonvanishing), seeded at phi(g, 0).
-    Doubles the sample count until every increment is below pi/2.
-    """
+def determination_phi(word, sigma, tol: Tolerances = DEFAULT):
+    """The continuous determination phi(g, sigma), seeded at phi(g, 0)."""
     sigma = as_shilov(sigma, tol)
-    phi, image = _radial_unwrap(word, sigma.value.coords, steps, tol)
+    phi, image = _determination(word, sigma.value.coords, tol)
     ShilovPoint(ElementC(word.alg, image), tol)   # g(sigma) must stay on S
     return phi
 
 
-def _radial_unwrap(word, target, steps, tol):
-    """(phi(g, z), g(z) coordinates) for z with the given coordinates in the
-    closed disk; the endpoint sample yields both from one evaluation."""
+def _determination(word, target, tol):
+    """(phi(g, z), g(z) coordinates) for target coordinates in the closed
+    disk: phi(g, 0) carried by the branch sum, snapped onto Arg j(g, z)."""
     alg = word.alg
-    base = _base_determination(word, tol)
+    base, start = _base_determination(word, tol)
     if word.is_unitary():
         # j(u, .) is constant, so the determination is too
-        out, _ = _evaluate(word, ElementC(alg, target), False, tol)
+        out, _, _ = _evaluate(word, ElementC(alg, target), False, tol)
         return base, out.coords
-    while True:
-        prev = None
-        ok = True
-        total = base
-        for k, t in enumerate(np.linspace(0.0, 1.0, steps + 1)):
-            z = ElementC(alg, t * target)
-            if k == steps:
-                out, jac = _evaluate(word, z, True, tol)
-                jval = _chi(alg, jac)
-            else:
-                jval = cocycle_j(word, z, tol)
-            if abs(jval) < 1e-14:
-                raise AmbiguityError("cocycle vanished along the unwrap segment")
-            if prev is not None:
-                delta = np.angle(jval / prev)
-                if abs(delta) > 0.5 * math.pi:
-                    ok = False
-                    break
-                total += delta
-            prev = jval
-        if ok:
-            return total, out.coords
-        if steps * 2 > MAX_UNWRAP_STEPS:
-            raise AmbiguityError(
-                f"argument unwrap failed at {steps} steps (jump > pi/2)")
-        steps *= 2
+    out, jac, end = _evaluate(word, ElementC(alg, target), True, tol)
+    jval = _chi(alg, jac)
+    if abs(jval) < 1e-14:
+        raise AmbiguityError("cocycle vanished at the target point")
+    raw = base + end - start
+    snap = float(np.angle(jval * np.exp(-1j * raw)))
+    if abs(snap) >= 0.5 * math.pi:
+        raise AmbiguityError(f"determination snap {snap:.3f} rad reaches pi/2")
+    return raw + snap, out.coords
 
 
-def act_lift(word, lifted, steps=64, tol: Tolerances = DEFAULT):
+def act_lift(word, lifted, tol: Tolerances = DEFAULT):
     """Action on the universal cover: (sigma, theta) ->
     (g(sigma), theta + phi(g, sigma)/r)."""
-    phi, image = _radial_unwrap(word, lifted.point.value.coords, steps, tol)
+    phi, image = _determination(word, lifted.point.value.coords, tol)
     return LiftedPoint(ShilovPoint(ElementC(word.alg, image), tol),
                        lifted.theta + phi / word.alg.rank)
 

@@ -223,8 +223,8 @@ def path(op, csv_file, tol_transverse, tol_int, mode, files):
         if ref.alg != bpath.alg:
             raise DomainError(f"{files[1]}.algebra: does not match the path")
         alg = bpath.alg
-        value = dy.arnold_number(bpath, ref, tol, mode_obj)
         flow = dy.eigenangle_flow(bpath, ref, tol, mode_obj)
+        value = dy.arnold_count(flow, tol, mode_obj)
     else:
         path1 = parse_path(_read_json(files[0]), tol, where=files[0])
         path2 = parse_path(_read_json(files[1]), tol, where=files[1])
@@ -232,8 +232,8 @@ def path(op, csv_file, tol_transverse, tol_int, mode, files):
             raise DomainError(f"{files[1]}.algebra: does not match "
                               f"{files[0]}")
         alg = path1.alg
-        value = dy.pair_path_index(path1, path2, tol, mode_obj)
         flow = dy.eigenangle_flow(path2, path1, tol, mode_obj)
+        value = dy.pair_path_count(flow, tol, mode_obj)
     records = dy.crossing_records(flow)
     if csv_file is not None:
         with open(csv_file, "w", newline="") as fh:

@@ -252,7 +252,11 @@ def arnold_number(path, sigma0, tol: Tolerances = DEFAULT, mode=STRICT):
     """Signed count of eigenangle strands crossing pi along the path,
     relative to the vertex sigma0.  Endpoints must be transverse."""
     check_mode(mode)
-    flow = eigenangle_flow(path, sigma0, tol, mode)
+    return arnold_count(eigenangle_flow(path, sigma0, tol, mode), tol, mode)
+
+
+def arnold_count(flow, tol: Tolerances = DEFAULT, mode=STRICT):
+    """arnold_number from the flow eigenangle_flow(path, sigma0)."""
     end_dist = min(float(np.min(_circle_dist(flow.strands[0], math.pi))),
                    float(np.min(_circle_dist(flow.strands[-1], math.pi))))
     if end_dist < tol.transverse:
@@ -271,7 +275,11 @@ def pair_path_index(path1, path2, tol: Tolerances = DEFAULT, mode=STRICT):
     nonvanishing endpoint angle distance, per the perturbation step.
     """
     check_mode(mode)
-    flow = eigenangle_flow(path2, path1, tol, mode)
+    return pair_path_count(eigenangle_flow(path2, path1, tol, mode), tol, mode)
+
+
+def pair_path_count(flow, tol: Tolerances = DEFAULT, mode=STRICT):
+    """pair_path_index from the flow eigenangle_flow(path2, path1)."""
     end_angles = np.concatenate([flow.strands[0], flow.strands[-1]])
     dists = _circle_dist(end_angles, math.pi)
     if float(np.min(dists)) >= tol.transverse:

@@ -16,8 +16,9 @@ class DomainError(MaslovKitError):
 class AmbiguityError(MaslovKitError):
     """A discrete answer could not be certified.
 
-    Gray-zone transversality, failed argument unwrapping, tangential
-    crossings in strict mode, coranks that fit no admissible rank.
+    Gray-zone transversality, a determination phi(g, z) whose snap onto
+    Arg j(g, z) reaches pi/2 (or a vanishing j), tangential crossings in
+    strict mode, coranks that fit no admissible rank.
     CLI exit code 3.
     """
 

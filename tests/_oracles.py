@@ -1,18 +1,23 @@
 """Independent reference computations for cross-checking the library.
 
 Everything here deliberately takes a different route than the library:
-LAPACK instead of the Jacobi kernel, associative matrix products instead of
-Jordan operator polynomials, operator-exponential series instead of closed
-forms, angle arithmetic instead of spectral passes, a search over all
-strand permutations instead of circular matching.
+associative matrix products instead of Jordan operator polynomials,
+operator-exponential series instead of closed forms, angle arithmetic instead
+of spectral passes, a search over all strand permutations instead of circular
+matching, a sampled radial unwrap instead of the branch sum over the Cayley
+legs.
 """
 
 import itertools
+import math
 
 import numpy as np
 import scipy.linalg
 
 from maslov_kit import algebra as al
+from maslov_kit import boundary as bd
+from maslov_kit.config import DEFAULT
+from maslov_kit.errors import AmbiguityError
 
 
 def eigh_desc(mat):
@@ -82,3 +87,43 @@ def match_step_brute(prev, raw):
         if best is None or cost < best[0]:
             best = (cost, prev + moves, float(np.max(np.abs(moves))))
     return best[1], best[2]
+
+
+MAX_UNWRAP_STEPS = 2 ** 14
+
+
+def radial_unwrap(word, target, steps=64):
+    """(phi(g, z), g(z) coordinates) by unwrapping Arg j(g, t z) along the
+    radial segment t in [0, 1], seeded at phi(g, 0); the sample count doubles
+    until every increment is below pi/2."""
+    tol = DEFAULT
+    alg = word.alg
+    base = bd._base_determination(word, tol)[0]
+    if word.is_unitary():
+        # j(u, .) is constant, so the determination is too
+        out = bd.apply_word(word, bd.ElementC(alg, target), tol)
+        return base, out.coords
+    while True:
+        prev = None
+        ok = True
+        total = base
+        for k, t in enumerate(np.linspace(0.0, 1.0, steps + 1)):
+            z = bd.ElementC(alg, t * target)
+            if k == steps:
+                out = bd.apply_word(word, z, tol)
+            jval = bd.cocycle_j(word, z, tol)
+            if abs(jval) < 1e-14:
+                raise AmbiguityError("cocycle vanished along the unwrap segment")
+            if prev is not None:
+                delta = np.angle(jval / prev)
+                if abs(delta) > 0.5 * math.pi:
+                    ok = False
+                    break
+                total += delta
+            prev = jval
+        if ok:
+            return total, out.coords
+        if steps * 2 > MAX_UNWRAP_STEPS:
+            raise AmbiguityError(
+                f"argument unwrap failed at {steps} steps (jump > pi/2)")
+        steps *= 2

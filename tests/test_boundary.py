@@ -9,7 +9,8 @@ import _oracles as orc
 from _cases import ALGEBRAS, IDS
 from maslov_kit import algebra as al
 from maslov_kit import boundary as bd
-from maslov_kit.errors import DomainError
+from maslov_kit.config import DEFAULT
+from maslov_kit.errors import DomainError, MaslovKitError
 
 
 def minus_i_eps(alg, k):
@@ -323,11 +324,76 @@ def test_determination_phi(alg):
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
 def test_compose_words_seed_matches_determination(alg, mode):
     """compose_words seeds phi(gh, 0) through the interior entry of the
-    radial unwrap; the boundary entry must then give phi(gh, s) =
+    determination; the boundary entry must then give phi(gh, s) =
     phi(g, h s) + phi(h, s) exactly, with no deck translate between them."""
     rng = np.random.default_rng(37)
     for phi_gh, phi_g_hs, phi_h, _ in composed_determinations(alg, rng, mode, 4):
         assert phi_gh == pytest.approx(phi_g_hs + phi_h, abs=1e-9)
+
+
+def drawn_word(alg, mode, seed):
+    """A random word of 1-5 generators at scale 0.4, 1 or 2, and a boundary
+    point, drawn from one seeded stream."""
+    rng = np.random.default_rng([seed, alg.rank, alg.dim])
+    n_gens = rng.integers(1, 6)
+    scale = rng.choice([0.4, 1.0, 2.0])
+    word = bd.random_word(alg, rng, mode, n_gens, scale)
+    return word, bd.random_shilov(alg, rng)
+
+
+def determinations(alg, mode, seed):
+    """Yield (library value, radial-unwrap value) for phi(g, sigma),
+    phi(g, sigma / 2), the compose_words seed and the inverse's seed."""
+    word, sigma = drawn_word(alg, mode, seed)
+    inner, _ = drawn_word(alg, mode, seed + 1000)
+    zero = bd.ElementC(alg, np.zeros(alg.dim, complex))
+    bare = bd.GroupWord(alg, [g.inverse() for g in reversed(word.generators)])
+    for target in (sigma.value.coords, 0.5 * sigma.value.coords):
+        yield (lambda t=target: bd._determination(word, t, DEFAULT)[0],
+               lambda t=target: orc.radial_unwrap(word, t)[0])
+    yield (lambda: bd.compose_words(word, inner).base_arg,
+           lambda: (orc.radial_unwrap(word, bd.apply_word(inner, zero).coords)[0]
+                    + bd._base_determination(inner, DEFAULT)[0]))
+    yield (lambda: word.inverse().base_arg,
+           lambda: -orc.radial_unwrap(word, bd.apply_word(bare, zero).coords)[0])
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except MaslovKitError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("mode", ["tube", "mixed", "unitary"])
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_determination_matches_radial_unwrap(alg, mode):
+    """The branch sum over the Cayley legs gives the determination the
+    sampled radial unwrap finds, and both refuse the same inputs (the class
+    may differ: the unwrap can give up on a jump before it reaches a target
+    where the word is undefined)."""
+    for seed in range(4):
+        for new, old in determinations(alg, mode, seed):
+            got, want = outcome(new), outcome(old)
+            assert isinstance(got, float) == isinstance(want, float), (got, want)
+            if isinstance(got, float):
+                assert got == pytest.approx(want, abs=1e-6)
+
+
+@pytest.mark.parametrize("alg, mode, seed", [
+    (al.algebra(al.SPIN, 5), "tube", 33),     # |j| ~ 3e-8, snap 0.26 rad
+    (al.algebra(al.SPIN, 7), "mixed", 19),    # |j| ~ 5e-6, snap 1.2e-4 rad
+], ids=["spin-5-tube-33", "spin-7-mixed-19"])
+def test_determination_snaps_where_j_is_tiny(alg, mode, seed):
+    """Where |j(g, sigma)| is tiny the branch sum alone misses the computed
+    Arg j(g, sigma) by more than rounding; the snap restores the unwrap's
+    value."""
+    word, sigma = drawn_word(alg, mode, seed)
+    want = orc.radial_unwrap(word, sigma.value.coords)[0]
+    assert bd.determination_phi(word, sigma) == pytest.approx(want, abs=1e-6)
+    base, start = bd._base_determination(word, DEFAULT)
+    _, _, end = bd._evaluate(word, sigma.value, True, DEFAULT)
+    assert abs(base + end - start - want) > 1e-5
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)

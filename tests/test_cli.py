@@ -13,6 +13,7 @@ from _cases import minus_i_eps
 import maslov_kit
 from maslov_kit import algebra as al
 from maslov_kit import boundary as bd
+from maslov_kit import dynamics as dy
 from maslov_kit import selftest as st
 from maslov_kit._serialize import dumps
 from maslov_kit.cli import main
@@ -279,6 +280,30 @@ def test_path_pair_constant_against_loop(tmp_path):
     res = invoke("path", "--op", "pair", const, loop)
     assert res.exit_code == 0
     assert json.loads(res.output)["value"] == 2
+
+
+@pytest.mark.parametrize("op", ["arnold", "pair"])
+def test_path_builds_one_flow(tmp_path, monkeypatch, op):
+    first = str(tmp_path / "first.json")
+    loop = str(tmp_path / "loop.json")
+    kind = "element" if op == "arnold" else "constant"
+    invoke("gen", "--kind", kind, "--algebra", "sym-r", "--param", "2",
+           "--seed", "8", "--out", first)
+    invoke("gen", "--kind", "loop", "--algebra", "sym-r", "--param", "2",
+           "--seed", "9", "--out", loop)
+    calls = []
+    flow = dy.eigenangle_flow
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return flow(*args, **kwargs)
+
+    monkeypatch.setattr(dy, "eigenangle_flow", counted)
+    files = (loop, first) if op == "arnold" else (first, loop)
+    res = invoke("path", "--op", op, *files, "--csv", str(tmp_path / "s.csv"))
+    assert res.exit_code == 0
+    assert json.loads(res.output)["value"] == 2
+    assert len(calls) == 1
 
 
 def test_path_algebra_mismatch_exit_2(tmp_path):
