@@ -24,7 +24,7 @@ from . import boundary as bd
 from .algebra import standard_frame
 from .config import DEFAULT, STRICT, Tolerances, check_mode
 from .errors import AmbiguityError, DomainError
-from .indices import relative_element, souriau_m
+from .indices import pair_angles, souriau_m
 
 TWO_PI = 2.0 * math.pi
 STRAND_STEP_LIMIT = math.pi / 4
@@ -159,9 +159,8 @@ def eigenangle_flow(path, reference, tol: Tolerances = DEFAULT, mode=STRICT):
         return bd.as_shilov(fn(t))
 
     def raw_at(t):
-        w = relative_element(value_at(main_grid, main_fn, t),
-                             value_at(ref_grid, ref_fn, t), tol)
-        return bd.shilov_spectral(w, tol).angles
+        return pair_angles([value_at(main_grid, main_fn, t)],
+                           [value_at(ref_grid, ref_fn, t)], tol)[0]
 
     limit = min(STRAND_STEP_LIMIT, math.pi / alg.rank)
     out_t = [ts[0]]

@@ -7,6 +7,15 @@ the sum over the other angles gives the angle functional, and combined with
 lift data it yields the Souriau index m, the triple Maslov index, and the
 derived inertia / Arnold indices.
 
+The eigenangles come from pair_angles.  For the matrix kinds w is similar
+to -tau^{-1} sigma, a unitary m x m matrix, so a batch of pairs costs one
+stacked solve and one stacked eigvals call, with no square root and no
+frame.  The spin factor has rank two and reads its spectrum off w in closed
+form.  Each index makes
+one pass per pair and shares it: inertia_j reads its three mu terms off the
+passes of its triple index, arnold_nu and alm_n read mu off the pass of
+their Souriau index.
+
 All discrete outputs pass an integrality guard and a parity guard
 (m = r - mu mod 2, a determinant identity), and the extended (non-transverse)
 Souriau index is re-derived through a transverse witness as a runtime
@@ -18,9 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import (ElementC, LiftedPoint, ShilovPoint, as_shilov,
-                       cquad_rep_apply, cquad_rep_operator, lift,
-                       random_shilov, shilov_spectral, wrap_angle)
+from .algebra import SPIN, _to_matrix
+from .boundary import (ElementC, LiftedPoint, ShilovPoint, _spin_unit_spectrum,
+                       as_shilov, cquad_rep_apply, cquad_rep_operator, lift,
+                       principal_arg, random_shilov, shilov_spectral,
+                       wrap_angle)
 from .config import DEFAULT, STRICT, Tolerances, check_mode
 from .errors import AmbiguityError, DomainError, IntegralityError
 
@@ -57,6 +68,11 @@ def relative_element(sigma, tau, tol: Tolerances = DEFAULT, branch=0):
     The square-root branch does not matter: flipping branch members
     multiplies the root by a square root of e sharing tau's frame, and P of
     that factor fixes sigma's frame elements.
+
+    This builds w itself, through the spectrum and frame of tau, for callers
+    that need the point or its frame.  The indices need only its eigenangles
+    and take them from pair_angles: from -tau^{-1} sigma for the matrix kinds,
+    and from this element's closed-form spectrum for the spin factor.
     """
     sigma = as_shilov(sigma, tol)
     tau = as_shilov(tau, tol)
@@ -92,12 +108,47 @@ def _coincidence_split(angles, tol, mode, what="pair"):
     return coincident
 
 
+def pair_angles(sigmas, taus, tol: Tolerances = DEFAULT):
+    """Eigenangles of w(sigma_k, tau_k) for N pairs of one algebra: (N, r).
+
+    Each row is sorted descending in (-pi, pi], the order of
+    shilov_spectral(relative_element(sigma, tau)).angles.  For the matrix
+    kinds w = -P(tau^{-1/2}) sigma is similar to -tau^{-1} sigma, whose
+    eigenvalues all pairs get from one stacked solve and one eigvals call.
+    The Jordan inverse (solve, not the conjugate) keeps points that are off
+    S within tol.boundary on the spectrum of w; an eigenvalue off the unit
+    circle by more than 10 tol.boundary is refused.  The spin factor keeps
+    the closed form of its rank-two spectrum, which stays exact where the
+    two eigenvalues coincide.
+    """
+    sigmas = [as_shilov(s, tol) for s in sigmas]
+    taus = [as_shilov(t, tol) for t in taus]
+    if not sigmas or len(sigmas) != len(taus):
+        raise DomainError(f"pair_angles needs N >= 1 sigmas and N taus, got "
+                          f"{len(sigmas)} and {len(taus)}")
+    alg = sigmas[0].alg
+    for s, t in zip(sigmas, taus):
+        if s.alg != t.alg:
+            raise DomainError(f"algebra mismatch: {s.alg} vs {t.alg}")
+        if s.alg != alg:
+            raise DomainError(f"algebra mismatch: {alg} vs {s.alg}")
+    if alg.kind == SPIN:
+        return np.stack([_spin_unit_spectrum(relative_element(s, t, tol), tol).angles
+                         for s, t in zip(sigmas, taus)])
+    smat = _to_matrix(alg, np.stack([s.value.coords for s in sigmas]))
+    tmat = _to_matrix(alg, np.stack([t.value.coords for t in taus]))
+    zeta = np.linalg.eigvals(-np.linalg.solve(tmat, smat))
+    unit_err = float(np.max(np.abs(np.abs(zeta) - 1.0)))
+    if unit_err > 10.0 * tol.boundary:
+        raise DomainError("not on the Shilov boundary (relative element has "
+                          f"an eigenvalue off the unit circle by {unit_err:.2e})")
+    return -np.sort(-principal_arg(zeta), axis=-1)
+
+
 def _pair_angles(sigma, tau, tol, mode):
-    """One spectral pass over w(sigma, tau): (angles, coincidence mask)."""
-    w = relative_element(sigma, tau, tol)
-    us = shilov_spectral(w, tol)
-    mask = _coincidence_split(us.angles, tol, mode)
-    return us.angles, mask
+    """One pair through pair_angles: (angles, coincidence mask)."""
+    angles = pair_angles([sigma], [tau], tol)[0]
+    return angles, _coincidence_split(angles, tol, mode)
 
 
 def transversal(sigma, tau, tol: Tolerances = DEFAULT, mode=STRICT):
@@ -173,8 +224,13 @@ def _souriau_raw(lift1, lift2, tol, mode):
         raise DomainError("souriau_m needs LiftedPoint arguments")
     if lift1.alg != lift2.alg:
         raise DomainError(f"algebra mismatch: {lift1.alg} vs {lift2.alg}")
-    r = lift1.alg.rank
     angles, mask = _pair_angles(lift1.point, lift2.point, tol, mode)
+    return _souriau_value(lift1, lift2, angles, mask, tol)
+
+
+def _souriau_value(lift1, lift2, angles, mask, tol):
+    """Souriau index from the pair pass (angles, mask) of the two points."""
+    r = lift1.alg.rank
     m_count = int(np.sum(mask))
     raw = (float(np.sum(angles[~mask])) - r * (lift1.theta - lift2.theta)) / math.pi
     value, residual = _round_guarded(raw, tol, "Souriau index")
@@ -194,8 +250,9 @@ def _witness_stream(alg, skip=0):
 
 def _find_witness(p1, p2, tol, mode, skip=0):
     for cand in _witness_stream(p1.alg, skip):
+        rows = pair_angles([cand, cand], [p1, p2], tol)
         try:
-            if transversal(cand, p1, tol, STRICT) and transversal(cand, p2, tol, STRICT):
+            if not any(np.any(_coincidence_split(a, tol, STRICT)) for a in rows):
                 return cand
         except AmbiguityError:
             continue
@@ -212,6 +269,11 @@ def souriau_m(lift1, lift2, tol: Tolerances = DEFAULT, mode=STRICT,
     an error, never silently resolved.
     """
     check_mode(mode)
+    return _souriau_report(lift1, lift2, tol, mode, cross_check)[0]
+
+
+def _souriau_report(lift1, lift2, tol, mode, cross_check=True):
+    """souriau_m and mu of the pair, read off the same pair pass."""
     value, raw, residual, m_count = _souriau_raw(lift1, lift2, tol, mode)
     witnesses = ()
     if cross_check and m_count > 0:
@@ -223,11 +285,11 @@ def souriau_m(lift1, lift2, tol: Tolerances = DEFAULT, mode=STRICT,
                 "extended Souriau index failed its witness cross-check: "
                 f"direct={value}, witness route={check}")
         witnesses = (wit,)
-    return IndexReport(value, raw, residual, witnesses)
+    return IndexReport(value, raw, residual, witnesses), m_count
 
 
 def _witness_value(lift1, lift2, wlift, tol, mode):
-    iota = _iota_value(lift1.point, lift2.point, wlift.point, tol, mode)
+    iota, _ = _iota_value(lift1.point, lift2.point, wlift.point, tol, mode)
     m1t, _, _, _ = _souriau_raw(lift1, wlift, tol, mode)
     mt2, _, _, _ = _souriau_raw(wlift, lift2, tol, mode)
     return iota + m1t + mt2
@@ -246,19 +308,22 @@ def souriau_m_witness(lift1, lift2, wlift, tol: Tolerances = DEFAULT,
 
 
 def _iota_value(s1, s2, s3, tol, mode):
-    """Integer triple index; fast path when all pairs are transverse."""
-    pairs = [(s1, s2), (s2, s3), (s3, s1)]
-    data = [_pair_angles(a, b, tol, mode) for a, b in pairs]
-    if not any(np.any(mask) for _, mask in data):
-        raw = sum(float(np.sum(angles)) for angles, _ in data) / math.pi
+    """Integer triple index and the coincidence masks of its pair passes
+    (s1, s2), (s2, s3), (s3, s1), all made in one pair_angles call; fast
+    path when all pairs are transverse."""
+    rows = pair_angles([s1, s2, s3], [s2, s3, s1], tol)
+    masks = [_coincidence_split(angles, tol, mode) for angles in rows]
+    if not any(np.any(mask) for mask in masks):
+        raw = sum(float(np.sum(angles)) for angles in rows) / math.pi
         value, _ = _round_guarded(raw, tol, "Maslov index")
-        return value
+        return value, masks
     lifts = [lift(p, 0, tol) for p in (s1, s2, s3)]
     total = 0
-    for la, lb in ((lifts[0], lifts[1]), (lifts[1], lifts[2]), (lifts[2], lifts[0])):
-        v, _, _, _ = _souriau_raw(la, lb, tol, mode)
+    for k, angles in enumerate(rows):
+        v, _, _, _ = _souriau_value(lifts[k], lifts[(k + 1) % 3], angles,
+                                    masks[k], tol)
         total += v
-    return total
+    return total, masks
 
 
 def maslov_iota(s1, s2, s3, tol: Tolerances = DEFAULT, mode=STRICT):
@@ -269,14 +334,19 @@ def maslov_iota(s1, s2, s3, tol: Tolerances = DEFAULT, mode=STRICT):
     indices over canonical lifts (the lift choice cancels).
     """
     check_mode(mode)
+    return _iota_report(s1, s2, s3, tol, mode)[0]
+
+
+def _iota_report(s1, s2, s3, tol, mode):
+    """maslov_iota and the coincidence masks of its three pair passes."""
     s1 = as_shilov(s1, tol)
     s2 = as_shilov(s2, tol)
     s3 = as_shilov(s3, tol)
-    value = _iota_value(s1, s2, s3, tol, mode)
+    value, masks = _iota_value(s1, s2, s3, tol, mode)
     r = s1.alg.rank
     if abs(value) > r:
         raise IntegralityError(f"Maslov index {value} outside [-{r}, {r}]")
-    return IndexReport(value, float(value), 0.0)
+    return IndexReport(value, float(value), 0.0), masks
 
 
 def ord_triple(alpha, beta, gamma, eps=1e-12):
@@ -319,14 +389,16 @@ def m_shared_frame(angles1, theta1, angles2, theta2, eps=1e-9):
 
 def inertia_j(s1, s2, s3, tol: Tolerances = DEFAULT, mode=STRICT):
     """Inertia index of a triple:
-    (iota + mu(1,2) - mu(1,3) + mu(2,3) + r) / 2."""
+    (iota + mu(1,2) - mu(1,3) + mu(2,3) + r) / 2.
+
+    The mu terms are the coincidence counts of the triple index's pair
+    passes; mu(1,3) is read off the (3,1) pass, whose angles are those of
+    (1,3) negated, at the same distances to pi."""
     check_mode(mode)
     s1 = as_shilov(s1, tol)
-    s2 = as_shilov(s2, tol)
-    s3 = as_shilov(s3, tol)
-    iota = maslov_iota(s1, s2, s3, tol, mode)
-    total = (iota.value + mu(s1, s2, tol, mode) - mu(s1, s3, tol, mode)
-             + mu(s2, s3, tol, mode) + s1.alg.rank)
+    iota, masks = _iota_report(s1, s2, s3, tol, mode)
+    mu12, mu23, mu31 = (int(np.sum(mask)) for mask in masks)
+    total = iota.value + mu12 - mu31 + mu23 + s1.alg.rank
     if total % 2 != 0:
         raise IntegralityError(f"inertia index came out half-integer: {total}/2")
     raw = 0.5 * (iota.raw + total - iota.value)
@@ -336,8 +408,7 @@ def inertia_j(s1, s2, s3, tol: Tolerances = DEFAULT, mode=STRICT):
 def arnold_nu(lift1, lift2, tol: Tolerances = DEFAULT, mode=STRICT):
     """Arnold index (m - mu - r) / 2 of a lifted pair."""
     check_mode(mode)
-    m_rep = souriau_m(lift1, lift2, tol, mode)
-    mu_val = mu(lift1.point, lift2.point, tol, mode)
+    m_rep, mu_val = _souriau_report(lift1, lift2, tol, mode)
     r = lift1.alg.rank
     total = m_rep.value - mu_val - r
     if total % 2 != 0:
@@ -349,8 +420,7 @@ def arnold_nu(lift1, lift2, tol: Tolerances = DEFAULT, mode=STRICT):
 def alm_n(lift1, lift2, tol: Tolerances = DEFAULT, mode=STRICT):
     """Arnold-Leray-Maslov index n = nu + mu + r = (m + mu + r) / 2."""
     check_mode(mode)
-    m_rep = souriau_m(lift1, lift2, tol, mode)
-    mu_val = mu(lift1.point, lift2.point, tol, mode)
+    m_rep, mu_val = _souriau_report(lift1, lift2, tol, mode)
     r = lift1.alg.rank
     total = m_rep.value + mu_val + r
     if total % 2 != 0:

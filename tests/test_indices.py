@@ -57,6 +57,122 @@ def test_relative_element_algebra_mismatch():
         ix.relative_element(unit_pt(a), unit_pt(b))
 
 
+# --------------------------------------------------------------- pair angles
+
+PAIR_ALGEBRAS = ALGEBRAS + [al.algebra(al.SYM_R, 6), al.algebra(al.HERM_C, 4)]
+PAIR_IDS = [f"{a.kind}-{a.param}" for a in PAIR_ALGEBRAS]
+
+
+def _pair_corpus(alg, rng):
+    """Random pairs, then shared-frame pairs with k = 0..r coincidences, each
+    also with the coincident angles moved by 1e-11 to 1e-3 (the band
+    [1e-7, 1e-6) is the default gray zone)."""
+    for _ in range(4):
+        yield bd.random_shilov(alg, rng), bd.random_shilov(alg, rng)
+    for k in range(alg.rank + 1):
+        frame, angles, (sigma, tau) = shared_frame_points(alg, rng, 2, coincide=k)
+        yield sigma, tau
+        for exp in ((-11, -9, -7, -6, -5, -3) if k else ()):
+            moved = angles[1].copy()
+            moved[:k] += rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 10.0) * 10.0 ** exp
+            yield sigma, bd.from_unit_spectrum(alg, moved, frame)
+
+
+def _refusal_class(angles_of, sigma, tau):
+    try:
+        angles = angles_of(sigma, tau)
+    except DomainError:
+        return "domain", None
+    try:
+        return int(np.sum(ix._coincidence_split(angles, DEFAULT, STRICT))), angles
+    except AmbiguityError:
+        return "gray", angles
+
+
+@pytest.mark.parametrize("alg", PAIR_ALGEBRAS, ids=PAIR_IDS)
+def test_pair_angles_match_relative_spectrum(alg):
+    rng = np.random.default_rng([72, alg.rank, alg.dim])
+    pairs = list(_pair_corpus(alg, rng))
+    classes = set()
+    for sigma, tau in pairs:
+        want, ref = _refusal_class(
+            lambda s, t: bd.shilov_spectral(ix.relative_element(s, t)).angles,
+            sigma, tau)
+        got, angles = _refusal_class(
+            lambda s, t: ix.pair_angles([s], [t])[0], sigma, tau)
+        assert got == want
+        classes.add(got)
+        # same strand order; the circular gap absorbs the snap at -pi
+        assert np.max(np.abs(bd.wrap_angle(angles - ref))) <= 1e-10
+    assert {0, alg.rank, "gray"} <= classes
+    rows = ix.pair_angles(*zip(*pairs))
+    single = np.stack([ix.pair_angles([s], [t])[0] for s, t in pairs])
+    assert rows.tobytes() == single.tobytes()
+
+
+def test_pair_angles_refuses_mixed_algebras_and_empty_calls():
+    a = al.algebra(al.SYM_R, 2)
+    b = al.algebra(al.HERM_C, 2)
+    with pytest.raises(DomainError):
+        ix.pair_angles([unit_pt(a), unit_pt(b)], [unit_pt(a), unit_pt(b)])
+    with pytest.raises(DomainError):
+        ix.pair_angles([unit_pt(a)], [unit_pt(b)])
+    with pytest.raises(DomainError):
+        ix.pair_angles([], [])
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_mu_at_tight_transverse_tolerance(alg):
+    # a double root of a characteristic polynomial would be off by ~sqrt(eps)
+    tight = DEFAULT.with_overrides(transverse=1e-10)
+    rng = np.random.default_rng(73)
+    for _ in range(4):
+        sigma = bd.random_shilov(alg, rng)
+        assert ix.mu(sigma, sigma, tight) == alg.rank
+        turned = bd.ShilovPoint(sigma.value * np.exp(1j * rng.uniform(0.1, 3.0)))
+        assert ix.mu(sigma, turned, tight) == 0
+
+
+@pytest.mark.parametrize("alg", [al.algebra(al.SYM_R, 3), al.algebra(al.HERM_C, 2)],
+                         ids=["sym-r-3", "herm-c-2"])
+def test_indices_make_one_pair_pass_per_pair(alg, monkeypatch):
+    """No index builds w or a frame; each pair is passed through pair_angles
+    once, including the mu terms of inertia_j, arnold_nu and alm_n."""
+    frames, rows = [], []
+
+    def count(mod, name, log, size=lambda *args: 1):
+        orig = getattr(mod, name)
+
+        def counted(*args, **kwargs):
+            log.append(size(*args))
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counted)
+
+    for mod in (bd, ix):
+        count(mod, "shilov_spectral", frames)
+    count(ix, "relative_element", frames)
+    count(ix, "pair_angles", rows, size=lambda sigmas, taus, *rest: len(sigmas))
+
+    rng = np.random.default_rng(74)
+    s1, s2, s3 = (bd.random_shilov(alg, rng) for _ in range(3))
+    l1, l2 = bd.lift(s1), bd.lift(s2, 1)
+    for call, passes in ((lambda: ix.mu(s1, s2), 1),
+                         (lambda: ix.souriau_m(l1, l2), 1),
+                         (lambda: ix.maslov_iota(s1, s2, s3), 3),
+                         (lambda: ix.inertia_j(s1, s2, s3), 3),
+                         (lambda: ix.arnold_nu(l1, l2), 1),
+                         (lambda: ix.alm_n(l1, l2), 1)):
+        rows.clear()
+        call()
+        assert sum(rows) == passes
+    # coincident pairs take the witness route, still without a frame
+    _, angles, (c1, c2) = shared_frame_points(alg, rng, 2, coincide=1)
+    ix.inertia_j(c1, c2, s3)
+    ix.arnold_nu(shared_frame_lift(c1, angles[0]), shared_frame_lift(c2, angles[1]))
+    assert frames == []
+
+
 # ------------------------------------------------------------------------ mu
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
