@@ -14,19 +14,21 @@ Group elements are words in two families of generators:
 * unitary family (acting linearly on the complexified algebra): products of
   exp(i L(v)) and derivation exponentials.
 
-Words may mix both families; consecutive tube generators are evaluated as a
-single trip through the Cayley transform.
+Words may mix both families.  A word acts on the closed disk as one
+linear-fractional matrix, built once per word, which gives g(z), j(g, z) and
+the determination phi(g, z) at every point where the word is defined.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .algebra import (AlgebraDescriptor, ElementJ, _det, _from_matrix, _lmul,
                       _mul, _to_matrix, _trace, element, lmul_operator,
                       random_element, random_frame, spectral_decompose_real,
-                      unit, zero)
+                      unit)
 from .config import DEFAULT, Tolerances
 from .errors import AmbiguityError, DomainError
 
@@ -400,57 +402,122 @@ def random_shilov(alg, rng, tol: Tolerances = DEFAULT):
 
 
 # ---------------------------------------------------------------------------
-# Cayley transforms between the tube domain and the disk realization
+# Linear-fractional matrices and the Cayley transforms
+#
+# A word acts on the closed disk through one matrix G (Faraut-Koranyi,
+# Analysis on Symmetric Cones, 1994, ch. X): on sym-r and herm-c by
+# w -> (Aw + B)(Cw + D)^{-1}, with Delta_g(w) = det(Cw + D); on spin linearly
+# on (1, z, det z), with Delta_g(z) the first entry of the image.  G is fixed
+# up to a scalar, which cancels in j(g, z) = j(g, 0) (Delta_g(z)/Delta_g(0))^-2.
+
+
+def _lf_size(alg):
+    return alg.dim + 2 if alg.kind == "spin" else 2 * alg.param
+
+
+def _translate_block(alg, u):
+    """z -> z + u for complex coordinates u; on spin
+    (a, z, b) -> (a, z + a u, b + 2 B(z, u) + a det u)."""
+    g = np.eye(_lf_size(alg), dtype=np.complex128)
+    if alg.kind == "spin":
+        g[1:-1, 0] = u
+        g[-1, 0] = _det(alg, u)
+        g[-1, 1:-1] = 2.0 * np.r_[u[0], -u[1:]]
+    else:
+        g[:alg.param, alg.param:] = _to_matrix(alg, u)
+    return g
+
+
+def _inversion_block(alg):
+    """z -> -z^{-1}; on spin (a, z, b) -> (b, -(z0, -zvec), a)."""
+    g = np.zeros((_lf_size(alg),) * 2, dtype=np.complex128)
+    if alg.kind == "spin":
+        g[0, -1] = g[-1, 0] = 1.0
+        g[1:-1, 1:-1] = np.diag(np.r_[-1.0, np.ones(alg.dim - 1)])
+    else:
+        m = alg.param
+        g[:m, m:] = -np.eye(m)
+        g[m:, :m] = np.eye(m)
+    return g
+
+
+def _structure_block(alg, h):
+    """z -> hz: diag(a, b^{-1}) for X -> aXb given h = (a, b^{-1}) on the
+    matrix kinds; diag(1, h, chi(h)) for a coordinate matrix h on spin."""
+    g = np.eye(_lf_size(alg), dtype=np.complex128)
+    if alg.kind == "spin":
+        g[1:-1, 1:-1] = h
+        g[-1, -1] = _det(alg, h @ unit(alg).coords)
+    else:
+        m = alg.param
+        g[:m, :m], g[m:, m:] = h
+    return g
+
+
+@lru_cache(maxsize=None)
+def _cayley_matrices(alg):
+    """(P, P^{-1}) with P: z -> e - 2i (z + ie)^{-1}, tube to disk."""
+    e = unit(alg).coords.astype(np.complex128)
+    ones = np.eye(alg.dim if alg.kind == "spin" else alg.param)
+    scale = 2j * ones if alg.kind == "spin" else (2j * ones, ones)   # z -> 2iz
+    p = (_translate_block(alg, e) @ _structure_block(alg, scale)
+         @ _inversion_block(alg) @ _translate_block(alg, 1j * e))
+    return p, np.linalg.inv(p)
+
+
+def _lf_apply(alg, g, z, tol: Tolerances = DEFAULT):
+    """(g(z), mu) for the matrix g at complex coordinates z, where
+    Delta_g(tz) / Delta_g(0) = prod(1 + t lambda_k), mu = 1 + lambda and
+    |lambda_k| < 1 on the closed disk.  DomainError where Delta_g vanishes."""
+    if alg.kind == "spin":
+        dz = _det(alg, z)
+        head = g[:, 0] + g[:, 1:-1] @ z + g[:, -1] * dz
+        # 1 + t p + t^2 s = (1 + t l1)(1 + t l2): l1, l2 solve x^2 - p x + s
+        p, s = g[0, 1:-1] @ z / g[0, 0], g[0, -1] * dz / g[0, 0]
+        lam = np.linalg.eigvals(np.array([[p, -s], [1.0, 0.0]]))
+    else:
+        m = alg.param
+        w = _to_matrix(alg, z)
+        num = g[:m, :m] @ w + g[:m, m:]
+        den = g[m:, :m] @ w + g[m:, m:]
+        lam = np.linalg.eigvals(np.linalg.solve(g[m:, m:], g[m:, :m] @ w))
+    mu = 1.0 + lam
+    if np.min(np.abs(mu)) <= tol.rank * (1.0 + np.max(np.abs(lam))):
+        raise DomainError("undefined where Delta_g vanishes "
+                          f"(min |1 + lambda| = {np.min(np.abs(mu)):.2e})")
+    if alg.kind == "spin":
+        return head[1:-1] / head[0], mu
+    return _from_matrix(alg, np.linalg.solve(den.T, num.T).T), mu
 
 
 def cayley_p(z, tol: Tolerances = DEFAULT):
     """p(z) = e - 2i (z + ie)^{-1}, mapping the tube domain onto the disk."""
     z = complexify(z)
-    e = unit(z.alg)
-    shifted = ElementC(z.alg, z.coords + 1j * e.coords)
-    try:
-        inv = cinverse(shifted, tol)
-    except DomainError as exc:
-        raise DomainError(f"Cayley p undefined: {exc}") from exc
-    return ElementC(z.alg, e.coords - 2j * inv.coords)
+    return ElementC(z.alg, _lf_apply(z.alg, _cayley_matrices(z.alg)[0],
+                                     z.coords, tol)[0])
 
 
 def cayley_c(w, tol: Tolerances = DEFAULT):
     """c(w) = -ie + 2i (e - w)^{-1}, inverse of cayley_p."""
     w = complexify(w)
-    e = unit(w.alg)
-    diff = ElementC(w.alg, e.coords - w.coords)
-    try:
-        inv = cinverse(diff, tol)
-    except DomainError as exc:
-        raise DomainError(f"Cayley c undefined: {exc}") from exc
-    return ElementC(w.alg, -1j * e.coords + 2j * inv.coords)
+    return ElementC(w.alg, _lf_apply(w.alg, _cayley_matrices(w.alg)[1],
+                                     w.coords, tol)[0])
 
 
 # ---------------------------------------------------------------------------
 # Group words
 
 
-def _expm_symmetric(s):
-    """exp(S) for real symmetric S (positive definite result)."""
-    vals, vecs = np.linalg.eigh(s)
-    return (vecs * np.exp(vals)) @ vecs.T
-
-
-def _expm_i_symmetric(s):
-    """exp(iS) for real symmetric S, as a unitary complex matrix."""
-    vals, vecs = np.linalg.eigh(s)
-    return (vecs * np.exp(1j * vals)) @ vecs.T
+def _expm_hermitian(h, s):
+    """exp(s H) for a Hermitian (or real symmetric) H and a scalar s."""
+    vals, vecs = np.linalg.eigh(h)
+    return (vecs * np.exp(s * vals)) @ vecs.conj().T
 
 
 def _expm_antisymmetric(k):
-    """exp(K) for real antisymmetric K, as a real orthogonal matrix.
-
-    iK is Hermitian, so exp(K) = exp(-i(iK)) comes from one Hermitian
-    eigendecomposition.
-    """
-    vals, vecs = np.linalg.eigh(1j * k)
-    out = (vecs * np.exp(-1j * vals)) @ vecs.conj().T
+    """exp(K) = exp(-i (iK)) for real antisymmetric K, as a real
+    orthogonal matrix."""
+    out = _expm_hermitian(1j * k, -1j)
     drift = np.max(np.abs(out.imag)) if out.size else 0.0
     if drift > 1e-10 * (1.0 + np.max(np.abs(out.real))):
         raise AmbiguityError("exp of antisymmetric matrix drifted off the reals")
@@ -460,13 +527,13 @@ def _expm_antisymmetric(k):
 class TranslateGen:
     """Tube generator z -> z + u, u real."""
 
-    __slots__ = ("u",)
+    __slots__ = ("u", "alg")
     family = "tube"
 
     def __init__(self, u):
         if not isinstance(u, ElementJ):
             raise DomainError("translation offset must be an ElementJ")
-        self.u = u
+        self.u, self.alg = u, u.alg
 
     def inverse(self):
         return TranslateGen(-self.u)
@@ -477,77 +544,71 @@ class InversionGen:
 
     __slots__ = ()
     family = "tube"
+    alg = None
 
     def inverse(self):
         return InversionGen()
 
 
-class LinearGen:
+class _StructureGen:
+    """Structure-group generator: a product of factors (scalar, v), giving
+    exp(phase L(v)), and ("derivation", a, b), giving exp([L(a), L(b)]).
+
+    `matrix` acts on coordinates and `block` is the generator's
+    linear-fractional matrix.  On the matrix kinds a factor is X -> aXb with
+    a = b = exp(phase v / 2), or a = b^{-1} = exp([a, b] / 4).
+    """
+
+    __slots__ = ("factors", "alg", "matrix", "block")
+
+    def __init__(self, factors):
+        self.factors = tuple(factors)
+        algs = {x.alg if isinstance(x, ElementJ) else None
+                for _, *ops in self.factors for x in ops}
+        if len(algs) != 1 or None in algs:
+            raise DomainError(
+                f"{type(self).__name__} needs ElementJ factors on one algebra")
+        self.alg = alg = algs.pop()
+        mats, halves = [], []
+        for kind, *ops in self.factors:
+            if kind == self.scalar:
+                mats.append(_expm_hermitian(lmul_operator(ops[0]), self.phase))
+                if alg.kind != "spin":
+                    v = _to_matrix(alg, ops[0].coords)
+                    halves.append((_expm_hermitian(v, 0.5 * self.phase),
+                                   _expm_hermitian(v, -0.5 * self.phase)))
+            elif kind == "derivation":
+                la, lb = lmul_operator(ops[0]), lmul_operator(ops[1])
+                mats.append(_expm_antisymmetric(la @ lb - lb @ la))
+                if alg.kind != "spin":
+                    a, b = (_to_matrix(alg, x.coords) for x in ops)
+                    halves.append((_expm_hermitian(1j * (a @ b - b @ a), -0.25j),) * 2)
+            else:
+                raise DomainError(f"unknown {type(self).__name__} factor {kind!r}")
+        self.matrix = reduce(np.matmul, mats)
+        self.block = (_structure_block(alg, self.matrix) if alg.kind == "spin" else
+                      reduce(np.matmul, [_structure_block(alg, h) for h in halves]))
+
+    def inverse(self):
+        return type(self)([(kind, -ops[0]) if kind == self.scalar
+                           else (kind, ops[1], ops[0])
+                           for kind, *ops in reversed(self.factors)])
+
+
+class LinearGen(_StructureGen):
     """Tube generator z -> Az, A a real structure-group product
     of exp(L(v)) and derivation exponentials exp([L(a), L(b)])."""
 
-    __slots__ = ("factors", "matrix")
-    family = "tube"
-
-    def __init__(self, factors):
-        self.factors = tuple(factors)
-        mat = None
-        for kind, *ops in self.factors:
-            if kind == "lmul":
-                f = _expm_symmetric(lmul_operator(ops[0]))
-            elif kind == "derivation":
-                la = lmul_operator(ops[0])
-                lb = lmul_operator(ops[1])
-                f = _expm_antisymmetric(la @ lb - lb @ la)
-            else:
-                raise DomainError(f"unknown linear factor {kind!r}")
-            mat = f if mat is None else mat @ f
-        if mat is None:
-            raise DomainError("linear generator needs at least one factor")
-        self.matrix = mat
-
-    def inverse(self):
-        inv = []
-        for kind, *ops in reversed(self.factors):
-            if kind == "lmul":
-                inv.append(("lmul", -ops[0]))
-            else:
-                inv.append(("derivation", ops[1], ops[0]))
-        return LinearGen(inv)
+    __slots__ = ()
+    family, scalar, phase = "tube", "lmul", 1.0
 
 
-class UnitaryGen:
+class UnitaryGen(_StructureGen):
     """Linear generator on the complexified algebra: product of exp(iL(v))
     and derivation exponentials; unitary for the Hermitian form."""
 
-    __slots__ = ("factors", "matrix")
-    family = "unitary"
-
-    def __init__(self, factors):
-        self.factors = tuple(factors)
-        mat = None
-        for kind, *ops in self.factors:
-            if kind == "exp-iL":
-                f = _expm_i_symmetric(lmul_operator(ops[0]))
-            elif kind == "derivation":
-                la = lmul_operator(ops[0])
-                lb = lmul_operator(ops[1])
-                f = _expm_antisymmetric(la @ lb - lb @ la).astype(np.complex128)
-            else:
-                raise DomainError(f"unknown unitary factor {kind!r}")
-            mat = f if mat is None else mat @ f
-        if mat is None:
-            raise DomainError("unitary generator needs at least one factor")
-        self.matrix = mat
-
-    def inverse(self):
-        inv = []
-        for kind, *ops in reversed(self.factors):
-            if kind == "exp-iL":
-                inv.append(("exp-iL", -ops[0]))
-            else:
-                inv.append(("derivation", ops[1], ops[0]))
-        return UnitaryGen(inv)
+    __slots__ = ()
+    family, scalar, phase = "unitary", "exp-iL", 1j
 
 
 class GroupWord:
@@ -557,28 +618,68 @@ class GroupWord:
     agree with Arg j(g, 0) modulo 2 pi (checked when used).
     """
 
-    __slots__ = ("alg", "generators", "base_arg")
+    __slots__ = ("alg", "generators", "base_arg", "_lf")
 
     def __init__(self, alg, generators, base_arg=None):
         if not isinstance(alg, AlgebraDescriptor):
             raise DomainError("GroupWord needs an AlgebraDescriptor")
         self.alg = alg
         self.generators = tuple(generators)
+        for k, gen in enumerate(self.generators):
+            if not isinstance(gen, (TranslateGen, InversionGen, _StructureGen)):
+                raise DomainError(f"generator {k} is not a group generator")
+            if gen.alg not in (None, alg):
+                raise DomainError(
+                    f"generator {k} lives on {gen.alg}, the word on {alg}")
         self.base_arg = None if base_arg is None else float(base_arg)
+        self._lf = None
 
     def is_unitary(self):
         return all(g.family == "unitary" for g in self.generators)
+
+    def linear_fractional(self):
+        """(G, j(g, 0), phi(g, 0)), built once per word: G is the word's
+        matrix on the closed disk, phi(g, 0) the principal Arg j(g, 0) or
+        the validated base_arg."""
+        if self._lf is None:
+            alg, m = self.alg, self.alg.param
+            p, pinv = _cayley_matrices(alg)
+            g = np.eye(_lf_size(alg), dtype=np.complex128)
+            for gen in self.generators:
+                if isinstance(gen, TranslateGen):
+                    g = p @ _translate_block(alg, gen.u.coords) @ pinv @ g
+                elif isinstance(gen, InversionGen):
+                    g = p @ _inversion_block(alg) @ pinv @ g
+                else:
+                    g = (p @ gen.block @ pinv if gen.family == "tube"
+                         else gen.block) @ g
+            if alg.kind == "spin":
+                # j(g, 0) = det(Dg(0) e), with e = (1, 0, ..., 0)
+                j0 = _det(alg, (g[1:-1, 1] * g[0, 0] - g[1:-1, 0] * g[0, 1])
+                          / g[0, 0] ** 2)
+            else:
+                j0 = np.linalg.det(g) / np.linalg.det(g[m:, m:]) ** 2
+            j0 = complex(j0)
+            phi0 = principal_arg(j0)
+            if self.base_arg is not None:
+                if abs(np.exp(1j * self.base_arg) - j0 / abs(j0)) > 1e-6:
+                    raise DomainError(
+                        "base_arg is not a determination of Arg j(g, 0) "
+                        f"(base_arg={self.base_arg:.6f}, principal={phi0:.6f})")
+                phi0 = self.base_arg
+            g.setflags(write=False)
+            self._lf = (g, j0, phi0)
+        return self._lf
 
     def inverse(self):
         """Inverse in the covering group: the determination is seeded at
         -phi(g, g^{-1}(0)) so that g composed with g.inverse() is the
         identity element, not a deck translate of it."""
         gens = [g.inverse() for g in reversed(self.generators)]
-        bare = GroupWord(self.alg, gens)
-        zero = ElementC(self.alg, np.zeros(self.alg.dim, dtype=np.complex128))
-        pre = apply_word(bare, zero)
-        return GroupWord(self.alg, gens,
-                         base_arg=-_determination(self, pre.coords, DEFAULT)[0])
+        zero = np.zeros(self.alg.dim, dtype=np.complex128)
+        pre, _ = _lf_apply(self.alg, np.linalg.inv(self.linear_fractional()[0]),
+                           zero)
+        return GroupWord(self.alg, gens, base_arg=-_phi_at(self, pre, DEFAULT)[0])
 
     def __repr__(self):
         kinds = ",".join(type(g).__name__.replace("Gen", "") for g in self.generators)
@@ -600,172 +701,68 @@ def compose_words(outer, inner, tol: Tolerances = DEFAULT):
     if outer.alg != inner.alg:
         raise DomainError("algebra mismatch between words")
     alg = outer.alg
-    zero = ElementC(alg, np.zeros(alg.dim, dtype=np.complex128))
-    inner0 = apply_word(inner, zero, tol)
-    base = (_determination(outer, inner0.coords, tol)[0]
-            + _base_determination(inner, tol)[0])
-    return GroupWord(alg, inner.generators + outer.generators, base_arg=base)
+    g, _, phi0 = inner.linear_fractional()
+    inner0, _ = _lf_apply(alg, g, np.zeros(alg.dim, dtype=np.complex128), tol)
+    return GroupWord(alg, inner.generators + outer.generators,
+                     base_arg=_phi_at(outer, inner0, tol)[0] + phi0)
 
 
-def _arg_det(alg, a):
-    """Sum of the principal args of the Jordan eigenvalues of a: a continuous
-    branch of arg det on {Re a in the closed cone} (Faraut-Koranyi, ch. X)."""
-    if alg.kind == "spin":
-        root = np.sqrt(a[1:] @ a[1:])
-        big = max(a[0] + root, a[0] - root, key=abs)
-        return float(np.angle(big) + np.angle(_det(alg, a) / big))
-    return float(np.sum(np.angle(np.linalg.eigvals(_to_matrix(alg, a)))))
-
-
-def _evaluate(word, z, need_jacobian, tol):
-    """(g(z), Dg(z), branch); with the Jacobian, branch sums -2 _arg_det(a)
-    for a = e - z (into the tube), -iz (inversion), e - iz (back to the disk):
-    arg j(g, .) on the closed disk up to a constant phase."""
-    alg = word.alg
-    z = complexify(z)
-    if z.alg != alg:
-        raise DomainError(f"algebra mismatch: word on {alg}, point in {z.alg}")
-    n = alg.dim
-    cur = z.coords.copy()
-    jac = np.eye(n, dtype=np.complex128) if need_jacobian else None
-    branch = 0.0
-    e = unit(alg).coords
-
-    idx = 0
-    gens = word.generators
-    while idx < len(gens):
-        gen = gens[idx]
-        if gen.family == "unitary":
-            cur = gen.matrix @ cur
-            if need_jacobian:
-                jac = gen.matrix @ jac
-            idx += 1
-            continue
-        # a maximal run of tube generators: one trip through the Cayley maps
-        run_end = idx
-        while run_end < len(gens) and gens[run_end].family == "tube":
-            run_end += 1
-        try:
-            diff = e - cur
-            inv = cinverse(ElementC(alg, diff), tol)
-            if need_jacobian:
-                jac = (2j * cquad_rep_operator(inv)) @ jac
-                branch -= 2.0 * _arg_det(alg, diff)
-            cur = -1j * e + 2j * inv.coords
-            for k in range(idx, run_end):
-                g = gens[k]
-                if isinstance(g, TranslateGen):
-                    cur = cur + g.u.coords
-                elif isinstance(g, LinearGen):
-                    cur = g.matrix @ cur
-                    if need_jacobian:
-                        jac = g.matrix @ jac
-                elif isinstance(g, InversionGen):
-                    inv = cinverse(ElementC(alg, cur), tol)
-                    if need_jacobian:
-                        jac = cquad_rep_operator(inv) @ jac
-                        branch -= 2.0 * _arg_det(alg, -1j * cur)
-                    cur = -inv.coords
-                else:
-                    raise DomainError(f"unknown tube generator {type(g).__name__}")
-            shifted = cinverse(ElementC(alg, cur + 1j * e), tol)
-            if need_jacobian:
-                jac = (2j * cquad_rep_operator(shifted)) @ jac
-                branch -= 2.0 * _arg_det(alg, e - 1j * cur)
-            cur = e - 2j * shifted.coords
-        except DomainError as exc:
-            raise DomainError(
-                f"word undefined at generator {idx}..{run_end - 1}: {exc}") from exc
-        idx = run_end
-    return ElementC(alg, cur), jac, branch
+def _coords_on(word, z):
+    """Complex coordinates of z (ElementC, ElementJ or ShilovPoint), which
+    must lie in the word's algebra."""
+    z = complexify(z.value if isinstance(z, ShilovPoint) else z)
+    if z.alg != word.alg:
+        raise DomainError(f"algebra mismatch: word on {word.alg}, point in {z.alg}")
+    return z.coords
 
 
 def apply_word(word, z, tol: Tolerances = DEFAULT):
     """Evaluate the word at z (ElementC, ElementJ, or ShilovPoint)."""
+    image, _ = _lf_apply(word.alg, word.linear_fractional()[0],
+                         _coords_on(word, z), tol)
     if isinstance(z, ShilovPoint):
-        out, _, _ = _evaluate(word, z.value, False, tol)
-        return ShilovPoint(out, tol)
-    out, _, _ = _evaluate(word, z, False, tol)
-    return out
-
-
-def differential_word(word, z, tol: Tolerances = DEFAULT):
-    """The complex-linear differential Dg(z) as an n x n matrix."""
-    z = z.value if isinstance(z, ShilovPoint) else z
-    _, jac, _ = _evaluate(word, z, True, tol)
-    return jac
-
-
-def _chi(alg, mat):
-    """chi(A) = det(A e) for a linear map A of the complexified algebra."""
-    return complex(_det(alg, mat @ unit(alg).coords.astype(np.complex128)))
+        return ShilovPoint(ElementC(word.alg, image), tol)
+    return ElementC(word.alg, image)
 
 
 def cocycle_j(word, z, tol: Tolerances = DEFAULT):
-    """j(g, z) = chi(Dg(z)) = det(Dg(z) e)."""
-    z = z.value if isinstance(z, ShilovPoint) else z
-    _, jac, _ = _evaluate(word, z, True, tol)
-    return _chi(word.alg, jac)
+    """j(g, z) = det(Dg(z) e) = j(g, 0) prod(mu)^{-2}."""
+    g, j0, _ = word.linear_fractional()
+    _, mu = _lf_apply(word.alg, g, _coords_on(word, z), tol)
+    return complex(j0 / np.prod(mu) ** 2)
 
 
 def word_chi(word):
     """chi(u) for a purely unitary word (j(u, z) is constant equal to it)."""
     if not word.is_unitary():
         raise DomainError("chi shortcut only defined for unitary words")
-    mat = np.eye(word.alg.dim, dtype=np.complex128)
-    for g in word.generators:
-        mat = g.matrix @ mat
-    return _chi(word.alg, mat)
+    return word.linear_fractional()[1]
 
 
-def _base_determination(word, tol):
-    """(phi(g, 0), branch at 0): phi is principal by default, else the
-    validated stored base_arg."""
-    zero = ElementC(word.alg, np.zeros(word.alg.dim, complex))
-    _, jac, branch = _evaluate(word, zero, True, tol)
-    j0 = _chi(word.alg, jac)
-    principal = principal_arg(j0)
-    if word.base_arg is None:
-        return principal, branch
-    if abs(np.exp(1j * word.base_arg) - j0 / abs(j0)) > 1e-6:
-        raise DomainError(
-            "base_arg is not a determination of Arg j(g, 0) "
-            f"(base_arg={word.base_arg:.6f}, principal={principal:.6f})")
-    return word.base_arg, branch
+def _phi_at(word, z, tol):
+    """(phi(g, z), g(z)) = (phi(g, 0) - 2 sum Arg mu_k, g(z)): continuous
+    along t -> tz while every mu_k lies in the open right half-plane, as it
+    does on the closed disk; elsewhere its failure is refused."""
+    g, _, phi0 = word.linear_fractional()
+    image, mu = _lf_apply(word.alg, g, z, tol)
+    if np.min(mu.real) <= 0.0:
+        raise AmbiguityError(
+            "a factor of Delta_g left the right half-plane: phi(g, z) uncertified")
+    return phi0 - 2.0 * float(np.sum(np.angle(mu))), image
 
 
 def determination_phi(word, sigma, tol: Tolerances = DEFAULT):
     """The continuous determination phi(g, sigma), seeded at phi(g, 0)."""
     sigma = as_shilov(sigma, tol)
-    phi, image = _determination(word, sigma.value.coords, tol)
+    phi, image = _phi_at(word, _coords_on(word, sigma), tol)
     ShilovPoint(ElementC(word.alg, image), tol)   # g(sigma) must stay on S
     return phi
-
-
-def _determination(word, target, tol):
-    """(phi(g, z), g(z) coordinates) for target coordinates in the closed
-    disk: phi(g, 0) carried by the branch sum, snapped onto Arg j(g, z)."""
-    alg = word.alg
-    base, start = _base_determination(word, tol)
-    if word.is_unitary():
-        # j(u, .) is constant, so the determination is too
-        out, _, _ = _evaluate(word, ElementC(alg, target), False, tol)
-        return base, out.coords
-    out, jac, end = _evaluate(word, ElementC(alg, target), True, tol)
-    jval = _chi(alg, jac)
-    if abs(jval) < 1e-14:
-        raise AmbiguityError("cocycle vanished at the target point")
-    raw = base + end - start
-    snap = float(np.angle(jval * np.exp(-1j * raw)))
-    if abs(snap) >= 0.5 * math.pi:
-        raise AmbiguityError(f"determination snap {snap:.3f} rad reaches pi/2")
-    return raw + snap, out.coords
 
 
 def act_lift(word, lifted, tol: Tolerances = DEFAULT):
     """Action on the universal cover: (sigma, theta) ->
     (g(sigma), theta + phi(g, sigma)/r)."""
-    phi, image = _determination(word, lifted.point.value.coords, tol)
+    phi, image = _phi_at(word, _coords_on(word, lifted.point), tol)
     return LiftedPoint(ShilovPoint(ElementC(word.alg, image), tol),
                        lifted.theta + phi / word.alg.rank)
 

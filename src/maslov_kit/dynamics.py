@@ -323,9 +323,9 @@ def quasimorphism_c(word, lifted, tol: Tolerances = DEFAULT, mode=STRICT):
     return souriau_m(image, lifted, tol, mode).value
 
 
-# golden-angle spectrum: a base with no eigenangle symmetries, so generic
-# words stay clear of the Cayley chart's singular locus (unlike -e, whose
-# tube image 0 every linear generator fixes)
+# golden-angle spectrum: a base with no eigenangle symmetries (unlike -e,
+# whose tube image 0 every linear generator fixes); every rotation output
+# depends on it
 _BASE_STEP = 2.399963229728653
 
 

@@ -16,9 +16,10 @@ class DomainError(MaslovKitError):
 class AmbiguityError(MaslovKitError):
     """A discrete answer could not be certified.
 
-    Gray-zone transversality, a determination phi(g, z) whose snap onto
-    Arg j(g, z) reaches pi/2 (or a vanishing j), tangential crossings in
-    strict mode, coranks that fit no admissible rank.
+    Gray-zone transversality, a determination phi(g, z) at a point off the
+    closed disk where a factor 1 + lambda_k of Delta_g(z) / Delta_g(0) leaves
+    the open right half-plane, tangential crossings in strict mode, coranks
+    that fit no admissible rank.
     CLI exit code 3.
     """
 

@@ -4,8 +4,9 @@ Everything here deliberately takes a different route than the library:
 associative matrix products instead of Jordan operator polynomials,
 operator-exponential series instead of closed forms, angle arithmetic instead
 of spectral passes, a search over all strand permutations instead of circular
-matching, a sampled radial unwrap instead of the branch sum over the Cayley
-legs.
+matching, the Cayley chart and finite differences instead of a word's
+linear-fractional matrix, a sampled radial unwrap instead of the sum over the
+factors of its denominator.
 """
 
 import itertools
@@ -89,6 +90,48 @@ def match_step_brute(prev, raw):
     return best[1], best[2]
 
 
+def cayley_apply(word, z):
+    """g(z) for coordinates z through the Cayley chart: each maximal run of
+    tube generators is one trip disk -> tube -> disk through Jordan inverses,
+    and unitary generators act by their coordinate matrices.  Raises
+    DomainError where the chart is undefined."""
+    alg = word.alg
+    e = al.unit(alg).coords
+
+    def inv(x):
+        return bd.cinverse(bd.ElementC(alg, x)).coords
+
+    cur = np.array(z, dtype=complex)
+    gens = word.generators
+    idx = 0
+    while idx < len(gens):
+        if gens[idx].family == "unitary":
+            cur = gens[idx].matrix @ cur
+            idx += 1
+            continue
+        cur = -1j * e + 2j * inv(e - cur)
+        while idx < len(gens) and gens[idx].family == "tube":
+            gen = gens[idx]
+            if isinstance(gen, bd.TranslateGen):
+                cur = cur + gen.u.coords
+            elif isinstance(gen, bd.LinearGen):
+                cur = gen.matrix @ cur
+            else:
+                cur = -inv(cur)
+            idx += 1
+        cur = e - 2j * inv(cur + 1j * e)
+    return cur
+
+
+def jacobian_j(word, z, h=1e-5):
+    """j(g, z) = det(Dg(z) e), with Dg(z) e by a central difference of
+    cayley_apply along e."""
+    alg = word.alg
+    e = al.unit(alg).coords
+    de = (cayley_apply(word, z + h * e) - cayley_apply(word, z - h * e)) / (2 * h)
+    return bd.cdet(bd.ElementC(alg, de))
+
+
 MAX_UNWRAP_STEPS = 2 ** 14
 
 
@@ -98,7 +141,7 @@ def radial_unwrap(word, target, steps=64):
     until every increment is below pi/2."""
     tol = DEFAULT
     alg = word.alg
-    base = bd._base_determination(word, tol)[0]
+    base = word.linear_fractional()[2]
     if word.is_unitary():
         # j(u, .) is constant, so the determination is too
         out = bd.apply_word(word, bd.ElementC(alg, target), tol)

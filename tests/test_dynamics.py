@@ -410,6 +410,20 @@ def test_rotation_conjugation_invariance(alg):
     assert gap <= 2 * bound + 1e-6
 
 
+@pytest.mark.parametrize("mode", ["tube", "mixed"])
+@pytest.mark.parametrize("alg", [al.algebra(al.SYM_R, 2), al.algebra(al.SYM_R, 3),
+                                 al.algebra(al.HERM_C, 2), al.algebra(al.HERM_C, 3),
+                                 al.algebra(al.SPIN, 5)],
+                         ids=lambda a: f"{a.kind}-{a.param}")
+def test_iterated_lifts_stay_defined(alg, mode):
+    """32 iterated lifts of a valid word stay on the boundary and keep a
+    determination, so no rotation number over these seeds is refused."""
+    for seed in range(12):
+        word = bd.random_word(alg, np.random.default_rng(seed), mode)
+        rho, _ = dy.rotation_rho(word, 32)
+        assert 0.0 <= rho < 1.0
+
+
 def test_csv_output():
     alg = al.algebra(al.SYM_R, 2)
     rng = np.random.default_rng(108)
