@@ -23,7 +23,7 @@ import numpy as np
 from . import boundary as bd
 from .algebra import standard_frame
 from .config import DEFAULT, STRICT, Tolerances, check_mode
-from .errors import AmbiguityError, DomainError
+from .errors import AmbiguityError, DomainError, MaslovKitError
 from .indices import pair_angles, souriau_m
 
 TWO_PI = 2.0 * math.pi
@@ -104,27 +104,58 @@ def _point_source(obj):
     return None, (lambda t: sigma), sigma.alg
 
 
-def _match_step(prev, raw):
-    """Continue `prev` by the matching to `raw` of minimal total motion.
+def _match_shifts(a, b):
+    """Match each row of sorted angles a[k] to the sorted angles b[k].
 
-    Some cyclic shift of the two circularly sorted orders is an optimal
+    Some cyclic shift of two circularly sorted orders is an optimal
     matching under arc-length cost (Karp & Li, Discrete Math. 13, 1975), so
-    only the r shifts are scored.  Near-equal costs come from strands moving
-    the same way; among those the smallest largest move is kept, so a step is
-    never refined where the search over all permutations would accept it.
+    only the r shifts of each row are scored, all rows at once.  Near-equal
+    costs come from strands moving the same way; among those the smallest
+    largest move is kept, so a step is never refined where the search over
+    all permutations would accept it.
 
-    Returns (continued angles, max single-strand motion).
+    a, b: (B, r), each row ascending.  Returns (shift, moves, largest move):
+    slot p of a[k] goes to slot (p + shift[k]) mod r of b[k] and moves by
+    moves[k, p].
     """
-    r = prev.size
-    src = np.argsort(bd.wrap_angle(prev))
-    shifts = (np.arange(r)[:, None] + np.arange(r)) % r
-    moves = bd.wrap_angle(np.sort(raw)[shifts] - bd.wrap_angle(prev[src]))
-    cost = np.sum(np.abs(moves), axis=1)
-    span = np.max(np.abs(moves), axis=1)
-    best = int(np.argmin(np.where(cost <= cost.min() + 1e-12, span, np.inf)))
-    out = np.empty(r)
-    out[src] = moves[best]
-    return prev + out, float(span[best])
+    r = a.shape[1]
+    slots = (np.arange(r)[:, None] + np.arange(r)) % r
+    moves = bd.wrap_angle(b[:, slots] - a[:, None, :])
+    cost = np.sum(np.abs(moves), axis=2)
+    span = np.max(np.abs(moves), axis=2)
+    near = cost <= cost.min(axis=1, keepdims=True) + 1e-12
+    shift = np.argmin(np.where(near, span, np.inf), axis=1)
+    rows = np.arange(a.shape[0])
+    return shift, moves[rows, shift], span[rows, shift]
+
+
+def _match_step(a, b):
+    """_match_shifts on one step: (shift, moves, largest move)."""
+    shift, moves, span = _match_shifts(a[None], b[None])
+    return shift[0], moves[0], span[0]
+
+
+def _grid_angles(pair_at, ts, tol):
+    """pair_angles in one call over the samples at ts, up to the first one
+    that cannot be taken or is refused, and that error (or None) for the
+    caller to raise once the steps before it are walked.  An error at the
+    first sample is raised at once."""
+    pairs, pending = [], None
+    try:
+        for t in ts:
+            pairs.append(pair_at(t))
+    except MaslovKitError as exc:
+        if not pairs:
+            raise
+        pending = exc
+    mains, refs = zip(*pairs)
+    try:
+        return pair_angles(mains, refs, tol), pending
+    except DomainError as exc:
+        row = getattr(exc, "row", 0)
+        if row == 0:
+            raise
+        return pair_angles(mains[:row], refs[:row], tol), exc
 
 
 def eigenangle_flow(path, reference, tol: Tolerances = DEFAULT, mode=STRICT):
@@ -133,10 +164,18 @@ def eigenangle_flow(path, reference, tol: Tolerances = DEFAULT, mode=STRICT):
     reference may be a fixed ShilovPoint or a second BoundaryPath; grids
     are merged, resampling through the paths' samplers where needed.
 
-    Each true strand step between samples must stay below min(pi/4, pi/r)
-    at rank r.  A step whose matched moves reach that limit is halved
-    through the samplers, at most REFINE_DEPTH times; with no sampler, or
-    at that depth, AmbiguityError is raised.
+    The grid takes one pass: one pair_angles call over all its samples,
+    then one batched match of every step, and the strands are carried
+    through the matched cyclic shifts.  Each true strand step between
+    samples must stay below min(pi/4, pi/r) at rank r.  A step whose matched
+    moves reach that limit is halved through the samplers, at most
+    REFINE_DEPTH times; with no sampler, or at that depth, AmbiguityError is
+    raised.
+
+    The error raised is that of the earliest failing step, as if the grid
+    were walked one sample at a time: a sample that cannot be taken, or a
+    pair that pair_angles refuses, is raised only once every step before it
+    has been matched and refined without error.
     """
     check_mode(mode)
     main_grid, main_fn, alg = _point_source(path)
@@ -158,37 +197,59 @@ def eigenangle_flow(path, reference, tol: Tolerances = DEFAULT, mode=STRICT):
                 "paths have different sample grids and no sampler to merge them")
         return bd.as_shilov(fn(t))
 
-    def raw_at(t):
-        return pair_angles([value_at(main_grid, main_fn, t)],
-                           [value_at(ref_grid, ref_fn, t)], tol)[0]
+    def pair_at(t):
+        return value_at(main_grid, main_fn, t), value_at(ref_grid, ref_fn, t)
+
+    raw, pending = _grid_angles(pair_at, ts, tol)
+    rows = np.sort(raw, axis=1)
+    times = np.array(ts[:len(rows)])
 
     limit = min(STRAND_STEP_LIMIT, math.pi / alg.rank)
-    out_t = [ts[0]]
-    out_a = [np.array(raw_at(ts[0]))]
+    can_refine = main_fn is not None and (ref_grid is None or ref_fn is not None)
 
-    def advance(t0, a0, t1, raw1, depth):
-        cand, move = _match_step(a0, raw1)
+    def refine(t0, a, t1, b, step, depth):
+        """Steps (t, shift, moves) from sorted angles a at t0 to b at t1,
+        halving where the matched move reaches the limit."""
+        shift, moves, move = step
         if move < limit:
-            out_t.append(t1)
-            out_a.append(cand)
-            return cand
+            return [(t1, shift, moves)]
         if depth == 0:
             raise AmbiguityError(
                 f"strand matching ambiguous near t={t1:.6g} even at maximum "
                 "refinement")
-        if (main_fn is None) or (ref_grid is not None and ref_fn is None):
+        if not can_refine:
             raise AmbiguityError(
                 f"strands move {move:.3f} rad between t={t0:.6g} and "
                 f"t={t1:.6g} (limit {limit:.3f}) and no sampler is available "
                 "to refine")
         tm = 0.5 * (t0 + t1)
-        am = advance(t0, a0, tm, raw_at(tm), depth - 1)
-        return advance(tm, am, t1, raw1, depth - 1)
+        main, ref = pair_at(tm)
+        m = np.sort(pair_angles([main], [ref], tol)[0])
+        return (refine(t0, a, tm, m, _match_step(a, m), depth - 1)
+                + refine(tm, m, t1, b, _match_step(m, b), depth - 1))
 
-    cur = out_a[0]
-    for t0, t1 in zip(ts, ts[1:]):
-        cur = advance(t0, cur, t1, raw_at(t1), REFINE_DEPTH)
-    return AngleFlow(np.array(out_t), np.vstack(out_a))
+    shift, moves, span = _match_shifts(rows[:-1], rows[1:])
+    runs, start = [], 0
+    for k in np.flatnonzero(span >= limit):
+        runs.append((times[start + 1:k + 1], shift[start:k], moves[start:k]))
+        steps = refine(times[k], rows[k], times[k + 1], rows[k + 1],
+                       (shift[k], moves[k], span[k]), REFINE_DEPTH)
+        runs.append(tuple(np.array(col) for col in zip(*steps)))
+        start = k + 1
+    if pending is not None:
+        raise pending
+    runs.append((times[start + 1:], shift[start:], moves[start:]))
+
+    out_t = np.concatenate([times[:1]] + [run[0] for run in runs])
+    shifts = np.concatenate([run[1] for run in runs])
+    moves = np.concatenate([run[2] for run in runs])
+    # strand j starts in slot r - 1 - j of the ascending first row and moves
+    # on by the shifts matched so far
+    r = alg.rank
+    carried = np.concatenate([[0], np.cumsum(shifts)[:-1]])
+    slots = (np.arange(r)[::-1] + carried[:, None]) % r
+    steps = np.take_along_axis(moves, slots, axis=1)
+    return AngleFlow(out_t, np.cumsum(np.vstack([raw[:1], steps]), axis=0))
 
 
 def crossing_records(flow, level=math.pi):

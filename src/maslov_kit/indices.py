@@ -10,11 +10,12 @@ derived inertia / Arnold indices.
 The eigenangles come from pair_angles.  For the matrix kinds w is similar
 to -tau^{-1} sigma, a unitary m x m matrix, so a batch of pairs costs one
 stacked solve and one stacked eigvals call, with no square root and no
-frame.  The spin factor has rank two and reads its spectrum off w in closed
-form.  Each index makes
-one pass per pair and shares it: inertia_j reads its three mu terms off the
-passes of its triple index, arnold_nu and alm_n read mu off the pass of
-their Souriau index.
+frame.  The spin factor has rank two, so a batch builds w for all its pairs
+at once in closed form, from the rank-two spectrum of tau, and reads its two
+angles off w, with the checks of relative_element made row by row.  Each
+index makes one pass per pair and shares it: inertia_j reads its three mu
+terms off the passes of its triple index, arnold_nu and alm_n read mu off
+the pass of their Souriau index.  A path flow makes one pass per grid.
 
 All discrete outputs pass an integrality guard and a parity guard
 (m = r - mu mod 2, a determinant identity), and the extended (non-transverse)
@@ -27,11 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SPIN, _to_matrix
-from .boundary import (ElementC, LiftedPoint, ShilovPoint, _spin_unit_spectrum,
-                       as_shilov, cquad_rep_apply, cquad_rep_operator, lift,
-                       principal_arg, random_shilov, shilov_spectral,
-                       wrap_angle)
+from .algebra import SPIN, _mul, _to_matrix
+from .boundary import (ElementC, LiftedPoint, ShilovPoint, _first_refusal,
+                       _row_norms, _spin_unit_spectra, as_shilov, cquad_rep_apply,
+                       cquad_rep_operator, lift, principal_arg, random_shilov,
+                       shilov_spectral, wrap_angle)
 from .config import DEFAULT, STRICT, Tolerances, check_mode
 from .errors import AmbiguityError, DomainError, IntegralityError
 
@@ -70,9 +71,10 @@ def relative_element(sigma, tau, tol: Tolerances = DEFAULT, branch=0):
     that factor fixes sigma's frame elements.
 
     This builds w itself, through the spectrum and frame of tau, for callers
-    that need the point or its frame.  The indices need only its eigenangles
-    and take them from pair_angles: from -tau^{-1} sigma for the matrix kinds,
-    and from this element's closed-form spectrum for the spin factor.
+    that need the point or its frame.  The indices and path flows need only
+    its eigenangles and take them from pair_angles, for every kind: from
+    -tau^{-1} sigma for the matrix kinds, and from a batched closed form of
+    this construction for the spin factor.
     """
     sigma = as_shilov(sigma, tol)
     tau = as_shilov(tau, tol)
@@ -117,9 +119,13 @@ def pair_angles(sigmas, taus, tol: Tolerances = DEFAULT):
     eigenvalues all pairs get from one stacked solve and one eigvals call.
     The Jordan inverse (solve, not the conjugate) keeps points that are off
     S within tol.boundary on the spectrum of w; an eigenvalue off the unit
-    circle by more than 10 tol.boundary is refused.  The spin factor keeps
-    the closed form of its rank-two spectrum, which stays exact where the
+    circle by more than 10 tol.boundary is refused.  The spin factor builds
+    w for all pairs at once in closed form, from the rank-two spectrum of
+    tau, and reads off its rank-two spectrum, which stays exact where the
     two eigenvalues coincide.
+
+    Each pair is checked as a one-pair call would check it.  The DomainError
+    is that of the first refused pair, whose index it carries as `row`.
     """
     sigmas = [as_shilov(s, tol) for s in sigmas]
     taus = [as_shilov(t, tol) for t in taus]
@@ -127,22 +133,66 @@ def pair_angles(sigmas, taus, tol: Tolerances = DEFAULT):
         raise DomainError(f"pair_angles needs N >= 1 sigmas and N taus, got "
                           f"{len(sigmas)} and {len(taus)}")
     alg = sigmas[0].alg
-    for s, t in zip(sigmas, taus):
+    for k, (s, t) in enumerate(zip(sigmas, taus)):
         if s.alg != t.alg:
-            raise DomainError(f"algebra mismatch: {s.alg} vs {t.alg}")
+            raise _row_error(k, f"algebra mismatch: {s.alg} vs {t.alg}")
         if s.alg != alg:
-            raise DomainError(f"algebra mismatch: {alg} vs {s.alg}")
+            raise _row_error(k, f"algebra mismatch: {alg} vs {s.alg}")
+    scoords = np.array([s.value.coords for s in sigmas])
+    tcoords = np.array([t.value.coords for t in taus])
     if alg.kind == SPIN:
-        return np.stack([_spin_unit_spectrum(relative_element(s, t, tol), tol).angles
-                         for s, t in zip(sigmas, taus)])
-    smat = _to_matrix(alg, np.stack([s.value.coords for s in sigmas]))
-    tmat = _to_matrix(alg, np.stack([t.value.coords for t in taus]))
-    zeta = np.linalg.eigvals(-np.linalg.solve(tmat, smat))
-    unit_err = float(np.max(np.abs(np.abs(zeta) - 1.0)))
-    if unit_err > 10.0 * tol.boundary:
-        raise DomainError("not on the Shilov boundary (relative element has "
-                          f"an eigenvalue off the unit circle by {unit_err:.2e})")
-    return -np.sort(-principal_arg(zeta), axis=-1)
+        angles = _spin_pair_angles(alg, scoords, tcoords, tol)
+    else:
+        zeta = np.linalg.eigvals(-np.linalg.solve(_to_matrix(alg, tcoords),
+                                                  _to_matrix(alg, scoords)))
+        unit_err = np.abs(np.abs(zeta) - 1.0).max(axis=1)
+        off = unit_err > 10.0 * tol.boundary
+        if off.any():
+            row = int(np.argmax(off))
+            raise _row_error(row, "not on the Shilov boundary (relative element "
+                             "has an eigenvalue off the unit circle by "
+                             f"{unit_err[row]:.2e})")
+        angles = principal_arg(zeta)
+    return -np.sort(-angles, axis=-1)
+
+
+def _row_error(row, message):
+    """The DomainError of pair_angles for its first refused pair."""
+    exc = DomainError(message)
+    exc.row = row
+    return exc
+
+
+def _spin_pair_angles(alg, scoords, tcoords, tol):
+    """Unsorted angles (N, 2) of w = -P(tau^{-1/2}) sigma on the spin factor.
+
+    Each pair is refused by the first check it fails, in the order of
+    relative_element and _spin_unit_spectrum: the spectrum of tau, the
+    boundary check of w (a singular determinant, then the residual
+    conj(w) - w^{-1}), the spectrum of w."""
+    tangles, u, refusals = _spin_unit_spectra(tcoords, tol)
+    half = np.exp(-0.5j * tangles)
+    root = np.empty_like(tcoords)
+    root[:, 0] = 0.5 * (half[:, 0] + half[:, 1])
+    root[:, 1:] = (0.5 * (half[:, 0] - half[:, 1]))[:, None] * u
+    w = -(2.0 * _mul(alg, root, _mul(alg, root, scoords))
+          - _mul(alg, _mul(alg, root, root), scoords))
+    det = w[:, 0] ** 2 - (w[:, 1:] * w[:, 1:]).sum(axis=1)
+    singular = np.abs(det) <= tol.rank * (1.0 + np.abs(w).max(axis=1)) ** alg.rank
+    inv = -w / np.where(singular, 1.0, det)[:, None]
+    inv[:, 0] *= -1.0
+    resid = _row_norms(np.conj(w) - inv)
+    angles, _, w_refusals = _spin_unit_spectra(w, tol)
+    refusals += [
+        (singular, "not on the Shilov boundary: singular element "
+         "(|det| = {:.2e})", np.abs(det)),
+        (resid > tol.boundary * (1.0 + _row_norms(w)),
+         "not on the Shilov boundary (residual {:.2e})", resid),
+    ] + w_refusals
+    refused = _first_refusal(refusals)
+    if refused is not None:
+        raise _row_error(*refused)
+    return angles
 
 
 def _pair_angles(sigma, tau, tol, mode):

@@ -6,7 +6,8 @@ operator-exponential series instead of closed forms, angle arithmetic instead
 of spectral passes, a search over all strand permutations instead of circular
 matching, the Cayley chart and finite differences instead of a word's
 linear-fractional matrix, a sampled radial unwrap instead of the sum over the
-factors of its denominator.
+factors of its denominator, an eigenangle flow that solves and matches one
+sample at a time instead of one pass over the grid.
 """
 
 import itertools
@@ -17,8 +18,10 @@ import scipy.linalg
 
 from maslov_kit import algebra as al
 from maslov_kit import boundary as bd
-from maslov_kit.config import DEFAULT
-from maslov_kit.errors import AmbiguityError
+from maslov_kit import dynamics as dy
+from maslov_kit.config import DEFAULT, STRICT, check_mode
+from maslov_kit.errors import AmbiguityError, DomainError
+from maslov_kit.indices import pair_angles
 
 
 def eigh_desc(mat):
@@ -88,6 +91,79 @@ def match_step_brute(prev, raw):
         if best is None or cost < best[0]:
             best = (cost, prev + moves, float(np.max(np.abs(moves))))
     return best[1], best[2]
+
+
+def match_step_cyclic(prev, raw):
+    """Continue `prev` by the cheapest cyclic shift of the circularly sorted
+    orders, near-equal costs broken by the smaller largest move.  Returns
+    (continued angles, max single-strand motion)."""
+    r = prev.size
+    src = np.argsort(bd.wrap_angle(prev))
+    shifts = (np.arange(r)[:, None] + np.arange(r)) % r
+    moves = bd.wrap_angle(np.sort(raw)[shifts] - bd.wrap_angle(prev[src]))
+    cost = np.sum(np.abs(moves), axis=1)
+    span = np.max(np.abs(moves), axis=1)
+    best = int(np.argmin(np.where(cost <= cost.min() + 1e-12, span, np.inf)))
+    out = np.empty(r)
+    out[src] = moves[best]
+    return prev + out, float(span[best])
+
+
+def eigenangle_flow_sequential(path, reference, tol=DEFAULT, mode=STRICT):
+    """dynamics.eigenangle_flow one sample at a time: one pair_angles call
+    and one matching per sample, continuing the strands step by step, with
+    the same refinement, step limit and errors."""
+    check_mode(mode)
+    main_grid, main_fn, alg = dy._point_source(path)
+    ref_grid, ref_fn, ref_alg = dy._point_source(reference)
+    if alg != ref_alg:
+        raise DomainError(f"algebra mismatch: {alg} vs {ref_alg}")
+    if main_grid is None:
+        raise DomainError("first argument must be a BoundaryPath")
+
+    ts = sorted(main_grid)
+    if ref_grid is not None:
+        ts = sorted(set(ts) | set(ref_grid))
+
+    def value_at(grid, fn, t):
+        if grid is not None and t in grid:
+            return grid[t]
+        if fn is None:
+            raise DomainError(
+                "paths have different sample grids and no sampler to merge them")
+        return bd.as_shilov(fn(t))
+
+    def raw_at(t):
+        return pair_angles([value_at(main_grid, main_fn, t)],
+                           [value_at(ref_grid, ref_fn, t)], tol)[0]
+
+    limit = min(dy.STRAND_STEP_LIMIT, math.pi / alg.rank)
+    out_t = [ts[0]]
+    out_a = [np.array(raw_at(ts[0]))]
+
+    def advance(t0, a0, t1, raw1, depth):
+        cand, move = match_step_cyclic(a0, raw1)
+        if move < limit:
+            out_t.append(t1)
+            out_a.append(cand)
+            return cand
+        if depth == 0:
+            raise AmbiguityError(
+                f"strand matching ambiguous near t={t1:.6g} even at maximum "
+                "refinement")
+        if (main_fn is None) or (ref_grid is not None and ref_fn is None):
+            raise AmbiguityError(
+                f"strands move {move:.3f} rad between t={t0:.6g} and "
+                f"t={t1:.6g} (limit {limit:.3f}) and no sampler is available "
+                "to refine")
+        tm = 0.5 * (t0 + t1)
+        am = advance(t0, a0, tm, raw_at(tm), depth - 1)
+        return advance(tm, am, t1, raw1, depth - 1)
+
+    cur = out_a[0]
+    for t0, t1 in zip(ts, ts[1:]):
+        cur = advance(t0, cur, t1, raw_at(t1), dy.REFINE_DEPTH)
+    return dy.AngleFlow(np.array(out_t), np.vstack(out_a))
 
 
 def cayley_apply(word, z):

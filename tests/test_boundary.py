@@ -12,6 +12,11 @@ from maslov_kit import boundary as bd
 from maslov_kit.config import DEFAULT
 from maslov_kit.errors import DomainError, MaslovKitError
 
+# retry loops skip draws where a word is undefined, and give up after this
+# many tries per case they need, so a defect that refuses every draw fails
+# the test instead of hanging it
+TRIES_PER_CASE = 20
+
 
 def minus_i_eps(alg, k):
     """The boundary point -i * e_{k, r-k}."""
@@ -204,7 +209,9 @@ def test_word_basics(alg):
 def test_words_preserve_boundary(alg):
     rng = np.random.default_rng(32)
     done = 0
-    while done < 50:
+    for _ in range(TRIES_PER_CASE * 50):
+        if done == 50:
+            break
         mode = ("tube", "unitary", "mixed")[done % 3]
         word = bd.random_word(alg, rng, mode=mode, n_gens=int(rng.integers(1, 5)))
         sigma = bd.random_shilov(alg, rng)
@@ -216,6 +223,7 @@ def test_words_preserve_boundary(alg):
         # ShilovPoint construction inside apply_word already enforces the
         # membership residual; spot-check |det| = 1 as well
         assert abs(abs(bd.cdet(out.value)) - 1.0) <= 1e-7
+    assert done == 50, f"only {done} of 50 words defined at their point"
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
@@ -232,7 +240,9 @@ def test_unitary_words_preserve_hermitian_norm(alg):
 def test_differential_chain_rule(alg):
     rng = np.random.default_rng(34)
     done = 0
-    while done < 10:
+    for _ in range(TRIES_PER_CASE * 10):
+        if done == 10:
+            break
         g = bd.random_word(alg, rng, mode=("tube", "mixed")[done % 2], n_gens=2)
         h = bd.random_word(alg, rng, mode=("unitary", "tube")[done % 2], n_gens=2)
         z = bd.celement(alg, 0.3 * rng.standard_normal(alg.dim),
@@ -245,6 +255,7 @@ def test_differential_chain_rule(alg):
             continue
         done += 1
         assert jl == pytest.approx(jr, rel=1e-8, abs=1e-8)
+    assert done == 10, f"only {done} of 10 word pairs defined at their point"
 
 
 @pytest.mark.parametrize("mode", ["tube", "mixed", "unitary"])
@@ -284,7 +295,9 @@ def test_cocycle_values(alg):
         assert bd.cocycle_j(uword, pt) == pytest.approx(chi, rel=1e-9, abs=1e-9)
     # det transformation rule on the boundary
     done = 0
-    while done < 10:
+    for _ in range(TRIES_PER_CASE * 10):
+        if done == 10:
+            break
         word = bd.random_word(alg, rng, mode="mixed", n_gens=3)
         sigma = bd.random_shilov(alg, rng)
         try:
@@ -296,13 +309,16 @@ def test_cocycle_values(alg):
         lhs = bd.cdet(out.value)
         rhs = (jval / abs(jval)) * bd.cdet(sigma.value)
         assert lhs == pytest.approx(rhs, abs=1e-7)
+    assert done == 10, f"only {done} of 10 words defined at their point"
 
 
 def composed_determinations(alg, rng, mode, count):
     """Yield (phi(gh, s), phi(g, h s), phi(h, s), j(gh, s)) for `count`
     random two-generator words g, h and points s where all are defined."""
     done = 0
-    while done < count:
+    for _ in range(TRIES_PER_CASE * count):
+        if done == count:
+            break
         g = bd.random_word(alg, rng, mode=mode, n_gens=2)
         h = bd.random_word(alg, rng, mode=mode, n_gens=2)
         s = bd.random_shilov(alg, rng)
@@ -316,6 +332,7 @@ def composed_determinations(alg, rng, mode, count):
             continue
         done += 1
         yield phi_gh, phi_g_hs, phi_h, jval
+    assert done == count, f"only {done} of {count} word pairs defined"
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
@@ -440,7 +457,9 @@ def test_lift_and_shift(alg):
 def test_act_lift_is_valid_lift(alg):
     rng = np.random.default_rng(37)
     done = 0
-    while done < 8:
+    for _ in range(TRIES_PER_CASE * 8):
+        if done == 8:
+            break
         word = bd.random_word(alg, rng, mode="mixed", n_gens=3)
         sigma = bd.random_shilov(alg, rng)
         try:
@@ -449,13 +468,16 @@ def test_act_lift_is_valid_lift(alg):
             continue
         done += 1
         assert isinstance(out, bd.LiftedPoint)  # constructor checked the invariant
+    assert done == 8, f"only {done} of 8 lifts defined"
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
 def test_inverse_word(alg):
     rng = np.random.default_rng(38)
     done = 0
-    while done < 10:
+    for _ in range(TRIES_PER_CASE * 10):
+        if done == 10:
+            break
         word = bd.random_word(alg, rng, mode="mixed", n_gens=3)
         sigma = bd.random_shilov(alg, rng)
         try:
@@ -465,6 +487,7 @@ def test_inverse_word(alg):
             continue
         done += 1
         assert np.allclose(back.value.coords, sigma.value.coords, atol=1e-6)
+    assert done == 10, f"only {done} of 10 words defined at their point"
 
 
 def test_base_arg_validation():

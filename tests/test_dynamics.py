@@ -12,8 +12,8 @@ from maslov_kit import algebra as al
 from maslov_kit import boundary as bd
 from maslov_kit import dynamics as dy
 from maslov_kit import indices as ix
-from maslov_kit.config import PERMISSIVE, STRICT
-from maslov_kit.errors import AmbiguityError, DomainError
+from maslov_kit.config import DEFAULT, PERMISSIVE, STRICT
+from maslov_kit.errors import AmbiguityError, DomainError, MaslovKitError
 
 TWO_PI = 2.0 * math.pi
 
@@ -162,10 +162,21 @@ def test_arnold_refinement_invariance(alg):
     assert dy.arnold_number(coarse, ref) == dy.arnold_number(fine, ref)
 
 
+def match_step(prev, raw):
+    """Continue `prev` by the flow's matching kernel on one step: sort the
+    wrapped angles, match by one cyclic shift, scatter the moves back.
+    Returns (continued angles, max single-strand motion)."""
+    src = np.argsort(bd.wrap_angle(prev))
+    _, moves, span = dy._match_step(bd.wrap_angle(prev[src]), np.sort(raw))
+    out = np.empty(prev.size)
+    out[src] = moves
+    return prev + out, float(span)
+
+
 def assert_matching_optimal(prev, raw):
     """Circular matching against the permutation search: the same total
     motion, no larger largest move, the same sum of continued angles."""
-    got, got_max = dy._match_step(prev, raw)
+    got, got_max = match_step(prev, raw)
     want, want_max = orc.match_step_brute(prev, raw)
     assert np.sum(np.abs(got - prev)) == pytest.approx(
         np.sum(np.abs(want - prev)), abs=1e-12)
@@ -205,6 +216,158 @@ def test_coarse_path_without_sampler_errors():
     bare = dy.BoundaryPath([(t, fn(t)) for t in ts])  # no sampler
     with pytest.raises(AmbiguityError):
         dy.eigenangle_flow(bare, ref)
+
+
+def bare_phase_loop(sigma, turns, ts, off=None):
+    """Samples of e^{2 pi i turns t} sigma on ts, with no sampler; sample
+    `off` is scaled by 1 + 1e-5 and admitted under a loose boundary check."""
+    samples = [(t, phase_loop(sigma, turns)(t)) for t in ts]
+    if off is not None:
+        t, p = samples[off]
+        samples[off] = (t, bd.ShilovPoint(
+            (1 + 1e-5) * p.value, DEFAULT.with_overrides(boundary=1e-3)))
+    return dy.BoundaryPath(samples)
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except MaslovKitError as exc:
+        return exc
+
+
+def test_flow_raises_earliest_error():
+    """A batched grid raises the error of the earliest failing step: the
+    ambiguous first step, not the refusal of a later sample or the missing
+    sample of a later merged time."""
+    alg = al.algebra(al.SYM_R, 2)
+    rng = np.random.default_rng(5)
+    sigma, ref = bd.random_shilov(alg, rng), bd.random_shilov(alg, rng)
+    ts = np.linspace(0.0, 1.0, 9)
+    loop = bare_phase_loop(sigma, 3, ts, off=6)
+    with pytest.raises(DomainError, match="off the unit circle"):
+        ix.pair_angles([loop.samples[6][1]], [ref])
+    with pytest.raises(AmbiguityError,
+                       match=r"between t=0 and t=0\.125 .* no sampler"):
+        dy.eigenangle_flow(loop, ref)
+    # a missing sample at t = 0.25 on the merged grid, after the same step
+    other = dy.BoundaryPath([(t, ref) for t in (0.0, 0.125, 0.3, 1.0)])
+    with pytest.raises(AmbiguityError,
+                       match=r"between t=0 and t=0\.125 .* no sampler"):
+        dy.eigenangle_flow(bare_phase_loop(sigma, 3, ts), other)
+    # with no ambiguous step before them, the later errors are raised
+    fine = np.linspace(0.0, 1.0, 33)
+    with pytest.raises(DomainError, match="off the unit circle"):
+        dy.eigenangle_flow(bare_phase_loop(sigma, 1, fine, off=6), ref)
+    with pytest.raises(DomainError, match="different sample grids"):
+        dy.eigenangle_flow(bare_phase_loop(sigma, 1, fine), other)
+    for path, reference in ((loop, ref), (bare_phase_loop(sigma, 1, fine, off=6), ref),
+                            (bare_phase_loop(sigma, 1, fine), other)):
+        got = outcome(lambda: dy.eigenangle_flow(path, reference))
+        want = outcome(lambda: orc.eigenangle_flow_sequential(path, reference))
+        assert type(got) is type(want) and str(got) == str(want)
+
+
+@pytest.mark.parametrize("alg", [al.algebra(al.SYM_R, 2), al.algebra(al.HERM_C, 2),
+                                 al.algebra(al.SPIN, 5)],
+                         ids=lambda a: f"{a.kind}-{a.param}")
+def test_flow_makes_one_pair_pass_per_grid(alg, monkeypatch):
+    """One pair_angles call covers the whole grid; refinement adds one-pair
+    calls at the midpoints only; no kind builds w or a frame."""
+    calls, frames = [], []
+
+    def counted(sigmas, taus, *rest):
+        calls.append(len(sigmas))
+        return ix.pair_angles(sigmas, taus, *rest)
+
+    def framed(name):
+        orig = getattr(ix, name)
+
+        def wrapper(*args, **kwargs):
+            frames.append(name)
+            return orig(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(dy, "pair_angles", counted)
+    for name in ("relative_element", "shilov_spectral"):
+        monkeypatch.setattr(ix, name, framed(name))
+    rng = np.random.default_rng(109)
+    sigma, ref = bd.random_shilov(alg, rng), bd.random_shilov(alg, rng)
+    dy.eigenangle_flow(dy.BoundaryPath.from_function(phase_loop(sigma), n=65), ref)
+    assert calls == [65]
+    calls.clear()
+    flow = dy.eigenangle_flow(rich_path(alg, seed=97), bd.unit_shilov(alg))
+    assert calls[0] == 129 and len(flow.t) == 129 + len(calls) - 1
+    assert set(calls[1:]) <= {1}
+    assert frames == []
+
+
+def refined_only_at_the_limit(flow, other):
+    """Every sample time of `other` missing from `flow` halves a step of
+    `flow` whose largest move is the step limit to rounding: there the
+    refine decision rests on the last bits of the move."""
+    limit = min(dy.STRAND_STEP_LIMIT, math.pi / flow.strands.shape[1])
+    for tm in np.setdiff1d(other.t, flow.t):
+        k = int(np.searchsorted(flow.t, tm))
+        move = float(np.max(np.abs(flow.strands[k] - flow.strands[k - 1])))
+        assert abs(move - limit) <= 1e-12, (tm, move, limit)
+
+
+def assert_flows_agree(path, reference):
+    """The batched flow against the sequential oracle: the same refusal
+    class, or the same times (but for steps at the limit), the same strands
+    up to ties at every common time, and the same counts."""
+    got = outcome(lambda: dy.eigenangle_flow(path, reference))
+    want = outcome(lambda: orc.eigenangle_flow_sequential(path, reference))
+    if isinstance(got, Exception) or isinstance(want, Exception):
+        assert type(got) is type(want), (got, want)
+        return
+    refined_only_at_the_limit(got, want)
+    refined_only_at_the_limit(want, got)
+    _, i, j = np.intersect1d(got.t, want.t, return_indices=True)
+    gap = np.abs(np.sort(got.strands[i], axis=1) - np.sort(want.strands[j], axis=1))
+    assert float(np.max(gap)) <= 1e-12
+    for count in (dy.arnold_count, dy.pair_path_count):
+        a, b = outcome(lambda: count(got)), outcome(lambda: count(want))
+        assert type(a) is type(b) and (isinstance(a, Exception) or a == b)
+    return np.array_equal(got.t, want.t)
+
+
+@pytest.mark.parametrize("kind,m", [(al.SYM_R, 5), (al.SYM_R, 6), (al.HERM_C, 4)],
+                         ids=["sym-r-5", "sym-r-6", "herm-c-4"])
+def test_flow_matches_sequential_oracle_undersampled(kind, m):
+    # the 144-loop corpus of test_arnold_undersampled_phase_loop; phase
+    # loops move every strand by the same step, and on sym-r 6 at n = 13
+    # and herm-c 4 at n = 17 (2 turns) a step or its half is the limit
+    alg = al.algebra(kind, m)
+    same = []
+    for seed in range(12):
+        sigma, ref = transverse_pair(alg, np.random.default_rng(seed))
+        for n, turns in ((8, 1), (10, 1), (13, 2), (17, 2)):
+            loop = dy.BoundaryPath.from_function(phase_loop(sigma, turns), n=n)
+            same.append(assert_flows_agree(loop, ref))
+    assert sum(same) >= 36
+
+
+@pytest.mark.parametrize("alg", [al.algebra(al.SYM_R, m) for m in (7, 8, 10, 12, 16)]
+                         + [al.algebra(al.HERM_C, m) for m in (6, 8)],
+                         ids=lambda a: f"{a.kind}-{a.param}")
+def test_flow_matches_sequential_oracle_rank_sweep(alg):
+    sigma, ref = transverse_pair(alg, np.random.default_rng(alg.param))
+    for turns in (-1, 1, 2):
+        assert_flows_agree(
+            dy.BoundaryPath.from_function(phase_loop(sigma, turns), n=33), ref)
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_flow_matches_sequential_oracle_refining(alg):
+    # the paths of test_arnold_refinement_invariance, and the merged grid of
+    # a pair path against a constant one
+    path = rich_path(alg, seed=97)
+    ref = bd.unit_shilov(alg)
+    for n in (5, 129):
+        assert_flows_agree(dy.BoundaryPath.from_function(path.sampler, n=n), ref)
+    assert_flows_agree(path, dy.constant_path(ref))
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)

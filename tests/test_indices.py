@@ -110,6 +110,69 @@ def test_pair_angles_match_relative_spectrum(alg):
     assert rows.tobytes() == single.tobytes()
 
 
+SPIN_ALGEBRAS = [al.algebra(al.SPIN, q) for q in (3, 4, 5, 7)]
+SPIN_IDS = [f"spin-{a.param}" for a in SPIN_ALGEBRAS]
+
+
+def _spin_corpus(alg, rng):
+    """The pair corpus, then pairs with a scalar tau = e^{i theta} e, with a
+    scalar sigma, and with sigma = tau."""
+    yield from _pair_corpus(alg, rng)
+    e = bd.complexify(al.unit(alg))
+    for _ in range(4):
+        scalar = bd.ShilovPoint(np.exp(1j * rng.uniform(-np.pi, np.pi)) * e)
+        sigma = bd.random_shilov(alg, rng)
+        yield sigma, scalar
+        yield scalar, sigma
+        yield sigma, sigma
+    yield bd.ShilovPoint(e), bd.ShilovPoint(-1.0 * e)
+
+
+@pytest.mark.parametrize("alg", SPIN_ALGEBRAS, ids=SPIN_IDS)
+def test_spin_pair_angles_batch(alg):
+    """The closed-form spin batch gives the angles and refusal class of the
+    spectrum of relative_element, and each row is the one-pair call's."""
+    rng = np.random.default_rng([75, alg.param])
+    pairs = list(_spin_corpus(alg, rng))
+    classes = set()
+    for sigma, tau in pairs:
+        want, ref = _refusal_class(
+            lambda s, t: bd._spin_unit_spectrum(ix.relative_element(s, t),
+                                                DEFAULT).angles, sigma, tau)
+        got, angles = _refusal_class(
+            lambda s, t: ix.pair_angles([s], [t])[0], sigma, tau)
+        assert got == want
+        classes.add(got)
+        assert np.max(np.abs(bd.wrap_angle(angles - ref))) <= 1e-12
+    assert {0, 1, 2, "gray"} <= classes
+    rows = ix.pair_angles(*zip(*pairs))
+    single = np.stack([ix.pair_angles([s], [t])[0] for s, t in pairs])
+    assert rows.tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("alg", [al.algebra(al.SYM_R, 2), al.algebra(al.HERM_C, 2),
+                                 al.algebra(al.SPIN, 3), al.algebra(al.SPIN, 5)],
+                         ids=["sym-r-2", "herm-c-2", "spin-3", "spin-5"])
+def test_pair_angles_names_first_refused_row(alg):
+    """A batch raises the one-pair error of its first refused pair and
+    carries that pair's index as `row`."""
+    rng = np.random.default_rng([76, alg.dim])
+    loose = DEFAULT.with_overrides(boundary=1e-3)
+    sigmas = [bd.random_shilov(alg, rng) for _ in range(7)]
+    taus = [bd.random_shilov(alg, rng) for _ in range(7)]
+    for k, scale in ((2, 1 + 1e-5), (5, 1 + 1e-4)):
+        sigmas[k] = bd.ShilovPoint(scale * sigmas[k].value, loose)
+    with pytest.raises(DomainError) as batch:
+        ix.pair_angles(sigmas, taus)
+    with pytest.raises(DomainError) as one:
+        ix.pair_angles(sigmas[2:3], taus[2:3])
+    assert batch.value.row == 2 and one.value.row == 0
+    assert str(batch.value) == str(one.value)
+    with pytest.raises(DomainError):
+        ix.relative_element(sigmas[2], taus[2])
+    assert ix.pair_angles(sigmas[:2], taus[:2]).shape == (2, alg.rank)
+
+
 def test_pair_angles_refuses_mixed_algebras_and_empty_calls():
     a = al.algebra(al.SYM_R, 2)
     b = al.algebra(al.HERM_C, 2)
@@ -133,8 +196,9 @@ def test_mu_at_tight_transverse_tolerance(alg):
         assert ix.mu(sigma, turned, tight) == 0
 
 
-@pytest.mark.parametrize("alg", [al.algebra(al.SYM_R, 3), al.algebra(al.HERM_C, 2)],
-                         ids=["sym-r-3", "herm-c-2"])
+@pytest.mark.parametrize("alg", [al.algebra(al.SYM_R, 3), al.algebra(al.HERM_C, 2),
+                                 al.algebra(al.SPIN, 5)],
+                         ids=["sym-r-3", "herm-c-2", "spin-5"])
 def test_indices_make_one_pair_pass_per_pair(alg, monkeypatch):
     """No index builds w or a frame; each pair is passed through pair_angles
     once, including the mu terms of inertia_j, arnold_nu and alm_n."""
