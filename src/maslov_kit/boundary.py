@@ -298,67 +298,29 @@ _COMBODIRS = [(math.cos(0.7 + k * _GOLDEN), math.sin(0.7 + k * _GOLDEN))
               for k in range(8)]
 
 
-def _row_norms(z):
-    """Euclidean norms of the rows of a complex (N, n) array."""
-    return np.sqrt((z.real ** 2 + z.imag ** 2).sum(axis=1))
-
-
-_PLUS_MINUS = np.array([1.0, -1.0])
-
-
-def _spin_unit_spectra(z, tol):
-    """Closed-form unit spectra of N spin coordinate rows z, shape (N, q).
-
-    Returns (angles, u, refusals): angles (N, 2) are the principal args of
-    z0 + lam and z0 - lam with lam^2 = zv.zv, on the frame c = (1, +-u)/2
-    with u (N, q - 1) real; refusals are (row mask, message, None) in check
-    order, for _first_refusal.  A row with |zv| <= tol.boundary is the
-    scalar e^{i theta} e: both angles are Arg z0 and u is the first axis.
-    """
-    z0, zv = z[:, :1], z[:, 1:]
-    nv = _row_norms(zv)
-    scalar = nv <= tol.boundary
-    lam = np.sqrt((zv * zv).sum(axis=1))
-    # |u| <= 1e8 wherever lam is divided out; other rows are refused or scalar
-    divisible = np.abs(lam) > 1e-8 * nv
-    u = zv / np.where(divisible, lam, 1.0)[:, None]
-    unreal = ~scalar & (np.abs(u.imag).max(axis=1) > 1e-6)
-    zeta = np.where(scalar[:, None], z0, z0 + lam[:, None] * _PLUS_MINUS)
-    nonunit = ~scalar & (np.abs(np.abs(zeta) - 1.0).max(axis=1)
-                         > 10.0 * tol.boundary)
-    u = np.where(scalar[:, None], np.eye(1, zv.shape[1]), u.real)
-    refusals = [
-        (~scalar & ~divisible,
-         "not on the Shilov boundary (isotropic spin part)", None),
-        (unreal, "not on the Shilov boundary (no real frame)", None),
-        (nonunit, "not on the Shilov boundary (non-unit spectrum)", None)]
-    return principal_arg(zeta), u, refusals
-
-
-def _first_refusal(refusals):
-    """(row, message) of the earliest row any check refuses, or None.
-
-    refusals are (row mask, message, values) in check order; the row gets
-    the message of its first failing check, filled with values[row] unless
-    values is None.
-    """
-    masks = np.array([mask for mask, _, _ in refusals])
-    if not masks.any():
-        return None
-    row = int(np.argmax(masks.any(axis=0)))
-    _, message, values = refusals[int(np.argmax(masks[:, row]))]
-    return row, message if values is None else message.format(values[row])
-
-
 def _spin_unit_spectrum(sigma, tol):
     alg = sigma.alg
-    angles, u, refusals = _spin_unit_spectra(sigma.value.coords[None], tol)
-    refused = _first_refusal(refusals)
-    if refused is not None:
-        raise DomainError(refused[1])
-    angles = angles[0]
-    up = element(alg, np.concatenate([[0.5], 0.5 * u[0]]))
-    dn = element(alg, np.concatenate([[0.5], -0.5 * u[0]]))
+    z = sigma.value.coords
+    z0, zv = z[0], z[1:]
+    nv = float(np.linalg.norm(zv))
+    if nv <= tol.boundary:
+        theta = principal_arg(z0)
+        frame = spectral_decompose_real(unit(alg), tol).frame
+        return UnitSpectrum(np.array([theta, theta]), tuple(frame))
+    lam2 = complex(zv @ zv)
+    lam = np.sqrt(lam2)
+    if abs(lam) <= 1e-8 * nv:
+        raise DomainError("not on the Shilov boundary (isotropic spin part)")
+    u = zv / lam
+    if float(np.max(np.abs(u.imag))) > 1e-6:
+        raise DomainError("not on the Shilov boundary (no real frame)")
+    u = u.real
+    zeta = np.array([z0 + lam, z0 - lam])
+    if np.max(np.abs(np.abs(zeta) - 1.0)) > 10.0 * tol.boundary:
+        raise DomainError("not on the Shilov boundary (non-unit spectrum)")
+    up = element(alg, np.concatenate([[0.5], 0.5 * u]))
+    dn = element(alg, np.concatenate([[0.5], -0.5 * u]))
+    angles = principal_arg(zeta)
     order = np.argsort(-angles, kind="stable")
     frame = (up, dn) if order[0] == 0 else (dn, up)
     return UnitSpectrum(angles[order], frame)

@@ -10,9 +10,8 @@ derived inertia / Arnold indices.
 The eigenangles come from pair_angles.  For the matrix kinds w is similar
 to -tau^{-1} sigma, a unitary m x m matrix, so a batch of pairs costs one
 stacked solve and one stacked eigvals call, with no square root and no
-frame.  The spin factor has rank two, so a batch builds w for all its pairs
-at once in closed form, from the rank-two spectrum of tau, and reads its two
-angles off w, with the checks of relative_element made row by row.  Each
+frame.  On the spin factor the two angles are read off the Lie-sphere form
+e^{i gamma} (x0, i xv) of the two points, again with no frame.  Each
 index makes one pass per pair and shares it: inertia_j reads its three mu
 terms off the passes of its triple index, arnold_nu and alm_n read mu off
 the pass of their Souriau index.  A path flow makes one pass per grid.
@@ -28,11 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SPIN, _mul, _to_matrix
-from .boundary import (ElementC, LiftedPoint, ShilovPoint, _first_refusal,
-                       _row_norms, _spin_unit_spectra, as_shilov, cquad_rep_apply,
-                       cquad_rep_operator, lift, principal_arg, random_shilov,
-                       shilov_spectral, wrap_angle)
+from .algebra import SPIN, _to_matrix
+from .boundary import (ElementC, LiftedPoint, ShilovPoint, as_shilov,
+                       cquad_rep_apply, cquad_rep_operator, lift, principal_arg,
+                       random_shilov, shilov_spectral, wrap_angle)
 from .config import DEFAULT, STRICT, Tolerances, check_mode
 from .errors import AmbiguityError, DomainError, IntegralityError
 
@@ -71,10 +69,11 @@ def relative_element(sigma, tau, tol: Tolerances = DEFAULT, branch=0):
     that factor fixes sigma's frame elements.
 
     This builds w itself, through the spectrum and frame of tau, for callers
-    that need the point or its frame.  The indices and path flows need only
-    its eigenangles and take them from pair_angles, for every kind: from
-    -tau^{-1} sigma for the matrix kinds, and from a batched closed form of
-    this construction for the spin factor.
+    that need the point or its frame, and as the reference route of the
+    tests.  The indices and path flows need only its eigenangles and take
+    them from pair_angles, which builds no w: from -tau^{-1} sigma for the
+    matrix kinds, and from the Lie-sphere form of the two points for the
+    spin factor.
     """
     sigma = as_shilov(sigma, tol)
     tau = as_shilov(tau, tol)
@@ -119,10 +118,10 @@ def pair_angles(sigmas, taus, tol: Tolerances = DEFAULT):
     eigenvalues all pairs get from one stacked solve and one eigvals call.
     The Jordan inverse (solve, not the conjugate) keeps points that are off
     S within tol.boundary on the spectrum of w; an eigenvalue off the unit
-    circle by more than 10 tol.boundary is refused.  The spin factor builds
-    w for all pairs at once in closed form, from the rank-two spectrum of
-    tau, and reads off its rank-two spectrum, which stays exact where the
-    two eigenvalues coincide.
+    circle by more than 10 tol.boundary is refused.  The spin factor takes
+    the angles in closed form from the Lie-sphere form of the two points
+    (_spin_pair_angles), with no frame; a point off the Lie sphere by more
+    than 10 tol.boundary is refused.
 
     Each pair is checked as a one-pair call would check it.  The DomainError
     is that of the first refused pair, whose index it carries as `row`.
@@ -141,18 +140,18 @@ def pair_angles(sigmas, taus, tol: Tolerances = DEFAULT):
     scoords = np.array([s.value.coords for s in sigmas])
     tcoords = np.array([t.value.coords for t in taus])
     if alg.kind == SPIN:
-        angles = _spin_pair_angles(alg, scoords, tcoords, tol)
+        angles, off = _spin_pair_angles(scoords, tcoords)
+        what = "a point is off the Lie sphere"
     else:
         zeta = np.linalg.eigvals(-np.linalg.solve(_to_matrix(alg, tcoords),
                                                   _to_matrix(alg, scoords)))
-        unit_err = np.abs(np.abs(zeta) - 1.0).max(axis=1)
-        off = unit_err > 10.0 * tol.boundary
-        if off.any():
-            row = int(np.argmax(off))
-            raise _row_error(row, "not on the Shilov boundary (relative element "
-                             "has an eigenvalue off the unit circle by "
-                             f"{unit_err[row]:.2e})")
-        angles = principal_arg(zeta)
+        angles, off = principal_arg(zeta), np.abs(np.abs(zeta) - 1.0).max(axis=1)
+        what = "relative element has an eigenvalue off the unit circle"
+    refused = off > 10.0 * tol.boundary
+    if refused.any():
+        row = int(np.argmax(refused))
+        raise _row_error(row, f"not on the Shilov boundary ({what} by "
+                         f"{off[row]:.2e})")
     return -np.sort(-angles, axis=-1)
 
 
@@ -163,36 +162,34 @@ def _row_error(row, message):
     return exc
 
 
-def _spin_pair_angles(alg, scoords, tcoords, tol):
-    """Unsorted angles (N, 2) of w = -P(tau^{-1/2}) sigma on the spin factor.
+def _spin_pair_angles(scoords, tcoords):
+    """Unsorted angles (N, 2) of w(sigma, tau) on the spin factor, and the
+    distance of each pair from the Lie sphere.
 
-    Each pair is refused by the first check it fails, in the order of
-    relative_element and _spin_unit_spectrum: the spectrum of tau, the
-    boundary check of w (a singular determinant, then the residual
-    conj(w) - w^{-1}), the spectrum of w."""
-    tangles, u, refusals = _spin_unit_spectra(tcoords, tol)
-    half = np.exp(-0.5j * tangles)
-    root = np.empty_like(tcoords)
-    root[:, 0] = 0.5 * (half[:, 0] + half[:, 1])
-    root[:, 1:] = (0.5 * (half[:, 0] - half[:, 1]))[:, None] * u
-    w = -(2.0 * _mul(alg, root, _mul(alg, root, scoords))
-          - _mul(alg, _mul(alg, root, root), scoords))
-    det = w[:, 0] ** 2 - (w[:, 1:] * w[:, 1:]).sum(axis=1)
-    singular = np.abs(det) <= tol.rank * (1.0 + np.abs(w).max(axis=1)) ** alg.rank
-    inv = -w / np.where(singular, 1.0, det)[:, None]
-    inv[:, 0] *= -1.0
-    resid = _row_norms(np.conj(w) - inv)
-    angles, _, w_refusals = _spin_unit_spectra(w, tol)
-    refusals += [
-        (singular, "not on the Shilov boundary: singular element "
-         "(|det| = {:.2e})", np.abs(det)),
-        (resid > tol.boundary * (1.0 + _row_norms(w)),
-         "not on the Shilov boundary (residual {:.2e})", resid),
-    ] + w_refusals
-    refused = _first_refusal(refusals)
-    if refused is not None:
-        raise _row_error(*refused)
-    return angles
+    A spin boundary point is z = e^{i gamma} (x0, i xv) with x a real unit
+    vector and e^{2 i gamma} = det z (Faraut-Koranyi, ch. X).  The relative
+    angles are gamma_s - gamma_t + pi +- the angle between x_s and x_t, read
+    as 2 atan2(|x_s - x_t|, |x_s + x_t|), exact where the two meet.  Either
+    root gamma serves: (gamma + pi, -x) leaves the two angles unchanged
+    mod 2 pi.
+    """
+    (gs, xs, offs), (gt, xt, offt) = (_lie_sphere(z) for z in (scoords, tcoords))
+    between = 2.0 * np.arctan2(np.linalg.norm(xs - xt, axis=1),
+                               np.linalg.norm(xs + xt, axis=1))
+    base = gs - gt + math.pi
+    angles = wrap_angle(np.stack([base + between, base - between], axis=1))
+    return angles, np.maximum(offs, offt)
+
+
+def _lie_sphere(z):
+    """(gamma, x, off) of spin rows z: the nearest real unit vector x to
+    y = e^{-i gamma} (z0, -i zv), and its distance off from y."""
+    gamma = 0.5 * np.angle(z[:, 0] ** 2 - (z[:, 1:] * z[:, 1:]).sum(axis=1))
+    y = np.exp(-1j * gamma)[:, None] * z
+    y[:, 1:] *= -1j
+    size = np.linalg.norm(y.real, axis=1)
+    off = np.hypot(np.linalg.norm(y.imag, axis=1), size - 1.0)
+    return gamma, y.real / size[:, None], off
 
 
 def _pair_angles(sigma, tau, tol, mode):

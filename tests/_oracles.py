@@ -7,7 +7,8 @@ of spectral passes, a search over all strand permutations instead of circular
 matching, the Cayley chart and finite differences instead of a word's
 linear-fractional matrix, a sampled radial unwrap instead of the sum over the
 factors of its denominator, an eigenangle flow that solves and matches one
-sample at a time instead of one pass over the grid.
+sample at a time instead of one pass over the grid, the spectrum of the spin
+relative element at 50 digits instead of the Lie-sphere closed form.
 """
 
 import itertools
@@ -48,6 +49,36 @@ def quad_rep_spin(x, y):
     out[0] -= det * y0
     out[1:] += det * yv
     return al.element(x.alg, out)
+
+
+def spin_pair_angles_mp(sigma, tau, dps=50):
+    """Eigenangles of w = -P(tau^{-1/2}) sigma on the spin factor at `dps`
+    digits, descending in (-pi, pi].
+
+    The float coordinates are taken as exact.  tau^{-1/2} is the principal
+    root on tau's two idempotents (1, +-tv/lam)/2, lam^2 = tv.tv, or
+    tau0^{-1/2} e when tv = 0; P(a)b = 2 (a0 b0 + av.bv) a - det(a) (b0, -bv);
+    and the spectrum of w is w0 +- sqrt(wv.wv).
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        s = [mpmath.mpc(complex(c)) for c in sigma.value.coords]
+        t = [mpmath.mpc(complex(c)) for c in tau.value.coords]
+        lam = mpmath.sqrt(mpmath.fsum(c * c for c in t[1:]))
+        if lam == 0:
+            a = [t[0] ** -0.5] + [mpmath.mpc(0)] * (len(t) - 1)
+        else:
+            up, dn = (t[0] + lam) ** -0.5, (t[0] - lam) ** -0.5
+            a = [(up + dn) / 2] + [(up - dn) / 2 * c / lam for c in t[1:]]
+        bil = mpmath.fsum(x * y for x, y in zip(a, s))
+        det = a[0] ** 2 - mpmath.fsum(x * x for x in a[1:])
+        w = [-2 * bil * x for x in a]
+        w[0] += det * s[0]
+        w[1:] = [x - det * y for x, y in zip(w[1:], s[1:])]
+        root = mpmath.sqrt(mpmath.fsum(x * x for x in w[1:]))
+        angles = [float(mpmath.arg(w[0] + root)), float(mpmath.arg(w[0] - root))]
+    return np.sort(angles)[::-1]
 
 
 def box_operator(a, b):

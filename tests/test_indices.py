@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import _oracles as orc
 from _cases import (ALGEBRAS, IDS, minus_i_eps, shared_frame_lift,
                     shared_frame_points)
 from maslov_kit import algebra as al
@@ -182,6 +183,109 @@ def test_pair_angles_refuses_mixed_algebras_and_empty_calls():
         ix.pair_angles([unit_pt(a)], [unit_pt(b)])
     with pytest.raises(DomainError):
         ix.pair_angles([], [])
+
+
+def _lie_point(alg, gamma, x):
+    """The spin boundary point e^{i gamma} (x0, i xv) of a real unit vector x."""
+    coords = np.exp(1j * gamma) * np.concatenate([x[:1], 1j * x[1:]])
+    return bd.ShilovPoint(bd.ElementC(alg, coords))
+
+
+def _unit_vector(rng, n):
+    x = rng.standard_normal(n)
+    return x / np.linalg.norm(x)
+
+
+def _circular_gap(a, b):
+    """Largest circular gap between two rank-two angle rows, under the
+    better of the two pairings (rows sorted apart across the -pi edge)."""
+    return min(np.max(np.abs(bd.wrap_angle(a - b))),
+               np.max(np.abs(bd.wrap_angle(a - b[::-1]))))
+
+
+NEAR_SCALAR_ALGEBRAS = [al.algebra(al.SPIN, q) for q in (3, 5, 7)]
+
+
+@pytest.mark.parametrize("alg", NEAR_SCALAR_ALGEBRAS,
+                         ids=[f"spin-{a.param}" for a in NEAR_SCALAR_ALGEBRAS])
+def test_spin_pair_angles_near_scalar_points(alg):
+    """Points e^{i theta} (cos d, i sin d u) near a scalar, plus complex
+    noise: their frame is ill-conditioned, but their angles are not.  No
+    pair with a random tau is refused, and the noise moves the angles by at
+    most ten times its size."""
+    rng = np.random.default_rng([77, alg.param])
+    clean, noisy, taus, level = [], [], [], []
+    for _ in range(500):
+        d = 10.0 ** rng.uniform(-8, -5)
+        u = _unit_vector(rng, alg.dim - 1)
+        x = np.concatenate([[math.cos(d)], math.sin(d) * u])
+        point = _lie_point(alg, rng.uniform(-np.pi, np.pi), x)
+        noise = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
+        level.append(10.0 ** rng.uniform(-13, -10))
+        noise *= level[-1] / np.linalg.norm(noise)
+        clean.append(point)
+        noisy.append(bd.ShilovPoint(bd.ElementC(alg, point.value.coords + noise)))
+        taus.append(bd.random_shilov(alg, rng))
+    for got, want in ((ix.pair_angles(noisy, taus), ix.pair_angles(clean, taus)),
+                      (ix.pair_angles(taus, noisy), ix.pair_angles(taus, clean))):
+        gap = np.max(np.abs(bd.wrap_angle(got - want)), axis=1)
+        assert np.all(gap <= 10.0 * np.array(level))
+
+
+def _mp_corpus(alg, rng):
+    """Spin pairs for the 50-digit oracle: relative angles 1e-3 to 1e-11
+    apart, sigma = tau, a scalar tau, and det sigma = -1 +- 1e-17 i, where
+    gamma = Arg(det sigma) / 2 flips between +pi/2 and -pi/2."""
+    for exp in range(-3, -12, -1):
+        x, v = _unit_vector(rng, alg.dim), _unit_vector(rng, alg.dim)
+        v = v - (v @ x) * x
+        apart = 10.0 ** exp
+        moved = math.cos(apart) * x + math.sin(apart) * v / np.linalg.norm(v)
+        yield (_lie_point(alg, rng.uniform(-np.pi, np.pi), x),
+               _lie_point(alg, rng.uniform(-np.pi, np.pi), moved))
+    e = bd.complexify(al.unit(alg))
+    for _ in range(3):
+        sigma = bd.random_shilov(alg, rng)
+        yield sigma, sigma
+        yield sigma, bd.ShilovPoint(np.exp(1j * rng.uniform(-np.pi, np.pi)) * e)
+    x = _unit_vector(rng, alg.dim)
+    x *= np.sign(x[0])
+    flips = []
+    for sign in (1.0, -1.0):
+        coords = np.concatenate([[complex(sign * 0.5e-17 / x[0], x[0])], -x[1:]])
+        flips.append(bd.ShilovPoint(bd.ElementC(alg, coords)))
+        assert np.sign(bd.cdet(flips[-1].value).imag) == sign
+    tau = bd.random_shilov(alg, rng)
+    yield from ((flips[0], flips[1]), (flips[1], flips[0]), (flips[0], flips[0]),
+                (flips[0], tau), (tau, flips[1]))
+
+
+@pytest.mark.parametrize("alg", SPIN_ALGEBRAS, ids=SPIN_IDS)
+def test_spin_pair_angles_match_mp_oracle(alg):
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng([79, alg.param])
+    for sigma, tau in _mp_corpus(alg, rng):
+        got = ix.pair_angles([sigma], [tau])[0]
+        assert _circular_gap(got, orc.spin_pair_angles_mp(sigma, tau)) <= 1e-12
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS + [al.algebra(al.SPIN, 7)],
+                         ids=IDS + ["spin-7"])
+def test_pair_angles_are_k_invariant(alg):
+    """pair_angles(u sigma, u tau) = pair_angles(sigma, tau) for unitary
+    words u, on random and coincident pairs; the spin closed form rests on
+    this identity."""
+    rng = np.random.default_rng([78, alg.rank, alg.dim])
+    for _ in range(5):
+        word = bd.random_word(alg, rng, mode="unitary")
+        pairs = [(bd.random_shilov(alg, rng), bd.random_shilov(alg, rng))
+                 for _ in range(3)]
+        pairs.append(shared_frame_points(alg, rng, 2, coincide=1)[2])
+        sigmas, taus = zip(*pairs)
+        moved = ix.pair_angles([bd.apply_word(word, s) for s in sigmas],
+                               [bd.apply_word(word, t) for t in taus])
+        gap = np.abs(bd.wrap_angle(moved - ix.pair_angles(sigmas, taus)))
+        assert np.max(gap) <= 1e-12
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
