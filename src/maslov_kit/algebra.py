@@ -180,10 +180,11 @@ def _det(alg, coords):
     """Determinant polynomial on raw coordinates, dtype generic.
 
     On the spin factor this is the bilinear form x0^2 - xvec.xvec (no
-    conjugation), which is what the complexification needs.
+    conjugation), which is what the complexification needs.  Supports
+    batches.
     """
     if alg.kind == SPIN:
-        return coords[0] ** 2 - np.sum(coords[1:] * coords[1:])
+        return coords[..., 0] ** 2 - (coords[..., 1:] * coords[..., 1:]).sum(axis=-1)
     return np.linalg.det(_to_matrix(alg, coords))
 
 

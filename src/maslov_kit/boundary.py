@@ -154,21 +154,36 @@ def cnorm(z):
     return math.sqrt(max(hermitian_inner(z, z).real, 0.0))
 
 
+def _cinverse_rows(alg, coords, tol):
+    """(det, inverse, invertible) over coordinate rows coords (N, dim): the
+    determinants, the singularity gate |det z| > tol.rank (1 + max_i |z_i|)^r,
+    and the Jordan inverse of the rows that pass it (the other rows hold
+    filler)."""
+    if alg.kind == "spin":
+        det = _det(alg, coords)
+    else:
+        mats = _to_matrix(alg, coords)
+        det = np.linalg.det(mats)      # _det, on the matrices built once
+    ok = np.abs(det) > tol.rank * (1.0 + np.abs(coords).max(axis=-1)) ** alg.rank
+    if alg.kind == "spin":
+        inv = np.concatenate([coords[:, :1], -coords[:, 1:]], axis=1)
+        return det, inv / np.where(ok, det, 1.0)[:, None], ok
+    if not ok.all():
+        mats[~ok] = np.eye(alg.param)
+    return det, _from_matrix(alg, np.linalg.inv(mats)), ok
+
+
+def _singular(det):
+    return f"singular element (|det| = {abs(det):.2e})"
+
+
 def cinverse(z, tol: Tolerances = DEFAULT):
     """Jordan inverse in the complexified algebra."""
     z = complexify(z)
-    alg = z.alg
-    det = cdet(z)
-    scale = (1.0 + float(np.max(np.abs(z.coords)))) ** alg.rank
-    if abs(det) <= tol.rank * scale:
-        raise DomainError(f"singular element (|det| = {abs(det):.2e})")
-    if alg.kind == "spin":
-        out = np.empty_like(z.coords)
-        out[0] = z.coords[0] / det
-        out[1:] = -z.coords[1:] / det
-        return ElementC(alg, out)
-    inv = np.linalg.inv(_to_matrix(alg, z.coords))
-    return ElementC(alg, _from_matrix(alg, inv))
+    det, inv, ok = _cinverse_rows(z.alg, z.coords[None], tol)
+    if not ok[0]:
+        raise DomainError(_singular(det[0]))
+    return ElementC(z.alg, inv[0])
 
 
 def clmul_operator(z):
@@ -209,14 +224,9 @@ class ShilovPoint:
 
     def __init__(self, value, tol: Tolerances = DEFAULT):
         value = complexify(value)
-        try:
-            inv = cinverse(value, tol)
-        except DomainError as exc:
-            raise DomainError(f"not on the Shilov boundary: {exc}") from exc
-        resid = float(np.linalg.norm(np.conj(value.coords) - inv.coords))
-        if resid > tol.boundary * (1.0 + float(np.linalg.norm(value.coords))):
-            raise DomainError(
-                f"not on the Shilov boundary (residual {resid:.2e})")
+        refused = boundary_refusals(value.alg, value.coords[None], tol=tol)
+        if refused:
+            raise DomainError(refused[0])
         object.__setattr__(self, "value", value)
 
     def __setattr__(self, name, value):
@@ -228,6 +238,41 @@ class ShilovPoint:
 
     def __repr__(self):
         return f"ShilovPoint({self.value!r})"
+
+
+def boundary_refusals(alg, coords, tol=None, thetas=None):
+    """The refusals of ShilovPoint and LiftedPoint over coordinate rows, as a
+    dict {row: DomainError message} of the refused rows of coords (N, dim).
+
+    With tol, row k is tested as ShilovPoint(z_k, tol) tests it: the
+    singularity gate of cinverse, then
+    ||conj z - z^{-1}|| <= tol.boundary (1 + ||z||).  With thetas (N,), it is
+    tested as LiftedPoint tests (z_k, thetas[k]):
+    |det z - e^{ir theta}| <= 10 DEFAULT.boundary.  A row that fails both
+    reports the ShilovPoint message, and a non-finite row fails the gate.
+    Each row's arithmetic is independent of the other rows, so the
+    constructors, which call this with one row, give every row's verdict.
+    """
+    if tol is not None:
+        det, inv, ok = _cinverse_rows(alg, coords, tol)
+    else:
+        det = _det(alg, coords)
+    refused = {}
+    if thetas is not None:
+        resid = np.abs(det - np.exp(1j * alg.rank * np.asarray(thetas)))
+        for k, res in enumerate(resid.tolist()):
+            if not res <= DEFAULT.boundary * 10.0:
+                refused[k] = f"invalid lift: |det(sigma) - e^(ir theta)| = {res:.2e}"
+    if tol is not None:
+        resid = np.linalg.norm(np.conj(coords) - inv, axis=-1)
+        norms = np.linalg.norm(coords, axis=-1)
+        for k, (good, res, norm) in enumerate(zip(ok.tolist(), resid.tolist(),
+                                                  norms.tolist())):
+            if not good:
+                refused[k] = f"not on the Shilov boundary: {_singular(det[k])}"
+            elif not res <= tol.boundary * (1.0 + norm):
+                refused[k] = f"not on the Shilov boundary (residual {res:.2e})"
+    return refused
 
 
 def as_shilov(x, tol: Tolerances = DEFAULT):
@@ -252,11 +297,10 @@ class LiftedPoint:
     theta: float
 
     def __post_init__(self):
-        r = self.point.alg.rank
-        resid = abs(cdet(self.point.value) - np.exp(1j * r * self.theta))
-        if resid > DEFAULT.boundary * 10.0:
-            raise DomainError(
-                f"invalid lift: |det(sigma) - e^(ir theta)| = {resid:.2e}")
+        refused = boundary_refusals(self.alg, self.point.value.coords[None],
+                                    thetas=[self.theta])
+        if refused:
+            raise DomainError(refused[0])
 
     @property
     def alg(self):

@@ -189,8 +189,8 @@ def rotation(power, base_file, tol_transverse, tol_int, mode, word_file):
         base = parse_element(_read_json(base_file), tol, where=base_file)
         if not isinstance(base, bd.LiftedPoint):
             raise DomainError(f"{base_file}.theta: base must be a lifted point")
-    tau, _ = dy.translation_tau(word, power, base, tol, mode_obj)
-    rho, bound = dy.rotation_rho(word, power, base, tol, mode_obj)
+    tau, tau_bound = dy.translation_tau(word, power, base, tol, mode_obj)
+    rho, bound = dy.rho_from_tau(tau, tau_bound)
     _echo_doc({
         "algebra": serialize_algebra(word.alg),
         "k": power,

@@ -17,6 +17,7 @@ counts depend only on that sum.
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -390,16 +391,47 @@ def quasimorphism_c(word, lifted, tol: Tolerances = DEFAULT, mode=STRICT):
 _BASE_STEP = 2.399963229728653
 
 
+@lru_cache(maxsize=64)
 def standard_base_lift(alg, tol: Tolerances = DEFAULT):
-    """The fixed base lift used by default for c(g) and rotation numbers."""
+    """The fixed base lift used by default for c(g) and rotation numbers,
+    built once per (alg, tol)."""
     angles = bd.wrap_angle(0.7 + _BASE_STEP * np.arange(1, alg.rank + 1))
     sigma = bd.from_unit_spectrum(alg, angles, standard_frame(alg), tol)
     return bd.lift(sigma, 0, tol)
 
 
 def _power_lift(word, lifted, power, tol):
+    """g^power . lifted, equal iterate for iterate and error for error to
+    `power` calls of bd.act_lift.
+
+    The orbit is walked once: steps 1..power-1 keep only the coordinates and
+    theta of each iterate, and one bd.boundary_refusals call then runs the
+    ShilovPoint and LiftedPoint tests on all of them.  The walk resumes with
+    bd.act_lift from the last iterate before the first failing step or
+    refused iterate.  So a failing orbit raises the error of its earliest
+    failing iterate, from the same step and constructors as the sequential
+    loop, and the returned point is built by the constructors.
+    """
+    r = word.alg.rank
+    z, theta = bd._coords_on(word, lifted.point), lifted.theta
+    coords, thetas = [], []
+    for _ in range(power - 1):
+        try:
+            phi, z = bd._phi_at(word, z, tol)
+        except (MaslovKitError, np.linalg.LinAlgError):
+            break                     # act_lift raises it again, in order
+        theta = theta + phi / r
+        coords.append(z)
+        thetas.append(theta)
+    done = len(coords)
+    if done:
+        refused = bd.boundary_refusals(word.alg, np.array(coords), tol, thetas)
+        done = min(refused, default=done)
     out = lifted
-    for _ in range(power):
+    if done:
+        point = bd.ShilovPoint(bd.ElementC(word.alg, coords[done - 1]), tol)
+        out = bd.LiftedPoint(point, thetas[done - 1])
+    for _ in range(done, power):
         out = bd.act_lift(word, out, tol=tol)
     return out
 
@@ -409,6 +441,10 @@ def translation_tau(word, power, base=None, tol: Tolerances = DEFAULT,
     """Translation number estimate (c(g^K)/K, error bound r/K).
 
     The bound comes from the quasimorphism defect |c(gh) - c(g) - c(h)| <= r.
+    The orbit of the base lift is walked once and its K - 1 inner iterates
+    are checked on the boundary in one batch (_power_lift); a refused orbit
+    raises the error of its earliest failing iterate, as K calls of
+    act_lift would.
     """
     check_mode(mode)
     if power < 1:
@@ -421,8 +457,13 @@ def translation_tau(word, power, base=None, tol: Tolerances = DEFAULT,
     return c_val / power, r / power
 
 
+def rho_from_tau(est, bound):
+    """The rotation number -tau/2 mod 1 and its bound from a translation
+    number estimate and its bound."""
+    return (-0.5 * est) % 1.0, 0.5 * bound
+
+
 def rotation_rho(word, power, base=None, tol: Tolerances = DEFAULT,
                  mode=STRICT):
     """Generalized rotation number: -tau/2 mod 1, with bound r/(2K)."""
-    est, bound = translation_tau(word, power, base, tol, mode)
-    return (-0.5 * est) % 1.0, 0.5 * bound
+    return rho_from_tau(*translation_tau(word, power, base, tol, mode))

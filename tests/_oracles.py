@@ -8,7 +8,9 @@ matching, the Cayley chart and finite differences instead of a word's
 linear-fractional matrix, a sampled radial unwrap instead of the sum over the
 factors of its denominator, an eigenangle flow that solves and matches one
 sample at a time instead of one pass over the grid, the spectrum of the spin
-relative element at 50 digits instead of the Lie-sphere closed form.
+relative element at 50 digits instead of the Lie-sphere closed form, an
+orbit that validates every iterate as it lands instead of one batch at the
+end.
 """
 
 import itertools
@@ -195,6 +197,18 @@ def eigenangle_flow_sequential(path, reference, tol=DEFAULT, mode=STRICT):
     for t0, t1 in zip(ts, ts[1:]):
         cur = advance(t0, cur, t1, raw_at(t1), dy.REFINE_DEPTH)
     return dy.AngleFlow(np.array(out_t), np.vstack(out_a))
+
+
+def power_lift_sequential(word, lifted, power, tol=DEFAULT, trail=None):
+    """g^power . lifted as `power` calls of act_lift, each iterate built and
+    checked by ShilovPoint and LiftedPoint as it lands.  When given, `trail`
+    collects the iterates, so on an error len(trail) + 1 is the failing one."""
+    out = lifted
+    for _ in range(power):
+        out = bd.act_lift(word, out, tol=tol)
+        if trail is not None:
+            trail.append(out)
+    return out
 
 
 def cayley_apply(word, z):

@@ -102,6 +102,59 @@ def test_shilov_membership_gate(alg):
         bd.ShilovPoint(bd.celement(alg, np.zeros(alg.dim)))
 
 
+def constructor_refusal(alg, coords, theta, tol):
+    """The message with which ShilovPoint(coords, tol) and then
+    LiftedPoint(point, theta) refuse, or None."""
+    try:
+        bd.LiftedPoint(bd.ShilovPoint(bd.ElementC(alg, coords), tol), theta)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_boundary_refusals_match_constructors(alg):
+    """The batched membership tests give, row by row, the verdict and the
+    message of the ShilovPoint and LiftedPoint constructors, on points pushed
+    off S, near-singular points and lifts with a drifted theta."""
+    rng = np.random.default_rng(28)
+    r = alg.rank
+    rows, thetas = [], []
+    for eps in np.logspace(-9, -5, 9):
+        sigma = bd.random_shilov(alg, rng)
+        push = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
+        rows.append(sigma.value.coords + eps * push / np.linalg.norm(push))
+        thetas.append(bd.lift(sigma).theta)
+    for small in [0.0, *np.logspace(-10, -6, 9)]:
+        frame = al.random_frame(alg, rng)
+        values = np.exp(1j * rng.uniform(-math.pi, math.pi, r))
+        values[rng.integers(r)] *= small
+        rows.append(sum(v * c.coords for v, c in zip(values, frame)))
+        thetas.append(0.0)
+    for drift in np.logspace(-9, -5, 9):
+        lifted = bd.lift(bd.random_shilov(alg, rng), int(rng.integers(-2, 3)))
+        rows.append(lifted.point.value.coords)
+        thetas.append(lifted.theta + drift * rng.choice([-1.0, 1.0]) / r)
+    coords, thetas = np.array(rows), np.array(thetas)
+    for tol in (DEFAULT, DEFAULT.with_overrides(boundary=1e-9, rank=1e-9)):
+        refused = bd.boundary_refusals(alg, coords, tol, thetas)
+        want = {k: constructor_refusal(alg, coords[k], thetas[k], tol)
+                for k in range(len(coords))}
+        assert refused == {k: msg for k, msg in want.items() if msg is not None}
+        kinds = {msg.split(" (")[0].split(":")[0] for msg in refused.values()}
+        assert kinds == {"not on the Shilov boundary", "invalid lift"}
+        assert any("singular" in msg for msg in refused.values())
+        assert len(refused) < len(coords)
+        # each test alone, on the rows the other accepts
+        shilov = bd.boundary_refusals(alg, coords, tol=tol)
+        assert {k: msg for k, msg in refused.items()
+                if msg.startswith("not on")} == shilov
+        on_s = [k for k in range(len(coords)) if k not in shilov]
+        lift = bd.boundary_refusals(alg, coords[on_s], thetas=thetas[on_s])
+        assert {on_s[k]: msg for k, msg in lift.items()} == {
+            k: msg for k, msg in refused.items() if msg.startswith("invalid")}
+
+
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
 def test_shilov_spectral_examples(alg):
     r = alg.rank

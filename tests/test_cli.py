@@ -233,6 +233,38 @@ def test_rotation_fixing_word_rho_zero(tmp_path):
     assert min(doc["rho_mod1"], 1.0 - doc["rho_mod1"]) < 1e-9
 
 
+def test_rotation_walks_one_orbit_per_command(tmp_path, monkeypatch):
+    """tau, rho and the bound come from one orbit walk per command and are
+    the floats translation_tau and rotation_rho return."""
+    walks = []
+    power_lift = dy._power_lift
+
+    def counting(word, lifted, power, tol):
+        walks.append(power)
+        return power_lift(word, lifted, power, tol)
+
+    monkeypatch.setattr(dy, "_power_lift", counting)
+    cases = [(al.algebra(al.SYM_R, 2), "mixed"), (al.algebra(al.HERM_C, 2), "tube"),
+             (al.algebra(al.SPIN, 5), "unitary")]
+    for n, (alg, mode) in enumerate(cases):
+        wf = write_doc(tmp_path / f"w{n}.json", serialize_word(
+            bd.random_word(alg, np.random.default_rng(n), mode)))
+        bf = write_doc(tmp_path / f"b{n}.json", serialize_element(
+            bd.lift(bd.random_shilov(alg, np.random.default_rng(n)), 1)))
+        word = parse_word(json.loads(Path(wf).read_text()))
+        base = parse_element(json.loads(Path(bf).read_text()))
+        for extra, lifted in [((), None), (("--base", bf), base)]:
+            before = len(walks)
+            res = invoke("rotation", wf, "--k", "16", *extra)
+            assert res.exit_code == 0
+            assert walks[before:] == [16]
+            doc = json.loads(res.output)
+            tau, _ = dy.translation_tau(word, 16, lifted)
+            rho, bound = dy.rotation_rho(word, 16, lifted)
+            assert (doc["tau_estimate"], doc["rho_mod1"], doc["error_bound"]) == (
+                tau, rho, bound)
+
+
 # --------------------------------------------------------------------- path
 
 def test_path_arnold_loop_with_csv(tmp_path):

@@ -587,6 +587,116 @@ def test_iterated_lifts_stay_defined(alg, mode):
         assert 0.0 <= rho < 1.0
 
 
+ORBIT_ALGEBRAS = [al.algebra(al.SYM_R, 2), al.algebra(al.SYM_R, 3),
+                  al.algebra(al.HERM_C, 2), al.algebra(al.HERM_C, 3),
+                  al.algebra(al.SPIN, 5)]
+
+
+def assert_same_lift(got, want):
+    assert got.theta == want.theta
+    assert np.array_equal(got.point.value.coords, want.point.value.coords)
+
+
+def assert_same_outcome(got, want):
+    """The same lift bit for bit, or the same error class and message."""
+    if isinstance(want, MaslovKitError):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert_same_lift(got, want)
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_standard_base_lift_is_built_once(alg):
+    tol = DEFAULT.with_overrides(transverse=2e-7)
+    base = dy.standard_base_lift(alg, tol)
+    assert dy.standard_base_lift(alg, tol) is base
+    fresh = dy.standard_base_lift.__wrapped__(alg, tol)
+    assert fresh is not base
+    assert_same_lift(fresh, base)
+    word = bd.random_word(alg, np.random.default_rng(3), "mixed")
+    assert dy.rotation_rho(word, 8, tol=tol) == dy.rotation_rho(
+        word, 8, base=fresh, tol=tol)
+
+
+@pytest.mark.parametrize("mode", ["unitary", "tube", "mixed"])
+@pytest.mark.parametrize("alg", ORBIT_ALGEBRAS, ids=lambda a: f"{a.kind}-{a.param}")
+def test_power_lift_matches_sequential_oracle(alg, mode):
+    """The orbit walked once and checked in one batch is bit-identical to
+    K calls of act_lift."""
+    base = dy.standard_base_lift(alg)
+    for seed in range(4):
+        word = bd.random_word(alg, np.random.default_rng(seed), mode)
+        other = bd.lift(bd.random_shilov(alg, np.random.default_rng(seed)), 1)
+        for lifted in (base, other):
+            for power in (1, 2, 32):
+                assert_same_outcome(
+                    outcome(lambda: dy._power_lift(word, lifted, power, DEFAULT)),
+                    outcome(lambda: orc.power_lift_sequential(word, lifted, power)))
+
+
+@pytest.mark.parametrize("boundary", [1e-15, 3e-15, 1e-14])
+@pytest.mark.parametrize("alg", [al.algebra(al.SYM_R, 2), al.algebra(al.HERM_C, 3),
+                                 al.algebra(al.SPIN, 5)],
+                         ids=lambda a: f"{a.kind}-{a.param}")
+def test_power_lift_raises_earliest_error(alg, boundary):
+    """Under a tight boundary tolerance, tube orbits are refused at inner
+    iterates; the batched orbit raises the class and message of the
+    sequential loop, at the same iterate."""
+    tol = DEFAULT.with_overrides(boundary=boundary)
+    base = dy.standard_base_lift(alg, tol)
+    inner = []
+    for seed in range(40):
+        word = bd.random_word(alg, np.random.default_rng(seed), "tube")
+        trail = []
+        want = outcome(lambda: orc.power_lift_sequential(word, base, 32, tol, trail))
+        assert_same_outcome(outcome(lambda: dy._power_lift(word, base, 32, tol)), want)
+        if not isinstance(want, MaslovKitError):
+            continue
+        failing = len(trail) + 1
+        inner.append(failing)
+        # the iterate before the failing one is reached, the failing one raises
+        if trail:
+            assert_same_lift(dy._power_lift(word, base, failing - 1, tol), trail[-1])
+        assert_same_outcome(
+            outcome(lambda: dy._power_lift(word, base, failing, tol)), want)
+    assert any(f < 32 for f in inner)
+
+
+@pytest.mark.parametrize("alg, seed, boundary, failing", [
+    (al.algebra(al.SYM_R, 2), 4, 1e-15, 13),
+    (al.algebra(al.HERM_C, 3), 0, 1e-14, 15),
+])
+def test_power_lift_step_and_check_errors_in_order(monkeypatch, alg, seed,
+                                                   boundary, failing):
+    """A step error planted before the refused iterate is raised; one planted
+    after it is not reached."""
+    tol = DEFAULT.with_overrides(boundary=boundary)
+    base = dy.standard_base_lift(alg, tol)
+    word = bd.random_word(alg, np.random.default_rng(seed), "tube")
+    trail = []
+    with pytest.raises(DomainError, match="not on the Shilov boundary"):
+        orc.power_lift_sequential(word, base, 32, tol, trail)
+    assert len(trail) + 1 == failing
+    loose = []      # the same orbit, accepted under the default tolerance
+    orc.power_lift_sequential(word, base, 32, DEFAULT, loose)
+    orbit = [base.point.value.coords] + [p.point.value.coords for p in loose]
+    real_step = bd._phi_at
+
+    def plant(step):
+        def phi_at(word_, z, tol_):
+            if np.array_equal(z, orbit[step - 1]):
+                raise AmbiguityError(f"planted at step {step}")
+            return real_step(word_, z, tol_)
+        return phi_at
+
+    for step, raised in [(failing - 3, f"planted at step {failing - 3}"),
+                         (failing + 3, "not on the Shilov boundary")]:
+        monkeypatch.setattr(bd, "_phi_at", plant(step))
+        want = outcome(lambda: orc.power_lift_sequential(word, base, 32, tol))
+        assert str(want).startswith(raised)
+        assert_same_outcome(outcome(lambda: dy._power_lift(word, base, 32, tol)), want)
+
+
 def test_csv_output():
     alg = al.algebra(al.SYM_R, 2)
     rng = np.random.default_rng(108)
