@@ -18,19 +18,27 @@ the pass of their Souriau index.  A path flow makes one pass per grid.
 
 All discrete outputs pass an integrality guard and a parity guard
 (m = r - mu mod 2, a determinant identity), and the extended (non-transverse)
-Souriau index is re-derived through a transverse witness as a runtime
-cross-check.
+Souriau index is re-derived through a transverse witness tau as a runtime
+cross-check, m = iota(sigma1, sigma2, tau) + m(sigma1~, tau~) + m(tau~, sigma2~).
+The check is independent of the extension formula it checks: iota comes
+from the signature of the Cayley images of the pair with tau at infinity,
+and the two m terms are transverse.  Its witnesses are a fixed stream,
+drawn once per algebra and cached with their lifts and roots tau^{-1/2}, so
+a check costs one pair_angles call and one small eigensolve per candidate
+tried (usually one), and builds no point and no frame.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .algebra import SPIN, _to_matrix
-from .boundary import (ElementC, LiftedPoint, ShilovPoint, as_shilov,
-                       cquad_rep_apply, cquad_rep_operator, lift, principal_arg,
-                       random_shilov, shilov_spectral, wrap_angle)
+from .algebra import SPIN, _mul, _to_matrix
+from .boundary import (ElementC, LiftedPoint, ShilovPoint, _cinverse_rows,
+                       _random_spectral, as_shilov, cquad_rep_apply,
+                       cquad_rep_operator, lift, principal_arg, shilov_spectral,
+                       wrap_angle)
 from .config import DEFAULT, STRICT, Tolerances, check_mode
 from .errors import AmbiguityError, DomainError, IntegralityError
 
@@ -287,22 +295,118 @@ def _souriau_value(lift1, lift2, angles, mask, tol):
     return value, raw, residual, m_count
 
 
-def _witness_stream(alg, skip=0):
-    rng = np.random.default_rng(_WITNESS_SEED)
-    for _ in range(skip):
-        random_shilov(alg, rng)
-    for _ in range(_WITNESS_TRIES - skip):
-        yield random_shilov(alg, rng)
+@dataclass(frozen=True)
+class _Witness:
+    """A witness candidate: the point tau, its canonical lift and the root
+    tau^{-1/2} in the form _witness_iota takes."""
+
+    point: ShilovPoint
+    lift: LiftedPoint
+    root: np.ndarray
 
 
-def _find_witness(p1, p2, tol, mode, skip=0):
-    for cand in _witness_stream(p1.alg, skip):
-        rows = pair_angles([cand, cand], [p1, p2], tol)
+class _WitnessStream:
+    """The witness candidates of one algebra: the draws of random_shilov
+    from _WITNESS_SEED, made lazily, each kept as a _Witness with its root
+    in closed form.  A search grows the stream only as far as it reaches."""
+
+    def __init__(self, alg):
+        self.alg = alg
+        self.rng = np.random.default_rng(_WITNESS_SEED)
+        self.drawn = []
+
+    def __iter__(self):
+        for k in range(_WITNESS_TRIES):
+            if k == len(self.drawn):
+                point, angles, frame = _random_spectral(self.alg, self.rng)
+                self.drawn.append(_Witness(point, lift(point),
+                                           _root_inverse(self.alg, angles, frame)))
+            yield self.drawn[k]
+
+
+@lru_cache(maxsize=64)
+def _witness_stream(alg):
+    """The cached candidates: they are drawn and checked at the default
+    tolerances whatever the caller's, so one stream serves every tol."""
+    return _WitnessStream(alg)
+
+
+def _root_inverse(alg, angles, frame):
+    """tau^{-1/2} = sum_j e^{-i a_j / 2} c_j of tau = sum_j e^{i a_j} c_j: a
+    matrix for the matrix kinds, coordinates on the spin factor."""
+    coords = np.exp(-0.5j * np.asarray(angles)) @ np.array([c.coords for c in frame])
+    return coords if alg.kind == SPIN else _to_matrix(alg, coords)
+
+
+def _witness_iota(alg, root, p1, p2, nulls, tol):
+    """iota(sigma1, sigma2, tau) = -sgn(x1 - x2), x_k = c(P(tau^{-1/2}) sigma_k),
+    from the root tau^{-1/2} of a tau transverse to both points.
+
+    Putting tau at infinity makes the Cayley images x_k real; the
+    generalized Maslov index (Clerc-Orsted 2001, Clerc 2004) is minus the
+    signature of their difference, and needs no transversality between
+    sigma1 and sigma2.  x1 - x2 = 2i ((e - v1)^{-1} - (e - v2)^{-1}) with
+    v_k = P(tau^{-1/2}) sigma_k: one stacked inverse and one eigvalsh for
+    the matrix kinds, y0 +- |yv| on the spin factor.  Its `nulls` eigenvalues
+    smallest in modulus are the coincidence directions of the pair; None
+    when they are not clearly apart from the rest (_null_signature).
+    """
+    s = np.array([p1.value.coords, p2.value.coords])
+    if alg.kind == SPIN:
+        rs = _mul(alg, root, s)
+        a = _mul(alg, _mul(alg, root, root), s) - 2.0 * _mul(alg, root, rs)
+        a[:, 0] += 1.0                                  # e - v
+        inv = _cinverse_rows(alg, a, tol)[1]
+        y = (2j * (inv[0] - inv[1])).real
+        size = np.linalg.norm(y[1:])
+        eigs = np.array([y[0] - size, y[0] + size])
+    else:
+        v = root @ _to_matrix(alg, s) @ root
+        x = np.linalg.inv(np.eye(alg.param) - v)
+        eigs = np.linalg.eigvalsh(2j * (x[0] - x[1]))
+    return _null_signature(eigs, nulls, tol)
+
+
+def _null_signature(eigs, nulls, tol):
+    """-sgn of eigs over all but its `nulls` smallest in modulus, or None
+    unless those are clearly apart from the rest: the smallest kept modulus
+    must exceed gray_factor times the largest dropped one (times tol.rank
+    of the largest modulus when nothing is dropped)."""
+    order = np.argsort(np.abs(eigs))
+    size = np.abs(eigs[order])
+    if nulls < size.size:
+        floor = size[nulls - 1] if nulls else tol.rank * size[-1]
+        if not size[nulls] > tol.gray_factor * floor:
+            return None
+    return -int(np.sum(np.sign(eigs[order[nulls:]])))
+
+
+def _witness_sum(lift1, lift2, wlift, rows, masks, iota, tol):
+    """iota + m(lift1, tau~) + m(tau~, lift2), both m terms from the
+    (tau, sigma1) and (tau, sigma2) rows of one pair pass: the (sigma1, tau)
+    angles are the (tau, sigma1) ones negated, at the same distances to pi."""
+    m1t = _souriau_value(lift1, wlift, -rows[0], masks[0], tol)[0]
+    mt2 = _souriau_value(wlift, lift2, rows[1], masks[1], tol)[0]
+    return iota + m1t + mt2
+
+
+def _find_witness(lift1, lift2, nulls, tol):
+    """(witness, m through it) from the first cached candidate that is
+    strictly transverse to both points and whose signature separates the
+    `nulls` coincidence directions of the pair; one pair_angles call per
+    candidate tried."""
+    p1, p2 = lift1.point, lift2.point
+    for wit in _witness_stream(p1.alg):
+        rows = pair_angles([wit.point, wit.point], [p1, p2], tol)
         try:
-            if not any(np.any(_coincidence_split(a, tol, STRICT)) for a in rows):
-                return cand
+            masks = [_coincidence_split(a, tol, STRICT) for a in rows]
         except AmbiguityError:
             continue
+        if any(mask.any() for mask in masks):
+            continue
+        iota = _witness_iota(p1.alg, wit.root, p1, p2, nulls, tol)
+        if iota is not None:
+            return wit, _witness_sum(lift1, lift2, wit.lift, rows, masks, iota, tol)
     raise AmbiguityError("no transverse witness found for the pair")
 
 
@@ -312,8 +416,13 @@ def souriau_m(lift1, lift2, tol: Tolerances = DEFAULT, mode=STRICT,
 
     Transverse pairs use the defining formula directly.  Non-transverse
     pairs use the coincidence-dropping extension and, when cross_check is
-    on, are re-derived through a random transverse witness; disagreement is
-    an error, never silently resolved.
+    on, are re-derived through a transverse witness tau as
+    iota(sigma1, sigma2, tau) + m(lift1, tau~) + m(tau~, lift2), with iota
+    read off a signature (_witness_iota) rather than off the extension
+    formula, so the check is independent; disagreement is an error, never
+    silently resolved.  The witness comes from a fixed candidate stream
+    cached per algebra, and each candidate tried costs one pair_angles call
+    and one small eigensolve.
     """
     check_mode(mode)
     return _souriau_report(lift1, lift2, tol, mode, cross_check)[0]
@@ -324,34 +433,39 @@ def _souriau_report(lift1, lift2, tol, mode, cross_check=True):
     value, raw, residual, m_count = _souriau_raw(lift1, lift2, tol, mode)
     witnesses = ()
     if cross_check and m_count > 0:
-        wit = _find_witness(lift1.point, lift2.point, tol, mode)
-        wit_lift = lift(wit, 0, tol)
-        check = _witness_value(lift1, lift2, wit_lift, tol, mode)
+        wit, check = _find_witness(lift1, lift2, m_count, tol)
         if check != value:
             raise IntegralityError(
                 "extended Souriau index failed its witness cross-check: "
                 f"direct={value}, witness route={check}")
-        witnesses = (wit,)
+        witnesses = (wit.point,)
     return IndexReport(value, raw, residual, witnesses), m_count
-
-
-def _witness_value(lift1, lift2, wlift, tol, mode):
-    iota, _ = _iota_value(lift1.point, lift2.point, wlift.point, tol, mode)
-    m1t, _, _, _ = _souriau_raw(lift1, wlift, tol, mode)
-    mt2, _, _, _ = _souriau_raw(wlift, lift2, tol, mode)
-    return iota + m1t + mt2
 
 
 def souriau_m_witness(lift1, lift2, wlift, tol: Tolerances = DEFAULT,
                       mode=STRICT):
     """Souriau index through an explicit transverse witness:
-    iota(sigma1, sigma2, tau) + m(lift1, tau~) + m(tau~, lift2)."""
+    iota(sigma1, sigma2, tau) + m(lift1, tau~) + m(tau~, lift2), iota by the
+    signature of _witness_iota, the root tau^{-1/2} from the frame of tau.
+    AmbiguityError when the witness does not separate the coincidence
+    directions of the pair."""
     check_mode(mode)
-    for side in (lift1, lift2):
-        if not transversal(wlift.point, side.point, tol, mode):
+    p1, p2, w = lift1.point, lift2.point, wlift.point
+    rows = pair_angles([w, w, p1], [p1, p2, p2], tol)
+    masks = []
+    for angles in rows[:2]:
+        masks.append(_coincidence_split(angles, tol, mode))
+        if masks[-1].any():
             raise DomainError("witness must be transverse to both points")
-    value = _witness_value(lift1, lift2, wlift, tol, mode)
-    return IndexReport(value, float(value), 0.0, (wlift.point,))
+    nulls = int(np.sum(_coincidence_split(rows[2], tol, mode)))
+    us = shilov_spectral(w, tol)
+    iota = _witness_iota(w.alg, _root_inverse(w.alg, us.angles, us.frame),
+                         p1, p2, nulls, tol)
+    if iota is None:
+        raise AmbiguityError("the witness does not separate the coincidence "
+                             "directions of the pair")
+    value = _witness_sum(lift1, lift2, wlift, rows, masks, iota, tol)
+    return IndexReport(value, float(value), 0.0, (w,))
 
 
 def _iota_value(s1, s2, s3, tol, mode):

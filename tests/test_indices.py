@@ -340,6 +340,31 @@ def test_indices_make_one_pair_pass_per_pair(alg, monkeypatch):
     ix.arnold_nu(shared_frame_lift(c1, angles[0]), shared_frame_lift(c2, angles[1]))
     assert frames == []
 
+    # the witness route: one direct pass, then one pass per candidate tried,
+    # drawn once per algebra; the witness is the first transverse draw of a
+    # fresh _WITNESS_SEED stream, bit for bit
+    fresh = np.random.default_rng(ix._WITNESS_SEED)
+    tries, want = 0, None
+    while want is None:
+        cand = bd.random_shilov(alg, fresh)
+        tries += 1
+        if ix.transversal(cand, c1) and ix.transversal(cand, c2):
+            want = cand
+    draws, calls = [], []
+    count(bd, "random_shilov", draws)
+    count(ix, "_random_spectral", draws)
+    count(ix, "pair_angles", calls)
+    ix._witness_stream.cache_clear()
+    lifts = (shared_frame_lift(c1, angles[0]), shared_frame_lift(c2, angles[1]))
+    for first in (True, False):
+        draws.clear()
+        calls.clear()
+        rep = ix.souriau_m(*lifts)
+        assert len(calls) == 1 + tries
+        assert len(draws) == (tries if first else 0)
+        assert rep.witnesses[0].value.coords.tobytes() == want.value.coords.tobytes()
+    assert frames == []
+
 
 # ------------------------------------------------------------------------ mu
 
@@ -538,6 +563,90 @@ def test_souriau_witness_coincident_pair(alg):
     assert seen == {direct}
     # same point, same lift: antisymmetry forces 0
     assert ix.souriau_m(l1, l1).value == 0
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_witness_route_catches_shifted_extension(alg, monkeypatch):
+    """A +2 error in every non-transverse Souriau value, which keeps its
+    parity, fails the runtime cross-check: the witness route does not
+    re-derive the extension formula."""
+    orig = ix._souriau_value
+
+    def shifted(lift1, lift2, angles, mask, tol):
+        value, raw, residual, count = orig(lift1, lift2, angles, mask, tol)
+        return value + (2 if np.any(mask) else 0), raw, residual, count
+
+    monkeypatch.setattr(ix, "_souriau_value", shifted)
+    rng = np.random.default_rng(77)
+    for ell in range(1, alg.rank + 1):
+        _, (a1, a2), (s1, s2) = shared_frame_points(alg, rng, 2, coincide=ell)
+        with pytest.raises(IntegralityError, match="witness cross-check"):
+            ix.souriau_m(shared_frame_lift(s1, a1), shared_frame_lift(s2, a2))
+
+
+SIGNATURE_ALGEBRAS = [al.algebra(al.SYM_R, 1), al.algebra(al.SYM_R, 2),
+                      al.algebra(al.SYM_R, 3), al.algebra(al.HERM_C, 2),
+                      al.algebra(al.SPIN, 3), al.algebra(al.SPIN, 5)]
+
+
+@pytest.mark.parametrize("alg", SIGNATURE_ALGEBRAS,
+                         ids=[f"{a.kind}-{a.param}" for a in SIGNATURE_ALGEBRAS])
+def test_witness_signature_matches_maslov_iota(alg):
+    """-sgn(x1 - x2) with tau at infinity is the triple index, also when
+    (sigma1, sigma2) share 1..r coincidences."""
+    rng = np.random.default_rng(78)
+    checked = 0
+    for ell in range(alg.rank + 1):
+        for _ in range(8):
+            _, _, (s1, s2) = shared_frame_points(alg, rng, 2, coincide=ell)
+            tau, angles, frame = bd._random_spectral(alg, rng)
+            if not (ix.transversal(tau, s1) and ix.transversal(tau, s2)):
+                continue
+            root = ix._root_inverse(alg, angles, frame)
+            got = ix._witness_iota(alg, root, s1, s2, ix.mu(s1, s2), DEFAULT)
+            assert got == ix.maslov_iota(s1, s2, tau).value
+            checked += 1
+    assert checked >= 6 * (alg.rank + 1)
+
+
+def test_null_signature_needs_a_clear_gap():
+    eigs = np.array([2.0, -3e-16, 0.5, -1.5])
+    assert ix._null_signature(eigs, 1, DEFAULT) == -1
+    assert ix._null_signature(eigs, 4, DEFAULT) == 0
+    assert ix._null_signature(np.array([1e-9, -4e-9, 2.0]), 1, DEFAULT) is None
+    assert ix._null_signature(np.array([1e-12, 1.0]), 0, DEFAULT) is None
+
+
+def test_witness_search_moves_past_an_unclear_gap(monkeypatch):
+    """A candidate whose null eigenvalues are not clearly apart from the
+    rest is skipped, never read; with no clear candidate the route refuses."""
+    alg = al.algebra(al.SYM_R, 3)
+    rng = np.random.default_rng(79)
+    _, (a1, a2), (s1, s2) = shared_frame_points(alg, rng, 2, coincide=1)
+    lifts = (shared_frame_lift(s1, a1), shared_frame_lift(s2, a2))
+    clear = ix.souriau_m(*lifts)
+    orig = ix._null_signature
+    blurred = []
+
+    def blur(eigs, nulls, tol):
+        if len(blurred) < limit:
+            order = np.argsort(np.abs(eigs))
+            eigs = eigs.copy()
+            eigs[order[0]] = 0.5 * eigs[order[1]]
+            blurred.append(orig(eigs, nulls, tol))
+            return blurred[-1]
+        return orig(eigs, nulls, tol)
+
+    monkeypatch.setattr(ix, "_null_signature", blur)
+    limit = 1
+    rep = ix.souriau_m(*lifts)
+    assert blurred == [None]
+    assert rep.value == clear.value
+    assert not np.array_equal(rep.witnesses[0].value.coords,
+                              clear.witnesses[0].value.coords)
+    limit = ix._WITNESS_TRIES + 1
+    with pytest.raises(AmbiguityError, match="no transverse witness"):
+        ix.souriau_m(*lifts)
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
