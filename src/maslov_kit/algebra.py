@@ -305,13 +305,6 @@ def quad_rep_apply(x, y):
     return ElementJ(alg, out)
 
 
-def quad_rep_operator(x):
-    """P(x) = 2 L(x)^2 - L(x o x) as a matrix on coordinates."""
-    lx = lmul_operator(x)
-    lxx = lmul_operator(jmul(x, x))
-    return 2.0 * (lx @ lx) - lxx
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Spectral decomposition x = sum_j values[j] * frame[j].
@@ -360,90 +353,6 @@ def spectral_decompose_real(x, tol: Tolerances = DEFAULT):
     if np.linalg.norm(recon - x.coords) > tol.spectral * (1.0 + np.linalg.norm(x.coords)):
         raise DomainError("spectral decomposition failed to reconstruct input")
     return Spectrum(vals, frame)
-
-
-def rank_real(x, tol: Tolerances = DEFAULT):
-    """Number of eigenvalues that are nonzero at the relative rank cutoff."""
-    vals = spectral_decompose_real(x, tol).values
-    top = np.max(np.abs(vals)) if vals.size else 0.0
-    if top == 0.0:
-        return 0
-    return int(np.sum(np.abs(vals) > tol.rank * top))
-
-
-def in_cone(x, tol: Tolerances = DEFAULT):
-    """True when x lies in the open symmetric cone (all eigenvalues positive)."""
-    vals = spectral_decompose_real(x, tol).values
-    top = np.max(np.abs(vals)) if vals.size else 0.0
-    return bool(np.all(vals > tol.rank * top))
-
-
-def inverse_real(x, tol: Tolerances = DEFAULT):
-    """Jordan inverse of an invertible element."""
-    spec = spectral_decompose_real(x, tol)
-    top = np.max(np.abs(spec.values)) if spec.values.size else 0.0
-    if top == 0.0 or np.min(np.abs(spec.values)) <= tol.rank * top:
-        raise DomainError("element is singular, cannot invert")
-    out = np.zeros(x.alg.dim)
-    for lam, c in zip(spec.values, spec.frame):
-        out += c.coords / lam
-    return ElementJ(x.alg, out)
-
-
-@dataclass(frozen=True)
-class PeirceSplit:
-    """Decomposition x = x1 + xhalf + x0 along an idempotent's eigenspaces."""
-
-    x1: ElementJ
-    xhalf: ElementJ
-    x0: ElementJ
-
-
-def _check_idempotent(c, tol):
-    resid = norm(jmul(c, c) - c)
-    if resid > tol.spectral * (1.0 + norm(c)) ** 2:
-        raise DomainError(f"not an idempotent (residual {resid:.2e})")
-
-
-def peirce_decompose(c, x, tol: Tolerances = DEFAULT):
-    """Split x along the 1, 1/2, 0 eigenspaces of L(c).
-
-    The three projections are the exact polynomials 2L^2 - L, 4L - 4L^2 and
-    2L^2 - 3L + I in L = L(c); they sum to the identity for any c, and are
-    the Peirce projections exactly when c is idempotent.
-    """
-    _same_algebra(c, x)
-    _check_idempotent(c, tol)
-    lmat = lmul_operator(c)
-    v = x.coords
-    lv = lmat @ v
-    llv = lmat @ lv
-    x1 = 2.0 * llv - lv
-    xhalf = 4.0 * lv - 4.0 * llv
-    x0 = v - x1 - xhalf
-    return PeirceSplit(ElementJ(x.alg, x1), ElementJ(x.alg, xhalf),
-                       ElementJ(x.alg, x0))
-
-
-def frobenius_apply(c, z, x, tol: Tolerances = DEFAULT):
-    """Frobenius transformation exp(2 z box c) applied to x.
-
-    Requires z in the half-eigenspace J(c, 1/2); the exponential series then
-    terminates and the closed form below is exact.
-    """
-    _same_algebra(c, z)
-    _same_algebra(c, x)
-    _check_idempotent(c, tol)
-    zsplit = peirce_decompose(c, z, tol)
-    stray = norm(zsplit.x1) + norm(zsplit.x0)
-    if stray > tol.spectral * (1.0 + norm(z)):
-        raise DomainError("z is not in the half-eigenspace of c")
-    xs = peirce_decompose(c, x, tol)
-    y1 = xs.x1
-    yhalf = 2.0 * jmul(z, xs.x1) + xs.xhalf
-    inner_part = jmul(z, jmul(z, xs.x1)) + jmul(z, xs.xhalf)
-    y0 = 2.0 * jmul(unit(c.alg) - c, inner_part) + xs.x0
-    return y1 + yhalf + y0
 
 
 def standard_frame(alg):

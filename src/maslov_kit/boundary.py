@@ -26,7 +26,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .algebra import (AlgebraDescriptor, ElementJ, _det, _from_matrix, _lmul,
-                      _mul, _to_matrix, _trace, element, lmul_operator,
+                      _mul, _spin_spectral, _to_matrix, element, lmul_operator,
                       random_element, random_frame, spectral_decompose_real,
                       unit)
 from .config import DEFAULT, Tolerances
@@ -118,40 +118,16 @@ def imag_part(z):
     return element(z.alg, z.coords.imag)
 
 
-def eta(z):
-    """Conjugation of the complexification: eta(x + iy) = x - iy."""
-    z = complexify(z)
-    return ElementC(z.alg, np.conj(z.coords))
-
-
-def cjmul(z, w):
-    z = complexify(z)
-    w = complexify(w)
-    if z.alg != w.alg:
-        raise DomainError(f"algebra mismatch: {z.alg} vs {w.alg}")
-    return ElementC(z.alg, _mul(z.alg, z.coords, w.coords))
-
-
-def ctrace(z):
-    return complex(_trace(complexify(z).alg, complexify(z).coords))
-
-
 def cdet(z):
     z = complexify(z)
     return complex(_det(z.alg, z.coords))
 
 
-def hermitian_inner(z, w):
-    """<z|w> = trace(z o eta(w)); positive definite."""
-    z = complexify(z)
-    w = complexify(w)
-    if z.alg != w.alg:
-        raise DomainError(f"algebra mismatch: {z.alg} vs {w.alg}")
-    return z.alg.gram_weight * complex(np.dot(z.coords, np.conj(w.coords)))
-
-
 def cnorm(z):
-    return math.sqrt(max(hermitian_inner(z, z).real, 0.0))
+    """The norm of the positive Hermitian form <z|w> = trace(z o conj(w))."""
+    z = complexify(z)
+    sq = z.alg.gram_weight * complex(np.dot(z.coords, np.conj(z.coords)))
+    return math.sqrt(max(sq.real, 0.0))
 
 
 def _cinverse_rows(alg, coords, tol):
@@ -184,12 +160,6 @@ def cinverse(z, tol: Tolerances = DEFAULT):
     if not ok[0]:
         raise DomainError(_singular(det[0]))
     return ElementC(z.alg, inv[0])
-
-
-def clmul_operator(z):
-    """Complex matrix of left multiplication by z on coordinates."""
-    z = complexify(z)
-    return _lmul(z.alg, z.coords)
 
 
 def cquad_rep_apply(z, w):
@@ -324,13 +294,20 @@ def unit_shilov(alg):
     return ShilovPoint(complexify(unit(alg)))
 
 
-def exp_iJ(x, tol: Tolerances = DEFAULT):
-    """The boundary point sum_j e^{i lambda_j} c_j for x = sum_j lambda_j c_j."""
-    spec = spectral_decompose_real(x, tol)
-    coords = np.zeros(x.alg.dim, dtype=np.complex128)
-    for lam, c in zip(spec.values, spec.frame):
-        coords += np.exp(1j * lam) * c.coords
-    return ShilovPoint(ElementC(x.alg, coords), tol)
+def _lie_sphere(z):
+    """(gamma, x, off) of spin rows z: the nearest real unit vector x to
+    y = e^{-i gamma} (z0, -i zv), and its distance off from y."""
+    gamma = 0.5 * np.angle(z[:, 0] ** 2 - (z[:, 1:] * z[:, 1:]).sum(axis=1))
+    y = np.exp(-1j * gamma)[:, None] * z
+    y[:, 1:] *= -1j
+    size = np.linalg.norm(y.real, axis=1)
+    off = np.hypot(np.linalg.norm(y.imag, axis=1), size - 1.0)
+    return gamma, y.real / size[:, None], off
+
+
+def _descending(angles, frame):
+    order = np.argsort(-angles, kind="stable")
+    return UnitSpectrum(angles[order], tuple(frame[j] for j in order))
 
 
 # Fixed combination directions for joint diagonalization of (Re, Im); the
@@ -342,68 +319,50 @@ _COMBODIRS = [(math.cos(0.7 + k * _GOLDEN), math.sin(0.7 + k * _GOLDEN))
               for k in range(8)]
 
 
-def _spin_unit_spectrum(sigma, tol):
-    alg = sigma.alg
-    z = sigma.value.coords
-    z0, zv = z[0], z[1:]
-    nv = float(np.linalg.norm(zv))
-    if nv <= tol.boundary:
-        theta = principal_arg(z0)
-        frame = spectral_decompose_real(unit(alg), tol).frame
-        return UnitSpectrum(np.array([theta, theta]), tuple(frame))
-    lam2 = complex(zv @ zv)
-    lam = np.sqrt(lam2)
-    if abs(lam) <= 1e-8 * nv:
-        raise DomainError("not on the Shilov boundary (isotropic spin part)")
-    u = zv / lam
-    if float(np.max(np.abs(u.imag))) > 1e-6:
-        raise DomainError("not on the Shilov boundary (no real frame)")
-    u = u.real
-    zeta = np.array([z0 + lam, z0 - lam])
-    if np.max(np.abs(np.abs(zeta) - 1.0)) > 10.0 * tol.boundary:
-        raise DomainError("not on the Shilov boundary (non-unit spectrum)")
-    up = element(alg, np.concatenate([[0.5], 0.5 * u]))
-    dn = element(alg, np.concatenate([[0.5], -0.5 * u]))
-    angles = principal_arg(zeta)
-    order = np.argsort(-angles, kind="stable")
-    frame = (up, dn) if order[0] == 0 else (dn, up)
-    return UnitSpectrum(angles[order], frame)
-
-
 def shilov_spectral(sigma, tol: Tolerances = DEFAULT):
     """Angles and a real Jordan frame with sigma = sum e^{i theta_j} c_j.
 
-    Re(sigma) and Im(sigma) operator-commute for sigma in S, so a generic
-    real combination of the two is decomposed and the frame is accepted iff
-    it actually reconstructs sigma with unit-modulus coefficients.
+    On the spin factor both are read off the Lie-sphere form
+    sigma = e^{i gamma} (x0, i xv) of _lie_sphere: the angles are
+    gamma +- atan2(|xv|, x0) on the frame (e +- (0, u)) / 2 of the real
+    point x, u = xv / |xv| (e_1 when xv = 0).  Only a point farther than
+    10 tol.boundary from the Lie sphere is refused, as pair_angles refuses
+    it.
+
+    On the matrix kinds Re(sigma) and Im(sigma) operator-commute for sigma
+    in S, so a generic real combination of the two is decomposed and the
+    frame is accepted iff it actually reconstructs sigma with unit-modulus
+    coefficients.  The frame is real and primitive and the basis
+    orthonormal, so with the frame coordinates stacked in F the
+    coefficients are F sigma and the reconstruction is zeta F.
     """
     sigma = as_shilov(sigma, tol)
     alg = sigma.alg
+    scoords = sigma.value.coords
     if alg.kind == "spin":
-        return _spin_unit_spectrum(sigma, tol)
+        gamma, x, off = _lie_sphere(scoords[None])
+        if off[0] > 10.0 * tol.boundary:
+            raise DomainError("not on the Shilov boundary (the point is off "
+                              f"the Lie sphere by {off[0]:.2e})")
+        half = math.atan2(float(np.linalg.norm(x[0, 1:])), float(x[0, 0]))
+        return _descending(wrap_angle(gamma[0] + np.array([half, -half])),
+                           _spin_spectral(alg, x[0])[1])
     x = real_part(sigma.value)
     y = imag_part(sigma.value)
-    scoords = sigma.value.coords
-    best = None
+    best = math.inf
     for mu1, mu2 in _COMBODIRS:
         comb = element(alg, mu1 * x.coords + mu2 * y.coords)
         spec = spectral_decompose_real(comb, tol)
-        zeta = np.array([ctrace(cjmul(sigma.value, c)) for c in spec.frame])
-        recon = np.zeros(alg.dim, dtype=np.complex128)
-        for zj, c in zip(zeta, spec.frame):
-            recon += zj * c.coords
-        resid = float(np.linalg.norm(recon - scoords))
+        frame = np.array([c.coords for c in spec.frame])
+        zeta = frame @ scoords
+        resid = float(np.linalg.norm(zeta @ frame - scoords))
         unit_err = float(np.max(np.abs(np.abs(zeta) - 1.0)))
-        if best is None or resid + unit_err < best[0]:
-            best = (resid + unit_err, zeta, spec.frame)
         if resid <= tol.spectral * alg.rank * 10.0 and unit_err <= 10.0 * tol.boundary:
-            angles = principal_arg(zeta)
-            order = np.argsort(-angles, kind="stable")
-            frame = tuple(spec.frame[j] for j in order)
-            return UnitSpectrum(angles[order], frame)
+            return _descending(principal_arg(zeta), spec.frame)
+        best = min(best, resid + unit_err)
     raise DomainError(
         "not on the Shilov boundary (joint diagonalization failed; best "
-        f"residual {best[0]:.2e})")
+        f"residual {best:.2e})")
 
 
 def from_unit_spectrum(alg, angles, frame, tol: Tolerances = DEFAULT):
@@ -412,30 +371,6 @@ def from_unit_spectrum(alg, angles, frame, tol: Tolerances = DEFAULT):
     for a, c in zip(angles, frame):
         coords += np.exp(1j * float(a)) * c.coords
     return ShilovPoint(ElementC(alg, coords), tol)
-
-
-def sqrt_S(sigma, branch=0, tol: Tolerances = DEFAULT):
-    """A square root of sigma on S: half-angles, with `branch` a bitmask
-    selecting the alternate branch (extra pi) per frame member."""
-    us = shilov_spectral(sigma, tol)
-    alg = as_shilov(sigma, tol).alg
-    coords = np.zeros(alg.dim, dtype=np.complex128)
-    for j, (a, c) in enumerate(zip(us.angles, us.frame)):
-        half = 0.5 * a + (math.pi if (branch >> j) & 1 else 0.0)
-        coords += np.exp(1j * half) * c.coords
-    return ElementC(alg, coords)
-
-
-def log_S(sigma, tol: Tolerances = DEFAULT):
-    """Principal logarithm i sum theta_j c_j; needs no angle at pi."""
-    us = shilov_spectral(sigma, tol)
-    alg = as_shilov(sigma, tol).alg
-    if np.min(np.abs(np.abs(us.angles) - math.pi)) < tol.transverse:
-        raise DomainError("log undefined: an eigenangle sits on the cut at pi")
-    out = np.zeros(alg.dim)
-    for a, c in zip(us.angles, us.frame):
-        out += a * c.coords
-    return ElementC(alg, 1j * out)
 
 
 def random_shilov(alg, rng, tol: Tolerances = DEFAULT):

@@ -36,9 +36,9 @@ import numpy as np
 
 from .algebra import SPIN, _mul, _to_matrix
 from .boundary import (ElementC, LiftedPoint, ShilovPoint, _cinverse_rows,
-                       _random_spectral, as_shilov, cquad_rep_apply,
-                       cquad_rep_operator, lift, principal_arg, shilov_spectral,
-                       wrap_angle)
+                       _lie_sphere, _random_spectral, as_shilov,
+                       cquad_rep_apply, cquad_rep_operator, lift, principal_arg,
+                       shilov_spectral, wrap_angle)
 from .config import DEFAULT, STRICT, Tolerances, check_mode
 from .errors import AmbiguityError, DomainError, IntegralityError
 
@@ -187,17 +187,6 @@ def _spin_pair_angles(scoords, tcoords):
     base = gs - gt + math.pi
     angles = wrap_angle(np.stack([base + between, base - between], axis=1))
     return angles, np.maximum(offs, offt)
-
-
-def _lie_sphere(z):
-    """(gamma, x, off) of spin rows z: the nearest real unit vector x to
-    y = e^{-i gamma} (z0, -i zv), and its distance off from y."""
-    gamma = 0.5 * np.angle(z[:, 0] ** 2 - (z[:, 1:] * z[:, 1:]).sum(axis=1))
-    y = np.exp(-1j * gamma)[:, None] * z
-    y[:, 1:] *= -1j
-    size = np.linalg.norm(y.real, axis=1)
-    off = np.hypot(np.linalg.norm(y.imag, axis=1), size - 1.0)
-    return gamma, y.real / size[:, None], off
 
 
 def _pair_angles(sigma, tau, tol, mode):

@@ -1,23 +1,21 @@
 """Independent reference computations for cross-checking the library.
 
 Everything here deliberately takes a different route than the library:
-associative matrix products instead of Jordan operator polynomials,
-operator-exponential series instead of closed forms, angle arithmetic instead
-of spectral passes, a search over all strand permutations instead of circular
-matching, the Cayley chart and finite differences instead of a word's
-linear-fractional matrix, a sampled radial unwrap instead of the sum over the
-factors of its denominator, an eigenangle flow that solves and matches one
-sample at a time instead of one pass over the grid, the spectrum of the spin
-relative element at 50 digits instead of the Lie-sphere closed form, an
-orbit that validates every iterate as it lands instead of one batch at the
-end.
+associative matrix products instead of Jordan operator polynomials, angle
+arithmetic instead of spectral passes, a search over all strand permutations
+instead of circular matching, the Cayley chart and finite differences
+instead of a word's linear-fractional matrix, a sampled radial unwrap
+instead of the sum over the factors of its denominator, an eigenangle flow
+that solves and matches one sample at a time instead of one pass over the
+grid, the spectrum of the spin relative element at 50 digits instead of the
+Lie-sphere closed form, an orbit that validates every iterate as it lands
+instead of one batch at the end.
 """
 
 import itertools
 import math
 
 import numpy as np
-import scipy.linalg
 
 from maslov_kit import algebra as al
 from maslov_kit import boundary as bd
@@ -81,20 +79,6 @@ def spin_pair_angles_mp(sigma, tau, dps=50):
         root = mpmath.sqrt(mpmath.fsum(x * x for x in w[1:]))
         angles = [float(mpmath.arg(w[0] + root)), float(mpmath.arg(w[0] - root))]
     return np.sort(angles)[::-1]
-
-
-def box_operator(a, b):
-    """Matrix of a box b = L(a o b) + [L(a), L(b)] on coordinates."""
-    la = al.lmul_operator(a)
-    lb = al.lmul_operator(b)
-    lab = al.lmul_operator(al.jmul(a, b))
-    return lab + la @ lb - lb @ la
-
-
-def frobenius_expm(c, z, x):
-    """Frobenius map via scipy's matrix exponential of 2(z box c)."""
-    op = scipy.linalg.expm(2.0 * box_operator(z, c))
-    return al.element(x.alg, op @ x.coords)
 
 
 def det_matrix(x):

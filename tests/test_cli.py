@@ -412,6 +412,38 @@ def test_selftest_report_is_deterministic():
     assert len(reports[0].splitlines()) == 15
 
 
+QUICK_REPORT_SEED_0 = """\
+maslov-kit selftest  level=quick  seed=0
+  1 orbit-values           PASS     20 checks
+  2 leray-sum              PASS     40 checks
+  3 cocycle-relation       PASS     40 checks
+  4 pair-integrality       PASS     80 checks
+  5 witness-independence   PASS     64 checks
+  6 word-invariance        PASS     56 checks
+  7 shared-frame-oracles   PASS     40 checks
+  8 corank-inversion       PASS     40 checks
+  9 coordinate-family      PASS    130 checks
+ 10 rotation-number        PASS     12 checks
+ 11 quasimorphism-bound    PASS     20 checks
+ 12 path-additivity        PASS     24 checks
+ 13 kernel-health          PASS    140 checks
+13/13 suites passed
+"""
+
+
+def test_selftest_quick_report_is_pinned():
+    """The quick report at seed 0 holds counts only, no timings, so a change
+    that keeps the behaviour keeps it byte for byte."""
+    out = io.StringIO()
+    assert st.run(level="quick", seed=0, out=out, err=io.StringIO()) == 0
+    assert out.getvalue() == QUICK_REPORT_SEED_0
+
+
+def test_every_public_name_resolves():
+    for name in maslov_kit.__all__:
+        assert getattr(maslov_kit, name) is not None, name
+
+
 def test_version_flag():
     res = invoke("--version")
     assert res.exit_code == 0

@@ -115,9 +115,34 @@ SPIN_ALGEBRAS = [al.algebra(al.SPIN, q) for q in (3, 4, 5, 7)]
 SPIN_IDS = [f"spin-{a.param}" for a in SPIN_ALGEBRAS]
 
 
+def _lie_point(alg, gamma, x):
+    """The spin boundary point e^{i gamma} (x0, i xv) of a real unit vector x."""
+    coords = np.exp(1j * gamma) * np.concatenate([x[:1], 1j * x[1:]])
+    return bd.ShilovPoint(bd.ElementC(alg, coords))
+
+
+def _unit_vector(rng, n):
+    x = rng.standard_normal(n)
+    return x / np.linalg.norm(x)
+
+
+def _near_scalar(alg, rng):
+    """(clean, noisy, level): a spin point e^{i theta} (cos d, i sin d u) with
+    d = 10^U(-8, -5), whose frame is ill-conditioned, and a copy moved by
+    complex noise of size level = 10^U(-13, -10)."""
+    d = 10.0 ** rng.uniform(-8, -5)
+    u = _unit_vector(rng, alg.dim - 1)
+    x = np.concatenate([[math.cos(d)], math.sin(d) * u])
+    clean = _lie_point(alg, rng.uniform(-np.pi, np.pi), x)
+    noise = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
+    level = 10.0 ** rng.uniform(-13, -10)
+    noise *= level / np.linalg.norm(noise)
+    return clean, bd.ShilovPoint(bd.ElementC(alg, clean.value.coords + noise)), level
+
+
 def _spin_corpus(alg, rng):
     """The pair corpus, then pairs with a scalar tau = e^{i theta} e, with a
-    scalar sigma, and with sigma = tau."""
+    scalar sigma, with sigma = tau, and with near-scalar points."""
     yield from _pair_corpus(alg, rng)
     e = bd.complexify(al.unit(alg))
     for _ in range(4):
@@ -127,19 +152,24 @@ def _spin_corpus(alg, rng):
         yield scalar, sigma
         yield sigma, sigma
     yield bd.ShilovPoint(e), bd.ShilovPoint(-1.0 * e)
+    for _ in range(4):
+        clean, noisy, _ = _near_scalar(alg, rng)
+        tau = bd.random_shilov(alg, rng)
+        yield from ((clean, tau), (tau, noisy), (noisy, clean), (clean, noisy))
 
 
 @pytest.mark.parametrize("alg", SPIN_ALGEBRAS, ids=SPIN_IDS)
 def test_spin_pair_angles_batch(alg):
     """The closed-form spin batch gives the angles and refusal class of the
-    spectrum of relative_element, and each row is the one-pair call's."""
+    reference route shilov_spectral(relative_element), and each row is the
+    one-pair call's."""
     rng = np.random.default_rng([75, alg.param])
     pairs = list(_spin_corpus(alg, rng))
     classes = set()
     for sigma, tau in pairs:
         want, ref = _refusal_class(
-            lambda s, t: bd._spin_unit_spectrum(ix.relative_element(s, t),
-                                                DEFAULT).angles, sigma, tau)
+            lambda s, t: bd.shilov_spectral(ix.relative_element(s, t)).angles,
+            sigma, tau)
         got, angles = _refusal_class(
             lambda s, t: ix.pair_angles([s], [t])[0], sigma, tau)
         assert got == want
@@ -185,17 +215,6 @@ def test_pair_angles_refuses_mixed_algebras_and_empty_calls():
         ix.pair_angles([], [])
 
 
-def _lie_point(alg, gamma, x):
-    """The spin boundary point e^{i gamma} (x0, i xv) of a real unit vector x."""
-    coords = np.exp(1j * gamma) * np.concatenate([x[:1], 1j * x[1:]])
-    return bd.ShilovPoint(bd.ElementC(alg, coords))
-
-
-def _unit_vector(rng, n):
-    x = rng.standard_normal(n)
-    return x / np.linalg.norm(x)
-
-
 def _circular_gap(a, b):
     """Largest circular gap between two rank-two angle rows, under the
     better of the two pairings (rows sorted apart across the -pi edge)."""
@@ -216,15 +235,10 @@ def test_spin_pair_angles_near_scalar_points(alg):
     rng = np.random.default_rng([77, alg.param])
     clean, noisy, taus, level = [], [], [], []
     for _ in range(500):
-        d = 10.0 ** rng.uniform(-8, -5)
-        u = _unit_vector(rng, alg.dim - 1)
-        x = np.concatenate([[math.cos(d)], math.sin(d) * u])
-        point = _lie_point(alg, rng.uniform(-np.pi, np.pi), x)
-        noise = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
-        level.append(10.0 ** rng.uniform(-13, -10))
-        noise *= level[-1] / np.linalg.norm(noise)
+        point, moved, size = _near_scalar(alg, rng)
         clean.append(point)
-        noisy.append(bd.ShilovPoint(bd.ElementC(alg, point.value.coords + noise)))
+        noisy.append(moved)
+        level.append(size)
         taus.append(bd.random_shilov(alg, rng))
     for got, want in ((ix.pair_angles(noisy, taus), ix.pair_angles(clean, taus)),
                       (ix.pair_angles(taus, noisy), ix.pair_angles(taus, clean))):
@@ -265,8 +279,11 @@ def test_spin_pair_angles_match_mp_oracle(alg):
     pytest.importorskip("mpmath")
     rng = np.random.default_rng([79, alg.param])
     for sigma, tau in _mp_corpus(alg, rng):
+        want = orc.spin_pair_angles_mp(sigma, tau)
         got = ix.pair_angles([sigma], [tau])[0]
-        assert _circular_gap(got, orc.spin_pair_angles_mp(sigma, tau)) <= 1e-12
+        assert _circular_gap(got, want) <= 1e-12
+        ref = bd.shilov_spectral(ix.relative_element(sigma, tau)).angles
+        assert _circular_gap(ref, want) <= 1e-12
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS + [al.algebra(al.SPIN, 7)],
@@ -563,6 +580,22 @@ def test_souriau_witness_coincident_pair(alg):
     assert seen == {direct}
     # same point, same lift: antisymmetry forces 0
     assert ix.souriau_m(l1, l1).value == 0
+
+
+def test_souriau_witness_near_scalar_spin():
+    """A near-scalar spin witness is a valid point of S: souriau_m_witness
+    reads its root off shilov_spectral and agrees with souriau_m, and the
+    reference route w(sigma, tau) keeps the angles of pair_angles."""
+    alg = al.algebra(al.SPIN, 5)
+    rng = np.random.default_rng(82)
+    for _ in range(200):
+        _, tau, _ = _near_scalar(alg, rng)
+        sigma = bd.random_shilov(alg, rng)
+        l1, l2 = bd.lift(sigma), bd.lift(sigma, 1)
+        assert (ix.souriau_m_witness(l1, l2, bd.lift(tau)).value
+                == ix.souriau_m(l1, l2).value)
+        ref = bd.shilov_spectral(ix.relative_element(sigma, tau)).angles
+        assert _circular_gap(ref, ix.pair_angles([sigma], [tau])[0]) <= 1e-12
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
