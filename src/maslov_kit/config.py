@@ -21,7 +21,6 @@ class Tolerances:
     spectral: float = 1e-9       # structural invariants (frames, round-trips)
     boundary: float = 1e-7       # Shilov membership residual
     rank: float = 1e-8           # relative eigenvalue/singular-value cutoff
-    chain: float = 1e-8          # cocycle chain-rule checks
     slope: float = 1e-6          # tangential-crossing detector
 
     def with_overrides(self, **kw):

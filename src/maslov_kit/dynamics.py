@@ -74,10 +74,6 @@ class BoundaryPath:
     def alg(self):
         return self.samples[0][1].alg
 
-    @property
-    def times(self):
-        return np.array([t for t, _ in self.samples])
-
     @classmethod
     def from_function(cls, fn, n=65):
         ts = np.linspace(0.0, 1.0, n)
@@ -130,17 +126,11 @@ def _match_shifts(a, b):
     return shift, moves[rows, shift], span[rows, shift]
 
 
-def _match_step(a, b):
-    """_match_shifts on one step: (shift, moves, largest move)."""
-    shift, moves, span = _match_shifts(a[None], b[None])
-    return shift[0], moves[0], span[0]
-
-
 def _grid_angles(pair_at, ts, tol):
-    """pair_angles in one call over the samples at ts, up to the first one
-    that cannot be taken or is refused, and that error (or None) for the
-    caller to raise once the steps before it are walked.  An error at the
-    first sample is raised at once."""
+    """pair_angles in one call over the samples at ts (the grid, or one
+    level's midpoints), up to the first one that cannot be taken or is
+    refused, and that error (or None) for the caller to raise once the steps
+    before it are walked.  An error at the first sample is raised at once."""
     pairs, pending = [], None
     try:
         for t in ts:
@@ -165,18 +155,21 @@ def eigenangle_flow(path, reference, tol: Tolerances = DEFAULT, mode=STRICT):
     reference may be a fixed ShilovPoint or a second BoundaryPath; grids
     are merged, resampling through the paths' samplers where needed.
 
-    The grid takes one pass: one pair_angles call over all its samples,
-    then one batched match of every step, and the strands are carried
-    through the matched cyclic shifts.  Each true strand step between
-    samples must stay below min(pi/4, pi/r) at rank r.  A step whose matched
-    moves reach that limit is halved through the samplers, at most
-    REFINE_DEPTH times; with no sampler, or at that depth, AmbiguityError is
-    raised.
+    The flow is walked level by level from the grid.  Each level takes one
+    pair_angles call over its new samples and one batched match of every
+    step.  Each true strand step between samples must stay below
+    min(pi/4, pi/r) at rank r; every step whose matched moves reach that
+    limit is halved through the samplers, its midpoint taken in the next
+    level's call, at most REFINE_DEPTH times.  Such a step with no sampler,
+    or at that depth, is stuck: AmbiguityError.  The strands are carried
+    through the matched cyclic shifts of the last level.
 
     The error raised is that of the earliest failing step, as if the grid
-    were walked one sample at a time: a sample that cannot be taken, or a
-    pair that pair_angles refuses, is raised only once every step before it
-    has been matched and refined without error.
+    were walked one sample at a time: a stuck step, a sample that cannot be
+    taken, or a pair that pair_angles refuses, is raised only once every
+    step before it has been matched and refined without error.  Each such
+    error cuts the grid at the start of its step, so a later level can only
+    find an earlier one.
     """
     check_mode(mode)
     main_grid, main_fn, alg = _point_source(path)
@@ -204,53 +197,48 @@ def eigenangle_flow(path, reference, tol: Tolerances = DEFAULT, mode=STRICT):
     raw, pending = _grid_angles(pair_at, ts, tol)
     rows = np.sort(raw, axis=1)
     times = np.array(ts[:len(rows)])
+    depth = np.full(len(rows) - 1, REFINE_DEPTH)
 
     limit = min(STRAND_STEP_LIMIT, math.pi / alg.rank)
     can_refine = main_fn is not None and (ref_grid is None or ref_fn is not None)
 
-    def refine(t0, a, t1, b, step, depth):
-        """Steps (t, shift, moves) from sorted angles a at t0 to b at t1,
-        halving where the matched move reaches the limit."""
-        shift, moves, move = step
-        if move < limit:
-            return [(t1, shift, moves)]
-        if depth == 0:
-            raise AmbiguityError(
+    while True:
+        shift, moves, span = _match_shifts(rows[:-1], rows[1:])
+        flagged = np.flatnonzero(span >= limit)
+        stuck = flagged[(depth[flagged] == 0) | (not can_refine)]
+        if stuck.size:
+            k = stuck[0]
+            t0, t1 = times[k], times[k + 1]
+            pending = AmbiguityError(
                 f"strand matching ambiguous near t={t1:.6g} even at maximum "
-                "refinement")
-        if not can_refine:
-            raise AmbiguityError(
-                f"strands move {move:.3f} rad between t={t0:.6g} and "
+                "refinement" if depth[k] == 0 else
+                f"strands move {span[k]:.3f} rad between t={t0:.6g} and "
                 f"t={t1:.6g} (limit {limit:.3f}) and no sampler is available "
                 "to refine")
-        tm = 0.5 * (t0 + t1)
-        main, ref = pair_at(tm)
-        m = np.sort(pair_angles([main], [ref], tol)[0])
-        return (refine(t0, a, tm, m, _match_step(a, m), depth - 1)
-                + refine(tm, m, t1, b, _match_step(m, b), depth - 1))
-
-    shift, moves, span = _match_shifts(rows[:-1], rows[1:])
-    runs, start = [], 0
-    for k in np.flatnonzero(span >= limit):
-        runs.append((times[start + 1:k + 1], shift[start:k], moves[start:k]))
-        steps = refine(times[k], rows[k], times[k + 1], rows[k + 1],
-                       (shift[k], moves[k], span[k]), REFINE_DEPTH)
-        runs.append(tuple(np.array(col) for col in zip(*steps)))
-        start = k + 1
+            flagged = flagged[flagged < k]
+            times, rows, depth = times[:k + 1], rows[:k + 1], depth[:k]
+        if not flagged.size:
+            break
+        mids = 0.5 * (times[flagged] + times[flagged + 1])
+        raw_mids, error = _grid_angles(pair_at, mids, tol)
+        if error is not None:
+            pending, k = error, flagged[len(raw_mids)]
+            times, rows, depth = times[:k + 1], rows[:k + 1], depth[:k]
+            flagged = flagged[:len(raw_mids)]
+        depth[flagged] -= 1
+        times = np.insert(times, flagged + 1, mids[:len(flagged)])
+        rows = np.insert(rows, flagged + 1, np.sort(raw_mids, axis=1), axis=0)
+        depth = np.insert(depth, flagged + 1, depth[flagged])
     if pending is not None:
         raise pending
-    runs.append((times[start + 1:], shift[start:], moves[start:]))
 
-    out_t = np.concatenate([times[:1]] + [run[0] for run in runs])
-    shifts = np.concatenate([run[1] for run in runs])
-    moves = np.concatenate([run[2] for run in runs])
     # strand j starts in slot r - 1 - j of the ascending first row and moves
     # on by the shifts matched so far
     r = alg.rank
-    carried = np.concatenate([[0], np.cumsum(shifts)[:-1]])
+    carried = np.concatenate([[0], np.cumsum(shift)[:-1]])
     slots = (np.arange(r)[::-1] + carried[:, None]) % r
     steps = np.take_along_axis(moves, slots, axis=1)
-    return AngleFlow(out_t, np.cumsum(np.vstack([raw[:1], steps]), axis=0))
+    return AngleFlow(times, np.cumsum(np.vstack([raw[:1], steps]), axis=0))
 
 
 def crossing_records(flow, level=math.pi):
@@ -306,7 +294,6 @@ def _counted_level(flow, level, tol, mode, margin, what):
             raise AmbiguityError(
                 f"{what}: strand {strand} is tangent to the counting level "
                 f"near t={t0:.6g}; rerun in permissive mode or refine the path")
-    raise AmbiguityError(f"{what}: tangency persists under perturbation")
 
 
 def arnold_number(path, sigma0, tol: Tolerances = DEFAULT, mode=STRICT):

@@ -399,13 +399,12 @@ def _find_witness(lift1, lift2, nulls, tol):
     raise AmbiguityError("no transverse witness found for the pair")
 
 
-def souriau_m(lift1, lift2, tol: Tolerances = DEFAULT, mode=STRICT,
-              cross_check=True):
+def souriau_m(lift1, lift2, tol: Tolerances = DEFAULT, mode=STRICT):
     """Souriau index of two lifted boundary points.
 
     Transverse pairs use the defining formula directly.  Non-transverse
-    pairs use the coincidence-dropping extension and, when cross_check is
-    on, are re-derived through a transverse witness tau as
+    pairs use the coincidence-dropping extension and are re-derived through
+    a transverse witness tau as
     iota(sigma1, sigma2, tau) + m(lift1, tau~) + m(tau~, lift2), with iota
     read off a signature (_witness_iota) rather than off the extension
     formula, so the check is independent; disagreement is an error, never
@@ -414,14 +413,14 @@ def souriau_m(lift1, lift2, tol: Tolerances = DEFAULT, mode=STRICT,
     and one small eigensolve.
     """
     check_mode(mode)
-    return _souriau_report(lift1, lift2, tol, mode, cross_check)[0]
+    return _souriau_report(lift1, lift2, tol, mode)[0]
 
 
-def _souriau_report(lift1, lift2, tol, mode, cross_check=True):
+def _souriau_report(lift1, lift2, tol, mode):
     """souriau_m and mu of the pair, read off the same pair pass."""
     value, raw, residual, m_count = _souriau_raw(lift1, lift2, tol, mode)
     witnesses = ()
-    if cross_check and m_count > 0:
+    if m_count > 0:
         wit, check = _find_witness(lift1, lift2, m_count, tol)
         if check != value:
             raise IntegralityError(

@@ -167,10 +167,11 @@ def match_step(prev, raw):
     wrapped angles, match by one cyclic shift, scatter the moves back.
     Returns (continued angles, max single-strand motion)."""
     src = np.argsort(bd.wrap_angle(prev))
-    _, moves, span = dy._match_step(bd.wrap_angle(prev[src]), np.sort(raw))
+    _, moves, span = dy._match_shifts(bd.wrap_angle(prev[src])[None],
+                                      np.sort(raw)[None])
     out = np.empty(prev.size)
-    out[src] = moves
-    return prev + out, float(span)
+    out[src] = moves[0]
+    return prev + out, float(span[0])
 
 
 def assert_matching_optimal(prev, raw):
@@ -272,13 +273,19 @@ def test_flow_raises_earliest_error():
                                  al.algebra(al.SPIN, 5)],
                          ids=lambda a: f"{a.kind}-{a.param}")
 def test_flow_makes_one_pair_pass_per_grid(alg, monkeypatch):
-    """One pair_angles call covers the whole grid; refinement adds one-pair
-    calls at the midpoints only; no kind builds w or a frame."""
-    calls, frames = [], []
+    """One pair_angles call and one batched match cover the whole grid, and
+    one more of each every refinement level, the call over the level's
+    midpoints; no kind builds w or a frame."""
+    calls, matches, frames = [], [], []
+    match_shifts = dy._match_shifts
 
     def counted(sigmas, taus, *rest):
         calls.append(len(sigmas))
         return ix.pair_angles(sigmas, taus, *rest)
+
+    def matched(a, b):
+        matches.append(len(a))
+        return match_shifts(a, b)
 
     def framed(name):
         orig = getattr(ix, name)
@@ -289,16 +296,26 @@ def test_flow_makes_one_pair_pass_per_grid(alg, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(dy, "pair_angles", counted)
+    monkeypatch.setattr(dy, "_match_shifts", matched)
     for name in ("relative_element", "shilov_spectral"):
         monkeypatch.setattr(ix, name, framed(name))
     rng = np.random.default_rng(109)
     sigma, ref = bd.random_shilov(alg, rng), bd.random_shilov(alg, rng)
     dy.eigenangle_flow(dy.BoundaryPath.from_function(phase_loop(sigma), n=65), ref)
-    assert calls == [65]
+    assert calls == [65] and matches == [64]
     calls.clear()
-    flow = dy.eigenangle_flow(rich_path(alg, seed=97), bd.unit_shilov(alg))
-    assert calls[0] == 129 and len(flow.t) == 129 + len(calls) - 1
-    assert set(calls[1:]) <= {1}
+    matches.clear()
+    path = rich_path(alg, seed=97)
+    flow = dy.eigenangle_flow(path, bd.unit_shilov(alg))
+    assert calls == [129] and matches == [128] and len(flow.t) == 129
+    calls.clear()
+    matches.clear()
+    coarse = dy.BoundaryPath.from_function(path.sampler, n=5)
+    flow = dy.eigenangle_flow(coarse, bd.unit_shilov(alg))
+    deepest = math.log2(0.25 / float(np.min(np.diff(flow.t))))
+    assert calls[0] == 5 and sum(calls) == len(flow.t)
+    assert len(calls) - 1 == deepest >= 1
+    assert len(matches) == len(calls) and matches[-1] == len(flow.t) - 1
     assert frames == []
 
 
@@ -368,6 +385,56 @@ def test_flow_matches_sequential_oracle_refining(alg):
     for n in (5, 129):
         assert_flows_agree(dy.BoundaryPath.from_function(path.sampler, n=n), ref)
     assert_flows_agree(path, dy.constant_path(ref))
+
+
+def jump_path(fn, n, jump, window, off=False):
+    """The path fn on n samples, turned by e^{1.5 i} from t = jump on
+    (the steps across it exceed the limit at every depth), whose sampler
+    refuses every t strictly inside window; the grid samples are taken
+    directly, and with `off` the last but one is moved off the boundary as
+    in bare_phase_loop, so that pair_angles refuses it."""
+
+    def turned(t):
+        p = fn(t)
+        if jump is not None and t >= jump:
+            p = bd.ShilovPoint(np.exp(1.5j) * p.value)
+        return p
+
+    def sampler(t):
+        if window is not None and window[0] < t < window[1]:
+            raise DomainError(f"sample refused at t={t:.6g}")
+        return turned(t)
+
+    samples = [(t, turned(t)) for t in np.linspace(0.0, 1.0, n)]
+    if off:
+        t, p = samples[-2]
+        samples[-2] = (t, bd.ShilovPoint(
+            (1 + 1e-5) * p.value, DEFAULT.with_overrides(boundary=1e-3)))
+    return dy.BoundaryPath(samples, sampler=sampler)
+
+
+@pytest.mark.parametrize("alg", [al.algebra(al.SYM_R, 2), al.algebra(al.HERM_C, 2),
+                                 al.algebra(al.SPIN, 5)],
+                         ids=lambda a: f"{a.kind}-{a.param}")
+def test_flow_error_order_across_levels(alg):
+    """Stuck steps at maximum refinement, refused midpoint samples and a
+    refused grid sample after them: the error raised is the sequential
+    walk's, class and message; where none is met, the flows agree."""
+    fn, ref = rich_path(alg, seed=97).sampler, bd.unit_shilov(alg)
+    seen = set()
+    for jump in (0.3, 0.8, None):
+        for window in ((0.6, 0.7), (0.26, 0.3), None):
+            for n, off in ((2, False), (5, False), (9, False), (5, True), (9, True)):
+                path = jump_path(fn, n, jump, window, off)
+                got = outcome(lambda: dy.eigenangle_flow(path, ref))
+                want = outcome(lambda: orc.eigenangle_flow_sequential(path, ref))
+                if isinstance(want, Exception):
+                    assert type(got) is type(want) and str(got) == str(want)
+                    seen.add(str(want).split(" ")[0])
+                else:
+                    assert_flows_agree(path, ref)
+                    seen.add("flow")
+    assert seen == {"strand", "sample", "not", "flow"}
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
