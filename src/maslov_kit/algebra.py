@@ -188,25 +188,17 @@ def _det(alg, coords):
     return np.linalg.det(_to_matrix(alg, coords))
 
 
-def _trace(alg, coords):
-    if alg.kind == SPIN:
-        return 2.0 * coords[0]
-    return np.sum(coords[:alg.param], axis=-1)
-
-
-class ElementJ:
-    """Element of a Euclidean Jordan algebra: an algebra tag plus real coords.
-
-    Immutable; the coordinate array is marked read-only.
-    """
+class _Coords:
+    """An algebra tag plus an immutable coordinate vector of dtype _dtype:
+    the shape and finiteness checks, the read-only array and the vector
+    space operations shared by ElementJ and ElementC.  Arithmetic keeps the
+    left operand's type; _coerce readies the right one."""
 
     __slots__ = ("alg", "coords")
+    _dtype = float
 
     def __init__(self, alg, coords):
-        arr = np.asarray(coords)
-        if np.iscomplexobj(arr):
-            raise DomainError("ElementJ coordinates must be real")
-        arr = np.array(arr, dtype=float)
+        arr = np.array(coords, dtype=self._dtype)
         if arr.shape != (alg.dim,):
             raise DomainError(
                 f"expected {alg.dim} coordinates for {alg.kind} "
@@ -218,26 +210,47 @@ class ElementJ:
         object.__setattr__(self, "coords", arr)
 
     def __setattr__(self, name, value):
-        raise AttributeError("ElementJ is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @staticmethod
+    def _coerce(other):
+        return other
 
     def __add__(self, other):
+        other = self._coerce(other)
         _same_algebra(self, other)
-        return ElementJ(self.alg, self.coords + other.coords)
+        return type(self)(self.alg, self.coords + other.coords)
 
     def __sub__(self, other):
+        other = self._coerce(other)
         _same_algebra(self, other)
-        return ElementJ(self.alg, self.coords - other.coords)
+        return type(self)(self.alg, self.coords - other.coords)
 
     def __neg__(self):
-        return ElementJ(self.alg, -self.coords)
+        return type(self)(self.alg, -self.coords)
 
     def __mul__(self, scalar):
-        return ElementJ(self.alg, self.coords * float(scalar))
+        return type(self)(self.alg, self.coords * self._dtype(scalar))
 
     __rmul__ = __mul__
 
     def __repr__(self):
-        return f"ElementJ({self.alg.kind}:{self.alg.param}, {np.array2string(self.coords, precision=6)})"
+        return (f"{type(self).__name__}({self.alg.kind}:{self.alg.param}, "
+                f"{np.array2string(self.coords, precision=6)})")
+
+
+class ElementJ(_Coords):
+    """Element of a Euclidean Jordan algebra: an algebra tag plus real coords.
+
+    Immutable; the coordinate array is marked read-only.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, alg, coords):
+        if np.iscomplexobj(coords):
+            raise DomainError("ElementJ coordinates must be real")
+        super().__init__(alg, coords)
 
 
 def _same_algebra(x, y):
@@ -277,15 +290,6 @@ def inner(x, y):
 
 def norm(x):
     return np.sqrt(inner(x, x))
-
-
-def trace(x):
-    return float(_trace(x.alg, x.coords))
-
-
-def det_real(x):
-    d = _det(x.alg, x.coords)
-    return float(np.real(d))
 
 
 def lmul_operator(x):
@@ -422,19 +426,3 @@ def random_frame(alg, rng):
         coords = _from_matrix(alg, outer)
         out.append(ElementJ(alg, coords.real if np.iscomplexobj(coords) else coords))
     return out
-
-
-def to_matrix(x):
-    """Matrix realization of a matrix-kind element (test and oracle helper)."""
-    return _to_matrix(x.alg, x.coords)
-
-
-def from_matrix(alg, mat):
-    """Inverse of to_matrix for the matrix kinds."""
-    coords = _from_matrix(alg, np.asarray(mat))
-    if np.iscomplexobj(coords):
-        resid = float(np.max(np.abs(coords.imag)))
-        if resid > 1e-9 * (1.0 + float(np.max(np.abs(coords.real)))):
-            raise DomainError("matrix is not Hermitian")
-        coords = coords.real
-    return ElementJ(alg, coords)

@@ -25,10 +25,10 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .algebra import (AlgebraDescriptor, ElementJ, _det, _from_matrix, _lmul,
-                      _mul, _spin_spectral, _to_matrix, element, lmul_operator,
-                      random_element, random_frame, spectral_decompose_real,
-                      unit)
+from .algebra import (AlgebraDescriptor, ElementJ, _Coords, _det, _from_matrix,
+                      _lmul, _mul, _spin_spectral, _to_matrix, element,
+                      lmul_operator, random_element, random_frame,
+                      spectral_decompose_real, unit)
 from .config import DEFAULT, Tolerances
 from .errors import AmbiguityError, DomainError
 
@@ -49,50 +49,18 @@ def principal_arg(z):
     return wrap_angle(np.angle(z))
 
 
-class ElementC:
-    """Element of the complexified algebra: algebra tag plus complex coords."""
+class ElementC(_Coords):
+    """Element of the complexified algebra: algebra tag plus complex coords.
+    The right operand of + and - is coerced by complexify."""
 
-    __slots__ = ("alg", "coords")
+    __slots__ = ()
+    _dtype = complex
 
-    def __init__(self, alg, coords):
-        arr = np.array(coords, dtype=np.complex128)
-        if arr.shape != (alg.dim,):
-            raise DomainError(
-                f"expected {alg.dim} coordinates for {alg.kind} "
-                f"param={alg.param}, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("coordinates must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "coords", arr)
+    @staticmethod
+    def _coerce(other):
+        return complexify(other)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ElementC is immutable")
-
-    def __add__(self, other):
-        other = complexify(other)
-        if self.alg != other.alg:
-            raise DomainError(f"algebra mismatch: {self.alg} vs {other.alg}")
-        return ElementC(self.alg, self.coords + other.coords)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = complexify(other)
-        if self.alg != other.alg:
-            raise DomainError(f"algebra mismatch: {self.alg} vs {other.alg}")
-        return ElementC(self.alg, self.coords - other.coords)
-
-    def __neg__(self):
-        return ElementC(self.alg, -self.coords)
-
-    def __mul__(self, scalar):
-        return ElementC(self.alg, self.coords * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"ElementC({self.alg.kind}:{self.alg.param}, {np.array2string(self.coords, precision=6)})"
+    __radd__ = _Coords.__add__
 
 
 def complexify(x):
@@ -160,17 +128,6 @@ def cinverse(z, tol: Tolerances = DEFAULT):
     if not ok[0]:
         raise DomainError(_singular(det[0]))
     return ElementC(z.alg, inv[0])
-
-
-def cquad_rep_apply(z, w):
-    """P(z)w in the complexified algebra."""
-    z = complexify(z)
-    w = complexify(w)
-    if z.alg != w.alg:
-        raise DomainError(f"algebra mismatch: {z.alg} vs {w.alg}")
-    a, b = z.coords, w.coords
-    out = 2.0 * _mul(z.alg, a, _mul(z.alg, a, b)) - _mul(z.alg, _mul(z.alg, a, a), b)
-    return ElementC(z.alg, out)
 
 
 def cquad_rep_operator(z):
@@ -539,12 +496,14 @@ class _StructureGen:
     """Structure-group generator: a product of factors (scalar, v), giving
     exp(phase L(v)), and ("derivation", a, b), giving exp([L(a), L(b)]).
 
-    `matrix` acts on coordinates and `block` is the generator's
-    linear-fractional matrix.  On the matrix kinds a factor is X -> aXb with
-    a = b = exp(phase v / 2), or a = b^{-1} = exp([a, b] / 4).
+    `block` is the generator's linear-fractional matrix.  On the spin factor
+    it is built from the product of the factors' dim x dim coordinate
+    exponentials.  On the matrix kinds a factor is X -> aXb, with
+    a = b = exp(phase v / 2) or a = b^{-1} = exp([a, b] / 4), and only these
+    m x m halves are built.
     """
 
-    __slots__ = ("factors", "alg", "matrix", "block")
+    __slots__ = ("factors", "alg", "block")
 
     def __init__(self, factors):
         self.factors = tuple(factors)
@@ -554,25 +513,27 @@ class _StructureGen:
             raise DomainError(
                 f"{type(self).__name__} needs ElementJ factors on one algebra")
         self.alg = alg = algs.pop()
-        mats, halves = [], []
+        spin = alg.kind == "spin"
+        hs = []
         for kind, *ops in self.factors:
             if kind == self.scalar:
-                mats.append(_expm_hermitian(lmul_operator(ops[0]), self.phase))
-                if alg.kind != "spin":
+                if spin:
+                    hs.append(_expm_hermitian(lmul_operator(ops[0]), self.phase))
+                else:
                     v = _to_matrix(alg, ops[0].coords)
-                    halves.append((_expm_hermitian(v, 0.5 * self.phase),
-                                   _expm_hermitian(v, -0.5 * self.phase)))
+                    hs.append((_expm_hermitian(v, 0.5 * self.phase),
+                               _expm_hermitian(v, -0.5 * self.phase)))
             elif kind == "derivation":
-                la, lb = lmul_operator(ops[0]), lmul_operator(ops[1])
-                mats.append(_expm_antisymmetric(la @ lb - lb @ la))
-                if alg.kind != "spin":
+                if spin:
+                    la, lb = lmul_operator(ops[0]), lmul_operator(ops[1])
+                    hs.append(_expm_antisymmetric(la @ lb - lb @ la))
+                else:
                     a, b = (_to_matrix(alg, x.coords) for x in ops)
-                    halves.append((_expm_hermitian(1j * (a @ b - b @ a), -0.25j),) * 2)
+                    hs.append((_expm_hermitian(1j * (a @ b - b @ a), -0.25j),) * 2)
             else:
                 raise DomainError(f"unknown {type(self).__name__} factor {kind!r}")
-        self.matrix = reduce(np.matmul, mats)
-        self.block = (_structure_block(alg, self.matrix) if alg.kind == "spin" else
-                      reduce(np.matmul, [_structure_block(alg, h) for h in halves]))
+        self.block = (_structure_block(alg, reduce(np.matmul, hs)) if spin else
+                      reduce(np.matmul, [_structure_block(alg, h) for h in hs]))
 
     def inverse(self):
         return type(self)([(kind, -ops[0]) if kind == self.scalar

@@ -7,7 +7,7 @@ distance to pi is below ``transverse``.  Distances in the gray zone
 as transverse in permissive mode, so an integer output never silently flips.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 STRICT = "strict"
 PERMISSIVE = "permissive"
@@ -22,9 +22,6 @@ class Tolerances:
     boundary: float = 1e-7       # Shilov membership residual
     rank: float = 1e-8           # relative eigenvalue/singular-value cutoff
     slope: float = 1e-6          # tangential-crossing detector
-
-    def with_overrides(self, **kw):
-        return replace(self, **kw)
 
 
 DEFAULT = Tolerances()

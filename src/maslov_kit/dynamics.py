@@ -388,39 +388,38 @@ def standard_base_lift(alg, tol: Tolerances = DEFAULT):
 
 
 def _power_lift(word, lifted, power, tol):
-    """g^power . lifted, equal iterate for iterate and error for error to
-    `power` calls of bd.act_lift.
+    """g^power . lifted for power >= 1, equal iterate for iterate and error
+    for error to `power` calls of bd.act_lift.
 
-    The orbit is walked once: steps 1..power-1 keep only the coordinates and
-    theta of each iterate, and one bd.boundary_refusals call then runs the
-    ShilovPoint and LiftedPoint tests on all of them.  The walk resumes with
-    bd.act_lift from the last iterate before the first failing step or
-    refused iterate.  So a failing orbit raises the error of its earliest
-    failing iterate, from the same step and constructors as the sequential
-    loop, and the returned point is built by the constructors.
+    The orbit is walked once: each of the `power` steps keeps only the
+    coordinates and theta of its iterate, and a failing step ends the walk.
+    One bd.boundary_refusals call then runs the ShilovPoint and LiftedPoint
+    tests on every iterate reached.  The earliest refused iterate raises its
+    refusal; with none refused, the step that ended the walk raises its
+    error.  That is the error of the sequential loop, which would have
+    stopped at that iterate or step.  The returned point is built by the
+    constructors from the last iterate.
     """
     r = word.alg.rank
     z, theta = bd._coords_on(word, lifted.point), lifted.theta
-    coords, thetas = [], []
-    for _ in range(power - 1):
+    coords, thetas, error = [], [], None
+    for _ in range(power):
         try:
             phi, z = bd._phi_at(word, z, tol)
-        except (MaslovKitError, np.linalg.LinAlgError):
-            break                     # act_lift raises it again, in order
+        except (MaslovKitError, np.linalg.LinAlgError) as exc:
+            error = exc
+            break
         theta = theta + phi / r
         coords.append(z)
         thetas.append(theta)
-    done = len(coords)
-    if done:
+    if coords:
         refused = bd.boundary_refusals(word.alg, np.array(coords), tol, thetas)
-        done = min(refused, default=done)
-    out = lifted
-    if done:
-        point = bd.ShilovPoint(bd.ElementC(word.alg, coords[done - 1]), tol)
-        out = bd.LiftedPoint(point, thetas[done - 1])
-    for _ in range(done, power):
-        out = bd.act_lift(word, out, tol=tol)
-    return out
+        if refused:
+            raise DomainError(refused[min(refused)])
+    if error is not None:
+        raise error
+    return bd.LiftedPoint(bd.ShilovPoint(bd.ElementC(word.alg, coords[-1]), tol),
+                          thetas[-1])
 
 
 def translation_tau(word, power, base=None, tol: Tolerances = DEFAULT,
@@ -428,10 +427,10 @@ def translation_tau(word, power, base=None, tol: Tolerances = DEFAULT,
     """Translation number estimate (c(g^K)/K, error bound r/K).
 
     The bound comes from the quasimorphism defect |c(gh) - c(g) - c(h)| <= r.
-    The orbit of the base lift is walked once and its K - 1 inner iterates
-    are checked on the boundary in one batch (_power_lift); a refused orbit
-    raises the error of its earliest failing iterate, as K calls of
-    act_lift would.
+    The orbit of the base lift is walked once, all K steps, and its K
+    iterates are checked on the boundary in one batch (_power_lift); a
+    refused orbit raises the error of its earliest failing iterate, as K
+    calls of act_lift would.
     """
     check_mode(mode)
     if power < 1:

@@ -34,10 +34,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import SPIN, _mul, _to_matrix
+from .algebra import SPIN, _from_matrix, _mul, _to_matrix
 from .boundary import (ElementC, LiftedPoint, ShilovPoint, _cinverse_rows,
                        _lie_sphere, _random_spectral, as_shilov,
-                       cquad_rep_apply, cquad_rep_operator, lift, principal_arg,
+                       cquad_rep_operator, lift, principal_arg,
                        shilov_spectral, wrap_angle)
 from .config import DEFAULT, STRICT, Tolerances, check_mode
 from .errors import AmbiguityError, DomainError, IntegralityError
@@ -68,13 +68,15 @@ def _round_guarded(raw, tol, what):
     return value, residual
 
 
-def relative_element(sigma, tau, tol: Tolerances = DEFAULT, branch=0):
+def relative_element(sigma, tau, tol: Tolerances = DEFAULT):
     """w = -P(tau^{-1/2}) sigma, mapping (sigma, tau) to the pair (w, -e).
 
     With a shared frame the angles of w are theta_j - phi_j + pi (mod 2 pi).
-    The square-root branch does not matter: flipping branch members
-    multiplies the root by a square root of e sharing tau's frame, and P of
-    that factor fixes sigma's frame elements.
+    The root is sum_j e^{-i a_j / 2} c_j over the spectrum of tau from
+    shilov_spectral (_root_inverse), and P(root) sigma is taken by
+    _sandwich, as the witness route takes it.  Another choice of square
+    root would change nothing: it multiplies the root by a square root of e
+    sharing tau's frame, and P of that factor fixes sigma's frame elements.
 
     This builds w itself, through the spectrum and frame of tau, for callers
     that need the point or its frame, and as the reference route of the
@@ -89,13 +91,10 @@ def relative_element(sigma, tau, tol: Tolerances = DEFAULT, branch=0):
         raise DomainError(f"algebra mismatch: {sigma.alg} vs {tau.alg}")
     us = shilov_spectral(tau, tol)
     alg = tau.alg
-    coords = np.zeros(alg.dim, dtype=np.complex128)
-    for j, (a, c) in enumerate(zip(us.angles, us.frame)):
-        half = -0.5 * a + (math.pi if (branch >> j) & 1 else 0.0)
-        coords += np.exp(1j * half) * c.coords
-    root_inv = ElementC(alg, coords)
-    w = -1.0 * cquad_rep_apply(root_inv, sigma.value)
-    return ShilovPoint(w, tol)
+    v = _sandwich(alg, _root_inverse(alg, us.angles, us.frame),
+                  sigma.value.coords[None])[0]
+    w = v if alg.kind == SPIN else _from_matrix(alg, v)
+    return ShilovPoint(ElementC(alg, -w), tol)
 
 
 def _coincidence_split(angles, tol, mode, what="pair"):
@@ -284,40 +283,26 @@ def _souriau_value(lift1, lift2, angles, mask, tol):
     return value, raw, residual, m_count
 
 
-@dataclass(frozen=True)
-class _Witness:
-    """A witness candidate: the point tau, its canonical lift and the root
-    tau^{-1/2} in the form _witness_iota takes."""
-
-    point: ShilovPoint
-    lift: LiftedPoint
-    root: np.ndarray
-
-
-class _WitnessStream:
-    """The witness candidates of one algebra: the draws of random_shilov
-    from _WITNESS_SEED, made lazily, each kept as a _Witness with its root
-    in closed form.  A search grows the stream only as far as it reaches."""
-
-    def __init__(self, alg):
-        self.alg = alg
-        self.rng = np.random.default_rng(_WITNESS_SEED)
-        self.drawn = []
-
-    def __iter__(self):
-        for k in range(_WITNESS_TRIES):
-            if k == len(self.drawn):
-                point, angles, frame = _random_spectral(self.alg, self.rng)
-                self.drawn.append(_Witness(point, lift(point),
-                                           _root_inverse(self.alg, angles, frame)))
-            yield self.drawn[k]
-
-
 @lru_cache(maxsize=64)
-def _witness_stream(alg):
-    """The cached candidates: they are drawn and checked at the default
-    tolerances whatever the caller's, so one stream serves every tol."""
-    return _WitnessStream(alg)
+def _witness_draws(alg):
+    """The witness candidates of one algebra drawn so far, and the generator
+    they come from: ([(point, lift, root), ...], rng).  They are drawn and
+    checked at the default tolerances whatever the caller's, so one list
+    serves every tol."""
+    return [], np.random.default_rng(_WITNESS_SEED)
+
+
+def _witnesses(alg):
+    """The witness candidates of one algebra: the draws of random_shilov
+    from _WITNESS_SEED, each with its canonical lift and its root
+    tau^{-1/2} in closed form.  They are drawn lazily into the cached list,
+    so a search extends it only as far as it reaches."""
+    drawn, rng = _witness_draws(alg)
+    for k in range(_WITNESS_TRIES):
+        if k == len(drawn):
+            point, angles, frame = _random_spectral(alg, rng)
+            drawn.append((point, lift(point), _root_inverse(alg, angles, frame)))
+        yield drawn[k]
 
 
 def _root_inverse(alg, angles, frame):
@@ -325,6 +310,16 @@ def _root_inverse(alg, angles, frame):
     matrix for the matrix kinds, coordinates on the spin factor."""
     coords = np.exp(-0.5j * np.asarray(angles)) @ np.array([c.coords for c in frame])
     return coords if alg.kind == SPIN else _to_matrix(alg, coords)
+
+
+def _sandwich(alg, root, rows):
+    """P(root) s for the complex coordinate rows s (N, dim) and a root from
+    _root_inverse: coordinate rows 2 r o (r o s) - (r o r) o s on the spin
+    factor, the matrices R S R (N, m, m) on the matrix kinds."""
+    if alg.kind == SPIN:
+        return (2.0 * _mul(alg, root, _mul(alg, root, rows))
+                - _mul(alg, _mul(alg, root, root), rows))
+    return root @ _to_matrix(alg, rows) @ root
 
 
 def _witness_iota(alg, root, p1, p2, nulls, tol):
@@ -340,17 +335,15 @@ def _witness_iota(alg, root, p1, p2, nulls, tol):
     smallest in modulus are the coincidence directions of the pair; None
     when they are not clearly apart from the rest (_null_signature).
     """
-    s = np.array([p1.value.coords, p2.value.coords])
+    v = _sandwich(alg, root, np.array([p1.value.coords, p2.value.coords]))
     if alg.kind == SPIN:
-        rs = _mul(alg, root, s)
-        a = _mul(alg, _mul(alg, root, root), s) - 2.0 * _mul(alg, root, rs)
+        a = -v
         a[:, 0] += 1.0                                  # e - v
         inv = _cinverse_rows(alg, a, tol)[1]
         y = (2j * (inv[0] - inv[1])).real
         size = np.linalg.norm(y[1:])
         eigs = np.array([y[0] - size, y[0] + size])
     else:
-        v = root @ _to_matrix(alg, s) @ root
         x = np.linalg.inv(np.eye(alg.param) - v)
         eigs = np.linalg.eigvalsh(2j * (x[0] - x[1]))
     return _null_signature(eigs, nulls, tol)
@@ -380,22 +373,22 @@ def _witness_sum(lift1, lift2, wlift, rows, masks, iota, tol):
 
 
 def _find_witness(lift1, lift2, nulls, tol):
-    """(witness, m through it) from the first cached candidate that is
+    """(witness point, m through it) from the first cached candidate that is
     strictly transverse to both points and whose signature separates the
     `nulls` coincidence directions of the pair; one pair_angles call per
     candidate tried."""
     p1, p2 = lift1.point, lift2.point
-    for wit in _witness_stream(p1.alg):
-        rows = pair_angles([wit.point, wit.point], [p1, p2], tol)
+    for point, wlift, root in _witnesses(p1.alg):
+        rows = pair_angles([point, point], [p1, p2], tol)
         try:
             masks = [_coincidence_split(a, tol, STRICT) for a in rows]
         except AmbiguityError:
             continue
         if any(mask.any() for mask in masks):
             continue
-        iota = _witness_iota(p1.alg, wit.root, p1, p2, nulls, tol)
+        iota = _witness_iota(p1.alg, root, p1, p2, nulls, tol)
         if iota is not None:
-            return wit, _witness_sum(lift1, lift2, wit.lift, rows, masks, iota, tol)
+            return point, _witness_sum(lift1, lift2, wlift, rows, masks, iota, tol)
     raise AmbiguityError("no transverse witness found for the pair")
 
 
@@ -421,12 +414,12 @@ def _souriau_report(lift1, lift2, tol, mode):
     value, raw, residual, m_count = _souriau_raw(lift1, lift2, tol, mode)
     witnesses = ()
     if m_count > 0:
-        wit, check = _find_witness(lift1, lift2, m_count, tol)
+        point, check = _find_witness(lift1, lift2, m_count, tol)
         if check != value:
             raise IntegralityError(
                 "extended Souriau index failed its witness cross-check: "
                 f"direct={value}, witness route={check}")
-        witnesses = (wit.point,)
+        witnesses = (point,)
     return IndexReport(value, raw, residual, witnesses), m_count
 
 
@@ -536,6 +529,15 @@ def m_shared_frame(angles1, theta1, angles2, theta2, eps=1e-9):
     return value
 
 
+def _halved(total, raw_total, what, witnesses=()):
+    """The report of the index total / 2, whose pre-rounding value is
+    raw_total / 2; IntegralityError when total is odd."""
+    if total % 2 != 0:
+        raise IntegralityError(f"{what} came out half-integer: {total}/2")
+    raw = 0.5 * raw_total
+    return IndexReport(total // 2, raw, abs(raw - total // 2), witnesses)
+
+
 def inertia_j(s1, s2, s3, tol: Tolerances = DEFAULT, mode=STRICT):
     """Inertia index of a triple:
     (iota + mu(1,2) - mu(1,3) + mu(2,3) + r) / 2.
@@ -548,10 +550,7 @@ def inertia_j(s1, s2, s3, tol: Tolerances = DEFAULT, mode=STRICT):
     iota, masks = _iota_report(s1, s2, s3, tol, mode)
     mu12, mu23, mu31 = (int(np.sum(mask)) for mask in masks)
     total = iota.value + mu12 - mu31 + mu23 + s1.alg.rank
-    if total % 2 != 0:
-        raise IntegralityError(f"inertia index came out half-integer: {total}/2")
-    raw = 0.5 * (iota.raw + total - iota.value)
-    return IndexReport(total // 2, raw, abs(raw - total // 2))
+    return _halved(total, iota.raw + total - iota.value, "inertia index")
 
 
 def arnold_nu(lift1, lift2, tol: Tolerances = DEFAULT, mode=STRICT):
@@ -559,11 +558,8 @@ def arnold_nu(lift1, lift2, tol: Tolerances = DEFAULT, mode=STRICT):
     check_mode(mode)
     m_rep, mu_val = _souriau_report(lift1, lift2, tol, mode)
     r = lift1.alg.rank
-    total = m_rep.value - mu_val - r
-    if total % 2 != 0:
-        raise IntegralityError(f"Arnold index came out half-integer: {total}/2")
-    raw = 0.5 * (m_rep.raw - mu_val - r)
-    return IndexReport(total // 2, raw, abs(raw - total // 2), m_rep.witnesses)
+    return _halved(m_rep.value - mu_val - r, m_rep.raw - mu_val - r,
+                   "Arnold index", m_rep.witnesses)
 
 
 def alm_n(lift1, lift2, tol: Tolerances = DEFAULT, mode=STRICT):
@@ -571,8 +567,5 @@ def alm_n(lift1, lift2, tol: Tolerances = DEFAULT, mode=STRICT):
     check_mode(mode)
     m_rep, mu_val = _souriau_report(lift1, lift2, tol, mode)
     r = lift1.alg.rank
-    total = m_rep.value + mu_val + r
-    if total % 2 != 0:
-        raise IntegralityError(f"ALM index came out half-integer: {total}/2")
-    raw = 0.5 * (m_rep.raw + mu_val + r)
-    return IndexReport(total // 2, raw, abs(raw - total // 2), m_rep.witnesses)
+    return _halved(m_rep.value + mu_val + r, m_rep.raw + mu_val + r,
+                   "ALM index", m_rep.witnesses)

@@ -421,9 +421,8 @@ def suite_path_additivity(rng, s):
 
         # phase wiggles shift the relative eigenangles rigidly, so staying
         # under the transversality margin forces a zero pair index
-        w = ix.relative_element(sigma, ref)
         margin = float(np.min(np.abs(np.abs(
-            bd.shilov_spectral(w).angles) - math.pi)))
+            ix.pair_angles([sigma], [ref])[0]) - math.pi)))
         path1 = dy.BoundaryPath.from_function(
             _phase_path_fn(sigma, 0.0, wiggle=0.3 * margin), n=s.loop_n)
         path2 = dy.BoundaryPath.from_function(

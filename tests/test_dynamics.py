@@ -2,6 +2,7 @@
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -226,7 +227,7 @@ def bare_phase_loop(sigma, turns, ts, off=None):
     if off is not None:
         t, p = samples[off]
         samples[off] = (t, bd.ShilovPoint(
-            (1 + 1e-5) * p.value, DEFAULT.with_overrides(boundary=1e-3)))
+            (1 + 1e-5) * p.value, replace(DEFAULT, boundary=1e-3)))
     return dy.BoundaryPath(samples)
 
 
@@ -409,7 +410,7 @@ def jump_path(fn, n, jump, window, off=False):
     if off:
         t, p = samples[-2]
         samples[-2] = (t, bd.ShilovPoint(
-            (1 + 1e-5) * p.value, DEFAULT.with_overrides(boundary=1e-3)))
+            (1 + 1e-5) * p.value, replace(DEFAULT, boundary=1e-3)))
     return dy.BoundaryPath(samples, sampler=sampler)
 
 
@@ -674,7 +675,7 @@ def assert_same_outcome(got, want):
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
 def test_standard_base_lift_is_built_once(alg):
-    tol = DEFAULT.with_overrides(transverse=2e-7)
+    tol = replace(DEFAULT, transverse=2e-7)
     base = dy.standard_base_lift(alg, tol)
     assert dy.standard_base_lift(alg, tol) is base
     fresh = dy.standard_base_lift.__wrapped__(alg, tol)
@@ -709,7 +710,7 @@ def test_power_lift_raises_earliest_error(alg, boundary):
     """Under a tight boundary tolerance, tube orbits are refused at inner
     iterates; the batched orbit raises the class and message of the
     sequential loop, at the same iterate."""
-    tol = DEFAULT.with_overrides(boundary=boundary)
+    tol = replace(DEFAULT, boundary=boundary)
     base = dy.standard_base_lift(alg, tol)
     inner = []
     for seed in range(40):
@@ -737,7 +738,7 @@ def test_power_lift_step_and_check_errors_in_order(monkeypatch, alg, seed,
                                                    boundary, failing):
     """A step error planted before the refused iterate is raised; one planted
     after it is not reached."""
-    tol = DEFAULT.with_overrides(boundary=boundary)
+    tol = replace(DEFAULT, boundary=boundary)
     base = dy.standard_base_lift(alg, tol)
     word = bd.random_word(alg, np.random.default_rng(seed), "tube")
     trail = []

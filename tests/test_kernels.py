@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from _cases import ALGEBRAS
+import _oracles as orc
 from maslov_kit import algebra as al
 from maslov_kit import boundary as bd
 
@@ -24,11 +24,11 @@ def random_symmetric(n, rng, scale=1.0):
 def check_decomposition(alg, a):
     """Descending eigenvalues of a, and a frame of orthogonal projectors
     that rebuilds it; returns the projector matrices."""
-    spec = al.spectral_decompose_real(al.from_matrix(alg, a))
+    spec = al.spectral_decompose_real(orc.from_matrix(alg, a))
     ref = np.sort(np.linalg.eigvalsh(a))[::-1]
     scale = 1.0 + np.max(np.abs(ref))
     assert np.allclose(spec.values, ref, atol=1e-11 * scale)
-    projs = [al.to_matrix(c) for c in spec.frame]
+    projs = [orc.to_matrix(c) for c in spec.frame]
     recon = sum(lam * p for lam, p in zip(spec.values, projs))
     assert np.allclose(recon, a, atol=1e-10 * scale)
     for i, p in enumerate(projs):
@@ -68,18 +68,17 @@ def test_eigh_zero_matrix():
 
 
 def test_expm_helpers_match_scipy():
+    """exp(s H) for a symmetric or Hermitian H at real, imaginary and
+    complex s, and exp(K) for a real antisymmetric K, which is orthogonal."""
     rng = np.random.default_rng(11)
-    for alg in ALGEBRAS:
-        v, a, b = (al.random_element(alg, rng) for _ in range(3))
-        lv = al.lmul_operator(v)
-        assert np.allclose(bd.LinearGen([("lmul", v)]).matrix,
-                           scipy.linalg.expm(lv), atol=1e-11)
-        assert np.allclose(bd.UnitaryGen([("exp-iL", v)]).matrix,
-                           scipy.linalg.expm(1j * lv), atol=1e-11)
-        la, lb = al.lmul_operator(a), al.lmul_operator(b)
-        ref = scipy.linalg.expm(la @ lb - lb @ la)
-        ours = bd.LinearGen([("derivation", a, b)]).matrix
-        assert np.allclose(ours, ref, atol=1e-11)
-        assert np.allclose(ours @ ours.T, np.eye(alg.dim), atol=1e-12)
-        assert np.allclose(bd.UnitaryGen([("derivation", a, b)]).matrix,
-                           ref, atol=1e-11)
+    for n in (1, 2, 3, 5):
+        for _ in range(10):
+            for h in (random_symmetric(n, rng), random_hermitian(n, rng)):
+                for s in (1.0, 0.5j, -0.25 + 0.7j):
+                    assert np.allclose(bd._expm_hermitian(h, s),
+                                       scipy.linalg.expm(s * h), atol=1e-11)
+            a = rng.standard_normal((n, n))
+            ours = bd._expm_antisymmetric(a - a.T)
+            assert ours.dtype == np.float64
+            assert np.allclose(ours, scipy.linalg.expm(a - a.T), atol=1e-11)
+            assert np.allclose(ours @ ours.T, np.eye(n), atol=1e-12)
