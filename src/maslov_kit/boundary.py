@@ -234,6 +234,18 @@ class LiftedPoint:
         return self.point.alg
 
 
+def _passed_lift(value, theta):
+    """LiftedPoint(ShilovPoint(value, tol), theta) for an ElementC row that
+    boundary_refusals(alg, rows, tol, thetas) has passed with theta: the
+    tests of both constructors, already run in that one call."""
+    point = object.__new__(ShilovPoint)
+    object.__setattr__(point, "value", value)
+    lifted = object.__new__(LiftedPoint)
+    object.__setattr__(lifted, "point", point)
+    object.__setattr__(lifted, "theta", theta)
+    return lifted
+
+
 def lift(sigma, k=0, tol: Tolerances = DEFAULT):
     """Canonical lift with theta = (Arg det(sigma) + 2 pi k) / r."""
     sigma = as_shilov(sigma, tol)
@@ -407,43 +419,82 @@ def _cayley_matrices(alg):
     return p, np.linalg.inv(p)
 
 
-def _lf_apply(alg, g, z, tol: Tolerances = DEFAULT):
-    """(g(z), mu) for the matrix g at complex coordinates z, where
-    Delta_g(tz) / Delta_g(0) = prod(1 + t lambda_k), mu = 1 + lambda and
-    |lambda_k| < 1 on the closed disk.  DomainError where Delta_g vanishes."""
+def _factor_rows(alg, g, rows, tol):
+    """(mu, refused) for the matrix g over coordinate rows (N, dim), where
+    Delta_g(tz) / Delta_g(0) = prod(1 + t lambda_k), mu = 1 + lambda (N, n)
+    and |lambda_k| < 1 on the closed disk, from one stacked eigvals.
+    refused maps each row where Delta_g vanishes to its DomainError; a row
+    whose factor matrix is not finite is among them, with mu = nan, and goes
+    into eigvals as filler.  Each row's arithmetic is independent of the
+    other rows."""
     if alg.kind == "spin":
-        dz = _det(alg, z)
-        head = g[:, 0] + g[:, 1:-1] @ z + g[:, -1] * dz
-        # 1 + t p + t^2 s = (1 + t l1)(1 + t l2): l1, l2 solve x^2 - p x + s
-        p, s = g[0, 1:-1] @ z / g[0, 0], g[0, -1] * dz / g[0, 0]
-        lam = np.linalg.eigvals(np.array([[p, -s], [1.0, 0.0]]))
+        # 1 + t p + t^2 s = (1 + t l1)(1 + t l2): l1, l2 solve x^2 - p x + s;
+        # p is an elementwise sum, so its bits do not depend on N as a BLAS
+        # matrix-vector product's may
+        mats = np.zeros((len(rows), 2, 2), dtype=np.complex128)
+        mats[:, 0, 0] = (rows * g[0, 1:-1]).sum(axis=1) / g[0, 0]
+        mats[:, 0, 1] = -(g[0, -1] * _det(alg, rows) / g[0, 0])
+        mats[:, 1, 0] = 1.0
     else:
         m = alg.param
-        w = _to_matrix(alg, z)
-        num = g[:m, :m] @ w + g[:m, m:]
-        den = g[m:, :m] @ w + g[m:, m:]
-        lam = np.linalg.eigvals(np.linalg.solve(g[m:, m:], g[m:, :m] @ w))
+        mats = np.linalg.solve(g[m:, m:], g[m:, :m] @ _to_matrix(alg, rows))
+    try:
+        lam = np.linalg.eigvals(mats)
+    except np.linalg.LinAlgError:       # raised on non-finite rows too
+        finite = np.isfinite(mats).all(axis=(1, 2))
+        lam = np.linalg.eigvals(np.where(finite[:, None, None], mats, 0.0))
+        lam[~finite] = np.nan
     mu = 1.0 + lam
-    if np.min(np.abs(mu)) <= tol.rank * (1.0 + np.max(np.abs(lam))):
-        raise DomainError("undefined where Delta_g vanishes "
-                          f"(min |1 + lambda| = {np.min(np.abs(mu)):.2e})")
+    modulus, spread = np.abs(mu), np.abs(lam)
+    if modulus.min() > tol.rank * (1.0 + spread.max()):     # then every row passes
+        return mu, {}
+    size = modulus.min(axis=1)
+    ok = size > tol.rank * (1.0 + spread.max(axis=1))
+    return mu, {k: DomainError("undefined where Delta_g vanishes "
+                               f"(min |1 + lambda| = {size[k]:.2e})")
+                for k in np.flatnonzero(~ok).tolist()}
+
+
+def _lf_image(alg, g, z):
+    """g(z) for the matrix g at one coordinate row z, unchecked: where
+    Delta_g(z) vanishes the result is not finite, or LinAlgError."""
     if alg.kind == "spin":
-        return head[1:-1] / head[0], mu
-    return _from_matrix(alg, np.linalg.solve(den.T, num.T).T), mu
+        head = g[:, 0] + g[:, 1:-1] @ z + g[:, -1] * _det(alg, z)
+        return head[1:-1] / head[0]
+    m = alg.param
+    w = _to_matrix(alg, z)
+    num = g[:m, :m] @ w + g[:m, m:]
+    den = g[m:, :m] @ w + g[m:, m:]
+    return _from_matrix(alg, np.linalg.solve(den.T, num.T).T)
+
+
+def _checked(result):
+    """The value of a (value, refused) pair from _factor_rows or _phi_rows,
+    raising the error of the first refused row."""
+    value, refused = result
+    if refused:
+        raise refused[min(refused)]
+    return value
+
+
+def _gated_image(alg, g, z, tol):
+    """g(z) at one coordinate row z; DomainError where Delta_g vanishes."""
+    _checked(_factor_rows(alg, g, z[None], tol))
+    return _lf_image(alg, g, z)
 
 
 def cayley_p(z, tol: Tolerances = DEFAULT):
     """p(z) = e - 2i (z + ie)^{-1}, mapping the tube domain onto the disk."""
     z = complexify(z)
-    return ElementC(z.alg, _lf_apply(z.alg, _cayley_matrices(z.alg)[0],
-                                     z.coords, tol)[0])
+    return ElementC(z.alg, _gated_image(z.alg, _cayley_matrices(z.alg)[0],
+                                        z.coords, tol))
 
 
 def cayley_c(w, tol: Tolerances = DEFAULT):
     """c(w) = -ie + 2i (e - w)^{-1}, inverse of cayley_p."""
     w = complexify(w)
-    return ElementC(w.alg, _lf_apply(w.alg, _cayley_matrices(w.alg)[1],
-                                     w.coords, tol)[0])
+    return ElementC(w.alg, _gated_image(w.alg, _cayley_matrices(w.alg)[1],
+                                        w.coords, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +637,12 @@ class GroupWord:
     def linear_fractional(self):
         """(G, j(g, 0), phi(g, 0)), built once per word: G is the word's
         matrix on the closed disk, phi(g, 0) the principal Arg j(g, 0) or
-        the validated base_arg."""
+        the validated base_arg.
+
+        Where j(g, 0) lies on the negative real axis, rounding in G picks
+        -pi or +pi for the principal Arg.  The two choices are deck
+        translates of one another: c(g) moves by 2, and rho mod 1 does not
+        move."""
         if self._lf is None:
             alg, m = self.alg, self.alg.param
             p, pinv = _cayley_matrices(alg)
@@ -623,9 +679,10 @@ class GroupWord:
         identity element, not a deck translate of it."""
         gens = [g.inverse() for g in reversed(self.generators)]
         zero = np.zeros(self.alg.dim, dtype=np.complex128)
-        pre, _ = _lf_apply(self.alg, np.linalg.inv(self.linear_fractional()[0]),
-                           zero)
-        return GroupWord(self.alg, gens, base_arg=-_phi_at(self, pre, DEFAULT)[0])
+        pre = _gated_image(self.alg, np.linalg.inv(self.linear_fractional()[0]),
+                           zero, DEFAULT)
+        phi = _checked(_phi_rows(self, pre[None], DEFAULT))[0]
+        return GroupWord(self.alg, gens, base_arg=-phi)
 
     def __repr__(self):
         kinds = ",".join(type(g).__name__.replace("Gen", "") for g in self.generators)
@@ -648,9 +705,10 @@ def compose_words(outer, inner, tol: Tolerances = DEFAULT):
         raise DomainError("algebra mismatch between words")
     alg = outer.alg
     g, _, phi0 = inner.linear_fractional()
-    inner0, _ = _lf_apply(alg, g, np.zeros(alg.dim, dtype=np.complex128), tol)
+    inner0 = _gated_image(alg, g, np.zeros(alg.dim, dtype=np.complex128), tol)
+    phi = _checked(_phi_rows(outer, inner0[None], tol))[0]
     return GroupWord(alg, inner.generators + outer.generators,
-                     base_arg=_phi_at(outer, inner0, tol)[0] + phi0)
+                     base_arg=phi + phi0)
 
 
 def _coords_on(word, z):
@@ -664,7 +722,7 @@ def _coords_on(word, z):
 
 def apply_word(word, z, tol: Tolerances = DEFAULT):
     """Evaluate the word at z (ElementC, ElementJ, or ShilovPoint)."""
-    image, _ = _lf_apply(word.alg, word.linear_fractional()[0],
+    image = _gated_image(word.alg, word.linear_fractional()[0],
                          _coords_on(word, z), tol)
     if isinstance(z, ShilovPoint):
         return ShilovPoint(ElementC(word.alg, image), tol)
@@ -674,7 +732,7 @@ def apply_word(word, z, tol: Tolerances = DEFAULT):
 def cocycle_j(word, z, tol: Tolerances = DEFAULT):
     """j(g, z) = det(Dg(z) e) = j(g, 0) prod(mu)^{-2}."""
     g, j0, _ = word.linear_fractional()
-    _, mu = _lf_apply(word.alg, g, _coords_on(word, z), tol)
+    mu = _checked(_factor_rows(word.alg, g, _coords_on(word, z)[None], tol))[0]
     return complex(j0 / np.prod(mu) ** 2)
 
 
@@ -685,22 +743,33 @@ def word_chi(word):
     return word.linear_fractional()[1]
 
 
-def _phi_at(word, z, tol):
-    """(phi(g, z), g(z)) = (phi(g, 0) - 2 sum Arg mu_k, g(z)): continuous
-    along t -> tz while every mu_k lies in the open right half-plane, as it
-    does on the closed disk; elsewhere its failure is refused."""
+def _phi_rows(word, rows, tol):
+    """(phi, refused) over coordinate rows (N, dim): phi(g, z_k) =
+    phi(g, 0) - 2 sum Arg mu, continuous along t -> t z_k while every mu
+    lies in the open right half-plane, as it does on the closed disk.
+    refused maps each failing row to its error: the DomainError of
+    _factor_rows, or else an AmbiguityError where a factor left the
+    half-plane."""
     g, _, phi0 = word.linear_fractional()
-    image, mu = _lf_apply(word.alg, g, z, tol)
-    if np.min(mu.real) <= 0.0:
-        raise AmbiguityError(
-            "a factor of Delta_g left the right half-plane: phi(g, z) uncertified")
-    return phi0 - 2.0 * float(np.sum(np.angle(mu))), image
+    mu, refused = _factor_rows(word.alg, g, rows, tol)
+    if mu.real.min() <= 0.0:
+        for k in np.flatnonzero(mu.real.min(axis=1) <= 0.0).tolist():
+            refused.setdefault(k, AmbiguityError("a factor of Delta_g left the "
+                                                 "right half-plane: phi(g, z) uncertified"))
+    return phi0 - 2.0 * np.angle(mu).sum(axis=1), refused
+
+
+def _phi_image(word, z, tol):
+    """(phi(g, z), g(z)) at one coordinate row z: the checks of _phi_rows
+    first, then the image."""
+    phi = _checked(_phi_rows(word, z[None], tol))[0]
+    return float(phi), _lf_image(word.alg, word.linear_fractional()[0], z)
 
 
 def determination_phi(word, sigma, tol: Tolerances = DEFAULT):
     """The continuous determination phi(g, sigma), seeded at phi(g, 0)."""
     sigma = as_shilov(sigma, tol)
-    phi, image = _phi_at(word, _coords_on(word, sigma), tol)
+    phi, image = _phi_image(word, _coords_on(word, sigma), tol)
     ShilovPoint(ElementC(word.alg, image), tol)   # g(sigma) must stay on S
     return phi
 
@@ -708,9 +777,12 @@ def determination_phi(word, sigma, tol: Tolerances = DEFAULT):
 def act_lift(word, lifted, tol: Tolerances = DEFAULT):
     """Action on the universal cover: (sigma, theta) ->
     (g(sigma), theta + phi(g, sigma)/r)."""
-    phi, image = _phi_at(word, _coords_on(word, lifted.point), tol)
-    return LiftedPoint(ShilovPoint(ElementC(word.alg, image), tol),
-                       lifted.theta + phi / word.alg.rank)
+    phi, image = _phi_image(word, _coords_on(word, lifted.point), tol)
+    value, theta = ElementC(word.alg, image), lifted.theta + phi / word.alg.rank
+    refused = boundary_refusals(word.alg, value.coords[None], tol, [theta])
+    if refused:
+        raise DomainError(refused[0])
+    return _passed_lift(value, theta)
 
 
 def random_word(alg, rng, mode="tube", n_gens=3, scale=0.4):

@@ -391,35 +391,42 @@ def _power_lift(word, lifted, power, tol):
     """g^power . lifted for power >= 1, equal iterate for iterate and error
     for error to `power` calls of bd.act_lift.
 
-    The orbit is walked once: each of the `power` steps keeps only the
-    coordinates and theta of its iterate, and a failing step ends the walk.
-    One bd.boundary_refusals call then runs the ShilovPoint and LiftedPoint
-    tests on every iterate reached.  The earliest refused iterate raises its
-    refusal; with none refused, the step that ended the walk raises its
-    error.  That is the error of the sequential loop, which would have
-    stopped at that iterate or step.  The returned point is built by the
-    constructors from the last iterate.
+    Pass 1 walks the orbit with the image step alone, bd._lf_image, and
+    keeps every iterate's coordinates; a step whose image raises
+    LinAlgError ends it.  Pass 2 checks the inputs of all steps taken in
+    one bd._phi_rows call, which gives each step's phi (so each iterate's
+    theta) and the verdicts of its gate and half-plane checks, and the
+    iterates in one bd.boundary_refusals call, the ShilovPoint and
+    LiftedPoint tests.  The earliest failing event raises, in the order the
+    sequential loop meets them: the checks of step k, then the LinAlgError
+    of its image, then the refusal of iterate k + 1, then step k + 1.
+    Iterates past a failed step may be garbage, even non-finite; they raise
+    nothing in either pass.  The returned point is the last iterate, which
+    that one call has passed.
     """
-    r = word.alg.rank
-    z, theta = bd._coords_on(word, lifted.point), lifted.theta
-    coords, thetas, error = [], [], None
-    for _ in range(power):
-        try:
-            phi, z = bd._phi_at(word, z, tol)
-        except (MaslovKitError, np.linalg.LinAlgError) as exc:
-            error = exc
-            break
-        theta = theta + phi / r
-        coords.append(z)
-        thetas.append(theta)
-    if coords:
-        refused = bd.boundary_refusals(word.alg, np.array(coords), tol, thetas)
-        if refused:
-            raise DomainError(refused[min(refused)])
-    if error is not None:
-        raise error
-    return bd.LiftedPoint(bd.ShilovPoint(bd.ElementC(word.alg, coords[-1]), tol),
-                          thetas[-1])
+    alg, r = word.alg, word.alg.rank
+    g = word.linear_fractional()[0]
+    z = bd._coords_on(word, lifted.point)
+    rows, stop = [z], None
+    with np.errstate(all="ignore"):
+        for _ in range(power):
+            try:
+                z = bd._lf_image(alg, g, z)
+            except np.linalg.LinAlgError as exc:
+                stop = exc
+                break
+            rows.append(z)
+        rows = np.array(rows)
+        phis, steps = bd._phi_rows(word, rows[:power], tol)
+        thetas = np.cumsum(np.r_[lifted.theta, phis[:len(rows) - 1] / r])[1:]
+        refused = bd.boundary_refusals(alg, rows[1:], tol, thetas)
+    events = {(k, 0): exc for k, exc in steps.items()}
+    if stop is not None:
+        events[(len(rows) - 1, 1)] = stop
+    events.update({(k, 2): DomainError(msg) for k, msg in refused.items()})
+    if events:
+        raise events[min(events)]
+    return bd._passed_lift(bd.ElementC(alg, rows[-1]), float(thetas[-1]))
 
 
 def translation_tau(word, power, base=None, tol: Tolerances = DEFAULT,
@@ -427,10 +434,11 @@ def translation_tau(word, power, base=None, tol: Tolerances = DEFAULT,
     """Translation number estimate (c(g^K)/K, error bound r/K).
 
     The bound comes from the quasimorphism defect |c(gh) - c(g) - c(h)| <= r.
-    The orbit of the base lift is walked once, all K steps, and its K
-    iterates are checked on the boundary in one batch (_power_lift); a
-    refused orbit raises the error of its earliest failing iterate, as K
-    calls of act_lift would.
+    The orbit of the base lift is walked in two passes (_power_lift): the K
+    images step by step, then every step's factors of Delta_g and
+    determination in one batched pass, and every iterate's boundary check
+    in another.  A refused orbit raises the error of its earliest failing
+    event, as K calls of act_lift would.
     """
     check_mode(mode)
     if power < 1:

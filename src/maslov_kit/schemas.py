@@ -24,7 +24,6 @@ from .boundary import (
     TranslateGen,
     UnitaryGen,
     celement,
-    lift,
 )
 from .config import DEFAULT, Tolerances
 from .dynamics import BoundaryPath

@@ -17,7 +17,6 @@ from . import algebra as al
 from . import boundary as bd
 from . import dynamics as dy
 from . import indices as ix
-from .config import DEFAULT
 from .errors import AmbiguityError, DomainError
 
 TWO_PI = 2.0 * math.pi

@@ -206,6 +206,53 @@ def test_boundary_refusals_match_constructors(alg):
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_factor_rows_are_independent_and_take_filler(alg):
+    """Each row's factors and verdict in a batch are those of the row alone,
+    bit for bit; a non-finite row is refused with mu = nan, and the batch
+    raises nothing."""
+    rng = np.random.default_rng(61)
+    word = bd.random_word(alg, rng, "mixed")
+    g = word.linear_fractional()[0]
+    rows = np.array([bd.random_shilov(alg, rng).value.coords for _ in range(6)])
+    rows[2] = np.nan
+    rows[4, 0] = np.inf
+    with np.errstate(all="ignore"):
+        mu, refused = bd._factor_rows(alg, g, rows, DEFAULT)
+    assert {2, 4} <= set(refused) and np.isnan(mu[[2, 4]]).all()
+    for k in (0, 1, 3, 5):
+        alone, verdict = bd._factor_rows(alg, g, rows[k][None], DEFAULT)
+        assert np.array_equal(mu[k], alone[0])
+        assert (k in refused) == bool(verdict)
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_act_lift_checks_as_the_constructors(alg):
+    """act_lift runs the ShilovPoint and LiftedPoint tests in one
+    boundary_refusals call: its lifts, its refusals and their messages are
+    those of the two constructors."""
+    for tol in (DEFAULT, replace(DEFAULT, boundary=1e-15),
+                replace(DEFAULT, boundary=1e-17)):
+        for seed in range(12):
+            rng = np.random.default_rng([seed, 51])
+            word = bd.random_word(alg, rng, ("tube", "mixed", "unitary")[seed % 3])
+            lifted = bd.lift(bd.random_shilov(alg, rng), 1)
+
+            def by_constructors():
+                phi, image = bd._phi_image(word, lifted.point.value.coords, tol)
+                return bd.LiftedPoint(bd.ShilovPoint(bd.ElementC(alg, image), tol),
+                                      lifted.theta + phi / alg.rank)
+
+            got = outcome(lambda: bd.act_lift(word, lifted, tol))
+            want = outcome(by_constructors)
+            if isinstance(want, MaslovKitError):
+                assert (type(got), str(got)) == (type(want), str(want))
+            else:
+                assert got.theta == want.theta
+                assert np.array_equal(got.point.value.coords, want.point.value.coords)
+                assert isinstance(got.point, bd.ShilovPoint)
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
 def test_shilov_spectral_examples(alg):
     r = alg.rank
     us = bd.shilov_spectral(bd.unit_shilov(alg))
@@ -476,7 +523,7 @@ def determinations(alg, mode, seed):
     zero = bd.ElementC(alg, np.zeros(alg.dim, complex))
     bare = bd.GroupWord(alg, [g.inverse() for g in reversed(word.generators)])
     for target in (sigma.value.coords, 0.5 * sigma.value.coords):
-        yield (lambda t=target: bd._phi_at(word, t, DEFAULT)[0],
+        yield (lambda t=target: bd._checked(bd._phi_rows(word, t[None], DEFAULT))[0],
                lambda t=target: orc.radial_unwrap(word, t)[0])
     yield (lambda: bd.compose_words(word, inner).base_arg,
            lambda: (orc.radial_unwrap(word, bd.apply_word(inner, zero).coords)[0]

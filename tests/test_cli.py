@@ -487,6 +487,32 @@ def test_src_holds_no_definition_only_tests_reach():
     assert unreferenced_definitions(Path(maslov_kit.__file__).parent) == []
 
 
+def unread_imports(src):
+    """The names that a module of `src` imports and never reads, as
+    "module.name".  A name listed in the module's __all__ counts as read."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == "__all__"
+                    for target in node.targets):
+                read.update(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        found.append(f"{path.stem}.{name}")
+    return found
+
+
+def test_src_imports_only_names_it_reads():
+    assert unread_imports(Path(maslov_kit.__file__).parent) == []
+
+
 def test_version_flag():
     res = invoke("--version")
     assert res.exit_code == 0

@@ -696,10 +696,42 @@ def test_power_lift_matches_sequential_oracle(alg, mode):
         word = bd.random_word(alg, np.random.default_rng(seed), mode)
         other = bd.lift(bd.random_shilov(alg, np.random.default_rng(seed)), 1)
         for lifted in (base, other):
-            for power in (1, 2, 32):
+            for power in (1, 2, 32, 128):
                 assert_same_outcome(
                     outcome(lambda: dy._power_lift(word, lifted, power, DEFAULT)),
                     outcome(lambda: orc.power_lift_sequential(word, lifted, power)))
+
+
+@pytest.mark.parametrize("mode", ["unitary", "tube", "mixed"])
+@pytest.mark.parametrize("alg", ORBIT_ALGEBRAS, ids=lambda a: f"{a.kind}-{a.param}")
+def test_rotation_orbit_makes_one_factor_pass_and_one_check(alg, mode, monkeypatch):
+    """A rotation_rho orbit of K steps takes K image steps, one batched
+    factor pass over the K step inputs and one boundary_refusals call over
+    the K iterates, which also passes the returned point."""
+    log = []
+
+    def count(name, size):
+        orig = getattr(bd, name)
+
+        def counted(*args, **kwargs):
+            log.append((name,) + size(*args, **kwargs))
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(bd, name, counted)
+
+    count("_lf_image", lambda alg_, g, z: ())
+    count("_factor_rows", lambda alg_, g, rows, tol: (len(rows),))
+    count("boundary_refusals", lambda alg_, coords, tol=None, thetas=None:
+          (len(coords), tol is not None, thetas is not None))
+    word = bd.random_word(alg, np.random.default_rng(5), mode)
+    dy.standard_base_lift(alg, DEFAULT)     # the cached base rotation_rho reads
+    for power in (1, 2, 32):
+        log.clear()
+        dy.rotation_rho(word, power)
+        assert log.count(("_lf_image",)) == power
+        assert [e for e in log if e[0] == "_factor_rows"] == [("_factor_rows", power)]
+        assert [e for e in log if e[0] == "boundary_refusals"] == [
+            ("boundary_refusals", power, True, True)]
 
 
 @pytest.mark.parametrize("boundary", [1e-15, 3e-15, 1e-14])
@@ -737,7 +769,9 @@ def test_power_lift_raises_earliest_error(alg, boundary):
 def test_power_lift_step_and_check_errors_in_order(monkeypatch, alg, seed,
                                                    boundary, failing):
     """A step error planted before the refused iterate is raised; one planted
-    after it is not reached."""
+    after it is not reached.  Step errors are planted in the verdicts of the
+    batched checks, which act_lift and the orbit walk both use; a step that
+    fails the gate raises the gate's error even where its image raises."""
     tol = replace(DEFAULT, boundary=boundary)
     base = dy.standard_base_lift(alg, tol)
     word = bd.random_word(alg, np.random.default_rng(seed), "tube")
@@ -748,21 +782,53 @@ def test_power_lift_step_and_check_errors_in_order(monkeypatch, alg, seed,
     loose = []      # the same orbit, accepted under the default tolerance
     orc.power_lift_sequential(word, base, 32, DEFAULT, loose)
     orbit = [base.point.value.coords] + [p.point.value.coords for p in loose]
-    real_step = bd._phi_at
+
+    def at_step(step, rows):
+        return [k for k, z in enumerate(rows) if np.array_equal(z, orbit[step - 1])]
+
+    real_phi_rows = bd._phi_rows
 
     def plant(step):
-        def phi_at(word_, z, tol_):
-            if np.array_equal(z, orbit[step - 1]):
-                raise AmbiguityError(f"planted at step {step}")
-            return real_step(word_, z, tol_)
-        return phi_at
+        def phi_rows(word_, rows, tol_):
+            phis, refused = real_phi_rows(word_, rows, tol_)
+            for k in at_step(step, rows):
+                refused[k] = AmbiguityError(f"planted at step {step}")
+            return phis, refused
+        return phi_rows
 
     for step, raised in [(failing - 3, f"planted at step {failing - 3}"),
                          (failing + 3, "not on the Shilov boundary")]:
-        monkeypatch.setattr(bd, "_phi_at", plant(step))
+        monkeypatch.setattr(bd, "_phi_rows", plant(step))
         want = outcome(lambda: orc.power_lift_sequential(word, base, 32, tol))
         assert str(want).startswith(raised)
         assert_same_outcome(outcome(lambda: dy._power_lift(word, base, 32, tol)), want)
+    monkeypatch.setattr(bd, "_phi_rows", real_phi_rows)
+
+    # step k fails the |mu| gate and its image solve raises LinAlgError: the
+    # gate's DomainError wins; with the gate passing, the LinAlgError is raised
+    step = failing - 3
+    real_factor_rows, real_image = bd._factor_rows, bd._lf_image
+
+    def factor_rows(alg_, g, rows, tol_):
+        mu, refused = real_factor_rows(alg_, g, rows, tol_)
+        for k in at_step(step, rows):
+            refused[k] = DomainError(f"planted gate at step {step}")
+        return mu, refused
+
+    def lf_image(alg_, g, z):
+        if np.array_equal(z, orbit[step - 1]):
+            raise np.linalg.LinAlgError("planted singular image")
+        return real_image(alg_, g, z)
+
+    monkeypatch.setattr(bd, "_lf_image", lf_image)
+    for lift_orbit in (lambda: orc.power_lift_sequential(word, base, 32, tol),
+                       lambda: dy._power_lift(word, base, 32, tol)):
+        with pytest.raises(np.linalg.LinAlgError, match="planted singular image"):
+            lift_orbit()
+    monkeypatch.setattr(bd, "_factor_rows", factor_rows)
+    want = outcome(lambda: orc.power_lift_sequential(word, base, 32, tol))
+    assert str(want) == f"planted gate at step {step}"
+    assert_same_outcome(outcome(lambda: dy._power_lift(word, base, 32, tol)), want)
 
 
 def test_csv_output():
