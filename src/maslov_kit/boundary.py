@@ -15,8 +15,12 @@ Group elements are words in two families of generators:
   exp(i L(v)) and derivation exponentials.
 
 Words may mix both families.  A word acts on the closed disk as one
-linear-fractional matrix, built once per word, which gives g(z), j(g, z) and
-the determination phi(g, z) at every point where the word is defined.
+linear-fractional matrix G, built once per word, which gives g(z), j(g, z)
+and the determination phi(g, z) at every point where the word is defined.
+G acts on coordinates through its coordinate form (_LfForm), also built
+once per word: an image is one product, one m x m solve and one product
+back to coordinates, and the factors of Delta_g over a batch of rows are
+elementwise sums, with no round trip through the matrix realization.
 """
 
 import math
@@ -25,8 +29,8 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .algebra import (AlgebraDescriptor, ElementJ, _Coords, _det, _from_matrix,
-                      _lmul, _mul, _spin_spectral, _to_matrix, element,
+from .algebra import (AlgebraDescriptor, ElementJ, _basis_tensor, _Coords, _det,
+                      _from_matrix, _lmul, _mul, _spin_spectral, _to_matrix, element,
                       lmul_operator, random_element, random_frame,
                       spectral_decompose_real, unit)
 from .config import DEFAULT, Tolerances
@@ -419,25 +423,72 @@ def _cayley_matrices(alg):
     return p, np.linalg.inv(p)
 
 
-def _factor_rows(alg, g, rows, tol):
-    """(mu, refused) for the matrix g over coordinate rows (N, dim), where
-    Delta_g(tz) / Delta_g(0) = prod(1 + t lambda_k), mu = 1 + lambda (N, n)
-    and |lambda_k| < 1 on the closed disk, from one stacked eigvals.
-    refused maps each row where Delta_g vanishes to its DomainError; a row
-    whose factor matrix is not finite is among them, with mu = nan, and goes
-    into eigvals as filler.  Each row's arithmetic is independent of the
-    other rows."""
+class _LfForm:
+    """The coordinate form of a linear-fractional matrix g: the read-only
+    arrays through which g acts on coordinate rows, built once per word.
+
+    On the matrix kinds, with g = [[A, B], [C, D]] and w = sum_i z_i M_i over
+    the basis tensor M, the transposes of Aw + B and Cw + D are the two
+    halves of z @ lin + off, with lin = [A M_i | C M_i] and off = [B | D],
+    each block transposed and flattened row-major.  So an image is that
+    product, one m x m solve and one product with out, the coordinates of
+    the unit matrices (out[k] = _from_matrix(E_k^T)); and the factor matrix
+    D^{-1} C w is sum_i z_i fac_i, with fac_i = D^{-1} C M_i flattened.  On
+    spin the form is g itself, acting on (1, z, det z).
+    """
+
+    __slots__ = ("alg", "g", "lin", "off", "fac", "out")
+
+    def __init__(self, alg, g):
+        g.setflags(write=False)
+        self.alg, self.g = alg, g
+        self.lin = self.off = self.fac = self.out = None
+        if alg.kind == "spin":
+            return
+        m, basis = alg.param, _basis_tensor(alg)
+        flat = alg.dim, m * m
+        self.lin = np.concatenate(
+            [(g[:m, :m] @ basis).transpose(0, 2, 1).reshape(flat),
+             (g[m:, :m] @ basis).transpose(0, 2, 1).reshape(flat)], axis=1)
+        self.off = np.concatenate([g[:m, m:].T.ravel(), g[m:, m:].T.ravel()])
+        self.fac = (np.linalg.solve(g[m:, m:], g[m:, :m]) @ basis).reshape(flat)
+        self.out = _unit_coords(alg)
+        for arr in (self.lin, self.off, self.fac):
+            arr.setflags(write=False)
+
+
+@lru_cache(maxsize=None)
+def _unit_coords(alg):
+    """(m^2, dim): row k holds the coordinates of E_k^T, where E_k is the
+    k-th unit matrix in row-major order, so that the coordinates of X are
+    vec(X^T) @ this (complex, as _from_matrix is complex linear on herm-c)."""
+    m = alg.param
+    units = np.eye(m * m, dtype=np.complex128).reshape(m * m, m, m)
+    out = _from_matrix(alg, units.transpose(0, 2, 1))
+    out.setflags(write=False)
+    return out
+
+
+def _factor_rows(form, rows, tol):
+    """(mu, refused) for the coordinate form of g over coordinate rows
+    (N, dim), where Delta_g(tz) / Delta_g(0) = prod(1 + t lambda_k),
+    mu = 1 + lambda (N, n) and |lambda_k| < 1 on the closed disk, from one
+    stacked eigvals.  refused maps each row where Delta_g vanishes to its
+    DomainError; a row whose factor matrix is not finite is among them, with
+    mu = nan, and goes into eigvals as filler.  Each row's arithmetic is
+    independent of the other rows: the factor matrices are elementwise sums,
+    whose bits do not depend on N as a BLAS matrix product's may."""
+    alg = form.alg
     if alg.kind == "spin":
-        # 1 + t p + t^2 s = (1 + t l1)(1 + t l2): l1, l2 solve x^2 - p x + s;
-        # p is an elementwise sum, so its bits do not depend on N as a BLAS
-        # matrix-vector product's may
+        # 1 + t p + t^2 s = (1 + t l1)(1 + t l2): l1, l2 solve x^2 - p x + s
+        g = form.g
         mats = np.zeros((len(rows), 2, 2), dtype=np.complex128)
         mats[:, 0, 0] = (rows * g[0, 1:-1]).sum(axis=1) / g[0, 0]
         mats[:, 0, 1] = -(g[0, -1] * _det(alg, rows) / g[0, 0])
         mats[:, 1, 0] = 1.0
     else:
         m = alg.param
-        mats = np.linalg.solve(g[m:, m:], g[m:, :m] @ _to_matrix(alg, rows))
+        mats = (rows[:, :, None] * form.fac).sum(axis=1).reshape(len(rows), m, m)
     try:
         lam = np.linalg.eigvals(mats)
     except np.linalg.LinAlgError:       # raised on non-finite rows too
@@ -455,17 +506,19 @@ def _factor_rows(alg, g, rows, tol):
                 for k in np.flatnonzero(~ok).tolist()}
 
 
-def _lf_image(alg, g, z):
-    """g(z) for the matrix g at one coordinate row z, unchecked: where
-    Delta_g(z) vanishes the result is not finite, or LinAlgError."""
+def _lf_image(form, z):
+    """g(z) for the coordinate form of g at one coordinate row z, unchecked:
+    where Delta_g(z) vanishes the result is not finite, or LinAlgError.
+    On the matrix kinds X^T = (Cw + D)^{-T} (Aw + B)^T is one m x m solve."""
+    alg = form.alg
     if alg.kind == "spin":
-        head = g[:, 0] + g[:, 1:-1] @ z + g[:, -1] * _det(alg, z)
+        v = np.empty(alg.dim + 2, dtype=np.complex128)
+        v[0], v[1:-1], v[-1] = 1.0, z, _det(alg, z)
+        head = form.g @ v
         return head[1:-1] / head[0]
     m = alg.param
-    w = _to_matrix(alg, z)
-    num = g[:m, :m] @ w + g[:m, m:]
-    den = g[m:, :m] @ w + g[m:, m:]
-    return _from_matrix(alg, np.linalg.solve(den.T, num.T).T)
+    t = (z @ form.lin + form.off).reshape(2, m, m)
+    return np.linalg.solve(t[1], t[0]).ravel() @ form.out
 
 
 def _checked(result):
@@ -477,24 +530,29 @@ def _checked(result):
     return value
 
 
-def _gated_image(alg, g, z, tol):
-    """g(z) at one coordinate row z; DomainError where Delta_g vanishes."""
-    _checked(_factor_rows(alg, g, z[None], tol))
-    return _lf_image(alg, g, z)
+def _gated_image(form, z, tol):
+    """g(z) at one coordinate row z for the coordinate form of g; DomainError
+    where Delta_g vanishes."""
+    _checked(_factor_rows(form, z[None], tol))
+    return _lf_image(form, z)
+
+
+@lru_cache(maxsize=None)
+def _cayley_forms(alg):
+    """The coordinate forms of (P, P^{-1})."""
+    return tuple(_LfForm(alg, g) for g in _cayley_matrices(alg))
 
 
 def cayley_p(z, tol: Tolerances = DEFAULT):
     """p(z) = e - 2i (z + ie)^{-1}, mapping the tube domain onto the disk."""
     z = complexify(z)
-    return ElementC(z.alg, _gated_image(z.alg, _cayley_matrices(z.alg)[0],
-                                        z.coords, tol))
+    return ElementC(z.alg, _gated_image(_cayley_forms(z.alg)[0], z.coords, tol))
 
 
 def cayley_c(w, tol: Tolerances = DEFAULT):
     """c(w) = -ie + 2i (e - w)^{-1}, inverse of cayley_p."""
     w = complexify(w)
-    return ElementC(w.alg, _gated_image(w.alg, _cayley_matrices(w.alg)[1],
-                                        w.coords, tol))
+    return ElementC(w.alg, _gated_image(_cayley_forms(w.alg)[1], w.coords, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +673,7 @@ class GroupWord:
     agree with Arg j(g, 0) modulo 2 pi (checked when used).
     """
 
-    __slots__ = ("alg", "generators", "base_arg", "_lf")
+    __slots__ = ("alg", "generators", "base_arg", "_lf", "_form")
 
     def __init__(self, alg, generators, base_arg=None):
         if not isinstance(alg, AlgebraDescriptor):
@@ -629,7 +687,7 @@ class GroupWord:
                 raise DomainError(
                     f"generator {k} lives on {gen.alg}, the word on {alg}")
         self.base_arg = None if base_arg is None else float(base_arg)
-        self._lf = None
+        self._lf = self._form = None
 
     def is_unitary(self):
         return all(g.family == "unitary" for g in self.generators)
@@ -637,12 +695,15 @@ class GroupWord:
     def linear_fractional(self):
         """(G, j(g, 0), phi(g, 0)), built once per word: G is the word's
         matrix on the closed disk, phi(g, 0) the principal Arg j(g, 0) or
-        the validated base_arg.
+        the validated base_arg.  G is read-only.
 
         Where j(g, 0) lies on the negative real axis, rounding in G picks
         -pi or +pi for the principal Arg.  The two choices are deck
         translates of one another: c(g) moves by 2, and rho mod 1 does not
-        move."""
+        move.
+
+        Every use of G on coordinates reads its coordinate form instead
+        (coordinate_form)."""
         if self._lf is None:
             alg, m = self.alg, self.alg.param
             p, pinv = _cayley_matrices(alg)
@@ -673,14 +734,21 @@ class GroupWord:
             self._lf = (g, j0, phi0)
         return self._lf
 
+    def coordinate_form(self):
+        """The coordinate form of G (_LfForm), built once, on first use by
+        an image or a factor pass."""
+        if self._form is None:
+            self._form = _LfForm(self.alg, self.linear_fractional()[0])
+        return self._form
+
     def inverse(self):
         """Inverse in the covering group: the determination is seeded at
         -phi(g, g^{-1}(0)) so that g composed with g.inverse() is the
         identity element, not a deck translate of it."""
         gens = [g.inverse() for g in reversed(self.generators)]
         zero = np.zeros(self.alg.dim, dtype=np.complex128)
-        pre = _gated_image(self.alg, np.linalg.inv(self.linear_fractional()[0]),
-                           zero, DEFAULT)
+        inv = _LfForm(self.alg, np.linalg.inv(self.linear_fractional()[0]))
+        pre = _gated_image(inv, zero, DEFAULT)
         phi = _checked(_phi_rows(self, pre[None], DEFAULT))[0]
         return GroupWord(self.alg, gens, base_arg=-phi)
 
@@ -704,11 +772,11 @@ def compose_words(outer, inner, tol: Tolerances = DEFAULT):
     if outer.alg != inner.alg:
         raise DomainError("algebra mismatch between words")
     alg = outer.alg
-    g, _, phi0 = inner.linear_fractional()
-    inner0 = _gated_image(alg, g, np.zeros(alg.dim, dtype=np.complex128), tol)
+    inner0 = _gated_image(inner.coordinate_form(),
+                          np.zeros(alg.dim, dtype=np.complex128), tol)
     phi = _checked(_phi_rows(outer, inner0[None], tol))[0]
     return GroupWord(alg, inner.generators + outer.generators,
-                     base_arg=phi + phi0)
+                     base_arg=phi + inner.linear_fractional()[2])
 
 
 def _coords_on(word, z):
@@ -722,8 +790,7 @@ def _coords_on(word, z):
 
 def apply_word(word, z, tol: Tolerances = DEFAULT):
     """Evaluate the word at z (ElementC, ElementJ, or ShilovPoint)."""
-    image = _gated_image(word.alg, word.linear_fractional()[0],
-                         _coords_on(word, z), tol)
+    image = _gated_image(word.coordinate_form(), _coords_on(word, z), tol)
     if isinstance(z, ShilovPoint):
         return ShilovPoint(ElementC(word.alg, image), tol)
     return ElementC(word.alg, image)
@@ -731,9 +798,9 @@ def apply_word(word, z, tol: Tolerances = DEFAULT):
 
 def cocycle_j(word, z, tol: Tolerances = DEFAULT):
     """j(g, z) = det(Dg(z) e) = j(g, 0) prod(mu)^{-2}."""
-    g, j0, _ = word.linear_fractional()
-    mu = _checked(_factor_rows(word.alg, g, _coords_on(word, z)[None], tol))[0]
-    return complex(j0 / np.prod(mu) ** 2)
+    mu = _checked(_factor_rows(word.coordinate_form(), _coords_on(word, z)[None],
+                               tol))[0]
+    return complex(word.linear_fractional()[1] / np.prod(mu) ** 2)
 
 
 def word_chi(word):
@@ -750,20 +817,19 @@ def _phi_rows(word, rows, tol):
     refused maps each failing row to its error: the DomainError of
     _factor_rows, or else an AmbiguityError where a factor left the
     half-plane."""
-    g, _, phi0 = word.linear_fractional()
-    mu, refused = _factor_rows(word.alg, g, rows, tol)
+    mu, refused = _factor_rows(word.coordinate_form(), rows, tol)
     if mu.real.min() <= 0.0:
         for k in np.flatnonzero(mu.real.min(axis=1) <= 0.0).tolist():
             refused.setdefault(k, AmbiguityError("a factor of Delta_g left the "
                                                  "right half-plane: phi(g, z) uncertified"))
-    return phi0 - 2.0 * np.angle(mu).sum(axis=1), refused
+    return word.linear_fractional()[2] - 2.0 * np.angle(mu).sum(axis=1), refused
 
 
 def _phi_image(word, z, tol):
     """(phi(g, z), g(z)) at one coordinate row z: the checks of _phi_rows
     first, then the image."""
     phi = _checked(_phi_rows(word, z[None], tol))[0]
-    return float(phi), _lf_image(word.alg, word.linear_fractional()[0], z)
+    return float(phi), _lf_image(word.coordinate_form(), z)
 
 
 def determination_phi(word, sigma, tol: Tolerances = DEFAULT):

@@ -378,10 +378,14 @@ def quasimorphism_c(word, lifted, tol: Tolerances = DEFAULT, mode=STRICT):
 _BASE_STEP = 2.399963229728653
 
 
-@lru_cache(maxsize=64)
 def standard_base_lift(alg, tol: Tolerances = DEFAULT):
     """The fixed base lift used by default for c(g) and rotation numbers,
-    built once per (alg, tol)."""
+    built once per (alg, tol), however tol is passed."""
+    return _standard_base_lift(alg, tol)
+
+
+@lru_cache(maxsize=64)
+def _standard_base_lift(alg, tol):
     angles = bd.wrap_angle(0.7 + _BASE_STEP * np.arange(1, alg.rank + 1))
     sigma = bd.from_unit_spectrum(alg, angles, standard_frame(alg), tol)
     return bd.lift(sigma, 0, tol)
@@ -391,27 +395,30 @@ def _power_lift(word, lifted, power, tol):
     """g^power . lifted for power >= 1, equal iterate for iterate and error
     for error to `power` calls of bd.act_lift.
 
-    Pass 1 walks the orbit with the image step alone, bd._lf_image, and
-    keeps every iterate's coordinates; a step whose image raises
-    LinAlgError ends it.  Pass 2 checks the inputs of all steps taken in
-    one bd._phi_rows call, which gives each step's phi (so each iterate's
-    theta) and the verdicts of its gate and half-plane checks, and the
-    iterates in one bd.boundary_refusals call, the ShilovPoint and
-    LiftedPoint tests.  The earliest failing event raises, in the order the
-    sequential loop meets them: the checks of step k, then the LinAlgError
-    of its image, then the refusal of iterate k + 1, then step k + 1.
-    Iterates past a failed step may be garbage, even non-finite; they raise
-    nothing in either pass.  The returned point is the last iterate, which
-    that one call has passed.
+    Pass 1 walks the orbit with the image step alone, bd._lf_image on the
+    word's coordinate form (one product, one m x m solve and one product
+    per step on the matrix kinds, one product on spin), and keeps every
+    iterate's coordinates; a step whose image raises LinAlgError ends it.
+    Pass 2 checks the inputs of all steps taken in one bd._phi_rows call,
+    which gives each step's phi (so each iterate's theta) and the verdicts
+    of its gate and half-plane checks, and the iterates in one
+    bd.boundary_refusals call, the ShilovPoint and LiftedPoint tests.  The
+    earliest failing event raises, in the order the sequential loop meets
+    them: the checks of step k, then the LinAlgError of its image, then the
+    refusal of iterate k + 1, then step k + 1.  Iterates past a failed step
+    may be garbage, even non-finite; they raise nothing in either pass.  The
+    returned point is the last iterate, which that one call has passed.
+    act_lift runs the same kernel on one row, so the orbit is bit-identical
+    to its calls.
     """
     alg, r = word.alg, word.alg.rank
-    g = word.linear_fractional()[0]
+    form = word.coordinate_form()
     z = bd._coords_on(word, lifted.point)
     rows, stop = [z], None
     with np.errstate(all="ignore"):
         for _ in range(power):
             try:
-                z = bd._lf_image(alg, g, z)
+                z = bd._lf_image(form, z)
             except np.linalg.LinAlgError as exc:
                 stop = exc
                 break
@@ -435,10 +442,11 @@ def translation_tau(word, power, base=None, tol: Tolerances = DEFAULT,
 
     The bound comes from the quasimorphism defect |c(gh) - c(g) - c(h)| <= r.
     The orbit of the base lift is walked in two passes (_power_lift): the K
-    images step by step, then every step's factors of Delta_g and
-    determination in one batched pass, and every iterate's boundary check
-    in another.  A refused orbit raises the error of its earliest failing
-    event, as K calls of act_lift would.
+    images step by step, each one product and one m x m solve on the word's
+    coordinate form, then every step's factors of Delta_g and determination
+    in one batched pass, and every iterate's boundary check in another.  A
+    refused orbit raises the error of its earliest failing event, as K calls
+    of act_lift would.
     """
     check_mode(mode)
     if power < 1:

@@ -9,7 +9,9 @@ radial unwrap instead of the sum over the factors of its denominator, an
 eigenangle flow that solves and matches one sample at a time instead of one
 pass over the grid, the spectrum of the spin relative element at 50 digits
 instead of the Lie-sphere closed form, an orbit that validates every
-iterate as it lands instead of one batch at the end.
+iterate as it lands instead of one batch at the end, and images and factors
+of Delta_g through the matrix realization of each point instead of a word's
+coordinate form.
 """
 
 import itertools
@@ -318,3 +320,41 @@ def radial_unwrap(word, target, steps=64):
             raise AmbiguityError(
                 f"argument unwrap failed at {steps} steps (jump > pi/2)")
         steps *= 2
+
+
+def lf_image_matrix(alg, g, z):
+    """g(z) for the matrix g at one coordinate row z, through the matrix
+    realization: w = to_matrix(z), (Aw + B)(Cw + D)^{-1} by a solve, and
+    back with from_matrix, instead of the word's coordinate form; on spin
+    g acts on (1, z, det z) column by column.  Unchecked, like the kernel."""
+    if alg.kind == al.SPIN:
+        head = g[:, 0] + g[:, 1:-1] @ z + g[:, -1] * al._det(alg, z)
+        return head[1:-1] / head[0]
+    m = alg.param
+    w = al._to_matrix(alg, z)
+    num = g[:m, :m] @ w + g[:m, m:]
+    den = g[m:, :m] @ w + g[m:, m:]
+    return al._from_matrix(alg, np.linalg.solve(den.T, num.T).T)
+
+
+def factor_rows_matrix(alg, g, rows, tol=DEFAULT):
+    """(mu, refused) of the kernel's factor pass for the matrix g, with the
+    factor matrices D^{-1} C w built as one broadcast solve over the matrix
+    realizations of the rows instead of from the word's coordinate form."""
+    if alg.kind == al.SPIN:
+        mats = np.zeros((len(rows), 2, 2), dtype=np.complex128)
+        mats[:, 0, 0] = (rows * g[0, 1:-1]).sum(axis=1) / g[0, 0]
+        mats[:, 0, 1] = -(g[0, -1] * al._det(alg, rows) / g[0, 0])
+        mats[:, 1, 0] = 1.0
+    else:
+        m = alg.param
+        mats = np.linalg.solve(g[m:, m:], g[m:, :m] @ al._to_matrix(alg, rows))
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    lam = np.linalg.eigvals(np.where(finite[:, None, None], mats, 0.0))
+    lam[~finite] = np.nan
+    mu = 1.0 + lam
+    size = np.abs(mu).min(axis=1)
+    ok = size > tol.rank * (1.0 + np.abs(lam).max(axis=1))
+    return mu, {k: DomainError("undefined where Delta_g vanishes "
+                               f"(min |1 + lambda| = {size[k]:.2e})")
+                for k in np.flatnonzero(~ok).tolist()}

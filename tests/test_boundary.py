@@ -212,17 +212,40 @@ def test_factor_rows_are_independent_and_take_filler(alg):
     raises nothing."""
     rng = np.random.default_rng(61)
     word = bd.random_word(alg, rng, "mixed")
-    g = word.linear_fractional()[0]
+    form = word.coordinate_form()
     rows = np.array([bd.random_shilov(alg, rng).value.coords for _ in range(6)])
     rows[2] = np.nan
     rows[4, 0] = np.inf
     with np.errstate(all="ignore"):
-        mu, refused = bd._factor_rows(alg, g, rows, DEFAULT)
+        mu, refused = bd._factor_rows(form, rows, DEFAULT)
     assert {2, 4} <= set(refused) and np.isnan(mu[[2, 4]]).all()
     for k in (0, 1, 3, 5):
-        alone, verdict = bd._factor_rows(alg, g, rows[k][None], DEFAULT)
+        alone, verdict = bd._factor_rows(form, rows[k][None], DEFAULT)
         assert np.array_equal(mu[k], alone[0])
         assert (k in refused) == bool(verdict)
+
+
+@pytest.mark.parametrize("mode", ["tube", "unitary", "mixed"])
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_coordinate_form_matches_matrix_route(alg, mode):
+    """Images and factors of Delta_g from a word's coordinate form agree
+    with the matrix route (to_matrix, a solve, from_matrix) to a few ulps,
+    relative to the row's largest entry, on and off the boundary."""
+    ulps = 32 * np.finfo(float).eps
+    for seed in range(12):
+        rng = np.random.default_rng([seed, 67])
+        form = bd.random_word(alg, rng, mode).coordinate_form()
+        rows = np.array([bd.random_shilov(alg, rng).value.coords for _ in range(4)]
+                        + [al.random_element(alg, rng, 0.5).coords.astype(complex)])
+        for z in rows:
+            want = orc.lf_image_matrix(alg, form.g, z)
+            assert np.abs(bd._lf_image(form, z) - want).max() <= ulps * np.abs(want).max()
+        mu, refused = bd._factor_rows(form, rows, DEFAULT)
+        want, verdicts = orc.factor_rows_matrix(alg, form.g, rows)
+        assert not refused and not verdicts
+        # eigvals may order the factors differently: match each to the nearest
+        gap = np.abs(mu[:, :, None] - want[:, None, :]).min(axis=2)
+        assert (gap <= ulps * np.abs(want).max(axis=1, keepdims=True)).all()
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)

@@ -675,10 +675,16 @@ def assert_same_outcome(got, want):
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
 def test_standard_base_lift_is_built_once(alg):
+    """One build per (alg, tol), however tol is passed."""
+    dy._standard_base_lift.cache_clear()
+    bases = [dy.standard_base_lift(alg), dy.standard_base_lift(alg, DEFAULT),
+             dy.standard_base_lift(alg, tol=DEFAULT)]
+    assert dy._standard_base_lift.cache_info().misses == 1
+    assert all(other is bases[0] for other in bases)
     tol = replace(DEFAULT, transverse=2e-7)
     base = dy.standard_base_lift(alg, tol)
-    assert dy.standard_base_lift(alg, tol) is base
-    fresh = dy.standard_base_lift.__wrapped__(alg, tol)
+    assert dy.standard_base_lift(alg, tol=tol) is base
+    fresh = dy._standard_base_lift.__wrapped__(alg, tol)
     assert fresh is not base
     assert_same_lift(fresh, base)
     word = bd.random_word(alg, np.random.default_rng(3), "mixed")
@@ -707,20 +713,31 @@ def test_power_lift_matches_sequential_oracle(alg, mode):
 def test_rotation_orbit_makes_one_factor_pass_and_one_check(alg, mode, monkeypatch):
     """A rotation_rho orbit of K steps takes K image steps, one batched
     factor pass over the K step inputs and one boundary_refusals call over
-    the K iterates, which also passes the returned point."""
-    log = []
+    the K iterates, which also passes the returned point.  No image step
+    goes through the matrix realization (_to_matrix, _from_matrix)."""
+    log, running = [], []
 
-    def count(name, size):
-        orig = getattr(bd, name)
+    def count(name, size, module=bd):
+        orig = getattr(module, name)
 
         def counted(*args, **kwargs):
             log.append((name,) + size(*args, **kwargs))
-            return orig(*args, **kwargs)
+            running.append(name)
+            try:
+                return orig(*args, **kwargs)
+            finally:
+                running.pop()
 
-        monkeypatch.setattr(bd, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
-    count("_lf_image", lambda alg_, g, z: ())
-    count("_factor_rows", lambda alg_, g, rows, tol: (len(rows),))
+    def in_image_step(*args):
+        return ("in image step",) if "_lf_image" in running else ()
+
+    for module in (al, bd):
+        count("_to_matrix", in_image_step, module)
+        count("_from_matrix", in_image_step, module)
+    count("_lf_image", lambda form, z: ())
+    count("_factor_rows", lambda form, rows, tol: (len(rows),))
     count("boundary_refusals", lambda alg_, coords, tol=None, thetas=None:
           (len(coords), tol is not None, thetas is not None))
     word = bd.random_word(alg, np.random.default_rng(5), mode)
@@ -729,9 +746,68 @@ def test_rotation_orbit_makes_one_factor_pass_and_one_check(alg, mode, monkeypat
         log.clear()
         dy.rotation_rho(word, power)
         assert log.count(("_lf_image",)) == power
+        assert not [e for e in log if e[1:] == ("in image step",)]
         assert [e for e in log if e[0] == "_factor_rows"] == [("_factor_rows", power)]
         assert [e for e in log if e[0] == "boundary_refusals"] == [
             ("boundary_refusals", power, True, True)]
+
+
+ROUTE_ALGEBRAS = ([al.algebra(al.SYM_R, m) for m in (2, 3, 6)]
+                  + [al.algebra(al.HERM_C, m) for m in (2, 4)] + [al.algebra(al.SPIN, 5)])
+
+
+@pytest.mark.parametrize("mode", ["unitary", "tube", "mixed"])
+@pytest.mark.parametrize("alg", ROUTE_ALGEBRAS, ids=lambda a: f"{a.kind}-{a.param}")
+def test_rotation_orbit_agrees_with_matrix_route(alg, mode, monkeypatch):
+    """Orbits walked with the coordinate form and with the matrix route of
+    tests/_oracles give equal c(g^K), or refusals of one class, at K = 32
+    and 1 024: the form's rounding does not walk an orbit off S."""
+    words = [bd.random_word(alg, np.random.default_rng([seed, 71]), mode)
+             for seed in range(10)]
+
+    def outcomes():
+        return [outcome(lambda: dy.translation_tau(word, power))
+                for word in words for power in (32, 1024)]
+
+    got = outcomes()
+    monkeypatch.setattr(bd, "_lf_image",
+                        lambda form, z: orc.lf_image_matrix(form.alg, form.g, z))
+    monkeypatch.setattr(bd, "_factor_rows", lambda form, rows, tol: (
+        orc.factor_rows_matrix(form.alg, form.g, rows, tol)))
+    want = outcomes()
+    for new, old in zip(got, want):
+        if isinstance(old, MaslovKitError):
+            assert type(new) is type(old)
+        else:
+            assert new == old
+    assert sum(not isinstance(old, MaslovKitError) for old in want) >= len(want) // 2
+
+
+@pytest.mark.parametrize("alg", ORBIT_ALGEBRAS, ids=lambda a: f"{a.kind}-{a.param}")
+def test_coordinate_form_is_built_once_and_read_only(alg, monkeypatch):
+    """act_lift, compose_words and rotation_rho on one word build its
+    coordinate form once, and nothing can write to its arrays."""
+    built = []
+
+    class Counted(bd._LfForm):
+        def __init__(self, alg_, g):
+            built.append(g)
+            super().__init__(alg_, g)
+
+    monkeypatch.setattr(bd, "_LfForm", Counted)
+    word = bd.random_word(alg, np.random.default_rng(13), "mixed")
+    bd.act_lift(word, dy.standard_base_lift(alg))
+    bd.compose_words(word, word)
+    dy.rotation_rho(word, 32)
+    assert len(built) == 1 and built[0] is word.linear_fractional()[0]
+    form = word.coordinate_form()
+    arrays = [a for a in (form.g, form.lin, form.off, form.fac, form.out)
+              if a is not None]
+    assert len(arrays) == (1 if alg.kind == al.SPIN else 5)
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 0.0
 
 
 @pytest.mark.parametrize("boundary", [1e-15, 3e-15, 1e-14])
@@ -763,7 +839,7 @@ def test_power_lift_raises_earliest_error(alg, boundary):
 
 
 @pytest.mark.parametrize("alg, seed, boundary, failing", [
-    (al.algebra(al.SYM_R, 2), 4, 1e-15, 13),
+    (al.algebra(al.SYM_R, 2), 4, 1e-15, 17),
     (al.algebra(al.HERM_C, 3), 0, 1e-14, 15),
 ])
 def test_power_lift_step_and_check_errors_in_order(monkeypatch, alg, seed,
@@ -809,16 +885,16 @@ def test_power_lift_step_and_check_errors_in_order(monkeypatch, alg, seed,
     step = failing - 3
     real_factor_rows, real_image = bd._factor_rows, bd._lf_image
 
-    def factor_rows(alg_, g, rows, tol_):
-        mu, refused = real_factor_rows(alg_, g, rows, tol_)
+    def factor_rows(form, rows, tol_):
+        mu, refused = real_factor_rows(form, rows, tol_)
         for k in at_step(step, rows):
             refused[k] = DomainError(f"planted gate at step {step}")
         return mu, refused
 
-    def lf_image(alg_, g, z):
+    def lf_image(form, z):
         if np.array_equal(z, orbit[step - 1]):
             raise np.linalg.LinAlgError("planted singular image")
-        return real_image(alg_, g, z)
+        return real_image(form, z)
 
     monkeypatch.setattr(bd, "_lf_image", lf_image)
     for lift_orbit in (lambda: orc.power_lift_sequential(word, base, 32, tol),
