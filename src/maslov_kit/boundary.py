@@ -348,15 +348,9 @@ def from_unit_spectrum(alg, angles, frame, tol: Tolerances = DEFAULT):
 
 def random_shilov(alg, rng, tol: Tolerances = DEFAULT):
     """Random boundary point: random frame, angles uniform on (-pi, pi]."""
-    return _random_spectral(alg, rng, tol)[0]
-
-
-def _random_spectral(alg, rng, tol: Tolerances = DEFAULT):
-    """The draw of random_shilov with its spectrum: (point, angles, frame),
-    the frame drawn first."""
     frame = random_frame(alg, rng)
     angles = rng.uniform(-math.pi, math.pi, alg.rank)
-    return from_unit_spectrum(alg, angles, frame, tol), angles, frame
+    return from_unit_spectrum(alg, angles, frame, tol)
 
 
 # ---------------------------------------------------------------------------

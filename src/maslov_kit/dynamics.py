@@ -25,7 +25,7 @@ from . import boundary as bd
 from .algebra import standard_frame
 from .config import DEFAULT, STRICT, Tolerances, check_mode
 from .errors import AmbiguityError, DomainError, MaslovKitError
-from .indices import pair_angles, souriau_m
+from .indices import _pair_rows, souriau_m
 
 TWO_PI = 2.0 * math.pi
 STRAND_STEP_LIMIT = math.pi / 4
@@ -127,10 +127,11 @@ def _match_shifts(a, b):
 
 
 def _grid_angles(pair_at, ts, tol):
-    """pair_angles in one call over the samples at ts (the grid, or one
-    level's midpoints), up to the first one that cannot be taken or is
-    refused, and that error (or None) for the caller to raise once the steps
-    before it are walked.  An error at the first sample is raised at once."""
+    """The pair angles of the samples at ts (the grid, or one level's
+    midpoints) from one _pair_rows call, up to the first sample that cannot
+    be taken or whose pair is refused, and that error (or None) for the
+    caller to raise once the steps before it are walked.  An error at the
+    first sample is raised at once."""
     pairs, pending = [], None
     try:
         for t in ts:
@@ -139,14 +140,10 @@ def _grid_angles(pair_at, ts, tol):
         if not pairs:
             raise
         pending = exc
-    mains, refs = zip(*pairs)
-    try:
-        return pair_angles(mains, refs, tol), pending
-    except DomainError as exc:
-        row = getattr(exc, "row", 0)
-        if row == 0:
-            raise
-        return pair_angles(mains[:row], refs[:row], tol), exc
+    angles, refused = _pair_rows(*zip(*pairs), tol)
+    if 0 in refused:
+        raise refused[0]
+    return angles, refused.get(len(angles), pending)
 
 
 def eigenangle_flow(path, reference, tol: Tolerances = DEFAULT, mode=STRICT):

@@ -22,10 +22,11 @@ Souriau index is re-derived through a transverse witness tau as a runtime
 cross-check, m = iota(sigma1, sigma2, tau) + m(sigma1~, tau~) + m(tau~, sigma2~).
 The check is independent of the extension formula it checks: iota comes
 from the signature of the Cayley images of the pair with tau at infinity,
-and the two m terms are transverse.  Its witnesses are a fixed stream,
-drawn once per algebra and cached with their lifts and roots tau^{-1/2}, so
-a check costs one pair_angles call and one small eigensolve per candidate
-tried (usually one), and builds no point and no frame.
+read off tau and the two points with no square root of tau, and the two m
+terms are transverse.  Its witnesses are a fixed stream, drawn once per
+algebra and cached with their lifts, so a check costs one pair_angles call
+and one small solve and eigensolve per candidate tried (usually one), and
+builds no point and no frame.
 """
 
 import math
@@ -34,10 +35,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import SPIN, _from_matrix, _mul, _to_matrix
-from .boundary import (ElementC, LiftedPoint, ShilovPoint, _cinverse_rows,
-                       _lie_sphere, _random_spectral, as_shilov,
-                       cquad_rep_operator, lift, principal_arg,
+from .algebra import SPIN, _det, _from_matrix, _mul, _to_matrix
+from .boundary import (ElementC, LiftedPoint, ShilovPoint, _checked,
+                       _cinverse_rows, _lie_sphere, as_shilov,
+                       cquad_rep_operator, lift, principal_arg, random_shilov,
                        shilov_spectral, wrap_angle)
 from .config import DEFAULT, STRICT, Tolerances, check_mode
 from .errors import AmbiguityError, DomainError, IntegralityError
@@ -72,18 +73,19 @@ def relative_element(sigma, tau, tol: Tolerances = DEFAULT):
     """w = -P(tau^{-1/2}) sigma, mapping (sigma, tau) to the pair (w, -e).
 
     With a shared frame the angles of w are theta_j - phi_j + pi (mod 2 pi).
-    The root is sum_j e^{-i a_j / 2} c_j over the spectrum of tau from
-    shilov_spectral (_root_inverse), and P(root) sigma is taken by
-    _sandwich, as the witness route takes it.  Another choice of square
+    The root is r = sum_j e^{-i a_j / 2} c_j over the spectrum of tau from
+    shilov_spectral, and P(r) sigma is 2 r o (r o sigma) - (r o r) o sigma on
+    the spin factor, R S R on the matrix kinds.  Another choice of square
     root would change nothing: it multiplies the root by a square root of e
     sharing tau's frame, and P of that factor fixes sigma's frame elements.
 
     This builds w itself, through the spectrum and frame of tau, for callers
     that need the point or its frame, and as the reference route of the
-    tests.  The indices and path flows need only its eigenangles and take
-    them from pair_angles, which builds no w: from -tau^{-1} sigma for the
-    matrix kinds, and from the Lie-sphere form of the two points for the
-    spin factor.
+    tests.  Nothing else in the package builds P(tau^{-1/2}) sigma: the
+    indices and path flows take the eigenangles of w from pair_angles, from
+    -tau^{-1} sigma for the matrix kinds and from the Lie-sphere form of the
+    two points for the spin factor, and the witness check reads its
+    signature off tau and the two points (_witness_iota).
     """
     sigma = as_shilov(sigma, tol)
     tau = as_shilov(tau, tol)
@@ -91,9 +93,14 @@ def relative_element(sigma, tau, tol: Tolerances = DEFAULT):
         raise DomainError(f"algebra mismatch: {sigma.alg} vs {tau.alg}")
     us = shilov_spectral(tau, tol)
     alg = tau.alg
-    v = _sandwich(alg, _root_inverse(alg, us.angles, us.frame),
-                  sigma.value.coords[None])[0]
-    w = v if alg.kind == SPIN else _from_matrix(alg, v)
+    root = np.exp(-0.5j * us.angles) @ np.array([c.coords for c in us.frame])
+    s = sigma.value.coords
+    if alg.kind == SPIN:
+        w = (2.0 * _mul(alg, root, _mul(alg, root, s))
+             - _mul(alg, _mul(alg, root, root), s))
+    else:
+        root = _to_matrix(alg, root)
+        w = _from_matrix(alg, root @ _to_matrix(alg, s) @ root)
     return ShilovPoint(ElementC(alg, -w), tol)
 
 
@@ -131,21 +138,33 @@ def pair_angles(sigmas, taus, tol: Tolerances = DEFAULT):
     than 10 tol.boundary is refused.
 
     Each pair is checked as a one-pair call would check it.  The DomainError
-    is that of the first refused pair, whose index it carries as `row`.
+    is that of the first refused pair, whether off the boundary or of
+    another algebra, and carries its index as `row` (_pair_rows).
     """
+    return _checked(_pair_rows(sigmas, taus, tol))
+
+
+def _pair_rows(sigmas, taus, tol):
+    """(angles, refused) of pair_angles, in the form of _factor_rows: the
+    sorted angles of the rows before the first refused row, and
+    {row: DomainError} for that row, empty when no row is refused.  Only
+    the rows before the first algebra mismatch are solved, in one call."""
     sigmas = [as_shilov(s, tol) for s in sigmas]
     taus = [as_shilov(t, tol) for t in taus]
     if not sigmas or len(sigmas) != len(taus):
         raise DomainError(f"pair_angles needs N >= 1 sigmas and N taus, got "
                           f"{len(sigmas)} and {len(taus)}")
     alg = sigmas[0].alg
+    n, refused = len(sigmas), {}
     for k, (s, t) in enumerate(zip(sigmas, taus)):
-        if s.alg != t.alg:
-            raise _row_error(k, f"algebra mismatch: {s.alg} vs {t.alg}")
-        if s.alg != alg:
-            raise _row_error(k, f"algebra mismatch: {alg} vs {s.alg}")
-    scoords = np.array([s.value.coords for s in sigmas])
-    tcoords = np.array([t.value.coords for t in taus])
+        if s.alg != t.alg or s.alg != alg:
+            a, b = (s.alg, t.alg) if s.alg != t.alg else (alg, s.alg)
+            n, refused = k, {k: _row_error(k, f"algebra mismatch: {a} vs {b}")}
+            break
+    if n == 0:
+        return np.empty((0, alg.rank)), refused
+    scoords = np.array([s.value.coords for s in sigmas[:n]])
+    tcoords = np.array([t.value.coords for t in taus[:n]])
     if alg.kind == SPIN:
         angles, off = _spin_pair_angles(scoords, tcoords)
         what = "a point is off the Lie sphere"
@@ -154,12 +173,12 @@ def pair_angles(sigmas, taus, tol: Tolerances = DEFAULT):
                                                   _to_matrix(alg, scoords)))
         angles, off = principal_arg(zeta), np.abs(np.abs(zeta) - 1.0).max(axis=1)
         what = "relative element has an eigenvalue off the unit circle"
-    refused = off > 10.0 * tol.boundary
-    if refused.any():
-        row = int(np.argmax(refused))
-        raise _row_error(row, f"not on the Shilov boundary ({what} by "
-                         f"{off[row]:.2e})")
-    return -np.sort(-angles, axis=-1)
+    bad = off > 10.0 * tol.boundary
+    if bad.any():
+        n = int(np.argmax(bad))
+        refused = {n: _row_error(n, f"not on the Shilov boundary ({what} by "
+                                    f"{off[n]:.2e})")}
+    return -np.sort(-angles[:n], axis=-1), refused
 
 
 def _row_error(row, message):
@@ -286,65 +305,53 @@ def _souriau_value(lift1, lift2, angles, mask, tol):
 @lru_cache(maxsize=64)
 def _witness_draws(alg):
     """The witness candidates of one algebra drawn so far, and the generator
-    they come from: ([(point, lift, root), ...], rng).  They are drawn and
-    checked at the default tolerances whatever the caller's, so one list
-    serves every tol."""
+    they come from: ([(point, lift), ...], rng).  They are drawn and checked
+    at the default tolerances whatever the caller's, so one list serves
+    every tol."""
     return [], np.random.default_rng(_WITNESS_SEED)
 
 
 def _witnesses(alg):
     """The witness candidates of one algebra: the draws of random_shilov
-    from _WITNESS_SEED, each with its canonical lift and its root
-    tau^{-1/2} in closed form.  They are drawn lazily into the cached list,
-    so a search extends it only as far as it reaches."""
+    from _WITNESS_SEED, each with its canonical lift.  They are drawn lazily
+    into the cached list, so a search extends it only as far as it reaches."""
     drawn, rng = _witness_draws(alg)
     for k in range(_WITNESS_TRIES):
         if k == len(drawn):
-            point, angles, frame = _random_spectral(alg, rng)
-            drawn.append((point, lift(point), _root_inverse(alg, angles, frame)))
+            point = random_shilov(alg, rng)
+            drawn.append((point, lift(point)))
         yield drawn[k]
 
 
-def _root_inverse(alg, angles, frame):
-    """tau^{-1/2} = sum_j e^{-i a_j / 2} c_j of tau = sum_j e^{i a_j} c_j: a
-    matrix for the matrix kinds, coordinates on the spin factor."""
-    coords = np.exp(-0.5j * np.asarray(angles)) @ np.array([c.coords for c in frame])
-    return coords if alg.kind == SPIN else _to_matrix(alg, coords)
-
-
-def _sandwich(alg, root, rows):
-    """P(root) s for the complex coordinate rows s (N, dim) and a root from
-    _root_inverse: coordinate rows 2 r o (r o s) - (r o r) o s on the spin
-    factor, the matrices R S R (N, m, m) on the matrix kinds."""
-    if alg.kind == SPIN:
-        return (2.0 * _mul(alg, root, _mul(alg, root, rows))
-                - _mul(alg, _mul(alg, root, root), rows))
-    return root @ _to_matrix(alg, rows) @ root
-
-
-def _witness_iota(alg, root, p1, p2, nulls, tol):
+def _witness_iota(alg, tau, p1, p2, nulls, tol):
     """iota(sigma1, sigma2, tau) = -sgn(x1 - x2), x_k = c(P(tau^{-1/2}) sigma_k),
-    from the root tau^{-1/2} of a tau transverse to both points.
+    from a point tau transverse to both points, with no root and no frame.
 
     Putting tau at infinity makes the Cayley images x_k real; the
     generalized Maslov index (Clerc-Orsted 2001, Clerc 2004) is minus the
     signature of their difference, and needs no transversality between
-    sigma1 and sigma2.  x1 - x2 = 2i ((e - v1)^{-1} - (e - v2)^{-1}) with
-    v_k = P(tau^{-1/2}) sigma_k: one stacked inverse and one eigvalsh for
-    the matrix kinds, y0 +- |yv| on the spin factor.  Its `nulls` eigenvalues
+    sigma1 and sigma2.  x1 - x2 = 2i P(tau^{1/2}) m with
+    m = (tau - sigma1)^{-1} - (tau - sigma2)^{-1}, so its spectrum is that of
+    2i m tau, which is Hermitian: tau^{1/2} is unitary and carries x1 - x2
+    to it by similarity.  The matrix kinds take one stacked solve of
+    (T - S_k) X_k = T and one eigvalsh of 2i (X_1 - X_2).  The spin factor
+    takes y = 2i m from two Jordan inverses; the eigenvalues are
+    t/2 +- sqrt(t^2/4 - d) with t/2 = tau0 y0 + tauv.yv (the trace of
+    P(tau^{1/2}) y, halved) and d = det tau det y.  Its `nulls` eigenvalues
     smallest in modulus are the coincidence directions of the pair; None
     when they are not clearly apart from the rest (_null_signature).
     """
-    v = _sandwich(alg, root, np.array([p1.value.coords, p2.value.coords]))
+    rows = np.array([tau.value.coords, p1.value.coords, p2.value.coords])
     if alg.kind == SPIN:
-        a = -v
-        a[:, 0] += 1.0                                  # e - v
-        inv = _cinverse_rows(alg, a, tol)[1]
-        y = (2j * (inv[0] - inv[1])).real
-        size = np.linalg.norm(y[1:])
-        eigs = np.array([y[0] - size, y[0] + size])
+        t = rows[0]
+        inv = _cinverse_rows(alg, t - rows[1:], tol)[1]
+        y = 2j * (inv[0] - inv[1])
+        half = (t[0] * y[0] + t[1:] @ y[1:]).real
+        gap = math.sqrt(max(half * half - (_det(alg, t) * _det(alg, y)).real, 0.0))
+        eigs = np.array([half - gap, half + gap])
     else:
-        x = np.linalg.inv(np.eye(alg.param) - v)
+        mats = _to_matrix(alg, rows)
+        x = np.linalg.solve(mats[0] - mats[1:], mats[0])
         eigs = np.linalg.eigvalsh(2j * (x[0] - x[1]))
     return _null_signature(eigs, nulls, tol)
 
@@ -364,9 +371,10 @@ def _null_signature(eigs, nulls, tol):
 
 
 def _witness_sum(lift1, lift2, wlift, rows, masks, iota, tol):
-    """iota + m(lift1, tau~) + m(tau~, lift2), both m terms from the
-    (tau, sigma1) and (tau, sigma2) rows of one pair pass: the (sigma1, tau)
-    angles are the (tau, sigma1) ones negated, at the same distances to pi."""
+    """iota + m(lift1, tau~) + m(tau~, lift2), iota from _witness_iota and
+    both m terms from the (tau, sigma1) and (tau, sigma2) rows of one pair
+    pass: the (sigma1, tau) angles are the (tau, sigma1) ones negated, at
+    the same distances to pi."""
     m1t = _souriau_value(lift1, wlift, -rows[0], masks[0], tol)[0]
     mt2 = _souriau_value(wlift, lift2, rows[1], masks[1], tol)[0]
     return iota + m1t + mt2
@@ -378,7 +386,7 @@ def _find_witness(lift1, lift2, nulls, tol):
     `nulls` coincidence directions of the pair; one pair_angles call per
     candidate tried."""
     p1, p2 = lift1.point, lift2.point
-    for point, wlift, root in _witnesses(p1.alg):
+    for point, wlift in _witnesses(p1.alg):
         rows = pair_angles([point, point], [p1, p2], tol)
         try:
             masks = [_coincidence_split(a, tol, STRICT) for a in rows]
@@ -386,7 +394,7 @@ def _find_witness(lift1, lift2, nulls, tol):
             continue
         if any(mask.any() for mask in masks):
             continue
-        iota = _witness_iota(p1.alg, root, p1, p2, nulls, tol)
+        iota = _witness_iota(p1.alg, point, p1, p2, nulls, tol)
         if iota is not None:
             return point, _witness_sum(lift1, lift2, wlift, rows, masks, iota, tol)
     raise AmbiguityError("no transverse witness found for the pair")
@@ -427,9 +435,8 @@ def souriau_m_witness(lift1, lift2, wlift, tol: Tolerances = DEFAULT,
                       mode=STRICT):
     """Souriau index through an explicit transverse witness:
     iota(sigma1, sigma2, tau) + m(lift1, tau~) + m(tau~, lift2), iota by the
-    signature of _witness_iota, the root tau^{-1/2} from the frame of tau.
-    AmbiguityError when the witness does not separate the coincidence
-    directions of the pair."""
+    signature of _witness_iota, with no frame of tau.  AmbiguityError when
+    the witness does not separate the coincidence directions of the pair."""
     check_mode(mode)
     p1, p2, w = lift1.point, lift2.point, wlift.point
     rows = pair_angles([w, w, p1], [p1, p2, p2], tol)
@@ -439,9 +446,7 @@ def souriau_m_witness(lift1, lift2, wlift, tol: Tolerances = DEFAULT,
         if masks[-1].any():
             raise DomainError("witness must be transverse to both points")
     nulls = int(np.sum(_coincidence_split(rows[2], tol, mode)))
-    us = shilov_spectral(w, tol)
-    iota = _witness_iota(w.alg, _root_inverse(w.alg, us.angles, us.frame),
-                         p1, p2, nulls, tol)
+    iota = _witness_iota(w.alg, w, p1, p2, nulls, tol)
     if iota is None:
         raise AmbiguityError("the witness does not separate the coincidence "
                              "directions of the pair")

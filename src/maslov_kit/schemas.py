@@ -148,11 +148,7 @@ def _parse_generator(obj, alg, mode, where):
     if kind == "exp-iL":
         return UnitaryGen([("exp-iL", element(alg, _coords(obj, "v", alg, where)))])
     if kind == "derivation":
-        factor = (
-            "derivation",
-            element(alg, _coords(obj, "a", alg, where)),
-            element(alg, _coords(obj, "b", alg, where)),
-        )
+        factor = _parse_factor(obj, alg, where)
         if mode == "tube":
             return LinearGen([factor])
         return UnitaryGen([factor])

@@ -9,9 +9,10 @@ radial unwrap instead of the sum over the factors of its denominator, an
 eigenangle flow that solves and matches one sample at a time instead of one
 pass over the grid, the spectrum of the spin relative element at 50 digits
 instead of the Lie-sphere closed form, an orbit that validates every
-iterate as it lands instead of one batch at the end, and images and factors
+iterate as it lands instead of one batch at the end, images and factors
 of Delta_g through the matrix realization of each point instead of a word's
-coordinate form.
+coordinate form, and the witness signature through the root tau^{-1/2}
+instead of tau and the two points.
 """
 
 import itertools
@@ -25,7 +26,7 @@ from maslov_kit import boundary as bd
 from maslov_kit import dynamics as dy
 from maslov_kit.config import DEFAULT, STRICT, check_mode
 from maslov_kit.errors import AmbiguityError, DomainError
-from maslov_kit.indices import pair_angles
+from maslov_kit.indices import pair_angles, relative_element
 
 
 def eigh_desc(mat):
@@ -111,6 +112,25 @@ def spin_pair_angles_mp(sigma, tau, dps=50):
         root = mpmath.sqrt(mpmath.fsum(x * x for x in w[1:]))
         angles = [float(mpmath.arg(w[0] + root)), float(mpmath.arg(w[0] - root))]
     return np.sort(angles)[::-1]
+
+
+def witness_iota_rooted(tau, p1, p2, tol=DEFAULT):
+    """The eigenvalues of x1 - x2, x_k = c(v_k) = i (e + v_k)(e - v_k)^{-1},
+    v_k = P(tau^{-1/2}) sigma_k, through the root tau^{-1/2} from the frame
+    of tau: v_k is minus relative_element(sigma_k, tau), and
+    x1 - x2 = 2i ((e - v1)^{-1} - (e - v2)^{-1}).  The spectrum is y0 +- |yv|
+    on the spin factor, eigvalsh on the matrix kinds."""
+    alg = tau.alg
+    v = -np.array([relative_element(p, tau, tol).value.coords for p in (p1, p2)])
+    if alg.kind == al.SPIN:
+        a = -v
+        a[:, 0] += 1.0
+        inv = bd._cinverse_rows(alg, a, tol)[1]
+        y = (2j * (inv[0] - inv[1])).real
+        size = np.linalg.norm(y[1:])
+        return np.array([y[0] - size, y[0] + size])
+    x = np.linalg.inv(np.eye(alg.param) - al._to_matrix(alg, v))
+    return np.linalg.eigvalsh(2j * (x[0] - x[1]))
 
 
 def det_matrix(x):

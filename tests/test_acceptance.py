@@ -12,6 +12,8 @@ import pytest
 from maslov_kit import selftest as st
 
 FULL = st.SCALES["full"]
+# checks per criterion at full scale from the seed-0 streams of selftest.run
+FULL_CHECKS = (20, 200, 200, 500, 1000, 350, 200, 200, 300, 30, 100, 64, 700)
 _durations = {}
 
 
@@ -47,7 +49,7 @@ def test_criterion(index, name, suite, capsys):
     with capsys.disabled():
         print(f"criterion {index + 1:2d} {name:<22} {status} "
               f"({checks} checks)")
-    assert checks > 0
+    assert checks == FULL_CHECKS[index]
     assert not failures, f"{name}: {failures[:3]}"
 
 

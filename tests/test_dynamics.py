@@ -274,15 +274,15 @@ def test_flow_raises_earliest_error():
                                  al.algebra(al.SPIN, 5)],
                          ids=lambda a: f"{a.kind}-{a.param}")
 def test_flow_makes_one_pair_pass_per_grid(alg, monkeypatch):
-    """One pair_angles call and one batched match cover the whole grid, and
-    one more of each every refinement level, the call over the level's
+    """One pair pass and one batched match cover the whole grid, and one
+    more of each every refinement level, the pass over the level's
     midpoints; no kind builds w or a frame."""
     calls, matches, frames = [], [], []
     match_shifts = dy._match_shifts
 
     def counted(sigmas, taus, *rest):
         calls.append(len(sigmas))
-        return ix.pair_angles(sigmas, taus, *rest)
+        return ix._pair_rows(sigmas, taus, *rest)
 
     def matched(a, b):
         matches.append(len(a))
@@ -296,7 +296,7 @@ def test_flow_makes_one_pair_pass_per_grid(alg, monkeypatch):
             return orig(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(dy, "pair_angles", counted)
+    monkeypatch.setattr(dy, "_pair_rows", counted)
     monkeypatch.setattr(dy, "_match_shifts", matched)
     for name in ("relative_element", "shilov_spectral"):
         monkeypatch.setattr(ix, name, framed(name))
@@ -436,6 +436,26 @@ def test_flow_error_order_across_levels(alg):
                     assert_flows_agree(path, ref)
                     seen.add("flow")
     assert seen == {"strand", "sample", "not", "flow"}
+    # one level's midpoints hold a pair off the boundary, then one of another
+    # algebra; the next level's first midpoint cannot be taken, and is
+    # raised first
+    tight = replace(DEFAULT, boundary=1e-12)
+    loop = phase_loop(bd.random_shilov(alg, np.random.default_rng(112)))
+    other = bd.random_shilov(al.algebra(al.SYM_R, 3), np.random.default_rng(113))
+
+    def sampler(t):
+        if 0.0 < t < 0.1:
+            raise DomainError(f"sample refused at t={t:.6g}")
+        if abs(t - 0.5) < 1e-9:
+            return bd.ShilovPoint((1 + 1e-9) * loop(t).value)
+        return other if 0.8 < t < 0.9 else loop(t)
+
+    path = dy.BoundaryPath([(t, loop(t)) for t in np.linspace(0.0, 1.0, 4)],
+                           sampler=sampler)
+    got = outcome(lambda: dy.eigenangle_flow(path, ref, tight))
+    want = outcome(lambda: orc.eigenangle_flow_sequential(path, ref, tight))
+    assert type(got) is type(want) is DomainError
+    assert str(got) == str(want) == "sample refused at t=0.0833333"
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)

@@ -174,19 +174,26 @@ def test_spin_pair_angles_batch(alg):
                          ids=["sym-r-2", "herm-c-2", "spin-3", "spin-5"])
 def test_pair_angles_names_first_refused_row(alg):
     """A batch raises the one-pair error of its first refused pair and
-    carries that pair's index as `row`."""
+    carries that pair's index as `row`, also when a later pair mixes
+    algebras."""
     rng = np.random.default_rng([76, alg.dim])
     loose = replace(DEFAULT, boundary=1e-3)
     sigmas = [bd.random_shilov(alg, rng) for _ in range(7)]
     taus = [bd.random_shilov(alg, rng) for _ in range(7)]
     for k, scale in ((2, 1 + 1e-5), (5, 1 + 1e-4)):
         sigmas[k] = bd.ShilovPoint(scale * sigmas[k].value, loose)
+    taus[6] = bd.random_shilov(al.algebra(al.SYM_R, 3), rng)
     with pytest.raises(DomainError) as batch:
         ix.pair_angles(sigmas, taus)
     with pytest.raises(DomainError) as one:
         ix.pair_angles(sigmas[2:3], taus[2:3])
     assert batch.value.row == 2 and one.value.row == 0
     assert str(batch.value) == str(one.value)
+    with pytest.raises(DomainError) as mixed:
+        ix.pair_angles(sigmas[:2] + sigmas[6:], taus[:2] + taus[6:])
+    with pytest.raises(DomainError) as one:
+        ix.pair_angles(sigmas[6:], taus[6:])
+    assert mixed.value.row == 2 and str(mixed.value) == str(one.value)
     with pytest.raises(DomainError):
         ix.relative_element(sigmas[2], taus[2])
     assert ix.pair_angles(sigmas[:2], taus[:2]).shape == (2, alg.rank)
@@ -357,7 +364,7 @@ def test_indices_make_one_pair_pass_per_pair(alg, monkeypatch):
             want = cand
     draws, calls = [], []
     count(bd, "random_shilov", draws)
-    count(ix, "_random_spectral", draws)
+    count(ix, "random_shilov", draws)
     count(ix, "pair_angles", calls)
     ix._witness_draws.cache_clear()
     lifts = (shared_frame_lift(c1, angles[0]), shared_frame_lift(c2, angles[1]))
@@ -368,6 +375,8 @@ def test_indices_make_one_pair_pass_per_pair(alg, monkeypatch):
         assert len(calls) == 1 + tries
         assert len(draws) == (tries if first else 0)
         assert rep.witnesses[0].value.coords.tobytes() == want.value.coords.tobytes()
+    # an explicit witness takes no frame either
+    assert ix.souriau_m_witness(*lifts, bd.lift(want)).value == rep.value
     assert frames == []
 
 
@@ -572,8 +581,8 @@ def test_souriau_witness_coincident_pair(alg):
 
 def test_souriau_witness_near_scalar_spin():
     """A near-scalar spin witness is a valid point of S: souriau_m_witness
-    reads its root off shilov_spectral and agrees with souriau_m, and the
-    reference route w(sigma, tau) keeps the angles of pair_angles."""
+    agrees with souriau_m through it, and the reference route w(sigma, tau)
+    keeps the angles of pair_angles."""
     alg = al.algebra(al.SPIN, 5)
     rng = np.random.default_rng(82)
     for _ in range(200):
@@ -606,25 +615,40 @@ def test_witness_route_catches_shifted_extension(alg, monkeypatch):
 
 
 SIGNATURE_ALGEBRAS = [al.algebra(al.SYM_R, 1), al.algebra(al.SYM_R, 2),
-                      al.algebra(al.SYM_R, 3), al.algebra(al.HERM_C, 2),
-                      al.algebra(al.SPIN, 3), al.algebra(al.SPIN, 5)]
+                      al.algebra(al.SYM_R, 3), al.algebra(al.SYM_R, 4),
+                      al.algebra(al.HERM_C, 2), al.algebra(al.HERM_C, 3),
+                      al.algebra(al.SPIN, 3), al.algebra(al.SPIN, 5),
+                      al.algebra(al.SPIN, 8)]
 
 
 @pytest.mark.parametrize("alg", SIGNATURE_ALGEBRAS,
                          ids=[f"{a.kind}-{a.param}" for a in SIGNATURE_ALGEBRAS])
-def test_witness_signature_matches_maslov_iota(alg):
+def test_witness_signature_matches_maslov_iota(alg, monkeypatch):
     """-sgn(x1 - x2) with tau at infinity is the triple index, also when
-    (sigma1, sigma2) share 1..r coincidences."""
+    (sigma1, sigma2) share 1..r coincidences.  Its eigenvalues, taken from
+    tau and the two points, are those of the rooted route through
+    tau^{-1/2} to 1e-9 of the largest, with the same null signature."""
+    orig, eigs = ix._null_signature, []
+
+    def recorded(values, nulls, tol):
+        eigs.append(values)
+        return orig(values, nulls, tol)
+
+    monkeypatch.setattr(ix, "_null_signature", recorded)
     rng = np.random.default_rng(78)
     checked = 0
     for ell in range(alg.rank + 1):
         for _ in range(8):
             _, _, (s1, s2) = shared_frame_points(alg, rng, 2, coincide=ell)
-            tau, angles, frame = bd._random_spectral(alg, rng)
+            tau = bd.random_shilov(alg, rng)
             if not (ix.transversal(tau, s1) and ix.transversal(tau, s2)):
                 continue
-            root = ix._root_inverse(alg, angles, frame)
-            got = ix._witness_iota(alg, root, s1, s2, ix.mu(s1, s2), DEFAULT)
+            nulls = ix.mu(s1, s2)
+            got = ix._witness_iota(alg, tau, s1, s2, nulls, DEFAULT)
+            rooted = orc.witness_iota_rooted(tau, s1, s2)
+            assert got == orig(rooted, nulls, DEFAULT)
+            assert np.max(np.abs(np.sort(eigs[-1]) - np.sort(rooted))) \
+                <= 1e-9 * np.max(np.abs(rooted))
             assert got == ix.maslov_iota(s1, s2, tau).value
             checked += 1
     assert checked >= 6 * (alg.rank + 1)
