@@ -1,59 +1,14 @@
-"""Deterministic JSON writer: 17 significant digits, stable key order.
+"""Deterministic JSON writer: shortest round-trip floats, fixed key order.
 
-Reports must be byte-reproducible across runs and platforms, so floats are
-always written with %.17g (enough to round-trip IEEE doubles) and dict keys
-are emitted in insertion order, which the builders keep fixed.
+Every document goes through json.dumps with a two-space indent and a final
+newline.  Floats are written by float.__repr__, the shortest text that
+parses back to the same double, sign of zero and type included, and keys
+in insertion order, which the builders keep fixed, so identical inputs
+give byte-identical output.
 """
 
 import json
 
 
-def format_float(x):
-    return "%.17g" % float(x)
-
-
-def _emit(obj, pad, step, out):
-    sp = " " * pad
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        inner = " " * (pad + step)
-        for i, (key, val) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            out.append(inner + json.dumps(key) + ": ")
-            _emit(val, pad + step, step, out)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(sp + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        inner = " " * (pad + step)
-        for i, val in enumerate(obj):
-            out.append(inner)
-            _emit(val, pad + step, step, out)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(sp + "]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif obj is None:
-        out.append("null")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def dumps(obj, indent=2):
-    out = []
-    _emit(obj, 0, indent, out)
-    out.append("\n")
-    return "".join(out)
+def dumps(obj):
+    return json.dumps(obj, indent=2) + "\n"

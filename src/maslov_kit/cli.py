@@ -77,8 +77,8 @@ def tol_options(fn):
                       help="Angle distance to pi treated as a coincidence.")(fn)
     fn = click.option("--tol-int", type=float, default=None,
                       help="Largest accepted distance to an integer.")(fn)
-    fn = click.option("--mode", type=click.Choice(["strict", "permissive"]),
-                      default="strict", show_default=True,
+    fn = click.option("--mode", type=click.Choice([STRICT, PERMISSIVE]),
+                      default=STRICT, show_default=True,
                       help="Gray-zone policy near coincidence thresholds.")(fn)
     return fn
 
@@ -90,10 +90,6 @@ def _build_tol(tol_transverse, tol_int):
     if tol_int is not None:
         tol = replace(tol, integer=tol_int)
     return tol
-
-
-def _mode_obj(mode):
-    return STRICT if mode == "strict" else PERMISSIVE
 
 
 def _echo_doc(doc):
@@ -124,7 +120,6 @@ def compute(op, tol_transverse, tol_int, mode, files):
     documents or lists; use - for stdin.
     """
     tol = _build_tol(tol_transverse, tol_int)
-    mode_obj = _mode_obj(mode)
     docs = _read_docs(files)
     if len(docs) != OP_ARITY[op]:
         raise DomainError(f"op {op} expects {OP_ARITY[op]} points, "
@@ -139,22 +134,21 @@ def compute(op, tol_transverse, tol_int, mode, files):
     else:
         args = [p.point if isinstance(p, bd.LiftedPoint) else p
                 for p in parsed]
-    alg = args[0].point.alg if op in LIFTED_OPS else args[0].alg
+    alg = parsed[0].alg
     for (path, _), obj in zip(docs, parsed):
-        got = obj.point.alg if isinstance(obj, bd.LiftedPoint) else obj.alg
-        if got != alg:
+        if obj.alg != alg:
             raise DomainError(f"{path}.algebra: expected "
                               f"{alg.kind}-{alg.param}, got "
-                              f"{got.kind}-{got.param}")
+                              f"{obj.alg.kind}-{obj.alg.param}")
 
     if op == "mu":
-        value = ix.mu(args[0], args[1], tol, mode_obj)
+        value = ix.mu(args[0], args[1], tol, mode)
         raw, residual, witnesses = float(value), 0.0, ()
     else:
         fn = {"iota": ix.maslov_iota, "souriau": ix.souriau_m,
               "inertia": ix.inertia_j, "arnold": ix.arnold_nu,
               "alm": ix.alm_n}[op]
-        rep = fn(*args, tol, mode_obj)
+        rep = fn(*args, tol, mode)
         value, raw, residual, witnesses = (rep.value, rep.raw, rep.residual,
                                            rep.witnesses)
     doc = {
@@ -182,14 +176,13 @@ def compute(op, tol_transverse, tol_int, mode, files):
 def rotation(power, base_file, tol_transverse, tol_int, mode, word_file):
     """Translation and rotation number estimates for a group word."""
     tol = _build_tol(tol_transverse, tol_int)
-    mode_obj = _mode_obj(mode)
     word = parse_word(_read_json(word_file), where=word_file)
     base = None
     if base_file is not None:
         base = parse_element(_read_json(base_file), tol, where=base_file)
         if not isinstance(base, bd.LiftedPoint):
             raise DomainError(f"{base_file}.theta: base must be a lifted point")
-    tau, tau_bound = dy.translation_tau(word, power, base, tol, mode_obj)
+    tau, tau_bound = dy.translation_tau(word, power, base, tol, mode)
     rho, bound = dy.rho_from_tau(tau, tau_bound)
     _echo_doc({
         "algebra": serialize_algebra(word.alg),
@@ -212,7 +205,6 @@ def rotation(power, base_file, tol_transverse, tol_int, mode, word_file):
 def path(op, csv_file, tol_transverse, tol_int, mode, files):
     """Crossing indices along sampled boundary paths."""
     tol = _build_tol(tol_transverse, tol_int)
-    mode_obj = _mode_obj(mode)
     if len(files) != 2:
         raise DomainError(f"op {op} expects 2 files, got {len(files)}")
     if op == "arnold":
@@ -223,8 +215,8 @@ def path(op, csv_file, tol_transverse, tol_int, mode, files):
         if ref.alg != bpath.alg:
             raise DomainError(f"{files[1]}.algebra: does not match the path")
         alg = bpath.alg
-        flow = dy.eigenangle_flow(bpath, ref, tol, mode_obj)
-        value = dy.arnold_count(flow, tol, mode_obj)
+        flow = dy.eigenangle_flow(bpath, ref, tol, mode)
+        value = dy.arnold_count(flow, tol, mode)
     else:
         path1 = parse_path(_read_json(files[0]), tol, where=files[0])
         path2 = parse_path(_read_json(files[1]), tol, where=files[1])
@@ -232,8 +224,8 @@ def path(op, csv_file, tol_transverse, tol_int, mode, files):
             raise DomainError(f"{files[1]}.algebra: does not match "
                               f"{files[0]}")
         alg = path1.alg
-        flow = dy.eigenangle_flow(path2, path1, tol, mode_obj)
-        value = dy.pair_path_count(flow, tol, mode_obj)
+        flow = dy.eigenangle_flow(path2, path1, tol, mode)
+        value = dy.pair_path_count(flow, tol, mode)
     records = dy.crossing_records(flow)
     if csv_file is not None:
         with open(csv_file, "w", newline="") as fh:

@@ -104,7 +104,7 @@ def relative_element(sigma, tau, tol: Tolerances = DEFAULT):
     return ShilovPoint(ElementC(alg, -w), tol)
 
 
-def _coincidence_split(angles, tol, mode, what="pair"):
+def _coincidence_split(angles, tol, mode):
     """Distances to pi decide coincidence vs transverse, with a gray zone.
 
     Returns a boolean mask of coincidence directions.
@@ -115,7 +115,7 @@ def _coincidence_split(angles, tol, mode, what="pair"):
     if np.any(gray):
         if mode == STRICT:
             raise AmbiguityError(
-                f"{what}: eigenangle at distance {float(np.min(dist[gray])):.3e} "
+                f"pair: eigenangle at distance {float(np.min(dist[gray])):.3e} "
                 f"from pi lies in the gray zone "
                 f"[{tol.transverse:.1e}, {tol.gray_factor * tol.transverse:.1e}); "
                 "refusing to decide transversality in strict mode")
@@ -138,8 +138,9 @@ def pair_angles(sigmas, taus, tol: Tolerances = DEFAULT):
     than 10 tol.boundary is refused.
 
     Each pair is checked as a one-pair call would check it.  The DomainError
-    is that of the first refused pair, whether off the boundary or of
-    another algebra, and carries its index as `row` (_pair_rows).
+    is that of the first refused pair, whether a raw element that is not a
+    boundary point, a point off the boundary, or a pair of another algebra,
+    and carries its index as `row` (_pair_rows).
     """
     return _checked(_pair_rows(sigmas, taus, tol))
 
@@ -147,24 +148,36 @@ def pair_angles(sigmas, taus, tol: Tolerances = DEFAULT):
 def _pair_rows(sigmas, taus, tol):
     """(angles, refused) of pair_angles, in the form of _factor_rows: the
     sorted angles of the rows before the first refused row, and
-    {row: DomainError} for that row, empty when no row is refused.  Only
-    the rows before the first algebra mismatch are solved, in one call."""
-    sigmas = [as_shilov(s, tol) for s in sigmas]
-    taus = [as_shilov(t, tol) for t in taus]
+    {row: DomainError} for that row, empty when no row is refused.
+
+    The rows are scanned in order: sigma_k and then tau_k are made boundary
+    points (as_shilov), and their algebras compared.  The first row whose
+    coercion fails or whose algebras differ ends the scan; only the rows
+    before it are solved, in one call, and the first of them off the
+    boundary is refused in its place."""
+    sigmas, taus = list(sigmas), list(taus)
     if not sigmas or len(sigmas) != len(taus):
         raise DomainError(f"pair_angles needs N >= 1 sigmas and N taus, got "
                           f"{len(sigmas)} and {len(taus)}")
-    alg = sigmas[0].alg
-    n, refused = len(sigmas), {}
+    points, refused = [], {}
     for k, (s, t) in enumerate(zip(sigmas, taus)):
+        try:
+            s, t = as_shilov(s, tol), as_shilov(t, tol)
+        except DomainError as exc:
+            exc.row = k
+            refused = {k: exc}
+            break
+        alg = points[0][0].alg if points else s.alg
         if s.alg != t.alg or s.alg != alg:
             a, b = (s.alg, t.alg) if s.alg != t.alg else (alg, s.alg)
-            n, refused = k, {k: _row_error(k, f"algebra mismatch: {a} vs {b}")}
+            refused = {k: _row_error(k, f"algebra mismatch: {a} vs {b}")}
             break
+        points.append((s, t))
+    n = len(points)
     if n == 0:
-        return np.empty((0, alg.rank)), refused
-    scoords = np.array([s.value.coords for s in sigmas[:n]])
-    tcoords = np.array([t.value.coords for t in taus[:n]])
+        return np.empty((0, 0)), refused
+    scoords = np.array([s.value.coords for s, _ in points])
+    tcoords = np.array([t.value.coords for _, t in points])
     if alg.kind == SPIN:
         angles, off = _spin_pair_angles(scoords, tcoords)
         what = "a point is off the Lie sphere"
@@ -278,16 +291,6 @@ def psi_hat(sigma, tau, tol: Tolerances = DEFAULT, mode=STRICT):
     check_mode(mode)
     angles, mask = _pair_angles(sigma, tau, tol, mode)
     return float(np.sum(angles[~mask]))
-
-
-def _souriau_raw(lift1, lift2, tol, mode):
-    """Core extended Souriau index; no witness cross-check at this level."""
-    if not isinstance(lift1, LiftedPoint) or not isinstance(lift2, LiftedPoint):
-        raise DomainError("souriau_m needs LiftedPoint arguments")
-    if lift1.alg != lift2.alg:
-        raise DomainError(f"algebra mismatch: {lift1.alg} vs {lift2.alg}")
-    angles, mask = _pair_angles(lift1.point, lift2.point, tol, mode)
-    return _souriau_value(lift1, lift2, angles, mask, tol)
 
 
 def _souriau_value(lift1, lift2, angles, mask, tol):
@@ -419,7 +422,10 @@ def souriau_m(lift1, lift2, tol: Tolerances = DEFAULT, mode=STRICT):
 
 def _souriau_report(lift1, lift2, tol, mode):
     """souriau_m and mu of the pair, read off the same pair pass."""
-    value, raw, residual, m_count = _souriau_raw(lift1, lift2, tol, mode)
+    if not isinstance(lift1, LiftedPoint) or not isinstance(lift2, LiftedPoint):
+        raise DomainError("souriau_m needs LiftedPoint arguments")
+    angles, mask = _pair_angles(lift1.point, lift2.point, tol, mode)
+    value, raw, residual, m_count = _souriau_value(lift1, lift2, angles, mask, tol)
     witnesses = ()
     if m_count > 0:
         point, check = _find_witness(lift1, lift2, m_count, tol)
@@ -454,25 +460,6 @@ def souriau_m_witness(lift1, lift2, wlift, tol: Tolerances = DEFAULT,
     return IndexReport(value, float(value), 0.0, (w,))
 
 
-def _iota_value(s1, s2, s3, tol, mode):
-    """Integer triple index and the coincidence masks of its pair passes
-    (s1, s2), (s2, s3), (s3, s1), all made in one pair_angles call; fast
-    path when all pairs are transverse."""
-    rows = pair_angles([s1, s2, s3], [s2, s3, s1], tol)
-    masks = [_coincidence_split(angles, tol, mode) for angles in rows]
-    if not any(np.any(mask) for mask in masks):
-        raw = sum(float(np.sum(angles)) for angles in rows) / math.pi
-        value, _ = _round_guarded(raw, tol, "Maslov index")
-        return value, masks
-    lifts = [lift(p, 0, tol) for p in (s1, s2, s3)]
-    total = 0
-    for k, angles in enumerate(rows):
-        v, _, _, _ = _souriau_value(lifts[k], lifts[(k + 1) % 3], angles,
-                                    masks[k], tol)
-        total += v
-    return total, masks
-
-
 def maslov_iota(s1, s2, s3, tol: Tolerances = DEFAULT, mode=STRICT):
     """Triple Maslov index of three boundary points.
 
@@ -485,11 +472,22 @@ def maslov_iota(s1, s2, s3, tol: Tolerances = DEFAULT, mode=STRICT):
 
 
 def _iota_report(s1, s2, s3, tol, mode):
-    """maslov_iota and the coincidence masks of its three pair passes."""
+    """maslov_iota and the coincidence masks of its pair passes (s1, s2),
+    (s2, s3), (s3, s1), all made in one pair_angles call; fast path when
+    all pairs are transverse."""
     s1 = as_shilov(s1, tol)
     s2 = as_shilov(s2, tol)
     s3 = as_shilov(s3, tol)
-    value, masks = _iota_value(s1, s2, s3, tol, mode)
+    rows = pair_angles([s1, s2, s3], [s2, s3, s1], tol)
+    masks = [_coincidence_split(angles, tol, mode) for angles in rows]
+    if not any(np.any(mask) for mask in masks):
+        raw = sum(float(np.sum(angles)) for angles in rows) / math.pi
+        value, _ = _round_guarded(raw, tol, "Maslov index")
+    else:
+        lifts = [lift(p, 0, tol) for p in (s1, s2, s3)]
+        value = sum(_souriau_value(lifts[k], lifts[(k + 1) % 3], angles,
+                                   masks[k], tol)[0]
+                    for k, angles in enumerate(rows))
     r = s1.alg.rank
     if abs(value) > r:
         raise IntegralityError(f"Maslov index {value} outside [-{r}, {r}]")

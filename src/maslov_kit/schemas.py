@@ -79,16 +79,21 @@ def _coords(obj, field, alg, where, required=True):
     return vals
 
 
+def _point(obj, alg, tol, where):
+    """The ShilovPoint of the coords_re / coords_im fields of obj."""
+    re = _coords(obj, "coords_re", alg, where)
+    im = _coords(obj, "coords_im", alg, where, required=False)
+    try:
+        return ShilovPoint(celement(alg, re, im), tol)
+    except DomainError as exc:
+        raise DomainError(f"{where}: {exc}") from exc
+
+
 def parse_element(obj, tol: Tolerances = DEFAULT, where="point"):
     """Parse a point document into a ShilovPoint, or a LiftedPoint if a
     `theta` field is present."""
     alg = parse_algebra(_require(obj, "algebra", where), where + ".algebra")
-    re = _coords(obj, "coords_re", alg, where)
-    im = _coords(obj, "coords_im", alg, where, required=False)
-    try:
-        point = ShilovPoint(celement(alg, re, im), tol)
-    except DomainError as exc:
-        raise DomainError(f"{where}: {exc}") from exc
+    point = _point(obj, alg, tol, where)
     if "theta" not in obj:
         return point
     theta = obj["theta"]
@@ -236,13 +241,7 @@ def parse_path(obj, tol: Tolerances = DEFAULT, where="path"):
         t = _require(entry, "t", spot)
         if not isinstance(t, (int, float)) or isinstance(t, bool):
             raise DomainError(f"{spot}.t: expected a number, got {t!r}")
-        re = _coords(entry, "coords_re", alg, spot)
-        im = _coords(entry, "coords_im", alg, spot, required=False)
-        try:
-            point = ShilovPoint(celement(alg, re, im), tol)
-        except DomainError as exc:
-            raise DomainError(f"{spot}: {exc}") from exc
-        samples.append((float(t), point))
+        samples.append((float(t), _point(entry, alg, tol, spot)))
     return BoundaryPath(samples)
 
 

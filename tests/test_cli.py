@@ -10,14 +10,15 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from _cases import minus_i_eps
+from _cases import ALGEBRAS, IDS, minus_i_eps
 import maslov_kit
 from maslov_kit import algebra as al
 from maslov_kit import boundary as bd
+from maslov_kit import cli
 from maslov_kit import dynamics as dy
 from maslov_kit import selftest as st
 from maslov_kit._serialize import dumps
-from maslov_kit.cli import main
+from maslov_kit.cli import GEN_KINDS, main
 from maslov_kit.schemas import (
     parse_element,
     parse_word,
@@ -388,6 +389,105 @@ def test_gen_is_seed_deterministic(tmp_path):
     invoke("gen", "--kind", "element", "--algebra", "spin", "--param", "5",
            "--seed", "43", "--out", f3)
     assert open(f3).read() != out[0]
+
+
+def assert_floats_round_trip(doc):
+    """json.loads(dumps(doc)) gives back the layout of doc and every float
+    in it with the same bits, sign of zero included, and as a float."""
+    def walk(want, got):
+        if isinstance(want, dict):
+            assert list(got) == list(want)
+            for key in want:
+                walk(want[key], got[key])
+        elif isinstance(want, (list, tuple)):
+            assert len(got) == len(want)
+            for a, b in zip(want, got):
+                walk(a, b)
+        elif isinstance(want, float):
+            assert type(got) is float, (want, got)
+            assert got.hex() == want.hex()
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+        else:
+            assert type(got) is type(want) and got == want
+
+    walk(doc, json.loads(dumps(doc)))
+
+
+@pytest.fixture
+def written(monkeypatch):
+    """The documents the CLI writes, in order, recorded at its writer."""
+    docs = []
+
+    def recording(doc):
+        docs.append(doc)
+        return dumps(doc)
+
+    monkeypatch.setattr(cli, "dumps", recording)
+    return docs
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_unit_documents_keep_their_floats(alg):
+    for sign in (1.0, -1.0):
+        point = bd.ShilovPoint(sign * bd.complexify(al.unit(alg)))
+        assert_floats_round_trip(serialize_element(point))
+        assert_floats_round_trip(serialize_element(bd.lift(point)))
+    minus = json.loads(dumps(serialize_element(
+        bd.ShilovPoint(-bd.complexify(al.unit(alg))))))
+    assert all(math.copysign(1.0, v) == -1.0 for v in minus["coords_im"])
+
+
+GEN_ALGEBRAS = [("sym-r", 2), ("herm-c", 2), ("spin", 5)]
+
+
+@pytest.mark.parametrize("kind,param", GEN_ALGEBRAS,
+                         ids=[f"{k}-{p}" for k, p in GEN_ALGEBRAS])
+def test_gen_documents_keep_their_floats(written, kind, param):
+    for gen_kind in GEN_KINDS:
+        res = invoke("gen", "--kind", gen_kind, "--algebra", kind,
+                     "--param", str(param), "--seed", "3", "--n", "9")
+        assert res.exit_code == 0
+        assert res.output == dumps(written[-1])
+        assert_floats_round_trip(written[-1])
+    assert len(written) == len(GEN_KINDS)
+
+
+@pytest.mark.parametrize("kind,param", GEN_ALGEBRAS,
+                         ids=[f"{k}-{p}" for k, p in GEN_ALGEBRAS])
+def test_command_documents_keep_their_floats(tmp_path, written, kind, param):
+    """compute (every op, a coincident pair with its witness included),
+    path and rotation documents."""
+    def gen(name, gen_kind, seed):
+        out = str(tmp_path / f"{name}.json")
+        res = invoke("gen", "--kind", gen_kind, "--algebra", kind,
+                     "--param", str(param), "--seed", str(seed), "--n", "17",
+                     "--out", out)
+        assert res.exit_code == 0
+        return out
+
+    points = [gen(f"p{k}", "element", k) for k in range(3)]
+    lifts = [gen(f"l{k}", "lift", k) for k in range(2)]
+    loop, const = gen("loop", "loop", 5), gen("const", "constant", 6)
+    word = gen("w", "word", 7)
+    commands = [("compute", "--op", "mu", *points[:2]),
+                ("compute", "--op", "mu", points[0], points[0]),
+                ("compute", "--op", "iota", *points),
+                ("compute", "--op", "inertia", *points)]
+    for op in ("souriau", "arnold", "alm"):
+        commands += [("compute", "--op", op, *lifts),
+                     ("compute", "--op", op, lifts[0], lifts[0])]
+    commands += [("path", "--op", "arnold", loop, points[1]),
+                 ("path", "--op", "pair", const, loop),
+                 ("rotation", word, "--k", "8")]
+    for args in commands:
+        before = len(written)
+        res = invoke(*args)
+        assert res.exit_code == 0, args
+        assert len(written) == before + 1
+        assert res.output == dumps(written[-1])
+    assert any("witnesses" in doc for doc in written)
+    for doc in written:
+        assert_floats_round_trip(doc)
 
 
 def test_unknown_generator_type_exit_2(tmp_path):

@@ -175,7 +175,8 @@ def test_spin_pair_angles_batch(alg):
 def test_pair_angles_names_first_refused_row(alg):
     """A batch raises the one-pair error of its first refused pair and
     carries that pair's index as `row`, also when a later pair mixes
-    algebras."""
+    algebras, and a raw element that is not a boundary point is refused in
+    its own row."""
     rng = np.random.default_rng([76, alg.dim])
     loose = replace(DEFAULT, boundary=1e-3)
     sigmas = [bd.random_shilov(alg, rng) for _ in range(7)]
@@ -197,6 +198,20 @@ def test_pair_angles_names_first_refused_row(alg):
     with pytest.raises(DomainError):
         ix.relative_element(sigmas[2], taus[2])
     assert ix.pair_angles(sigmas[:2], taus[:2]).shape == (2, alg.rank)
+    # a raw element is made a boundary point in its own row: off the
+    # boundary, it is refused there, after the mismatch of an earlier row
+    raw = bd.ElementC(alg, 1.01 * sigmas[1].value.coords)
+    with pytest.raises(DomainError) as mixed:
+        ix.pair_angles([sigmas[0], raw], [taus[6], sigmas[0]])
+    with pytest.raises(DomainError) as one:
+        ix.pair_angles(sigmas[:1], taus[6:])
+    assert mixed.value.row == 0 and str(mixed.value) == str(one.value)
+    with pytest.raises(DomainError) as off:
+        bd.ShilovPoint(raw)
+    for k in (0, 1, 2):
+        with pytest.raises(DomainError) as alone:
+            ix.pair_angles(sigmas[:k] + [raw], taus[:k + 1])
+        assert alone.value.row == k and str(alone.value) == str(off.value)
 
 
 def test_pair_angles_refuses_mixed_algebras_and_empty_calls():
