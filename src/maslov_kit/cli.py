@@ -198,7 +198,7 @@ def rotation(power, base_file, tol_transverse, tol_int, mode, word_file):
               type=click.Choice(["arnold", "pair"]),
               help="arnold: path + reference point; pair: two paths.")
 @click.option("--csv", "csv_file", default=None,
-              help="Write the strand table (crossings at the pi level).")
+              help="Write the strand table with the crossings counted.")
 @tol_options
 @click.argument("files", nargs=-1, required=True)
 @exit_codes
@@ -216,7 +216,7 @@ def path(op, csv_file, tol_transverse, tol_int, mode, files):
             raise DomainError(f"{files[1]}.algebra: does not match the path")
         alg = bpath.alg
         flow = dy.eigenangle_flow(bpath, ref, tol, mode)
-        value = dy.arnold_count(flow, tol, mode)
+        value, records = dy.arnold_count(flow, tol, mode)
     else:
         path1 = parse_path(_read_json(files[0]), tol, where=files[0])
         path2 = parse_path(_read_json(files[1]), tol, where=files[1])
@@ -225,8 +225,7 @@ def path(op, csv_file, tol_transverse, tol_int, mode, files):
                               f"{files[0]}")
         alg = path1.alg
         flow = dy.eigenangle_flow(path2, path1, tol, mode)
-        value = dy.pair_path_count(flow, tol, mode)
-    records = dy.crossing_records(flow)
+        value, records = dy.pair_path_count(flow, tol, mode)
     if csv_file is not None:
         with open(csv_file, "w", newline="") as fh:
             dy.write_strand_csv(flow, records, fh)

@@ -30,6 +30,7 @@ from .indices import _pair_rows, souriau_m
 TWO_PI = 2.0 * math.pi
 STRAND_STEP_LIMIT = math.pi / 4
 REFINE_DEPTH = 12
+ORBIT_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,7 @@ class CrossingRecord:
     t: float
     strand: int
     sign: int
+    level: float
 
 
 class BoundaryPath:
@@ -255,7 +257,7 @@ def crossing_records(flow, level=math.pi):
                 line = level + TWO_PI * (lo + 1 + step)
                 frac = (line - a[i]) / (a[i + 1] - a[i])
                 records.append(CrossingRecord(
-                    float(t[i] + frac * (t[i + 1] - t[i])), j, sign))
+                    float(t[i] + frac * (t[i + 1] - t[i])), j, sign, level))
     records.sort(key=lambda rec: (rec.t, rec.strand))
     return records
 
@@ -297,11 +299,12 @@ def arnold_number(path, sigma0, tol: Tolerances = DEFAULT, mode=STRICT):
     """Signed count of eigenangle strands crossing pi along the path,
     relative to the vertex sigma0.  Endpoints must be transverse."""
     check_mode(mode)
-    return arnold_count(eigenangle_flow(path, sigma0, tol, mode), tol, mode)
+    return arnold_count(eigenangle_flow(path, sigma0, tol, mode), tol, mode)[0]
 
 
 def arnold_count(flow, tol: Tolerances = DEFAULT, mode=STRICT):
-    """arnold_number from the flow eigenangle_flow(path, sigma0)."""
+    """(arnold_number, the crossings it counts) from the flow
+    eigenangle_flow(path, sigma0)."""
     end_dist = min(float(np.min(_circle_dist(flow.strands[0], math.pi))),
                    float(np.min(_circle_dist(flow.strands[-1], math.pi))))
     if end_dist < tol.transverse:
@@ -309,7 +312,8 @@ def arnold_count(flow, tol: Tolerances = DEFAULT, mode=STRICT):
             "path endpoint lies on the Maslov cycle of the reference point "
             f"(strand distance {end_dist:.3e} to pi)")
     level = _counted_level(flow, math.pi, tol, mode, end_dist, "arnold_number")
-    return sum(rec.sign for rec in crossing_records(flow, level))
+    records = crossing_records(flow, level)
+    return sum(rec.sign for rec in records), records
 
 
 def pair_path_index(path1, path2, tol: Tolerances = DEFAULT, mode=STRICT):
@@ -320,11 +324,12 @@ def pair_path_index(path1, path2, tol: Tolerances = DEFAULT, mode=STRICT):
     nonvanishing endpoint angle distance, per the perturbation step.
     """
     check_mode(mode)
-    return pair_path_count(eigenangle_flow(path2, path1, tol, mode), tol, mode)
+    return pair_path_count(eigenangle_flow(path2, path1, tol, mode), tol, mode)[0]
 
 
 def pair_path_count(flow, tol: Tolerances = DEFAULT, mode=STRICT):
-    """pair_path_index from the flow eigenangle_flow(path2, path1)."""
+    """(pair_path_index, the crossings it counts) from the flow
+    eigenangle_flow(path2, path1)."""
     end_angles = np.concatenate([flow.strands[0], flow.strands[-1]])
     dists = _circle_dist(end_angles, math.pi)
     if float(np.min(dists)) >= tol.transverse:
@@ -339,13 +344,14 @@ def pair_path_count(flow, tol: Tolerances = DEFAULT, mode=STRICT):
         theta = 0.5 * float(np.min(admissible))
         level = _counted_level(flow, math.pi - theta, tol, mode,
                                theta, "pair_path_index")
-    return sum(rec.sign for rec in crossing_records(flow, level))
+    records = crossing_records(flow, level)
+    return sum(rec.sign for rec in records), records
 
 
 def write_strand_csv(flow, records, fileobj):
     """Table of strands and crossings: t, strand_id, angle, crossing_flag,
     sign.  Sample rows carry flag 0; crossing rows carry the interpolated t
-    and the crossed level as angle."""
+    and the counting level as angle."""
     writer = csv.writer(fileobj)
     writer.writerow(["t", "strand_id", "angle", "crossing_flag", "sign"])
     rows = []
@@ -353,7 +359,7 @@ def write_strand_csv(flow, records, fileobj):
         for t, a in zip(flow.t, flow.strands[:, j]):
             rows.append((float(t), j, float(a), 0, 0))
     for rec in records:
-        rows.append((rec.t, rec.strand, math.pi, 1, rec.sign))
+        rows.append((rec.t, rec.strand, rec.level, 1, rec.sign))
     rows.sort(key=lambda row: (row[1], row[0], row[3]))
     for row in rows:
         writer.writerow([f"{row[0]:.12g}", row[1], f"{row[2]:.12g}",
@@ -392,45 +398,50 @@ def _power_lift(word, lifted, power, tol):
     """g^power . lifted for power >= 1, equal iterate for iterate and error
     for error to `power` calls of bd.act_lift.
 
-    Pass 1 walks the orbit with the image step alone, bd._lf_image on the
-    word's coordinate form (one product, one m x m solve and one product
-    per step on the matrix kinds, one product on spin), and keeps every
-    iterate's coordinates; a step whose image raises LinAlgError ends it.
-    Pass 2 checks the inputs of all steps taken in one bd._phi_rows call,
-    which gives each step's phi (so each iterate's theta) and the verdicts
-    of its gate and half-plane checks, and the iterates in one
-    bd.boundary_refusals call, the ShilovPoint and LiftedPoint tests.  The
-    earliest failing event raises, in the order the sequential loop meets
-    them: the checks of step k, then the LinAlgError of its image, then the
-    refusal of iterate k + 1, then step k + 1.  Iterates past a failed step
-    may be garbage, even non-finite; they raise nothing in either pass.  The
-    returned point is the last iterate, which that one call has passed.
-    act_lift runs the same kernel on one row, so the orbit is bit-identical
-    to its calls.
+    The orbit is walked in blocks of ORBIT_BLOCK steps, each handing its last
+    iterate and theta to the next, so memory is bounded by one block
+    whatever the power.  Pass 1 of a block walks it with the image step
+    alone, bd._lf_image on the word's coordinate form (one product, one
+    m x m solve and one product per step on the matrix kinds, one product
+    on spin), and keeps the block's iterates; a step whose image raises
+    LinAlgError ends it.  Pass 2 checks the inputs of the block's steps in
+    one bd._phi_rows call, which gives each step's phi (so each iterate's
+    theta) and the verdicts of its gate and half-plane checks, and its
+    iterates in one bd.boundary_refusals call, the ShilovPoint and
+    LiftedPoint tests.  The earliest failing event raises, in the order the
+    sequential loop meets them: the checks of step k, then the LinAlgError
+    of its image, then the refusal of iterate k + 1, then step k + 1.
+    Iterates past a failed step may be garbage, even non-finite; they raise
+    nothing in either pass.  The returned point is the last iterate, which
+    the last block's check has passed.  act_lift runs the same kernel on one
+    row, so the orbit is bit-identical to its calls.
     """
     alg, r = word.alg, word.alg.rank
     form = word.coordinate_form()
-    z = bd._coords_on(word, lifted.point)
-    rows, stop = [z], None
-    with np.errstate(all="ignore"):
-        for _ in range(power):
-            try:
-                z = bd._lf_image(form, z)
-            except np.linalg.LinAlgError as exc:
-                stop = exc
-                break
-            rows.append(z)
-        rows = np.array(rows)
-        phis, steps = bd._phi_rows(word, rows[:power], tol)
-        thetas = np.cumsum(np.r_[lifted.theta, phis[:len(rows) - 1] / r])[1:]
-        refused = bd.boundary_refusals(alg, rows[1:], tol, thetas)
-    events = {(k, 0): exc for k, exc in steps.items()}
-    if stop is not None:
-        events[(len(rows) - 1, 1)] = stop
-    events.update({(k, 2): DomainError(msg) for k, msg in refused.items()})
-    if events:
-        raise events[min(events)]
-    return bd._passed_lift(bd.ElementC(alg, rows[-1]), float(thetas[-1]))
+    z, theta = bd._coords_on(word, lifted.point), lifted.theta
+    for start in range(0, power, ORBIT_BLOCK):
+        block = min(ORBIT_BLOCK, power - start)
+        rows, stop = [z], None
+        with np.errstate(all="ignore"):
+            for _ in range(block):
+                try:
+                    z = bd._lf_image(form, z)
+                except np.linalg.LinAlgError as exc:
+                    stop = exc
+                    break
+                rows.append(z)
+            rows = np.array(rows)
+            phis, steps = bd._phi_rows(word, rows[:block], tol)
+            thetas = np.cumsum(np.r_[theta, phis[:len(rows) - 1] / r])[1:]
+            refused = bd.boundary_refusals(alg, rows[1:], tol, thetas)
+        events = {(k, 0): exc for k, exc in steps.items()}
+        if stop is not None:
+            events[(len(rows) - 1, 1)] = stop
+        events.update({(k, 2): DomainError(msg) for k, msg in refused.items()})
+        if events:
+            raise events[min(events)]
+        theta = float(thetas[-1])
+    return bd._passed_lift(bd.ElementC(alg, rows[-1]), theta)
 
 
 def translation_tau(word, power, base=None, tol: Tolerances = DEFAULT,
@@ -438,12 +449,12 @@ def translation_tau(word, power, base=None, tol: Tolerances = DEFAULT,
     """Translation number estimate (c(g^K)/K, error bound r/K).
 
     The bound comes from the quasimorphism defect |c(gh) - c(g) - c(h)| <= r.
-    The orbit of the base lift is walked in two passes (_power_lift): the K
-    images step by step, each one product and one m x m solve on the word's
-    coordinate form, then every step's factors of Delta_g and determination
-    in one batched pass, and every iterate's boundary check in another.  A
-    refused orbit raises the error of its earliest failing event, as K calls
-    of act_lift would.
+    The orbit of the base lift is walked in blocks of ORBIT_BLOCK steps
+    (_power_lift), each in two passes: its images step by step, each one
+    product and one m x m solve on the word's coordinate form, then its
+    steps' factors of Delta_g and determinations in one batched pass, and
+    its iterates' boundary checks in another.  A refused orbit raises the
+    error of its earliest failing event, as K calls of act_lift would.
     """
     check_mode(mode)
     if power < 1:

@@ -4,6 +4,11 @@ Thirteen independent suites exercise the index machinery end to end on the
 seven desk-scale algebras (sym-r 1..3, herm-c 1..2, spin 3 and 5).  Each
 suite draws from its own seeded generator, so a fixed seed produces the
 same report bytes on every run; timings go to stderr only.
+
+A suite is a generator over (rng, scale) that yields one (ok, message) pair
+per check, counted by `tally`: ok False is a failed check, ok None a failure
+that is not a check (too few path splits found).  A suite that raises counts
+0 checks and one "raised ..." failure.
 """
 
 import math
@@ -20,6 +25,7 @@ from . import indices as ix
 from .errors import AmbiguityError, DomainError
 
 TWO_PI = 2.0 * math.pi
+ROTATION_POWER = 32
 
 ALGEBRAS = (
     al.algebra(al.SYM_R, 1),
@@ -46,7 +52,6 @@ class Scale:
     primitive: int = 200
     unitary_words: int = 20
     fixing_words: int = 10
-    power: int = 32
     word_pairs: int = 100
     splits: int = 50
     health: int = 100
@@ -60,7 +65,7 @@ SCALES = {
     "quick": Scale(
         leray=40, cocycle=40, cocycle_forced=10, pairs=80, witness_pairs=16,
         witnesses=4, words_per_alg=8, frames=40, coranks=40, primitive=30,
-        unitary_words=8, fixing_words=4, power=32, word_pairs=20, splits=10,
+        unitary_words=8, fixing_words=4, word_pairs=20, splits=10,
         health=20, loop_n=33, rich_n=65, split_n=49,
     ),
 }
@@ -68,10 +73,6 @@ SCALES = {
 
 def _alg_at(i):
     return ALGEBRAS[i % len(ALGEBRAS)]
-
-
-def _unit_pt(alg):
-    return bd.unit_shilov(alg)
 
 
 def _neg_unit_pt(alg):
@@ -110,23 +111,18 @@ def _shared_lift(point, angles, k=0):
 
 def suite_orbit_values(rng, s):
     """iota(e, -e, -i eps_k) = 2k - r for every k on every algebra."""
-    checks, fails = 0, []
     for alg in ALGEBRAS:
         r = alg.rank
-        e_pt, neg = _unit_pt(alg), _neg_unit_pt(alg)
+        e_pt, neg = bd.unit_shilov(alg), _neg_unit_pt(alg)
         for k in range(r + 1):
             rep = ix.maslov_iota(e_pt, neg, _minus_i_eps(alg, k))
-            checks += 1
-            if rep.value != 2 * k - r or rep.residual >= 1e-6:
-                fails.append(
-                    f"{alg.kind}-{alg.param} k={k}: got {rep.value} "
-                    f"(residual {rep.residual:.2e}), want {2 * k - r}")
-    return checks, fails
+            yield not (rep.value != 2 * k - r or rep.residual >= 1e-6), (
+                f"{alg.kind}-{alg.param} k={k}: got {rep.value} "
+                f"(residual {rep.residual:.2e}), want {2 * k - r}")
 
 
 def suite_leray_sum(rng, s):
     """m12 + m23 + m31 = iota on random lifted triples, transverse or not."""
-    checks, fails = 0, []
     for i in range(s.leray):
         alg = _alg_at(i)
         if i % 3 == 0 and alg.rank > 1:
@@ -140,16 +136,12 @@ def suite_leray_sum(rng, s):
                  + ix.souriau_m(lifts[1], lifts[2]).value
                  + ix.souriau_m(lifts[2], lifts[0]).value)
         iota = ix.maslov_iota(pts[0], pts[1], pts[2]).value
-        checks += 1
-        if total != iota:
-            fails.append(f"triple {i} on {alg.kind}-{alg.param}: "
-                         f"sum {total} != iota {iota}")
-    return checks, fails
+        yield total == iota, (f"triple {i} on {alg.kind}-{alg.param}: "
+                              f"sum {total} != iota {iota}")
 
 
 def suite_cocycle_relation(rng, s):
     """Alternating iota sum over 4-tuples vanishes, coincidences included."""
-    checks, fails = 0, []
     for i in range(s.cocycle):
         alg = _alg_at(i)
         stride = max(1, s.cocycle // s.cocycle_forced)
@@ -165,16 +157,12 @@ def suite_cocycle_relation(rng, s):
                  - ix.maslov_iota(p1, p2, p4).value
                  + ix.maslov_iota(p1, p3, p4).value
                  - ix.maslov_iota(p2, p3, p4).value)
-        checks += 1
-        if total != 0:
-            fails.append(f"tuple {i} on {alg.kind}-{alg.param}: "
-                         f"alternating sum {total}")
-    return checks, fails
+        yield total == 0, (f"tuple {i} on {alg.kind}-{alg.param}: "
+                           f"alternating sum {total}")
 
 
 def suite_pair_integrality(rng, s):
     """m is an integer, antisymmetric, and shifts by 2 under the deck map."""
-    checks, fails = 0, []
     for i in range(s.pairs):
         alg = _alg_at(i)
         if i % 5 == 0 and alg.rank > 1:
@@ -188,23 +176,19 @@ def suite_pair_integrality(rng, s):
             m21 = ix.souriau_m(l2, l1)
             shifted = ix.souriau_m(l1, bd.t_shift(l2))
         except AmbiguityError as exc:
-            fails.append(f"pair {i} on {alg.kind}-{alg.param}: {exc}")
-            checks += 1
+            yield False, f"pair {i} on {alg.kind}-{alg.param}: {exc}"
             continue
-        checks += 1
         if m12.residual >= 1e-6:
-            fails.append(f"pair {i}: residual {m12.residual:.2e}")
+            yield False, f"pair {i}: residual {m12.residual:.2e}"
         elif m12.value + m21.value != 0:
-            fails.append(f"pair {i}: m12 {m12.value} + m21 {m21.value} != 0")
-        elif shifted.value != m12.value + 2:
-            fails.append(f"pair {i}: deck shift {shifted.value} != "
-                         f"{m12.value} + 2")
-    return checks, fails
+            yield False, f"pair {i}: m12 {m12.value} + m21 {m21.value} != 0"
+        else:
+            yield shifted.value == m12.value + 2, (
+                f"pair {i}: deck shift {shifted.value} != {m12.value} + 2")
 
 
 def suite_witness_independence(rng, s):
     """souriau_m_witness agrees with the direct route for every witness."""
-    checks, fails = 0, []
     for i in range(s.witness_pairs):
         alg = _alg_at(i)
         if i % 2 == 0 and alg.rank > 1:
@@ -225,16 +209,12 @@ def suite_witness_independence(rng, s):
             except AmbiguityError:
                 continue
             found += 1
-            checks += 1
-            if got != direct:
-                fails.append(f"pair {i} witness {found} on "
-                             f"{alg.kind}-{alg.param}: {got} != {direct}")
-    return checks, fails
+            yield got == direct, (f"pair {i} witness {found} on "
+                                  f"{alg.kind}-{alg.param}: {got} != {direct}")
 
 
 def suite_word_invariance(rng, s):
     """m, iota and mu are unchanged by the boundary action of group words."""
-    checks, fails = 0, []
     for alg in ALGEBRAS:
         for i in range(s.words_per_alg):
             g = bd.random_word(alg, rng, mode="mixed")
@@ -247,16 +227,12 @@ def suite_word_invariance(rng, s):
             ok_i = (ix.maslov_iota(gl1.point, gl2.point, gp3).value
                     == ix.maslov_iota(l1.point, l2.point, p3).value)
             ok_mu = (ix.mu(gl1.point, gp3) == ix.mu(l1.point, p3))
-            checks += 1
-            if not (ok_m and ok_i and ok_mu):
-                fails.append(f"word {i} on {alg.kind}-{alg.param}: "
-                             f"m {ok_m} iota {ok_i} mu {ok_mu}")
-    return checks, fails
+            yield ok_m and ok_i and ok_mu, (f"word {i} on {alg.kind}-{alg.param}: "
+                                            f"m {ok_m} iota {ok_i} mu {ok_mu}")
 
 
 def suite_shared_frame_oracles(rng, s):
     """Spectral iota and m match the closed-form shared-frame values."""
-    checks, fails = 0, []
     for i in range(s.frames):
         alg = _alg_at(i)
         coincide = 1 if (i % 4 == 0 and alg.rank > 1) else 0
@@ -269,32 +245,26 @@ def suite_shared_frame_oracles(rng, s):
         want_m = ix.m_shared_frame(angle_sets[0], l1.theta,
                                    angle_sets[1], l2.theta)
         got_m = ix.souriau_m(l1, l2).value
-        checks += 1
-        if got_iota != want_iota or got_m != want_m:
-            fails.append(f"config {i} on {alg.kind}-{alg.param}: iota "
-                         f"{got_iota}/{want_iota} m {got_m}/{want_m}")
-    return checks, fails
+        yield got_iota == want_iota and got_m == want_m, (
+            f"config {i} on {alg.kind}-{alg.param}: iota "
+            f"{got_iota}/{want_iota} m {got_m}/{want_m}")
 
 
 def suite_corank_inversion(rng, s):
     """mu from eigenangles equals mu recovered from the operator corank."""
-    checks, fails = 0, []
     for i in range(s.coranks):
         alg = _alg_at(i)
         ell = i % (alg.rank + 1)
         angle_sets, pts = _shared_points(alg, rng, 2, coincide=ell)
         spectral = ix.mu(pts[0], pts[1])
         via_corank = ix.mu_via_corank(pts[0], pts[1])
-        checks += 1
-        if not (spectral == via_corank == ell):
-            fails.append(f"pair {i} on {alg.kind}-{alg.param}: spectral "
-                         f"{spectral} corank {via_corank} want {ell}")
-    return checks, fails
+        yield spectral == via_corank == ell, (
+            f"pair {i} on {alg.kind}-{alg.param}: spectral {spectral} corank "
+            f"{via_corank} want {ell}")
 
 
 def suite_coordinate_family(rng, s):
     """nu = k - ell on the coordinate family; alm is a primitive of inertia."""
-    checks, fails = 0, []
     for alg in ALGEBRAS:
         r = alg.rank
         frame = al.standard_frame(alg)
@@ -309,10 +279,8 @@ def suite_coordinate_family(rng, s):
                 lift2 = bd.LiftedPoint(tau, phi)
                 nu = ix.arnold_nu(lift1, lift2).value
                 mu_val = ix.mu(lift1.point, tau)
-                checks += 1
-                if nu != k - ell or mu_val != ell:
-                    fails.append(f"{alg.kind}-{alg.param} ell={ell} k={k}: "
-                                 f"nu {nu} mu {mu_val}")
+                yield nu == k - ell and mu_val == ell, (
+                    f"{alg.kind}-{alg.param} ell={ell} k={k}: nu {nu} mu {mu_val}")
     for i in range(s.primitive):
         alg = _alg_at(i)
         lifts = [_random_lift(alg, rng) for _ in range(3)]
@@ -321,26 +289,20 @@ def suite_coordinate_family(rng, s):
         got = (ix.alm_n(lifts[0], lifts[1]).value
                - ix.alm_n(lifts[0], lifts[2]).value
                + ix.alm_n(lifts[1], lifts[2]).value)
-        checks += 1
-        if got != want:
-            fails.append(f"triple {i} on {alg.kind}-{alg.param}: "
-                         f"alm sum {got} != inertia {want}")
-    return checks, fails
+        yield got == want, (f"triple {i} on {alg.kind}-{alg.param}: "
+                            f"alm sum {got} != inertia {want}")
 
 
 def suite_rotation_number(rng, s):
     """rho estimates track chi(u); boundary-fixing words give rho = 0 mod 1."""
-    checks, fails = 0, []
     for i in range(s.unitary_words):
         alg = _alg_at(i)
-        word = bd.random_word(alg, rng, mode="unitary",
-                              n_gens=int(rng.integers(1, 4)))
-        rho, bound = dy.rotation_rho(word, s.power)
+        word = bd.random_word(alg, rng, mode="unitary", n_gens=int(rng.integers(1, 4)))
+        rho, bound = dy.rotation_rho(word, ROTATION_POWER)
         gap = abs(np.exp(2j * np.pi * rho) - bd.word_chi(word))
-        checks += 1
-        if gap > TWO_PI * bound + 1e-6:
-            fails.append(f"word {i} on {alg.kind}-{alg.param}: "
-                         f"chi gap {gap:.3e} > {TWO_PI * bound:.3e}")
+        yield not gap > TWO_PI * bound + 1e-6, (
+            f"word {i} on {alg.kind}-{alg.param}: chi gap {gap:.3e} > "
+            f"{TWO_PI * bound:.3e}")
     for i in range(s.fixing_words):
         alg = _alg_at(i)
         scale_gen = bd.LinearGen([("lmul", 0.3 * al.unit(alg))])
@@ -350,16 +312,12 @@ def suite_rotation_number(rng, s):
         sigma_star = bd.as_shilov(bd.cayley_p(bd.complexify(zstar)))
         rho, bound = dy.rotation_rho(word, 8, base=bd.lift(sigma_star))
         dist = min(rho, 1.0 - rho)
-        checks += 1
-        if dist > bound + 1e-9:
-            fails.append(f"fixing word {i} on {alg.kind}-{alg.param}: "
-                         f"rho {rho:.6f} not 0 mod 1")
-    return checks, fails
+        yield not dist > bound + 1e-9, (
+            f"fixing word {i} on {alg.kind}-{alg.param}: rho {rho:.6f} not 0 mod 1")
 
 
 def suite_quasimorphism_bound(rng, s):
     """|c(g1 g2) - c(g1) - c(g2)| <= r at the standard base lift."""
-    checks, fails = 0, []
     for i in range(s.word_pairs):
         alg = _alg_at(i)
         base = dy.standard_base_lift(alg)
@@ -369,11 +327,8 @@ def suite_quasimorphism_bound(rng, s):
         defect = (dy.quasimorphism_c(both, base)
                   - dy.quasimorphism_c(g1, base)
                   - dy.quasimorphism_c(g2, base))
-        checks += 1
-        if abs(defect) > alg.rank:
-            fails.append(f"pair {i} on {alg.kind}-{alg.param}: "
-                         f"defect {defect} > {alg.rank}")
-    return checks, fails
+        yield abs(defect) <= alg.rank, (f"pair {i} on {alg.kind}-{alg.param}: "
+                                        f"defect {defect} > {alg.rank}")
 
 
 def _phase_path_fn(sigma, turns, wiggle=0.0):
@@ -407,16 +362,12 @@ def _rich_path(alg, rng, n):
 
 def suite_path_additivity(rng, s):
     """Full loops count r, transverse pairs count 0, splits are additive."""
-    checks, fails = 0, []
     for alg in ALGEBRAS:
         sigma = bd.random_shilov(alg, rng)
         ref = bd.random_shilov(alg, rng)
-        loop = dy.BoundaryPath.from_function(
-            _phase_path_fn(sigma, 1.0), n=s.loop_n)
+        loop = dy.BoundaryPath.from_function(_phase_path_fn(sigma, 1.0), n=s.loop_n)
         got = dy.arnold_number(loop, ref)
-        checks += 1
-        if got != alg.rank:
-            fails.append(f"loop on {alg.kind}-{alg.param}: {got} != {alg.rank}")
+        yield got == alg.rank, f"loop on {alg.kind}-{alg.param}: {got} != {alg.rank}"
 
         # phase wiggles shift the relative eigenangles rigidly, so staying
         # under the transversality margin forces a zero pair index
@@ -427,9 +378,7 @@ def suite_path_additivity(rng, s):
         path2 = dy.BoundaryPath.from_function(
             _phase_path_fn(ref, 0.0, wiggle=-0.3 * margin), n=s.loop_n)
         got = dy.pair_path_index(path1, path2)
-        checks += 1
-        if got != 0:
-            fails.append(f"transverse pair on {alg.kind}-{alg.param}: {got}")
+        yield got == 0, f"transverse pair on {alg.kind}-{alg.param}: {got}"
 
     done, attempts = 0, 0
     while done < s.splits and attempts < 4 * s.splits:
@@ -449,18 +398,14 @@ def suite_path_additivity(rng, s):
         except (AmbiguityError, DomainError):
             continue  # split landed on the cycle, draw again
         done += 1
-        checks += 1
-        if parts != total:
-            fails.append(f"split {done} on {alg.kind}-{alg.param} at "
-                         f"{alpha:.3f}: {parts} != {total}")
+        yield parts == total, (f"split {done} on {alg.kind}-{alg.param} at "
+                               f"{alpha:.3f}: {parts} != {total}")
     if done < s.splits:
-        fails.append(f"only {done}/{s.splits} splits found off the cycle")
-    return checks, fails
+        yield None, f"only {done}/{s.splits} splits found off the cycle"
 
 
 def suite_kernel_health(rng, s):
     """Spectral kernels reconstruct, frames behave, inverses conjugate."""
-    checks, fails = 0, []
     e_tol = 1e-8
     for alg in ALGEBRAS:
         e = al.unit(alg)
@@ -486,10 +431,7 @@ def suite_kernel_health(rng, s):
                   and ortho_ok
                   and al.norm(sq - al.jmul(x, x)) < e_tol * max(1.0, al.norm(x)) ** 2
                   and bd.cnorm(bd.cinverse(sigma.value) - conj) < 1e-7)
-            checks += 1
-            if not ok:
-                fails.append(f"element {i} on {alg.kind}-{alg.param}")
-    return checks, fails
+            yield ok, f"element {i} on {alg.kind}-{alg.param}"
 
 
 SUITES = (
@@ -517,11 +459,22 @@ class SuiteResult:
     seconds: float
 
 
+def tally(checks):
+    """(count, failures) of a suite's (ok, message) pairs: ok False is a
+    failed check, ok None a failure that is not a check."""
+    count, failures = 0, []
+    for ok, message in checks:
+        count += ok is not None
+        if not ok:
+            failures.append(message)
+    return count, failures
+
+
 def _run_one(idx, name, fn, seed, scale):
     rng = np.random.default_rng([seed, idx])
     start = time.perf_counter()
     try:
-        checks, fails = fn(rng, scale)
+        checks, fails = tally(fn(rng, scale))
     except Exception as exc:  # a crash is a failure, not an abort
         checks, fails = 0, [f"raised {type(exc).__name__}: {exc}"]
     return SuiteResult(name, checks, tuple(fails), time.perf_counter() - start)

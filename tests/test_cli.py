@@ -1,6 +1,7 @@
 """CLI contract: document schemas, exit codes, worked examples."""
 
 import ast
+import csv
 import io
 import json
 import math
@@ -23,6 +24,7 @@ from maslov_kit.schemas import (
     parse_element,
     parse_word,
     serialize_element,
+    serialize_path,
     serialize_word,
 )
 
@@ -340,6 +342,71 @@ def test_path_builds_one_flow(tmp_path, monkeypatch, op):
     assert len(calls) == 1
 
 
+def pair_sharing_a_direction(alg, seed):
+    """A constant path and a path turning one of its eigenangles by
+    0.6 + 2 pi t on the same frame.  The endpoints share the other
+    directions, so the pair is counted at pi - theta, not at pi."""
+    rng = np.random.default_rng(seed)
+    frame = al.random_frame(alg, rng)
+    ang = rng.uniform(-math.pi, math.pi, alg.rank)
+
+    def turned(t):
+        moved = ang.copy()
+        moved[1] += 0.6 + 2 * math.pi * t
+        return bd.from_unit_spectrum(alg, moved, frame)
+
+    return (dy.constant_path(bd.from_unit_spectrum(alg, ang, frame), n=33),
+            dy.BoundaryPath.from_function(turned, n=33))
+
+
+def listed_pair_crossings(tmp_path, path1, path2):
+    """(value, crossings in the JSON, crossing rows of the CSV) of
+    `path --op pair` on the two paths."""
+    files = [write_doc(tmp_path / f"p{k}.json", serialize_path(p))
+             for k, p in enumerate((path1, path2))]
+    csv_out = tmp_path / "s.csv"
+    res = invoke("path", "--op", "pair", *files, "--csv", str(csv_out))
+    assert res.exit_code == 0
+    doc = json.loads(res.output)
+    rows = [row for row in csv.reader(csv_out.read_text().splitlines()[1:])
+            if row[3] == "1"]
+    return doc["value"], doc["crossings"], rows
+
+
+def test_path_lists_the_crossings_it_counts(tmp_path, monkeypatch):
+    """On herm-c 2, seed 4, the pair is counted at pi - theta: value 1.  The
+    JSON and the CSV list that crossing, the CSV at the counting level, from
+    the one crossing_records call of the count."""
+    calls = []
+    records = dy.crossing_records
+
+    def counted(flow, level=math.pi):
+        calls.append(level)
+        return records(flow, level)
+
+    monkeypatch.setattr(dy, "crossing_records", counted)
+    path1, path2 = pair_sharing_a_direction(al.algebra(al.HERM_C, 2), 4)
+    value, crossings, rows = listed_pair_crossings(tmp_path, path1, path2)
+    assert value == 1
+    assert [c["sign"] for c in crossings] == [1]
+    assert len(calls) == 1 and calls[0] < math.pi
+    assert [(int(row[1]), float(row[2]), int(row[4])) for row in rows] == [
+        (crossings[0]["strand"], float(f"{calls[0]:.12g}"), 1)]
+
+
+@pytest.mark.parametrize("kind,m", [(al.SYM_R, 2), (al.SYM_R, 3), (al.HERM_C, 2),
+                                    (al.SPIN, 5)], ids=lambda x: str(x))
+def test_path_crossings_sum_to_the_value(tmp_path, kind, m):
+    """Over 60 pairs sharing a direction at their endpoints, the signs of
+    the listed crossings sum to the printed value, in the JSON and the CSV."""
+    alg = al.algebra(kind, m)
+    for seed in range(60):
+        value, crossings, rows = listed_pair_crossings(
+            tmp_path, *pair_sharing_a_direction(alg, seed))
+        assert sum(c["sign"] for c in crossings) == value, seed
+        assert sum(int(row[4]) for row in rows) == value, seed
+
+
 def test_path_algebra_mismatch_exit_2(tmp_path):
     p1 = str(tmp_path / "p1.json")
     p2 = str(tmp_path / "p2.json")
@@ -547,14 +614,15 @@ def test_every_public_name_resolves():
 
 def unreferenced_definitions(src):
     """The definitions in the modules of `src` that no name or attribute in
-    them refers to: the module-level functions and classes outside
-    maslov_kit.__all__ and the non-dunder methods of those classes, plus the
-    methods of Tolerances.  Click commands are left out; click calls them."""
+    them reads: the module-level functions, classes and assigned non-dunder
+    names outside maslov_kit.__all__ and the non-dunder methods of those
+    classes, plus the methods of Tolerances.  Click commands are left out;
+    click calls them."""
     trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
     used = set()
     for tree in trees:
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
@@ -567,6 +635,11 @@ def unreferenced_definitions(src):
     found = []
     for tree in trees:
         for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found += [name.id for target in targets for name in ast.walk(target)
+                          if isinstance(name, ast.Name) and not name.id.startswith("__")
+                          and name.id not in maslov_kit.__all__ and name.id not in used]
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or is_command(node):
                 continue
             exported = node.name in maslov_kit.__all__

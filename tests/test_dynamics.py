@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -346,7 +347,7 @@ def assert_flows_agree(path, reference):
     gap = np.abs(np.sort(got.strands[i], axis=1) - np.sort(want.strands[j], axis=1))
     assert float(np.max(gap)) <= 1e-12
     for count in (dy.arnold_count, dy.pair_path_count):
-        a, b = outcome(lambda: count(got)), outcome(lambda: count(want))
+        a, b = outcome(lambda: count(got)[0]), outcome(lambda: count(want)[0])
         assert type(a) is type(b) and (isinstance(a, Exception) or a == b)
     return np.array_equal(got.t, want.t)
 
@@ -925,6 +926,63 @@ def test_power_lift_step_and_check_errors_in_order(monkeypatch, alg, seed,
     want = outcome(lambda: orc.power_lift_sequential(word, base, 32, tol))
     assert str(want) == f"planted gate at step {step}"
     assert_same_outcome(outcome(lambda: dy._power_lift(word, base, 32, tol)), want)
+
+
+@pytest.mark.parametrize("alg, mode", zip(ORBIT_ALGEBRAS, ["unitary", "tube", "mixed"] * 2),
+                         ids=lambda x: f"{x.kind}-{x.param}" if hasattr(x, "kind") else x)
+def test_multi_block_orbit_matches_sequential_oracle(alg, mode):
+    """An orbit of 2 blocks and 3 steps, handed on from block to block, is
+    bit-identical to K calls of act_lift."""
+    power = 2 * dy.ORBIT_BLOCK + 3
+    base = dy.standard_base_lift(alg)
+    word = bd.random_word(alg, np.random.default_rng(alg.param), mode)
+    assert_same_lift(dy._power_lift(word, base, power, DEFAULT),
+                     orc.power_lift_sequential(word, base, power))
+
+
+def test_multi_block_orbit_raises_in_its_second_block():
+    """Under boundary tolerance 1e-13 a sym-r 2 tube orbit is refused at
+    iterate 1 289, in its second block: the orbit raises the sequential
+    loop's error there, and the orbit of 1 288 steps ends at the loop's
+    last accepted iterate."""
+    alg = al.algebra(al.SYM_R, 2)
+    tol = replace(DEFAULT, boundary=1e-13)
+    base = dy.standard_base_lift(alg, tol)
+    word = bd.random_word(alg, np.random.default_rng(11), "tube")
+    power, trail = 2 * dy.ORBIT_BLOCK + 3, []
+    want = outcome(lambda: orc.power_lift_sequential(word, base, power, tol, trail))
+    assert isinstance(want, DomainError) and len(trail) + 1 == 1289
+    assert_same_outcome(outcome(lambda: dy._power_lift(word, base, power, tol)), want)
+    assert_same_lift(dy._power_lift(word, base, 1288, tol), trail[-1])
+
+
+@pytest.mark.parametrize("block", [1, 5])
+def test_orbit_errors_keep_their_order_across_blocks(monkeypatch, block):
+    """With blocks of 1 and 5 steps the refusals of the tight-tolerance tube
+    orbits and the planted step errors fall in later blocks; each raises as
+    the sequential loop does."""
+    monkeypatch.setattr(dy, "ORBIT_BLOCK", block)
+    for alg in (al.algebra(al.SYM_R, 2), al.algebra(al.SPIN, 5)):
+        test_power_lift_raises_earliest_error(alg, 1e-14)
+    for case in ((al.algebra(al.SYM_R, 2), 4, 1e-15, 17),
+                 (al.algebra(al.HERM_C, 3), 0, 1e-14, 15)):
+        with monkeypatch.context() as patched:
+            test_power_lift_step_and_check_errors_in_order(patched, *case)
+
+
+def test_orbit_memory_is_bounded_by_one_block():
+    """A unitary orbit of 8 blocks on sym-r 2 keeps one block of iterates:
+    its traced peak stays under 1 MiB, where keeping all 8 192 took 2.4 MiB."""
+    alg = al.algebra(al.SYM_R, 2)
+    word = bd.random_word(alg, np.random.default_rng(0), "unitary")
+    dy.rotation_rho(word, 2)        # builds the cached base and the word's form
+    tracemalloc.start()
+    try:
+        dy.rotation_rho(word, 8 * dy.ORBIT_BLOCK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_csv_output():
