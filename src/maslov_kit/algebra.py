@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import SPECTRAL
 from .errors import DomainError
 
 SYM_R = "sym-r"
@@ -88,6 +88,8 @@ def algebra(kind, param):
 @lru_cache(maxsize=None)
 def _matrix_index(alg):
     """(diag, upper-row, upper-col) index arrays for the matrix kinds."""
+    if alg.kind == SPIN:
+        raise DomainError("spin factor has no matrix realization")
     m = alg.param
     oi, oj = np.triu_indices(m, 1)
     return np.arange(m), oi, oj
@@ -96,33 +98,28 @@ def _matrix_index(alg):
 @lru_cache(maxsize=None)
 def _basis_tensor(alg):
     """Stack of basis matrices, shape (dim, m, m)."""
-    m = alg.param
     eye = np.eye(alg.dim)
     return np.stack([_to_matrix(alg, eye[k]) for k in range(alg.dim)])
 
 
 def _to_matrix(alg, coords):
-    """Coordinates -> matrix for the matrix kinds; supports batches."""
+    """Coordinates -> matrix for the matrix kinds; supports batches.  herm-c
+    adds the imaginary block as (re +- 1j*im) / sqrt(2): one complex division,
+    whose bits two real divisions would not reproduce."""
     m = alg.param
     di, oi, oj = _matrix_index(alg)
-    lead = coords.shape[:-1]
+    re = coords[..., m:m + oi.size]
     if alg.kind == SYM_R:
-        out = np.zeros(lead + (m, m), dtype=coords.dtype)
-        out[..., di, di] = coords[..., :m]
-        off = coords[..., m:] / _SQRT2
-        out[..., oi, oj] = off
-        out[..., oj, oi] = off
-        return out
-    if alg.kind == HERM_C:
-        out = np.zeros(lead + (m, m), dtype=np.complex128)
-        out[..., di, di] = coords[..., :m]
-        noff = oi.size
-        re = coords[..., m:m + noff]
-        im = coords[..., m + noff:]
-        out[..., oi, oj] = (re + 1j * im) / _SQRT2
-        out[..., oj, oi] = (re - 1j * im) / _SQRT2
-        return out
-    raise DomainError("spin factor has no matrix realization")
+        out = np.zeros(coords.shape[:-1] + (m, m), dtype=coords.dtype)
+        upper = lower = re / _SQRT2
+    else:
+        out = np.zeros(coords.shape[:-1] + (m, m), dtype=np.complex128)
+        im = 1j * coords[..., m + oi.size:]
+        upper, lower = (re + im) / _SQRT2, (re - im) / _SQRT2
+    out[..., di, di] = coords[..., :m]
+    out[..., oi, oj] = upper
+    out[..., oj, oi] = lower
+    return out
 
 
 def _from_matrix(alg, mat):
@@ -132,16 +129,11 @@ def _from_matrix(alg, mat):
     callers take the real part themselves.
     """
     di, oi, oj = _matrix_index(alg)
-    if alg.kind == SYM_R:
-        diag = mat[..., di, di]
-        off = (mat[..., oi, oj] + mat[..., oj, oi]) / _SQRT2
-        return np.concatenate([diag, off], axis=-1)
+    upper, lower = mat[..., oi, oj], mat[..., oj, oi]
+    parts = [mat[..., di, di], (upper + lower) / _SQRT2]
     if alg.kind == HERM_C:
-        diag = mat[..., di, di]
-        re = (mat[..., oi, oj] + mat[..., oj, oi]) / _SQRT2
-        im = (mat[..., oi, oj] - mat[..., oj, oi]) * (-1j / _SQRT2)
-        return np.concatenate([diag, re, im], axis=-1)
-    raise DomainError("spin factor has no matrix realization")
+        parts.append((upper - lower) * (-1j / _SQRT2))
+    return np.concatenate(parts, axis=-1)
 
 
 def _mul(alg, a, b):
@@ -336,25 +328,25 @@ def _spin_spectral(alg, coords):
     return vals, (ElementJ(alg, cplus), ElementJ(alg, cminus))
 
 
-def spectral_decompose_real(x, tol: Tolerances = DEFAULT):
+def _frame_coords(alg, cols):
+    """Coordinates of the Jordan frame {v v*} over the orthonormal columns v
+    of cols, one row per column."""
+    vecs = cols.T
+    return np.real(_from_matrix(alg, vecs[:, :, None] * np.conj(vecs[:, None, :])))
+
+
+def spectral_decompose_real(x):
     """Eigenvalues (descending) and a Jordan frame diagonalizing x."""
     alg = x.alg
     if alg.kind == SPIN:
         vals, frame = _spin_spectral(alg, x.coords)
         return Spectrum(vals, frame)
-    mat = _to_matrix(alg, x.coords)
-    vals, vecs = np.linalg.eigh(mat)
-    vals, vecs = vals[::-1], vecs[:, ::-1]
-    if alg.kind == SYM_R:
-        outers = vecs.T[:, :, None] * vecs.T[:, None, :]
-        frame_coords = _from_matrix(alg, outers)
-    else:
-        cols = vecs.T
-        outers = cols[:, :, None] * np.conj(cols[:, None, :])
-        frame_coords = _from_matrix(alg, outers).real
-    frame = tuple(ElementJ(alg, frame_coords[j]) for j in range(alg.rank))
+    vals, vecs = np.linalg.eigh(_to_matrix(alg, x.coords))
+    vals = vals[::-1]
+    frame_coords = _frame_coords(alg, vecs[:, ::-1])
+    frame = tuple(ElementJ(alg, c) for c in frame_coords)
     recon = frame_coords.T @ vals
-    if np.linalg.norm(recon - x.coords) > tol.spectral * (1.0 + np.linalg.norm(x.coords)):
+    if np.linalg.norm(recon - x.coords) > SPECTRAL * (1.0 + np.linalg.norm(x.coords)):
         raise DomainError("spectral decomposition failed to reconstruct input")
     return Spectrum(vals, frame)
 
@@ -362,24 +354,17 @@ def spectral_decompose_real(x, tol: Tolerances = DEFAULT):
 def standard_frame(alg):
     """The coordinate Jordan frame (diagonal units / spin pair)."""
     if alg.kind == SPIN:
-        vals, frame = _spin_spectral(alg, unit(alg).coords)
-        return list(frame)
-    out = []
-    for j in range(alg.param):
-        c = np.zeros(alg.dim)
-        c[j] = 1.0
-        out.append(ElementJ(alg, c))
-    return out
+        return list(_spin_spectral(alg, unit(alg).coords)[1])
+    return [ElementJ(alg, c) for c in _frame_coords(alg, np.eye(alg.param))]
 
 
-def epq(alg, p, q, frame=None):
-    """Signature element e_{p,q}: +1 on the first p frame idempotents, -1 on
-    the next q, and 0 on the rest."""
+def epq(alg, p, q):
+    """Signature element e_{p,q}: +1 on the first p idempotents of the
+    standard frame, -1 on the next q, and 0 on the rest."""
     r = alg.rank
     if p < 0 or q < 0 or p + q > r:
         raise DomainError(f"need p, q >= 0 and p + q <= rank ({r})")
-    if frame is None:
-        frame = standard_frame(alg)
+    frame = standard_frame(alg)
     out = zero(alg)
     for j in range(p):
         out = out + frame[j]
@@ -408,21 +393,11 @@ def random_frame(alg, rng):
     """
     rng = _rng(rng)
     if alg.kind == SPIN:
-        vec = rng.standard_normal(alg.dim - 1)
-        vec /= np.linalg.norm(vec)
-        up = np.concatenate([[0.5], 0.5 * vec])
-        dn = np.concatenate([[0.5], -0.5 * vec])
-        return [ElementJ(alg, up), ElementJ(alg, dn)]
+        vec = np.concatenate([[0.0], rng.standard_normal(alg.dim - 1)])
+        return list(_spin_spectral(alg, vec)[1])
     m = alg.param
-    if alg.kind == SYM_R:
-        g = rng.standard_normal((m, m))
-    else:
-        g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    g = rng.standard_normal((m, m))
+    if alg.kind == HERM_C:
+        g = g + 1j * rng.standard_normal((m, m))
     qmat, _ = np.linalg.qr(g)
-    out = []
-    for j in range(m):
-        col = qmat[:, j]
-        outer = col[:, None] * np.conj(col[None, :])
-        coords = _from_matrix(alg, outer)
-        out.append(ElementJ(alg, coords.real if np.iscomplexobj(coords) else coords))
-    return out
+    return [ElementJ(alg, c) for c in _frame_coords(alg, qmat)]

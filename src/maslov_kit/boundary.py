@@ -33,7 +33,7 @@ from .algebra import (AlgebraDescriptor, ElementJ, _basis_tensor, _Coords, _det,
                       _from_matrix, _lmul, _mul, _spin_spectral, _to_matrix, element,
                       lmul_operator, random_element, random_frame,
                       spectral_decompose_real, unit)
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT, SPECTRAL, Tolerances
 from .errors import AmbiguityError, DomainError
 
 TWO_PI = 2.0 * math.pi
@@ -80,14 +80,6 @@ def celement(alg, coords_re, coords_im=None):
     re = np.asarray(coords_re, dtype=float)
     im = np.zeros_like(re) if coords_im is None else np.asarray(coords_im, dtype=float)
     return ElementC(alg, re + 1j * im)
-
-
-def real_part(z):
-    return element(z.alg, z.coords.real)
-
-
-def imag_part(z):
-    return element(z.alg, z.coords.imag)
 
 
 def cdet(z):
@@ -320,17 +312,15 @@ def shilov_spectral(sigma, tol: Tolerances = DEFAULT):
         half = math.atan2(float(np.linalg.norm(x[0, 1:])), float(x[0, 0]))
         return _descending(wrap_angle(gamma[0] + np.array([half, -half])),
                            _spin_spectral(alg, x[0])[1])
-    x = real_part(sigma.value)
-    y = imag_part(sigma.value)
     best = math.inf
     for mu1, mu2 in _COMBODIRS:
-        comb = element(alg, mu1 * x.coords + mu2 * y.coords)
-        spec = spectral_decompose_real(comb, tol)
+        comb = element(alg, mu1 * scoords.real + mu2 * scoords.imag)
+        spec = spectral_decompose_real(comb)
         frame = np.array([c.coords for c in spec.frame])
         zeta = frame @ scoords
         resid = float(np.linalg.norm(zeta @ frame - scoords))
         unit_err = float(np.max(np.abs(np.abs(zeta) - 1.0)))
-        if resid <= tol.spectral * alg.rank * 10.0 and unit_err <= 10.0 * tol.boundary:
+        if resid <= SPECTRAL * alg.rank * 10.0 and unit_err <= 10.0 * tol.boundary:
             return _descending(principal_arg(zeta), spec.frame)
         best = min(best, resid + unit_err)
     raise DomainError(
@@ -681,6 +671,8 @@ class GroupWord:
                 raise DomainError(
                     f"generator {k} lives on {gen.alg}, the word on {alg}")
         self.base_arg = None if base_arg is None else float(base_arg)
+        if self.base_arg is not None and not math.isfinite(self.base_arg):
+            raise DomainError(f"base_arg must be finite, got {self.base_arg!r}")
         self._lf = self._form = None
 
     def is_unitary(self):

@@ -252,7 +252,7 @@ GEN_KINDS = ("element", "lift", "word", "loop", "tangent", "constant")
               type=click.Choice(sorted(al.KINDS)))
 @click.option("--param", type=int, default=2, show_default=True,
               help="Rank for sym-r/herm-c, dimension q for spin.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--family", default="mixed", show_default=True,
               type=click.Choice(["tube", "unitary", "mixed"]),
               help="Generator family for --kind word.")
@@ -314,7 +314,7 @@ def gen(kind, kind_name, param, seed, family, n_samples, turns, out_file):
 @main.command()
 @click.option("--level", default="quick", show_default=True,
               type=click.Choice(sorted(st.SCALES)))
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @exit_codes
 def selftest(level, seed):
     """Run the acceptance suites; a fixed seed fixes the report bytes."""

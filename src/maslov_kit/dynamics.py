@@ -31,6 +31,7 @@ TWO_PI = 2.0 * math.pi
 STRAND_STEP_LIMIT = math.pi / 4
 REFINE_DEPTH = 12
 ORBIT_BLOCK = 1024
+TANGENT_SLOPE = 1e-6     # a strand slower than this on the level is tangent
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,9 @@ class BoundaryPath:
         ts = np.array([t for t, _ in samples])
         if not (abs(ts[0]) < 1e-12 and abs(ts[-1] - 1.0) < 1e-12):
             raise DomainError("path parameter must run from 0 to 1")
-        if np.any(np.diff(ts) <= 0):
-            raise DomainError("path sample times must be strictly increasing")
+        if not np.all(np.diff(ts) > 0):     # a NaN or an infinity fails too
+            raise DomainError("path sample times must be finite and strictly "
+                              "increasing")
         alg = samples[0][1].alg
         for _, p in samples:
             if p.alg != alg:
@@ -276,7 +278,7 @@ def _tangency_times(flow, level, tol):
             lo = max(i - 1, 0)
             hi = min(i + 1, len(t) - 1)
             slope = abs(a[hi, j] - a[lo, j]) / (t[hi] - t[lo])
-            if slope < tol.slope:
+            if slope < TANGENT_SLOPE:
                 hits.append((float(t[i]), j))
     return hits
 

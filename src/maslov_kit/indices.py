@@ -40,7 +40,7 @@ from .boundary import (ElementC, LiftedPoint, ShilovPoint, _checked,
                        _cinverse_rows, _lie_sphere, as_shilov,
                        cquad_rep_operator, lift, principal_arg, random_shilov,
                        shilov_spectral, wrap_angle)
-from .config import DEFAULT, STRICT, Tolerances, check_mode
+from .config import DEFAULT, GRAY_FACTOR, STRICT, Tolerances, check_mode
 from .errors import AmbiguityError, DomainError, IntegralityError
 
 _WITNESS_SEED = 0x6D6B5731
@@ -111,13 +111,13 @@ def _coincidence_split(angles, tol, mode):
     """
     dist = math.pi - np.abs(np.asarray(angles))
     coincident = dist < tol.transverse
-    gray = (~coincident) & (dist < tol.gray_factor * tol.transverse)
+    gray = (~coincident) & (dist < GRAY_FACTOR * tol.transverse)
     if np.any(gray):
         if mode == STRICT:
             raise AmbiguityError(
                 f"pair: eigenangle at distance {float(np.min(dist[gray])):.3e} "
                 f"from pi lies in the gray zone "
-                f"[{tol.transverse:.1e}, {tol.gray_factor * tol.transverse:.1e}); "
+                f"[{tol.transverse:.1e}, {GRAY_FACTOR * tol.transverse:.1e}); "
                 "refusing to decide transversality in strict mode")
         # permissive: gray angles count as transverse, i.e. keep them
     return coincident
@@ -362,13 +362,13 @@ def _witness_iota(alg, tau, p1, p2, nulls, tol):
 def _null_signature(eigs, nulls, tol):
     """-sgn of eigs over all but its `nulls` smallest in modulus, or None
     unless those are clearly apart from the rest: the smallest kept modulus
-    must exceed gray_factor times the largest dropped one (times tol.rank
+    must exceed GRAY_FACTOR times the largest dropped one (times tol.rank
     of the largest modulus when nothing is dropped)."""
     order = np.argsort(np.abs(eigs))
     size = np.abs(eigs[order])
     if nulls < size.size:
         floor = size[nulls - 1] if nulls else tol.rank * size[-1]
-        if not size[nulls] > tol.gray_factor * floor:
+        if not size[nulls] > GRAY_FACTOR * floor:
             return None
     return -int(np.sum(np.sign(eigs[order[nulls:]])))
 
@@ -494,12 +494,13 @@ def _iota_report(s1, s2, s3, tol, mode):
     return IndexReport(value, float(value), 0.0), masks
 
 
-def ord_triple(alpha, beta, gamma, eps=1e-12):
+def ord_triple(alpha, beta, gamma):
     """Cyclic order of three unit-circle points given by angles.
 
-    0 when any two coincide; +1 when e^{i beta} lies on the open
-    counterclockwise arc from e^{i alpha} to e^{i gamma}; else -1.
+    0 when any two coincide (within 1e-12 rad); +1 when e^{i beta} lies on
+    the open counterclockwise arc from e^{i alpha} to e^{i gamma}; else -1.
     """
+    eps = 1e-12
     tb = math.fmod(beta - alpha, 2.0 * math.pi) % (2.0 * math.pi)
     tg = math.fmod(gamma - alpha, 2.0 * math.pi) % (2.0 * math.pi)
     if min(tb, 2.0 * math.pi - tb) < eps or min(tg, 2.0 * math.pi - tg) < eps \
@@ -508,23 +509,24 @@ def ord_triple(alpha, beta, gamma, eps=1e-12):
     return 1 if tb < tg else -1
 
 
-def iota_shared_frame(angles1, angles2, angles3, eps=1e-12):
+def iota_shared_frame(angles1, angles2, angles3):
     """Closed-form triple index for three points sharing one frame."""
-    return sum(ord_triple(a, b, c, eps)
+    return sum(ord_triple(a, b, c)
                for a, b, c in zip(angles1, angles2, angles3))
 
 
-def m_shared_frame(angles1, theta1, angles2, theta2, eps=1e-9):
+def m_shared_frame(angles1, theta1, angles2, theta2):
     """Closed-form Souriau index for shared-frame lifts.
 
     Pure angle arithmetic (no spectral pass): sum of theta_j - phi_j + pi
-    wrapped to (-pi, pi), dropping coincidence directions.
+    wrapped to (-pi, pi), dropping coincidence directions (those within
+    1e-9 rad of pi).
     """
     a1 = np.asarray(angles1, dtype=float)
     a2 = np.asarray(angles2, dtype=float)
     r = a1.size
     rel = wrap_angle(a1 - a2 + math.pi)
-    keep = (math.pi - np.abs(rel)) >= eps
+    keep = (math.pi - np.abs(rel)) >= 1e-9
     raw = (float(np.sum(rel[keep])) - r * (theta1 - theta2)) / math.pi
     value = int(round(raw))
     if abs(raw - value) > 1e-6:

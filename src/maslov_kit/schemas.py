@@ -12,6 +12,8 @@ documents produced here.  All schema violations raise DomainError naming
 the offending field.
 """
 
+import math
+
 import numpy as np
 
 from .algebra import KINDS, algebra, element
@@ -177,8 +179,9 @@ def parse_word(obj, where="word"):
     base_arg = obj.get("base_arg")
     if base_arg is not None and (
         not isinstance(base_arg, (int, float)) or isinstance(base_arg, bool)
+        or not math.isfinite(base_arg)
     ):
-        raise DomainError(f"{where}.base_arg: expected a number, got {base_arg!r}")
+        raise DomainError(f"{where}.base_arg: expected a finite number, got {base_arg!r}")
     return GroupWord(alg, gens, base_arg=None if base_arg is None else float(base_arg))
 
 
@@ -239,8 +242,8 @@ def parse_path(obj, tol: Tolerances = DEFAULT, where="path"):
     for i, entry in enumerate(raw):
         spot = f"{where}.samples[{i}]"
         t = _require(entry, "t", spot)
-        if not isinstance(t, (int, float)) or isinstance(t, bool):
-            raise DomainError(f"{spot}.t: expected a number, got {t!r}")
+        if not isinstance(t, (int, float)) or isinstance(t, bool) or not math.isfinite(t):
+            raise DomainError(f"{spot}.t: expected a finite number, got {t!r}")
         samples.append((float(t), _point(entry, alg, tol, spot)))
     return BoundaryPath(samples)
 

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,8 @@ from maslov_kit import dynamics as dy
 from maslov_kit import selftest as st
 from maslov_kit._serialize import dumps
 from maslov_kit.cli import GEN_KINDS, main
+from maslov_kit.config import DEFAULT
+from maslov_kit.errors import DomainError
 from maslov_kit.schemas import (
     parse_element,
     parse_word,
@@ -192,6 +195,62 @@ def test_gray_zone_strict_exit_3_permissive_0(tmp_path):
     loose = invoke("compute", "--op", "mu", "--mode", "permissive", f1, f2)
     assert loose.exit_code == 0
     assert json.loads(loose.output)["value"] == 0
+
+
+@pytest.mark.parametrize("flag,value,field", [
+    ("--tol-transverse", "nan", "transverse"),
+    ("--tol-transverse", "-1", "transverse"),
+    ("--tol-transverse", "inf", "transverse"),
+    ("--tol-int", "nan", "integer"),
+    ("--tol-int", "0.5", "integer"),
+])
+def test_tolerance_flag_outside_its_range_exit_2(tmp_path, flag, value, field):
+    """mu(sigma, sigma) is the rank; a NaN or negative gate used to print 0,
+    and a NaN integer bound turned the integrality guard off."""
+    p = str(tmp_path / "p.json")
+    assert invoke("gen", "--kind", "element", "--seed", "5", "--out", p).exit_code == 0
+    res = invoke("compute", "--op", "mu", flag, value, p, p)
+    assert res.exit_code == 2
+    assert f"tolerance {field}" in res.output
+    with pytest.raises(DomainError, match=f"tolerance {field}"):
+        replace(DEFAULT, **{field: float(value)})
+
+
+def test_non_finite_path_time_exit_2(tmp_path):
+    loop, ref = str(tmp_path / "loop.json"), str(tmp_path / "ref.json")
+    assert invoke("gen", "--kind", "loop", "--n", "33", "--seed", "3",
+                  "--out", loop).exit_code == 0
+    assert invoke("gen", "--kind", "element", "--seed", "9", "--out", ref).exit_code == 0
+    doc = json.loads(Path(loop).read_text())
+    doc["samples"][25]["t"] = math.nan
+    Path(loop).write_text(json.dumps(doc))
+    res = invoke("path", "--op", "arnold", loop, ref)
+    assert res.exit_code == 2
+    assert "samples[25].t" in res.output
+    point = bd.ShilovPoint(bd.complexify(al.unit(al.algebra(al.SYM_R, 2))))
+    with pytest.raises(DomainError, match="finite"):
+        dy.BoundaryPath([(0.0, point), (math.nan, point), (1.0, point)])
+
+
+def test_non_finite_base_arg_exit_2(tmp_path):
+    word = str(tmp_path / "w.json")
+    assert invoke("gen", "--kind", "word", "--seed", "3", "--out", word).exit_code == 0
+    doc = json.loads(Path(word).read_text())
+    doc["base_arg"] = math.nan
+    Path(word).write_text(json.dumps(doc))
+    res = invoke("rotation", word)
+    assert res.exit_code == 2
+    assert "base_arg" in res.output
+    with pytest.raises(DomainError, match="base_arg"):
+        bd.GroupWord(al.algebra(al.SYM_R, 2), (), base_arg=math.inf)
+
+
+@pytest.mark.parametrize("command", ["gen --kind element", "selftest"])
+def test_negative_seed_exit_2(command):
+    res = invoke(*command.split(), "--seed", "-1")
+    assert res.exit_code == 2
+    assert "--seed" in res.output
+    assert "Traceback" not in res.output
 
 
 # ----------------------------------------------------------------- rotation
@@ -684,6 +743,37 @@ def unread_imports(src):
 
 def test_src_imports_only_names_it_reads():
     assert unread_imports(Path(maslov_kit.__file__).parent) == []
+
+
+def unread_parameters(src):
+    """The parameters of the functions in the modules of `src` that their
+    bodies never read, as "module.function(parameter)".  Left out: self,
+    dunder methods (Python fixes their signatures), the (rng, s) of an
+    acceptance suite (the suite protocol) and the alg of _witness_draws
+    (its cache key)."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("__"):
+                continue
+            args = node.args
+            params = [p.arg for p in args.posonlyargs + args.args + args.kwonlyargs
+                      + [p for p in (args.vararg, args.kwarg) if p]]
+            if node.name.startswith("suite_") and params == ["rng", "s"]:
+                continue
+            read = {name.id for stmt in node.body for name in ast.walk(stmt)
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+            found += [f"{path.stem}.{node.name}({p})" for p in params
+                      if p not in read and p != "self"
+                      and (node.name, p) != ("_witness_draws", "alg")]
+    return found
+
+
+def test_src_reads_every_parameter(tmp_path):
+    assert unread_parameters(Path(maslov_kit.__file__).parent) == []
+    (tmp_path / "stale.py").write_text(
+        "def spectral_decompose_real(x, tol):\n    return x\n")
+    assert unread_parameters(tmp_path) == ["stale.spectral_decompose_real(tol)"]
 
 
 def test_version_flag():
