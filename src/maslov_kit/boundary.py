@@ -33,7 +33,7 @@ from .algebra import (AlgebraDescriptor, ElementJ, _basis_tensor, _Coords, _det,
                       _from_matrix, _lmul, _mul, _spin_spectral, _to_matrix, element,
                       lmul_operator, random_element, random_frame,
                       spectral_decompose_real, unit)
-from .config import DEFAULT, SPECTRAL, Tolerances
+from .config import DEFAULT, LIFT_PHASE, SPECTRAL, Tolerances
 from .errors import AmbiguityError, DomainError
 
 TWO_PI = 2.0 * math.pi
@@ -170,8 +170,9 @@ def boundary_refusals(alg, coords, tol=None, thetas=None):
     With tol, row k is tested as ShilovPoint(z_k, tol) tests it: the
     singularity gate of cinverse, then
     ||conj z - z^{-1}|| <= tol.boundary (1 + ||z||).  With thetas (N,), it is
-    tested as LiftedPoint tests (z_k, thetas[k]):
-    |det z - e^{ir theta}| <= 10 DEFAULT.boundary.  A row that fails both
+    tested as LiftedPoint tests (z_k, thetas[k]), on the phase alone:
+    |arg(det z e^{-ir theta})| <= LIFT_PHASE; |det z| is the ShilovPoint
+    test's, under the tol that made the point.  A row that fails both
     reports the ShilovPoint message, and a non-finite row fails the gate.
     Each row's arithmetic is independent of the other rows, so the
     constructors, which call this with one row, give every row's verdict.
@@ -182,10 +183,11 @@ def boundary_refusals(alg, coords, tol=None, thetas=None):
         det = _det(alg, coords)
     refused = {}
     if thetas is not None:
-        resid = np.abs(det - np.exp(1j * alg.rank * np.asarray(thetas)))
-        for k, res in enumerate(resid.tolist()):
-            if not res <= DEFAULT.boundary * 10.0:
-                refused[k] = f"invalid lift: |det(sigma) - e^(ir theta)| = {res:.2e}"
+        phase = np.exp(-1j * alg.rank * np.asarray(thetas))
+        for k, res in enumerate(np.abs(np.angle(det * phase)).tolist()):
+            if not res <= LIFT_PHASE:
+                refused[k] = ("invalid lift: |arg(det(sigma) e^(-ir theta))| = "
+                              f"{res:.2e}")
     if tol is not None:
         resid = np.linalg.norm(np.conj(coords) - inv, axis=-1)
         norms = np.linalg.norm(coords, axis=-1)

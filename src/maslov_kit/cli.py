@@ -77,19 +77,19 @@ def tol_options(fn):
                       help="Angle distance to pi treated as a coincidence.")(fn)
     fn = click.option("--tol-int", type=float, default=None,
                       help="Largest accepted distance to an integer.")(fn)
-    fn = click.option("--mode", type=click.Choice([STRICT, PERMISSIVE]),
+    fn = click.option("--mode", metavar=f"[{STRICT}|{PERMISSIVE}]",
                       default=STRICT, show_default=True,
                       help="Gray-zone policy near coincidence thresholds.")(fn)
     return fn
 
 
-def _build_tol(tol_transverse, tol_int):
-    tol = DEFAULT
-    if tol_transverse is not None:
-        tol = replace(tol, transverse=tol_transverse)
-    if tol_int is not None:
-        tol = replace(tol, integer=tol_int)
-    return tol
+def _build_tol(tol_transverse, tol_int, mode):
+    """The Tolerances of the flags: DEFAULT with the ones given replaced,
+    each checked by Tolerances itself."""
+    given = {"transverse": tol_transverse, "integer": tol_int,
+             "mode": None if mode == STRICT else mode}
+    changes = {name: value for name, value in given.items() if value is not None}
+    return replace(DEFAULT, **changes) if changes else DEFAULT
 
 
 def _echo_doc(doc):
@@ -119,7 +119,7 @@ def compute(op, tol_transverse, tol_int, mode, files):
     alm take lifted points (theta field required).  FILES may hold single
     documents or lists; use - for stdin.
     """
-    tol = _build_tol(tol_transverse, tol_int)
+    tol = _build_tol(tol_transverse, tol_int, mode)
     docs = _read_docs(files)
     if len(docs) != OP_ARITY[op]:
         raise DomainError(f"op {op} expects {OP_ARITY[op]} points, "
@@ -142,19 +142,19 @@ def compute(op, tol_transverse, tol_int, mode, files):
                               f"{obj.alg.kind}-{obj.alg.param}")
 
     if op == "mu":
-        value = ix.mu(args[0], args[1], tol, mode)
+        value = ix.mu(args[0], args[1], tol)
         raw, residual, witnesses = float(value), 0.0, ()
     else:
         fn = {"iota": ix.maslov_iota, "souriau": ix.souriau_m,
               "inertia": ix.inertia_j, "arnold": ix.arnold_nu,
               "alm": ix.alm_n}[op]
-        rep = fn(*args, tol, mode)
+        rep = fn(*args, tol)
         value, raw, residual, witnesses = (rep.value, rep.raw, rep.residual,
                                            rep.witnesses)
     doc = {
         "op": op,
         "algebra": serialize_algebra(alg),
-        "mode": mode,
+        "mode": tol.mode,
         "value": int(value),
         "raw": float(raw),
         "residual": float(residual),
@@ -175,14 +175,14 @@ def compute(op, tol_transverse, tol_int, mode, files):
 @exit_codes
 def rotation(power, base_file, tol_transverse, tol_int, mode, word_file):
     """Translation and rotation number estimates for a group word."""
-    tol = _build_tol(tol_transverse, tol_int)
+    tol = _build_tol(tol_transverse, tol_int, mode)
     word = parse_word(_read_json(word_file), where=word_file)
     base = None
     if base_file is not None:
         base = parse_element(_read_json(base_file), tol, where=base_file)
         if not isinstance(base, bd.LiftedPoint):
             raise DomainError(f"{base_file}.theta: base must be a lifted point")
-    tau, tau_bound = dy.translation_tau(word, power, base, tol, mode)
+    tau, tau_bound = dy.translation_tau(word, power, base, tol)
     rho, bound = dy.rho_from_tau(tau, tau_bound)
     _echo_doc({
         "algebra": serialize_algebra(word.alg),
@@ -204,7 +204,7 @@ def rotation(power, base_file, tol_transverse, tol_int, mode, word_file):
 @exit_codes
 def path(op, csv_file, tol_transverse, tol_int, mode, files):
     """Crossing indices along sampled boundary paths."""
-    tol = _build_tol(tol_transverse, tol_int)
+    tol = _build_tol(tol_transverse, tol_int, mode)
     if len(files) != 2:
         raise DomainError(f"op {op} expects 2 files, got {len(files)}")
     if op == "arnold":
@@ -215,8 +215,8 @@ def path(op, csv_file, tol_transverse, tol_int, mode, files):
         if ref.alg != bpath.alg:
             raise DomainError(f"{files[1]}.algebra: does not match the path")
         alg = bpath.alg
-        flow = dy.eigenangle_flow(bpath, ref, tol, mode)
-        value, records = dy.arnold_count(flow, tol, mode)
+        flow = dy.eigenangle_flow(bpath, ref, tol)
+        value, records = dy.arnold_count(flow, tol)
     else:
         path1 = parse_path(_read_json(files[0]), tol, where=files[0])
         path2 = parse_path(_read_json(files[1]), tol, where=files[1])
@@ -224,15 +224,15 @@ def path(op, csv_file, tol_transverse, tol_int, mode, files):
             raise DomainError(f"{files[1]}.algebra: does not match "
                               f"{files[0]}")
         alg = path1.alg
-        flow = dy.eigenangle_flow(path2, path1, tol, mode)
-        value, records = dy.pair_path_count(flow, tol, mode)
+        flow = dy.eigenangle_flow(path2, path1, tol)
+        value, records = dy.pair_path_count(flow, tol)
     if csv_file is not None:
         with open(csv_file, "w", newline="") as fh:
             dy.write_strand_csv(flow, records, fh)
     _echo_doc({
         "op": op,
         "algebra": serialize_algebra(alg),
-        "mode": mode,
+        "mode": tol.mode,
         "value": int(value),
         "crossings": [
             {"t": float(rec.t), "strand": int(rec.strand),

@@ -3,10 +3,14 @@
 A single transversality gate keeps the integer-valued indices mutually
 consistent: an angle counts as a coincidence direction iff its circular
 distance to pi is below ``transverse``.  Distances in the gray zone
-[transverse, GRAY_FACTOR*transverse) are refused in strict mode and treated
-as transverse in permissive mode, so an integer output never silently flips.
+[transverse, GRAY_FACTOR*transverse) are refused when ``mode`` is STRICT and
+treated as transverse when it is PERMISSIVE, so an integer output never
+silently flips; the same ``mode`` decides whether a path strand tangent to
+its counting level is refused or counted at a shifted level.  The gray zone
+must stay below pi, the largest distance an angle can have.
 GRAY_FACTOR also separates the kept from the dropped moduli of a witness
-signature, and SPECTRAL bounds the reconstruction residual of a Jordan frame.
+signature, SPECTRAL bounds the reconstruction residual of a Jordan frame,
+and LIFT_PHASE bounds |arg(det sigma e^{-ir theta})| of a lifted point.
 """
 
 import math
@@ -19,20 +23,27 @@ PERMISSIVE = "permissive"
 
 GRAY_FACTOR = 10.0
 SPECTRAL = 1e-9
+LIFT_PHASE = 1e-6
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """The settable tolerances, each finite and positive; an integer bound
-    of 1/2 or more could never refuse a residual, so it is refused too."""
+    """The settable tolerances, each finite and positive, and the gray-zone
+    policy.  An integer bound of 1/2 or more could never refuse a residual,
+    and a gray zone reaching pi would make every angle a coincidence or a
+    refusal, so both are refused too."""
 
     transverse: float = 1e-7     # delta_T, angle distance to pi; gray up to GRAY_FACTOR x
     integer: float = 1e-6        # max |raw - round(raw)| for index reports, < 1/2
     boundary: float = 1e-7       # Shilov membership residual
     rank: float = 1e-8           # relative eigenvalue/singular-value cutoff
+    mode: str = STRICT           # gray zone and tangencies: STRICT refuses
 
     def __post_init__(self):
-        for field in fields(self):
+        if self.mode not in (STRICT, PERMISSIVE):
+            raise DomainError(f"tolerance mode must be {STRICT!r} or "
+                              f"{PERMISSIVE!r}, got {self.mode!r}")
+        for field in fields(self)[:-1]:     # the four numbers
             value = getattr(self, field.name)
             if not (math.isfinite(value) and value > 0):
                 raise DomainError(f"tolerance {field.name} must be finite and "
@@ -40,12 +51,9 @@ class Tolerances:
         if self.integer >= 0.5:
             raise DomainError(f"tolerance integer must be below 0.5, got "
                               f"{self.integer!r}")
+        if GRAY_FACTOR * self.transverse >= math.pi:
+            raise DomainError(f"tolerance transverse must be below "
+                              f"pi / {GRAY_FACTOR:g}, got {self.transverse!r}")
 
 
 DEFAULT = Tolerances()
-
-
-def check_mode(mode):
-    if mode not in (STRICT, PERMISSIVE):
-        raise ValueError(f"mode must be '{STRICT}' or '{PERMISSIVE}', got {mode!r}")
-    return mode

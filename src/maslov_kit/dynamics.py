@@ -23,7 +23,7 @@ import numpy as np
 
 from . import boundary as bd
 from .algebra import standard_frame
-from .config import DEFAULT, STRICT, Tolerances, check_mode
+from .config import DEFAULT, STRICT, Tolerances
 from .errors import AmbiguityError, DomainError, MaslovKitError
 from .indices import _pair_rows, souriau_m
 
@@ -150,7 +150,7 @@ def _grid_angles(pair_at, ts, tol):
     return angles, refused.get(len(angles), pending)
 
 
-def eigenangle_flow(path, reference, tol: Tolerances = DEFAULT, mode=STRICT):
+def eigenangle_flow(path, reference, tol: Tolerances = DEFAULT):
     """Angle strands of w(t) = relative_element(path(t), reference(t)).
 
     reference may be a fixed ShilovPoint or a second BoundaryPath; grids
@@ -172,7 +172,6 @@ def eigenangle_flow(path, reference, tol: Tolerances = DEFAULT, mode=STRICT):
     error cuts the grid at the start of its step, so a later level can only
     find an earlier one.
     """
-    check_mode(mode)
     main_grid, main_fn, alg = _point_source(path)
     ref_grid, ref_fn, ref_alg = _point_source(reference)
     if alg != ref_alg:
@@ -283,28 +282,28 @@ def _tangency_times(flow, level, tol):
     return hits
 
 
-def _counted_level(flow, level, tol, mode, margin, what):
-    """Pick a counting level, handling tangencies per the mode policy."""
+def _counted_level(flow, level, tol, margin, what):
+    """Pick a counting level, handling tangencies per tol.mode: STRICT
+    refuses a tangent strand, PERMISSIVE lowers the level up to three times."""
     for attempt, lv in enumerate((level, level - margin / 2,
                                   level - margin / 6, level - margin / 18)):
         tangent = _tangency_times(flow, lv, tol)
         if not tangent:
             return lv
-        if mode == STRICT or attempt == 3:
+        if tol.mode == STRICT or attempt == 3:
             t0, strand = tangent[0]
             raise AmbiguityError(
                 f"{what}: strand {strand} is tangent to the counting level "
                 f"near t={t0:.6g}; rerun in permissive mode or refine the path")
 
 
-def arnold_number(path, sigma0, tol: Tolerances = DEFAULT, mode=STRICT):
+def arnold_number(path, sigma0, tol: Tolerances = DEFAULT):
     """Signed count of eigenangle strands crossing pi along the path,
     relative to the vertex sigma0.  Endpoints must be transverse."""
-    check_mode(mode)
-    return arnold_count(eigenangle_flow(path, sigma0, tol, mode), tol, mode)[0]
+    return arnold_count(eigenangle_flow(path, sigma0, tol), tol)[0]
 
 
-def arnold_count(flow, tol: Tolerances = DEFAULT, mode=STRICT):
+def arnold_count(flow, tol: Tolerances = DEFAULT):
     """(arnold_number, the crossings it counts) from the flow
     eigenangle_flow(path, sigma0)."""
     end_dist = min(float(np.min(_circle_dist(flow.strands[0], math.pi))),
@@ -313,30 +312,29 @@ def arnold_count(flow, tol: Tolerances = DEFAULT, mode=STRICT):
         raise DomainError(
             "path endpoint lies on the Maslov cycle of the reference point "
             f"(strand distance {end_dist:.3e} to pi)")
-    level = _counted_level(flow, math.pi, tol, mode, end_dist, "arnold_number")
+    level = _counted_level(flow, math.pi, tol, end_dist, "arnold_number")
     records = crossing_records(flow, level)
     return sum(rec.sign for rec in records), records
 
 
-def pair_path_index(path1, path2, tol: Tolerances = DEFAULT, mode=STRICT):
+def pair_path_index(path1, path2, tol: Tolerances = DEFAULT):
     """Signed crossing count for the pair (sigma1(t), sigma2(t)).
 
     Proper pairs (endpoints transverse) are counted at level pi; otherwise
     the second component is rotated by e^{i theta}, theta half the smallest
     nonvanishing endpoint angle distance, per the perturbation step.
     """
-    check_mode(mode)
-    return pair_path_count(eigenangle_flow(path2, path1, tol, mode), tol, mode)[0]
+    return pair_path_count(eigenangle_flow(path2, path1, tol), tol)[0]
 
 
-def pair_path_count(flow, tol: Tolerances = DEFAULT, mode=STRICT):
+def pair_path_count(flow, tol: Tolerances = DEFAULT):
     """(pair_path_index, the crossings it counts) from the flow
     eigenangle_flow(path2, path1)."""
     end_angles = np.concatenate([flow.strands[0], flow.strands[-1]])
     dists = _circle_dist(end_angles, math.pi)
     if float(np.min(dists)) >= tol.transverse:
-        level = _counted_level(flow, math.pi, tol, mode,
-                               float(np.min(dists)), "pair_path_index")
+        level = _counted_level(flow, math.pi, tol, float(np.min(dists)),
+                               "pair_path_index")
     else:
         admissible = dists[dists >= tol.transverse]
         if admissible.size == 0:
@@ -344,8 +342,8 @@ def pair_path_count(flow, tol: Tolerances = DEFAULT, mode=STRICT):
                 "pair path is fully degenerate at an endpoint "
                 "(sigma1 = sigma2); no admissible perturbation")
         theta = 0.5 * float(np.min(admissible))
-        level = _counted_level(flow, math.pi - theta, tol, mode,
-                               theta, "pair_path_index")
+        level = _counted_level(flow, math.pi - theta, tol, theta,
+                               "pair_path_index")
     records = crossing_records(flow, level)
     return sum(rec.sign for rec in records), records
 
@@ -370,11 +368,10 @@ def write_strand_csv(flow, records, fileobj):
 
 # ------------------------------------------------------------ quasimorphism
 
-def quasimorphism_c(word, lifted, tol: Tolerances = DEFAULT, mode=STRICT):
+def quasimorphism_c(word, lifted, tol: Tolerances = DEFAULT):
     """c(g) = m(g . o~, o~) for a base point o~ on the universal cover."""
-    check_mode(mode)
     image = bd.act_lift(word, lifted, tol=tol)
-    return souriau_m(image, lifted, tol, mode).value
+    return souriau_m(image, lifted, tol).value
 
 
 # golden-angle spectrum: a base with no eigenangle symmetries (unlike -e,
@@ -446,8 +443,7 @@ def _power_lift(word, lifted, power, tol):
     return bd._passed_lift(bd.ElementC(alg, rows[-1]), theta)
 
 
-def translation_tau(word, power, base=None, tol: Tolerances = DEFAULT,
-                    mode=STRICT):
+def translation_tau(word, power, base=None, tol: Tolerances = DEFAULT):
     """Translation number estimate (c(g^K)/K, error bound r/K).
 
     The bound comes from the quasimorphism defect |c(gh) - c(g) - c(h)| <= r.
@@ -458,13 +454,12 @@ def translation_tau(word, power, base=None, tol: Tolerances = DEFAULT,
     its iterates' boundary checks in another.  A refused orbit raises the
     error of its earliest failing event, as K calls of act_lift would.
     """
-    check_mode(mode)
     if power < 1:
         raise DomainError("power must be >= 1")
     if base is None:
         base = standard_base_lift(word.alg, tol)
     iterated = _power_lift(word, base, power, tol)
-    c_val = souriau_m(iterated, base, tol, mode).value
+    c_val = souriau_m(iterated, base, tol).value
     r = word.alg.rank
     return c_val / power, r / power
 
@@ -475,7 +470,6 @@ def rho_from_tau(est, bound):
     return (-0.5 * est) % 1.0, 0.5 * bound
 
 
-def rotation_rho(word, power, base=None, tol: Tolerances = DEFAULT,
-                 mode=STRICT):
+def rotation_rho(word, power, base=None, tol: Tolerances = DEFAULT):
     """Generalized rotation number: -tau/2 mod 1, with bound r/(2K)."""
-    return rho_from_tau(*translation_tau(word, power, base, tol, mode))
+    return rho_from_tau(*translation_tau(word, power, base, tol))

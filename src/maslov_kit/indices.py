@@ -30,7 +30,7 @@ builds no point and no frame.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -40,7 +40,7 @@ from .boundary import (ElementC, LiftedPoint, ShilovPoint, _checked,
                        _cinverse_rows, _lie_sphere, as_shilov,
                        cquad_rep_operator, lift, principal_arg, random_shilov,
                        shilov_spectral, wrap_angle)
-from .config import DEFAULT, GRAY_FACTOR, STRICT, Tolerances, check_mode
+from .config import DEFAULT, GRAY_FACTOR, STRICT, Tolerances
 from .errors import AmbiguityError, DomainError, IntegralityError
 
 _WITNESS_SEED = 0x6D6B5731
@@ -104,22 +104,21 @@ def relative_element(sigma, tau, tol: Tolerances = DEFAULT):
     return ShilovPoint(ElementC(alg, -w), tol)
 
 
-def _coincidence_split(angles, tol, mode):
-    """Distances to pi decide coincidence vs transverse, with a gray zone.
+def _coincidence_split(angles, tol):
+    """Distances to pi decide coincidence vs transverse, with a gray zone
+    that tol.mode refuses (STRICT) or counts as transverse (PERMISSIVE).
 
     Returns a boolean mask of coincidence directions.
     """
     dist = math.pi - np.abs(np.asarray(angles))
     coincident = dist < tol.transverse
     gray = (~coincident) & (dist < GRAY_FACTOR * tol.transverse)
-    if np.any(gray):
-        if mode == STRICT:
-            raise AmbiguityError(
-                f"pair: eigenangle at distance {float(np.min(dist[gray])):.3e} "
-                f"from pi lies in the gray zone "
-                f"[{tol.transverse:.1e}, {GRAY_FACTOR * tol.transverse:.1e}); "
-                "refusing to decide transversality in strict mode")
-        # permissive: gray angles count as transverse, i.e. keep them
+    if tol.mode == STRICT and np.any(gray):
+        raise AmbiguityError(
+            f"pair: eigenangle at distance {float(np.min(dist[gray])):.3e} "
+            f"from pi lies in the gray zone "
+            f"[{tol.transverse:.1e}, {GRAY_FACTOR * tol.transverse:.1e}); "
+            "refusing to decide transversality in strict mode")
     return coincident
 
 
@@ -220,23 +219,21 @@ def _spin_pair_angles(scoords, tcoords):
     return angles, np.maximum(offs, offt)
 
 
-def _pair_angles(sigma, tau, tol, mode):
+def _pair_angles(sigma, tau, tol):
     """One pair through pair_angles: (angles, coincidence mask)."""
     angles = pair_angles([sigma], [tau], tol)[0]
-    return angles, _coincidence_split(angles, tol, mode)
+    return angles, _coincidence_split(angles, tol)
 
 
-def transversal(sigma, tau, tol: Tolerances = DEFAULT, mode=STRICT):
-    check_mode(mode)
-    _, mask = _pair_angles(sigma, tau, tol, mode)
+def transversal(sigma, tau, tol: Tolerances = DEFAULT):
+    _, mask = _pair_angles(sigma, tau, tol)
     return not bool(np.any(mask))
 
 
-def mu(sigma, tau, tol: Tolerances = DEFAULT, mode=STRICT):
+def mu(sigma, tau, tol: Tolerances = DEFAULT):
     """Transversality index: rank of sigma - tau deficiency, counted as the
     number of relative eigenangles at pi."""
-    check_mode(mode)
-    _, mask = _pair_angles(sigma, tau, tol, mode)
+    _, mask = _pair_angles(sigma, tau, tol)
     return int(np.sum(mask))
 
 
@@ -276,20 +273,18 @@ def mu_via_corank(sigma, tau, tol: Tolerances = DEFAULT):
     return table[corank]
 
 
-def psi(sigma, tau, tol: Tolerances = DEFAULT, mode=STRICT):
+def psi(sigma, tau, tol: Tolerances = DEFAULT):
     """Angle functional on transverse pairs: sum of relative eigenangles."""
-    check_mode(mode)
-    angles, mask = _pair_angles(sigma, tau, tol, mode)
+    angles, mask = _pair_angles(sigma, tau, tol)
     if np.any(mask):
         raise DomainError("angle functional needs a transverse pair "
                           f"(mu = {int(np.sum(mask))})")
     return float(np.sum(angles))
 
 
-def psi_hat(sigma, tau, tol: Tolerances = DEFAULT, mode=STRICT):
+def psi_hat(sigma, tau, tol: Tolerances = DEFAULT):
     """Extension of the angle functional: coincidence directions dropped."""
-    check_mode(mode)
-    angles, mask = _pair_angles(sigma, tau, tol, mode)
+    angles, mask = _pair_angles(sigma, tau, tol)
     return float(np.sum(angles[~mask]))
 
 
@@ -387,12 +382,14 @@ def _find_witness(lift1, lift2, nulls, tol):
     """(witness point, m through it) from the first cached candidate that is
     strictly transverse to both points and whose signature separates the
     `nulls` coincidence directions of the pair; one pair_angles call per
-    candidate tried."""
+    candidate tried.  The candidates are tested in strict mode whatever
+    tol.mode: a candidate in the gray zone of either point is passed over."""
     p1, p2 = lift1.point, lift2.point
+    strict = tol if tol.mode == STRICT else replace(tol, mode=STRICT)
     for point, wlift in _witnesses(p1.alg):
         rows = pair_angles([point, point], [p1, p2], tol)
         try:
-            masks = [_coincidence_split(a, tol, STRICT) for a in rows]
+            masks = [_coincidence_split(a, strict) for a in rows]
         except AmbiguityError:
             continue
         if any(mask.any() for mask in masks):
@@ -403,7 +400,7 @@ def _find_witness(lift1, lift2, nulls, tol):
     raise AmbiguityError("no transverse witness found for the pair")
 
 
-def souriau_m(lift1, lift2, tol: Tolerances = DEFAULT, mode=STRICT):
+def souriau_m(lift1, lift2, tol: Tolerances = DEFAULT):
     """Souriau index of two lifted boundary points.
 
     Transverse pairs use the defining formula directly.  Non-transverse
@@ -416,15 +413,14 @@ def souriau_m(lift1, lift2, tol: Tolerances = DEFAULT, mode=STRICT):
     cached per algebra, and each candidate tried costs one pair_angles call
     and one small eigensolve.
     """
-    check_mode(mode)
-    return _souriau_report(lift1, lift2, tol, mode)[0]
+    return _souriau_report(lift1, lift2, tol)[0]
 
 
-def _souriau_report(lift1, lift2, tol, mode):
+def _souriau_report(lift1, lift2, tol):
     """souriau_m and mu of the pair, read off the same pair pass."""
     if not isinstance(lift1, LiftedPoint) or not isinstance(lift2, LiftedPoint):
         raise DomainError("souriau_m needs LiftedPoint arguments")
-    angles, mask = _pair_angles(lift1.point, lift2.point, tol, mode)
+    angles, mask = _pair_angles(lift1.point, lift2.point, tol)
     value, raw, residual, m_count = _souriau_value(lift1, lift2, angles, mask, tol)
     witnesses = ()
     if m_count > 0:
@@ -437,21 +433,19 @@ def _souriau_report(lift1, lift2, tol, mode):
     return IndexReport(value, raw, residual, witnesses), m_count
 
 
-def souriau_m_witness(lift1, lift2, wlift, tol: Tolerances = DEFAULT,
-                      mode=STRICT):
+def souriau_m_witness(lift1, lift2, wlift, tol: Tolerances = DEFAULT):
     """Souriau index through an explicit transverse witness:
     iota(sigma1, sigma2, tau) + m(lift1, tau~) + m(tau~, lift2), iota by the
     signature of _witness_iota, with no frame of tau.  AmbiguityError when
     the witness does not separate the coincidence directions of the pair."""
-    check_mode(mode)
     p1, p2, w = lift1.point, lift2.point, wlift.point
     rows = pair_angles([w, w, p1], [p1, p2, p2], tol)
     masks = []
     for angles in rows[:2]:
-        masks.append(_coincidence_split(angles, tol, mode))
+        masks.append(_coincidence_split(angles, tol))
         if masks[-1].any():
             raise DomainError("witness must be transverse to both points")
-    nulls = int(np.sum(_coincidence_split(rows[2], tol, mode)))
+    nulls = int(np.sum(_coincidence_split(rows[2], tol)))
     iota = _witness_iota(w.alg, w, p1, p2, nulls, tol)
     if iota is None:
         raise AmbiguityError("the witness does not separate the coincidence "
@@ -460,18 +454,17 @@ def souriau_m_witness(lift1, lift2, wlift, tol: Tolerances = DEFAULT,
     return IndexReport(value, float(value), 0.0, (w,))
 
 
-def maslov_iota(s1, s2, s3, tol: Tolerances = DEFAULT, mode=STRICT):
+def maslov_iota(s1, s2, s3, tol: Tolerances = DEFAULT):
     """Triple Maslov index of three boundary points.
 
     Depends only on the points; computed via the transverse angle-sum
     formula when possible, otherwise as a cyclic sum of extended Souriau
     indices over canonical lifts (the lift choice cancels).
     """
-    check_mode(mode)
-    return _iota_report(s1, s2, s3, tol, mode)[0]
+    return _iota_report(s1, s2, s3, tol)[0]
 
 
-def _iota_report(s1, s2, s3, tol, mode):
+def _iota_report(s1, s2, s3, tol):
     """maslov_iota and the coincidence masks of its pair passes (s1, s2),
     (s2, s3), (s3, s1), all made in one pair_angles call; fast path when
     all pairs are transverse."""
@@ -479,7 +472,7 @@ def _iota_report(s1, s2, s3, tol, mode):
     s2 = as_shilov(s2, tol)
     s3 = as_shilov(s3, tol)
     rows = pair_angles([s1, s2, s3], [s2, s3, s1], tol)
-    masks = [_coincidence_split(angles, tol, mode) for angles in rows]
+    masks = [_coincidence_split(angles, tol) for angles in rows]
     if not any(np.any(mask) for mask in masks):
         raw = sum(float(np.sum(angles)) for angles in rows) / math.pi
         value, _ = _round_guarded(raw, tol, "Maslov index")
@@ -543,34 +536,31 @@ def _halved(total, raw_total, what, witnesses=()):
     return IndexReport(total // 2, raw, abs(raw - total // 2), witnesses)
 
 
-def inertia_j(s1, s2, s3, tol: Tolerances = DEFAULT, mode=STRICT):
+def inertia_j(s1, s2, s3, tol: Tolerances = DEFAULT):
     """Inertia index of a triple:
     (iota + mu(1,2) - mu(1,3) + mu(2,3) + r) / 2.
 
     The mu terms are the coincidence counts of the triple index's pair
     passes; mu(1,3) is read off the (3,1) pass, whose angles are those of
     (1,3) negated, at the same distances to pi."""
-    check_mode(mode)
     s1 = as_shilov(s1, tol)
-    iota, masks = _iota_report(s1, s2, s3, tol, mode)
+    iota, masks = _iota_report(s1, s2, s3, tol)
     mu12, mu23, mu31 = (int(np.sum(mask)) for mask in masks)
     total = iota.value + mu12 - mu31 + mu23 + s1.alg.rank
     return _halved(total, iota.raw + total - iota.value, "inertia index")
 
 
-def arnold_nu(lift1, lift2, tol: Tolerances = DEFAULT, mode=STRICT):
+def arnold_nu(lift1, lift2, tol: Tolerances = DEFAULT):
     """Arnold index (m - mu - r) / 2 of a lifted pair."""
-    check_mode(mode)
-    m_rep, mu_val = _souriau_report(lift1, lift2, tol, mode)
+    m_rep, mu_val = _souriau_report(lift1, lift2, tol)
     r = lift1.alg.rank
     return _halved(m_rep.value - mu_val - r, m_rep.raw - mu_val - r,
                    "Arnold index", m_rep.witnesses)
 
 
-def alm_n(lift1, lift2, tol: Tolerances = DEFAULT, mode=STRICT):
+def alm_n(lift1, lift2, tol: Tolerances = DEFAULT):
     """Arnold-Leray-Maslov index n = nu + mu + r = (m + mu + r) / 2."""
-    check_mode(mode)
-    m_rep, mu_val = _souriau_report(lift1, lift2, tol, mode)
+    m_rep, mu_val = _souriau_report(lift1, lift2, tol)
     r = lift1.alg.rank
     return _halved(m_rep.value + mu_val + r, m_rep.raw + mu_val + r,
                    "ALM index", m_rep.witnesses)

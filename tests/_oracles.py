@@ -24,7 +24,7 @@ import numpy as np
 from maslov_kit import algebra as al
 from maslov_kit import boundary as bd
 from maslov_kit import dynamics as dy
-from maslov_kit.config import DEFAULT, STRICT, check_mode
+from maslov_kit.config import DEFAULT
 from maslov_kit.errors import AmbiguityError, DomainError
 from maslov_kit.indices import pair_angles, relative_element
 
@@ -178,11 +178,10 @@ def match_step_cyclic(prev, raw):
     return prev + out, float(span[best])
 
 
-def eigenangle_flow_sequential(path, reference, tol=DEFAULT, mode=STRICT):
+def eigenangle_flow_sequential(path, reference, tol=DEFAULT):
     """dynamics.eigenangle_flow one sample at a time: one pair_angles call
     and one matching per sample, continuing the strands step by step, with
     the same refinement, step limit and errors."""
-    check_mode(mode)
     main_grid, main_fn, alg = dy._point_source(path)
     ref_grid, ref_fn, ref_alg = dy._point_source(reference)
     if alg != ref_alg:

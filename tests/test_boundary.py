@@ -615,6 +615,23 @@ def test_lift_and_shift(alg):
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_lift_test_reads_only_the_phase(alg):
+    """A point that the caller's tol.boundary admits lifts, however far its
+    |det| is from 1: that is the ShilovPoint test's, not the lift's.  The
+    lift test reads the phase alone, and refuses a theta drifted by
+    1e-5 / r."""
+    loose = replace(DEFAULT, boundary=1e-4)
+    sigma = bd.random_shilov(alg, np.random.default_rng(0))
+    point = bd.ShilovPoint((1 + 2e-5) * sigma.value, loose)
+    assert abs(abs(bd.cdet(point.value)) - 1.0) > 1e-5 * alg.rank
+    lifted = bd.lift(point, 0, loose)
+    assert bd.boundary_refusals(alg, point.value.coords[None], loose,
+                                [lifted.theta]) == {}
+    with pytest.raises(DomainError, match="invalid lift"):
+        bd.LiftedPoint(point, lifted.theta + 1e-5 / alg.rank)
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
 def test_act_lift_is_valid_lift(alg):
     rng = np.random.default_rng(37)
     done = 0

@@ -201,19 +201,54 @@ def test_gray_zone_strict_exit_3_permissive_0(tmp_path):
     ("--tol-transverse", "nan", "transverse"),
     ("--tol-transverse", "-1", "transverse"),
     ("--tol-transverse", "inf", "transverse"),
+    ("--tol-transverse", "4", "transverse"),
+    ("--tol-transverse", "0.4", "transverse"),
     ("--tol-int", "nan", "integer"),
     ("--tol-int", "0.5", "integer"),
+    ("--mode", "lenient", "mode"),
 ])
 def test_tolerance_flag_outside_its_range_exit_2(tmp_path, flag, value, field):
     """mu(sigma, sigma) is the rank; a NaN or negative gate used to print 0,
-    and a NaN integer bound turned the integrality guard off."""
+    and a NaN integer bound turned the integrality guard off.  A gate whose
+    gray zone reached pi made every angle a coincidence: mu of the transverse
+    sym-r 2 points of seeds 1 and 2 printed 2.  A mode is checked as the
+    numbers are."""
     p = str(tmp_path / "p.json")
     assert invoke("gen", "--kind", "element", "--seed", "5", "--out", p).exit_code == 0
     res = invoke("compute", "--op", "mu", flag, value, p, p)
     assert res.exit_code == 2
     assert f"tolerance {field}" in res.output
     with pytest.raises(DomainError, match=f"tolerance {field}"):
-        replace(DEFAULT, **{field: float(value)})
+        replace(DEFAULT, **{field: value if field == "mode" else float(value)})
+
+
+def test_flags_build_at_most_one_tolerances(tmp_path, monkeypatch):
+    """The flags at their defaults give DEFAULT itself; any others give one
+    replace of it."""
+    p = str(tmp_path / "p.json")
+    assert invoke("gen", "--kind", "element", "--seed", "5", "--out", p).exit_code == 0
+    built = []
+
+    def recording(tol, **changes):
+        built.append(changes)
+        return replace(tol, **changes)
+
+    monkeypatch.setattr(cli, "replace", recording)
+    seen = []
+    monkeypatch.setattr(cli.ix, "mu", lambda s, t, tol: seen.append(tol) or 0)
+    for flags, changes in [
+            ((), None),
+            (("--mode", "strict"), None),
+            (("--mode", "permissive", "--tol-transverse", "1e-8", "--tol-int", "1e-5"),
+             {"transverse": 1e-8, "integer": 1e-5, "mode": "permissive"})]:
+        built.clear()
+        res = invoke("compute", "--op", "mu", *flags, p, p)
+        assert res.exit_code == 0, res.output
+        if changes is None:
+            assert built == [] and seen[-1] is DEFAULT
+        else:
+            assert built == [changes] and seen[-1] == replace(DEFAULT, **changes)
+        assert json.loads(res.output)["mode"] == seen[-1].mode
 
 
 def test_non_finite_path_time_exit_2(tmp_path):
@@ -774,6 +809,26 @@ def test_src_reads_every_parameter(tmp_path):
     (tmp_path / "stale.py").write_text(
         "def spectral_decompose_real(x, tol):\n    return x\n")
     assert unread_parameters(tmp_path) == ["stale.spectral_decompose_real(tol)"]
+
+
+def default_reads(src):
+    """The attribute reads of DEFAULT in the modules of `src`, as
+    "module:line DEFAULT.field": a check reads the tolerances it is given,
+    never the defaults behind the caller's back."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "DEFAULT"):
+                found.append(f"{path.stem}:{node.lineno} DEFAULT.{node.attr}")
+    return found
+
+
+def test_src_reads_no_default_tolerance(tmp_path):
+    assert default_reads(Path(maslov_kit.__file__).parent) == []
+    (tmp_path / "hidden.py").write_text(
+        "def check(res, tol):\n    return res <= 10 * DEFAULT.boundary\n")
+    assert default_reads(tmp_path) == ["hidden:2 DEFAULT.boundary"]
 
 
 def test_version_flag():

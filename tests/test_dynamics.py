@@ -14,7 +14,7 @@ from maslov_kit import algebra as al
 from maslov_kit import boundary as bd
 from maslov_kit import dynamics as dy
 from maslov_kit import indices as ix
-from maslov_kit.config import DEFAULT, PERMISSIVE, STRICT
+from maslov_kit.config import DEFAULT, PERMISSIVE, STRICT, Tolerances
 from maslov_kit.errors import AmbiguityError, DomainError, MaslovKitError
 
 TWO_PI = 2.0 * math.pi
@@ -556,8 +556,8 @@ def test_tangency_policy(alg):
     path = dy.BoundaryPath.from_function(fn, n=65)
     ref = bd.unit_shilov(alg)
     with pytest.raises(AmbiguityError):
-        dy.arnold_number(path, ref, mode=STRICT)
-    assert dy.arnold_number(path, ref, mode=PERMISSIVE) == 0
+        dy.arnold_number(path, ref, Tolerances(mode=STRICT))
+    assert dy.arnold_number(path, ref, Tolerances(mode=PERMISSIVE)) == 0
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)

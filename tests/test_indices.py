@@ -13,7 +13,7 @@ from _cases import (ALGEBRAS, IDS, minus_i_eps, shared_frame_lift,
 from maslov_kit import algebra as al
 from maslov_kit import boundary as bd
 from maslov_kit import indices as ix
-from maslov_kit.config import DEFAULT, PERMISSIVE, STRICT
+from maslov_kit.config import DEFAULT, PERMISSIVE, STRICT, Tolerances
 from maslov_kit.errors import AmbiguityError, DomainError, IntegralityError
 
 
@@ -73,7 +73,7 @@ def _refusal_class(angles_of, sigma, tau):
     except DomainError:
         return "domain", None
     try:
-        return int(np.sum(ix._coincidence_split(angles, DEFAULT, STRICT))), angles
+        return int(np.sum(ix._coincidence_split(angles, DEFAULT))), angles
     except AmbiguityError:
         return "gray", angles
 
@@ -709,6 +709,33 @@ def test_witness_search_moves_past_an_unclear_gap(monkeypatch):
         ix.souriau_m(*lifts)
 
 
+@pytest.mark.parametrize("alg", [a for a in ALGEBRAS if a.rank >= 2],
+                         ids=lambda a: f"{a.kind}-{a.param}")
+def test_witness_search_stays_strict_in_permissive_mode(alg):
+    """The first witness candidate lies in the gray zone of sigma1, which
+    permissive mode counts as transverse.  The search tests candidates in
+    strict mode whatever tol.mode, so both modes pass it over and report the
+    same witness."""
+    first = next(ix._witnesses(alg))[0]
+    spec = bd.shilov_spectral(first)
+    shift = np.full(alg.rank, 1.0)
+    shift[0] = 3e-7
+    a1 = bd.wrap_angle(spec.angles + shift)
+    a2 = a1.copy()
+    a2[0] += 1.5
+    a2[2:] -= 0.7
+    lifts = [shared_frame_lift(bd.from_unit_spectrum(alg, a, spec.frame), a)
+             for a in (a1, bd.wrap_angle(a2))]
+    loose = Tolerances(mode=PERMISSIVE)
+    assert ix.transversal(first, lifts[0].point, loose)
+    with pytest.raises(AmbiguityError):
+        ix.transversal(first, lifts[0].point)
+    strict, permissive = ix.souriau_m(*lifts), ix.souriau_m(*lifts, loose)
+    assert ix.mu(lifts[0].point, lifts[1].point) == 1
+    assert strict.witnesses[0] is permissive.witnesses[0] is not first
+    assert strict == permissive
+
+
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
 def test_souriau_witness_rejects_non_transverse(alg):
     rng = np.random.default_rng(76)
@@ -730,14 +757,14 @@ def test_gray_zone_policy(alg):
     s_near = bd.from_unit_spectrum(alg, near, frame)
     s_base = bd.from_unit_spectrum(alg, base, frame)
     with pytest.raises(AmbiguityError):
-        ix.mu(s_near, s_base, mode=STRICT)
-    assert ix.mu(s_near, s_base, mode=PERMISSIVE) == 0
+        ix.mu(s_near, s_base, Tolerances(mode=STRICT))
+    assert ix.mu(s_near, s_base, Tolerances(mode=PERMISSIVE)) == 0
     # distance 3e-8: a genuine coincidence in both modes
     close = base + 1.0
     close[0] = base[0] + 3e-8
     s_close = bd.from_unit_spectrum(alg, close, frame)
-    assert ix.mu(s_close, s_base, mode=STRICT) == 1
-    assert ix.mu(s_close, s_base, mode=PERMISSIVE) == 1
+    assert ix.mu(s_close, s_base, Tolerances(mode=STRICT)) == 1
+    assert ix.mu(s_close, s_base, Tolerances(mode=PERMISSIVE)) == 1
 
 
 # --------------------------------------------------------------------- iota
