@@ -24,6 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _lapack
 from .config import SPECTRAL
 from .errors import DomainError
 
@@ -177,7 +178,7 @@ def _det(alg, coords):
     """
     if alg.kind == SPIN:
         return coords[..., 0] ** 2 - (coords[..., 1:] * coords[..., 1:]).sum(axis=-1)
-    return np.linalg.det(_to_matrix(alg, coords))
+    return _lapack.det(_to_matrix(alg, coords))
 
 
 class _Coords:

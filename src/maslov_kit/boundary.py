@@ -29,6 +29,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
+from . import _lapack
 from .algebra import (AlgebraDescriptor, ElementJ, _basis_tensor, _Coords, _det,
                       _from_matrix, _lmul, _mul, _spin_spectral, _to_matrix, element,
                       lmul_operator, random_element, random_frame,
@@ -103,14 +104,14 @@ def _cinverse_rows(alg, coords, tol):
         det = _det(alg, coords)
     else:
         mats = _to_matrix(alg, coords)
-        det = np.linalg.det(mats)      # _det, on the matrices built once
+        det = _lapack.det(mats)        # _det, on the matrices built once
     ok = np.abs(det) > tol.rank * (1.0 + np.abs(coords).max(axis=-1)) ** alg.rank
     if alg.kind == "spin":
         inv = np.concatenate([coords[:, :1], -coords[:, 1:]], axis=1)
         return det, inv / np.where(ok, det, 1.0)[:, None], ok
     if not ok.all():
         mats[~ok] = np.eye(alg.param)
-    return det, _from_matrix(alg, np.linalg.inv(mats)), ok
+    return det, _from_matrix(alg, _lapack.inv(mats)), ok
 
 
 def _singular(det):
@@ -406,7 +407,7 @@ def _cayley_matrices(alg):
     scale = 2j * ones if alg.kind == "spin" else (2j * ones, ones)   # z -> 2iz
     p = (_translate_block(alg, e) @ _structure_block(alg, scale)
          @ _inversion_block(alg) @ _translate_block(alg, 1j * e))
-    return p, np.linalg.inv(p)
+    return p, _lapack.inv(p)
 
 
 class _LfForm:
@@ -437,7 +438,7 @@ class _LfForm:
             [(g[:m, :m] @ basis).transpose(0, 2, 1).reshape(flat),
              (g[m:, :m] @ basis).transpose(0, 2, 1).reshape(flat)], axis=1)
         self.off = np.concatenate([g[:m, m:].T.ravel(), g[m:, m:].T.ravel()])
-        self.fac = (np.linalg.solve(g[m:, m:], g[m:, :m]) @ basis).reshape(flat)
+        self.fac = (_lapack.solve(g[m:, m:], g[m:, :m]) @ basis).reshape(flat)
         self.out = _unit_coords(alg)
         for arr in (self.lin, self.off, self.fac):
             arr.setflags(write=False)
@@ -461,7 +462,8 @@ def _factor_rows(form, rows, tol):
     mu = 1 + lambda (N, n) and |lambda_k| < 1 on the closed disk, from one
     stacked eigvals.  refused maps each row where Delta_g vanishes to its
     DomainError; a row whose factor matrix is not finite is among them, with
-    mu = nan, and goes into eigvals as filler.  Each row's arithmetic is
+    mu = nan: it is masked to a zero filler ahead of the one eigvals call,
+    which would refuse the whole stack.  Each row's arithmetic is
     independent of the other rows: the factor matrices are elementwise sums,
     whose bits do not depend on N as a BLAS matrix product's may."""
     alg = form.alg
@@ -475,12 +477,9 @@ def _factor_rows(form, rows, tol):
     else:
         m = alg.param
         mats = (rows[:, :, None] * form.fac).sum(axis=1).reshape(len(rows), m, m)
-    try:
-        lam = np.linalg.eigvals(mats)
-    except np.linalg.LinAlgError:       # raised on non-finite rows too
-        finite = np.isfinite(mats).all(axis=(1, 2))
-        lam = np.linalg.eigvals(np.where(finite[:, None, None], mats, 0.0))
-        lam[~finite] = np.nan
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    lam = _lapack.eigvals(np.where(finite[:, None, None], mats, 0.0))
+    lam[~finite] = np.nan
     mu = 1.0 + lam
     modulus, spread = np.abs(mu), np.abs(lam)
     if modulus.min() > tol.rank * (1.0 + spread.max()):     # then every row passes
@@ -495,7 +494,10 @@ def _factor_rows(form, rows, tol):
 def _lf_image(form, z):
     """g(z) for the coordinate form of g at one coordinate row z, unchecked:
     where Delta_g(z) vanishes the result is not finite, or LinAlgError.
-    On the matrix kinds X^T = (Cw + D)^{-T} (Aw + B)^T is one m x m solve."""
+    On the matrix kinds X^T = (Cw + D)^{-T} (Aw + B)^T is one m x m solve,
+    a bare LAPACK call: the caller holds the error state _lapack.singular(),
+    under which a singular Cw + D raises LinAlgError, as np.linalg.solve
+    does."""
     alg = form.alg
     if alg.kind == "spin":
         v = np.empty(alg.dim + 2, dtype=np.complex128)
@@ -504,7 +506,7 @@ def _lf_image(form, z):
         return head[1:-1] / head[0]
     m = alg.param
     t = (z @ form.lin + form.off).reshape(2, m, m)
-    return np.linalg.solve(t[1], t[0]).ravel() @ form.out
+    return _lapack.solve_in_state(t[1], t[0]).ravel() @ form.out
 
 
 def _checked(result):
@@ -520,7 +522,8 @@ def _gated_image(form, z, tol):
     """g(z) at one coordinate row z for the coordinate form of g; DomainError
     where Delta_g vanishes."""
     _checked(_factor_rows(form, z[None], tol))
-    return _lf_image(form, z)
+    with _lapack.singular():
+        return _lf_image(form, z)
 
 
 @lru_cache(maxsize=None)
@@ -709,7 +712,7 @@ class GroupWord:
                 j0 = _det(alg, (g[1:-1, 1] * g[0, 0] - g[1:-1, 0] * g[0, 1])
                           / g[0, 0] ** 2)
             else:
-                j0 = np.linalg.det(g) / np.linalg.det(g[m:, m:]) ** 2
+                j0 = _lapack.det(g) / _lapack.det(g[m:, m:]) ** 2
             j0 = complex(j0)
             phi0 = principal_arg(j0)
             if self.base_arg is not None:
@@ -735,7 +738,7 @@ class GroupWord:
         identity element, not a deck translate of it."""
         gens = [g.inverse() for g in reversed(self.generators)]
         zero = np.zeros(self.alg.dim, dtype=np.complex128)
-        inv = _LfForm(self.alg, np.linalg.inv(self.linear_fractional()[0]))
+        inv = _LfForm(self.alg, _lapack.inv(self.linear_fractional()[0]))
         pre = _gated_image(inv, zero, DEFAULT)
         phi = _checked(_phi_rows(self, pre[None], DEFAULT))[0]
         return GroupWord(self.alg, gens, base_arg=-phi)
@@ -817,7 +820,8 @@ def _phi_image(word, z, tol):
     """(phi(g, z), g(z)) at one coordinate row z: the checks of _phi_rows
     first, then the image."""
     phi = _checked(_phi_rows(word, z[None], tol))[0]
-    return float(phi), _lf_image(word.coordinate_form(), z)
+    with _lapack.singular():
+        return float(phi), _lf_image(word.coordinate_form(), z)
 
 
 def determination_phi(word, sigma, tol: Tolerances = DEFAULT):

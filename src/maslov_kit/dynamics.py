@@ -21,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _lapack
 from . import boundary as bd
 from .algebra import standard_frame
 from .config import DEFAULT, STRICT, Tolerances
@@ -402,18 +403,22 @@ def _power_lift(word, lifted, power, tol):
     whatever the power.  Pass 1 of a block walks it with the image step
     alone, bd._lf_image on the word's coordinate form (one product, one
     m x m solve and one product per step on the matrix kinds, one product
-    on spin), and keeps the block's iterates; a step whose image raises
-    LinAlgError ends it.  Pass 2 checks the inputs of the block's steps in
+    on spin), and keeps the block's iterates.  It holds the error state
+    _lapack.singular() once for the whole block, so each solve is a bare
+    LAPACK call; a step whose image raises LinAlgError there (a singular
+    Cw + D, as in np.linalg.solve) ends the pass.  Pass 2, with every
+    floating-point error ignored, checks the inputs of the block's steps in
     one bd._phi_rows call, which gives each step's phi (so each iterate's
     theta) and the verdicts of its gate and half-plane checks, and its
     iterates in one bd.boundary_refusals call, the ShilovPoint and
     LiftedPoint tests.  The earliest failing event raises, in the order the
     sequential loop meets them: the checks of step k, then the LinAlgError
     of its image, then the refusal of iterate k + 1, then step k + 1.
-    Iterates past a failed step may be garbage, even non-finite; they raise
-    nothing in either pass.  The returned point is the last iterate, which
+    Iterates past a failed step may be garbage, even non-finite; only the
+    earliest event raises.  The returned point is the last iterate, which
     the last block's check has passed.  act_lift runs the same kernel on one
-    row, so the orbit is bit-identical to its calls.
+    row, in the same error state, so the orbit is bit-identical to its
+    calls.
     """
     alg, r = word.alg, word.alg.rank
     form = word.coordinate_form()
@@ -421,7 +426,7 @@ def _power_lift(word, lifted, power, tol):
     for start in range(0, power, ORBIT_BLOCK):
         block = min(ORBIT_BLOCK, power - start)
         rows, stop = [z], None
-        with np.errstate(all="ignore"):
+        with _lapack.singular():
             for _ in range(block):
                 try:
                     z = bd._lf_image(form, z)
@@ -429,7 +434,8 @@ def _power_lift(word, lifted, power, tol):
                     stop = exc
                     break
                 rows.append(z)
-            rows = np.array(rows)
+        rows = np.array(rows)
+        with np.errstate(all="ignore"):
             phis, steps = bd._phi_rows(word, rows[:block], tol)
             thetas = np.cumsum(np.r_[theta, phis[:len(rows) - 1] / r])[1:]
             refused = bd.boundary_refusals(alg, rows[1:], tol, thetas)
@@ -449,7 +455,8 @@ def translation_tau(word, power, base=None, tol: Tolerances = DEFAULT):
     The bound comes from the quasimorphism defect |c(gh) - c(g) - c(h)| <= r.
     The orbit of the base lift is walked in blocks of ORBIT_BLOCK steps
     (_power_lift), each in two passes: its images step by step, each one
-    product and one m x m solve on the word's coordinate form, then its
+    product and one m x m solve on the word's coordinate form, the solves
+    bare LAPACK calls under one error state per block, then its
     steps' factors of Delta_g and determinations in one batched pass, and
     its iterates' boundary checks in another.  A refused orbit raises the
     error of its earliest failing event, as K calls of act_lift would.

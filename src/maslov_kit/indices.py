@@ -35,6 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _lapack
 from .algebra import SPIN, _det, _from_matrix, _mul, _to_matrix
 from .boundary import (ElementC, LiftedPoint, ShilovPoint, _checked,
                        _cinverse_rows, _lie_sphere, as_shilov,
@@ -128,7 +129,9 @@ def pair_angles(sigmas, taus, tol: Tolerances = DEFAULT):
     Each row is sorted descending in (-pi, pi], the order of
     shilov_spectral(relative_element(sigma, tau)).angles.  For the matrix
     kinds w = -P(tau^{-1/2}) sigma is similar to -tau^{-1} sigma, whose
-    eigenvalues all pairs get from one stacked solve and one eigvals call.
+    eigenvalues all pairs get from one stacked solve and one eigvals call,
+    each a direct call of numpy's LAPACK gufunc (_lapack), bit for bit
+    np.linalg's.
     The Jordan inverse (solve, not the conjugate) keeps points that are off
     S within tol.boundary on the spectrum of w; an eigenvalue off the unit
     circle by more than 10 tol.boundary is refused.  The spin factor takes
@@ -181,8 +184,8 @@ def _pair_rows(sigmas, taus, tol):
         angles, off = _spin_pair_angles(scoords, tcoords)
         what = "a point is off the Lie sphere"
     else:
-        zeta = np.linalg.eigvals(-np.linalg.solve(_to_matrix(alg, tcoords),
-                                                  _to_matrix(alg, scoords)))
+        zeta = _lapack.eigvals(-_lapack.solve(_to_matrix(alg, tcoords),
+                                              _to_matrix(alg, scoords)))
         angles, off = principal_arg(zeta), np.abs(np.abs(zeta) - 1.0).max(axis=1)
         what = "relative element has an eigenvalue off the unit circle"
     bad = off > 10.0 * tol.boundary
@@ -349,8 +352,8 @@ def _witness_iota(alg, tau, p1, p2, nulls, tol):
         eigs = np.array([half - gap, half + gap])
     else:
         mats = _to_matrix(alg, rows)
-        x = np.linalg.solve(mats[0] - mats[1:], mats[0])
-        eigs = np.linalg.eigvalsh(2j * (x[0] - x[1]))
+        x = _lapack.solve(mats[0] - mats[1:], mats[0])
+        eigs = _lapack.eigvalsh(2j * (x[0] - x[1]))
     return _null_signature(eigs, nulls, tol)
 
 

@@ -831,6 +831,41 @@ def test_src_reads_no_default_tolerance(tmp_path):
     assert default_reads(tmp_path) == ["hidden:2 DEFAULT.boundary"]
 
 
+LAPACK_NAMES = {"solve", "inv", "det", "eigvals", "eigvalsh"}
+
+
+def bypassed_lapack(src):
+    """The calls of np.linalg's solve, inv, det, eigvals and eigvalsh, and
+    the imports of those names from numpy.linalg, in the modules of `src`
+    other than _lapack.py, as "module:line linalg.name": the small-matrix
+    kernels take one route, through maslov_kit._lapack."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "_lapack.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in LAPACK_NAMES
+                    and isinstance(node.func.value, ast.Attribute)
+                    and node.func.value.attr == "linalg"):
+                found.append(f"{path.stem}:{node.lineno} linalg.{node.func.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+                found += [f"{path.stem}:{node.lineno} linalg.{alias.name}"
+                          for alias in node.names if alias.name in LAPACK_NAMES]
+    return sorted(found)
+
+
+def test_src_calls_lapack_only_through_its_module(tmp_path):
+    assert bypassed_lapack(Path(maslov_kit.__file__).parent) == []
+    (tmp_path / "direct.py").write_text(
+        "import numpy as np\nfrom numpy.linalg import eigvals, norm\n\n"
+        "def image(a, b):\n    return np.linalg.solve(a, b) @ np.linalg.norm(b)\n")
+    (tmp_path / "_lapack.py").write_text(
+        "import numpy as np\n\ndef det(a):\n    return np.linalg.det(a)\n")
+    assert bypassed_lapack(tmp_path) == ["direct:2 linalg.eigvals",
+                                         "direct:5 linalg.solve"]
+
+
 def test_version_flag():
     res = invoke("--version")
     assert res.exit_code == 0

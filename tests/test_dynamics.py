@@ -10,6 +10,7 @@ import pytest
 
 import _oracles as orc
 from _cases import ALGEBRAS, IDS
+from maslov_kit import _lapack
 from maslov_kit import algebra as al
 from maslov_kit import boundary as bd
 from maslov_kit import dynamics as dy
@@ -926,6 +927,53 @@ def test_power_lift_step_and_check_errors_in_order(monkeypatch, alg, seed,
     want = outcome(lambda: orc.power_lift_sequential(word, base, 32, tol))
     assert str(want) == f"planted gate at step {step}"
     assert_same_outcome(outcome(lambda: dy._power_lift(word, base, 32, tol)), want)
+
+
+def singular_word(alg):
+    """A word whose linear-fractional matrix is g = [[I, I], [C, D]] with
+    C = I and D = -I, so that Cw + D is exactly 0 at w = e: its form and
+    (g, j(g, 0), phi(g, 0)) are set in place of those of its generators."""
+    m = alg.param
+    eye = np.eye(m, dtype=np.complex128)
+    g = np.block([[eye, eye], [eye, -eye]])
+    g.setflags(write=False)
+    j0 = complex(np.linalg.det(g) / np.linalg.det(g[m:, m:]) ** 2)
+    word = bd.identity_word(alg)
+    word._lf, word._form = (g, j0, bd.principal_arg(j0)), bd._LfForm(alg, g)
+    return word
+
+
+@pytest.mark.parametrize("alg", [al.algebra(al.SYM_R, 2), al.algebra(al.SYM_R, 3),
+                                 al.algebra(al.HERM_C, 2)],
+                         ids=lambda a: f"{a.kind}-{a.param}")
+def test_singular_image_raises_linalgerror(alg, monkeypatch):
+    """At w = e the image step of singular_word solves against the zero
+    matrix: it raises np.linalg.solve's LinAlgError from LAPACK itself, in
+    _power_lift's pass 1 and through the single-row callers (act_lift,
+    apply_word) alike.  With the real gate, which refuses that step first,
+    the orbit's outcome is that of K calls of act_lift."""
+    word = singular_word(alg)
+    base = bd.lift(bd.ShilovPoint(bd.complexify(al.unit(alg))), 0)
+    form, z = word.coordinate_form(), bd._coords_on(word, base.point)
+    t = (z @ form.lin + form.off).reshape(2, alg.param, alg.param)
+    assert not t[1].any()
+    with pytest.raises(np.linalg.LinAlgError) as want:
+        np.linalg.solve(t[1], t[0])
+    with pytest.raises(np.linalg.LinAlgError, match=str(want.value)), _lapack.singular():
+        bd._lf_image(form, z)
+
+    seq = outcome(lambda: orc.power_lift_sequential(word, base, 32))
+    assert isinstance(seq, DomainError) and "Delta_g vanishes" in str(seq)
+    assert_same_outcome(outcome(lambda: dy._power_lift(word, base, 32, DEFAULT)), seq)
+
+    monkeypatch.setattr(bd, "_factor_rows", lambda form_, rows, tol: (
+        np.ones((len(rows), alg.rank), dtype=np.complex128), {}))
+    for image in (lambda: dy._power_lift(word, base, 32, DEFAULT),
+                  lambda: orc.power_lift_sequential(word, base, 32),
+                  lambda: bd.act_lift(word, base),
+                  lambda: bd.apply_word(word, base.point)):
+        with pytest.raises(np.linalg.LinAlgError, match=str(want.value)):
+            image()
 
 
 @pytest.mark.parametrize("alg, mode", zip(ORBIT_ALGEBRAS, ["unitary", "tube", "mixed"] * 2),
