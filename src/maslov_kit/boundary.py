@@ -34,7 +34,7 @@ from .algebra import (AlgebraDescriptor, ElementJ, _basis_tensor, _Coords, _det,
                       _from_matrix, _lmul, _mul, _spin_spectral, _to_matrix, element,
                       lmul_operator, random_element, random_frame,
                       spectral_decompose_real, unit)
-from .config import DEFAULT, LIFT_PHASE, SPECTRAL, Tolerances
+from .config import BOUNDARY, LIFT_PHASE, RANK_CUTOFF, SPECTRAL
 from .errors import AmbiguityError, DomainError
 
 TWO_PI = 2.0 * math.pi
@@ -95,9 +95,9 @@ def cnorm(z):
     return math.sqrt(max(sq.real, 0.0))
 
 
-def _cinverse_rows(alg, coords, tol):
+def _cinverse_rows(alg, coords):
     """(det, inverse, invertible) over coordinate rows coords (N, dim): the
-    determinants, the singularity gate |det z| > tol.rank (1 + max_i |z_i|)^r,
+    determinants, the singularity gate |det z| > RANK_CUTOFF (1 + max_i |z_i|)^r,
     and the Jordan inverse of the rows that pass it (the other rows hold
     filler)."""
     if alg.kind == "spin":
@@ -105,7 +105,7 @@ def _cinverse_rows(alg, coords, tol):
     else:
         mats = _to_matrix(alg, coords)
         det = _lapack.det(mats)        # _det, on the matrices built once
-    ok = np.abs(det) > tol.rank * (1.0 + np.abs(coords).max(axis=-1)) ** alg.rank
+    ok = np.abs(det) > RANK_CUTOFF * (1.0 + np.abs(coords).max(axis=-1)) ** alg.rank
     if alg.kind == "spin":
         inv = np.concatenate([coords[:, :1], -coords[:, 1:]], axis=1)
         return det, inv / np.where(ok, det, 1.0)[:, None], ok
@@ -118,10 +118,10 @@ def _singular(det):
     return f"singular element (|det| = {abs(det):.2e})"
 
 
-def cinverse(z, tol: Tolerances = DEFAULT):
+def cinverse(z):
     """Jordan inverse in the complexified algebra."""
     z = complexify(z)
-    det, inv, ok = _cinverse_rows(z.alg, z.coords[None], tol)
+    det, inv, ok = _cinverse_rows(z.alg, z.coords[None])
     if not ok[0]:
         raise DomainError(_singular(det[0]))
     return ElementC(z.alg, inv[0])
@@ -146,9 +146,9 @@ class ShilovPoint:
 
     __slots__ = ("value",)
 
-    def __init__(self, value, tol: Tolerances = DEFAULT):
+    def __init__(self, value):
         value = complexify(value)
-        refused = boundary_refusals(value.alg, value.coords[None], tol=tol)
+        refused = boundary_refusals(value.alg, value.coords[None])
         if refused:
             raise DomainError(refused[0])
         object.__setattr__(self, "value", value)
@@ -164,47 +164,45 @@ class ShilovPoint:
         return f"ShilovPoint({self.value!r})"
 
 
-def boundary_refusals(alg, coords, tol=None, thetas=None):
+def boundary_refusals(alg, coords, thetas=None):
     """The refusals of ShilovPoint and LiftedPoint over coordinate rows, as a
     dict {row: DomainError message} of the refused rows of coords (N, dim).
 
-    With tol, row k is tested as ShilovPoint(z_k, tol) tests it: the
-    singularity gate of cinverse, then
-    ||conj z - z^{-1}|| <= tol.boundary (1 + ||z||).  With thetas (N,), it is
-    tested as LiftedPoint tests (z_k, thetas[k]), on the phase alone:
-    |arg(det z e^{-ir theta})| <= LIFT_PHASE; |det z| is the ShilovPoint
-    test's, under the tol that made the point.  A row that fails both
-    reports the ShilovPoint message, and a non-finite row fails the gate.
-    Each row's arithmetic is independent of the other rows, so the
-    constructors, which call this with one row, give every row's verdict.
+    Row k is tested as ShilovPoint(z_k) tests it: the singularity gate of
+    cinverse, then ||conj z - z^{-1}|| <= BOUNDARY (1 + ||z||).  With
+    thetas (N,), it is also tested as LiftedPoint tests (z_k, thetas[k]), on
+    the phase alone (_phase_refusals).  A row that fails both reports the
+    ShilovPoint message, and a non-finite row fails the gate.  Each row's
+    arithmetic is independent of the other rows, so the constructors, which
+    call this with one row, give every row's verdict.
     """
-    if tol is not None:
-        det, inv, ok = _cinverse_rows(alg, coords, tol)
-    else:
-        det = _det(alg, coords)
-    refused = {}
-    if thetas is not None:
-        phase = np.exp(-1j * alg.rank * np.asarray(thetas))
-        for k, res in enumerate(np.abs(np.angle(det * phase)).tolist()):
-            if not res <= LIFT_PHASE:
-                refused[k] = ("invalid lift: |arg(det(sigma) e^(-ir theta))| = "
-                              f"{res:.2e}")
-    if tol is not None:
-        resid = np.linalg.norm(np.conj(coords) - inv, axis=-1)
-        norms = np.linalg.norm(coords, axis=-1)
-        for k, (good, res, norm) in enumerate(zip(ok.tolist(), resid.tolist(),
-                                                  norms.tolist())):
-            if not good:
-                refused[k] = f"not on the Shilov boundary: {_singular(det[k])}"
-            elif not res <= tol.boundary * (1.0 + norm):
-                refused[k] = f"not on the Shilov boundary (residual {res:.2e})"
+    det, inv, ok = _cinverse_rows(alg, coords)
+    refused = {} if thetas is None else _phase_refusals(alg, det, thetas)
+    resid = np.linalg.norm(np.conj(coords) - inv, axis=-1)
+    norms = np.linalg.norm(coords, axis=-1)
+    for k, (good, res, norm) in enumerate(zip(ok.tolist(), resid.tolist(),
+                                              norms.tolist())):
+        if not good:
+            refused[k] = f"not on the Shilov boundary: {_singular(det[k])}"
+        elif not res <= BOUNDARY * (1.0 + norm):
+            refused[k] = f"not on the Shilov boundary (residual {res:.2e})"
     return refused
 
 
-def as_shilov(x, tol: Tolerances = DEFAULT):
+def _phase_refusals(alg, det, thetas):
+    """The LiftedPoint test of rows with determinants det (N,) and thetas
+    (N,), as {row: message}: |arg(det z e^{-ir theta})| <= LIFT_PHASE.  It
+    reads the phase alone; |det z| is the ShilovPoint test's."""
+    phase = np.exp(-1j * alg.rank * np.asarray(thetas))
+    return {k: f"invalid lift: |arg(det(sigma) e^(-ir theta))| = {res:.2e}"
+            for k, res in enumerate(np.abs(np.angle(det * phase)).tolist())
+            if not res <= LIFT_PHASE}
+
+
+def as_shilov(x):
     if isinstance(x, ShilovPoint):
         return x
-    return ShilovPoint(x, tol)
+    return ShilovPoint(x)
 
 
 @dataclass(frozen=True)
@@ -223,8 +221,8 @@ class LiftedPoint:
     theta: float
 
     def __post_init__(self):
-        refused = boundary_refusals(self.alg, self.point.value.coords[None],
-                                    thetas=[self.theta])
+        coords = self.point.value.coords[None]
+        refused = _phase_refusals(self.alg, _det(self.alg, coords), [self.theta])
         if refused:
             raise DomainError(refused[0])
 
@@ -234,9 +232,9 @@ class LiftedPoint:
 
 
 def _passed_lift(value, theta):
-    """LiftedPoint(ShilovPoint(value, tol), theta) for an ElementC row that
-    boundary_refusals(alg, rows, tol, thetas) has passed with theta: the
-    tests of both constructors, already run in that one call."""
+    """LiftedPoint(ShilovPoint(value), theta) for an ElementC row that
+    boundary_refusals(alg, rows, thetas) has passed with theta: the tests of
+    both constructors, already run in that one call."""
     point = object.__new__(ShilovPoint)
     object.__setattr__(point, "value", value)
     lifted = object.__new__(LiftedPoint)
@@ -245,9 +243,9 @@ def _passed_lift(value, theta):
     return lifted
 
 
-def lift(sigma, k=0, tol: Tolerances = DEFAULT):
+def lift(sigma, k=0):
     """Canonical lift with theta = (Arg det(sigma) + 2 pi k) / r."""
-    sigma = as_shilov(sigma, tol)
+    sigma = as_shilov(sigma)
     r = sigma.alg.rank
     theta = (principal_arg(cdet(sigma.value)) + TWO_PI * k) / r
     return LiftedPoint(sigma, theta)
@@ -287,15 +285,14 @@ _COMBODIRS = [(math.cos(0.7 + k * _GOLDEN), math.sin(0.7 + k * _GOLDEN))
               for k in range(8)]
 
 
-def shilov_spectral(sigma, tol: Tolerances = DEFAULT):
+def shilov_spectral(sigma):
     """Angles and a real Jordan frame with sigma = sum e^{i theta_j} c_j.
 
     On the spin factor both are read off the Lie-sphere form
     sigma = e^{i gamma} (x0, i xv) of _lie_sphere: the angles are
     gamma +- atan2(|xv|, x0) on the frame (e +- (0, u)) / 2 of the real
     point x, u = xv / |xv| (e_1 when xv = 0).  Only a point farther than
-    10 tol.boundary from the Lie sphere is refused, as pair_angles refuses
-    it.
+    10 BOUNDARY from the Lie sphere is refused, as pair_angles refuses it.
 
     On the matrix kinds Re(sigma) and Im(sigma) operator-commute for sigma
     in S, so a generic real combination of the two is decomposed and the
@@ -304,12 +301,12 @@ def shilov_spectral(sigma, tol: Tolerances = DEFAULT):
     orthonormal, so with the frame coordinates stacked in F the
     coefficients are F sigma and the reconstruction is zeta F.
     """
-    sigma = as_shilov(sigma, tol)
+    sigma = as_shilov(sigma)
     alg = sigma.alg
     scoords = sigma.value.coords
     if alg.kind == "spin":
         gamma, x, off = _lie_sphere(scoords[None])
-        if off[0] > 10.0 * tol.boundary:
+        if off[0] > 10.0 * BOUNDARY:
             raise DomainError("not on the Shilov boundary (the point is off "
                               f"the Lie sphere by {off[0]:.2e})")
         half = math.atan2(float(np.linalg.norm(x[0, 1:])), float(x[0, 0]))
@@ -323,7 +320,7 @@ def shilov_spectral(sigma, tol: Tolerances = DEFAULT):
         zeta = frame @ scoords
         resid = float(np.linalg.norm(zeta @ frame - scoords))
         unit_err = float(np.max(np.abs(np.abs(zeta) - 1.0)))
-        if resid <= SPECTRAL * alg.rank * 10.0 and unit_err <= 10.0 * tol.boundary:
+        if resid <= SPECTRAL * alg.rank * 10.0 and unit_err <= 10.0 * BOUNDARY:
             return _descending(principal_arg(zeta), spec.frame)
         best = min(best, resid + unit_err)
     raise DomainError(
@@ -331,19 +328,19 @@ def shilov_spectral(sigma, tol: Tolerances = DEFAULT):
         f"residual {best:.2e})")
 
 
-def from_unit_spectrum(alg, angles, frame, tol: Tolerances = DEFAULT):
+def from_unit_spectrum(alg, angles, frame):
     """Assemble sum_j e^{i angles[j]} frame[j] as a ShilovPoint."""
     coords = np.zeros(alg.dim, dtype=np.complex128)
     for a, c in zip(angles, frame):
         coords += np.exp(1j * float(a)) * c.coords
-    return ShilovPoint(ElementC(alg, coords), tol)
+    return ShilovPoint(ElementC(alg, coords))
 
 
-def random_shilov(alg, rng, tol: Tolerances = DEFAULT):
+def random_shilov(alg, rng):
     """Random boundary point: random frame, angles uniform on (-pi, pi]."""
     frame = random_frame(alg, rng)
     angles = rng.uniform(-math.pi, math.pi, alg.rank)
-    return from_unit_spectrum(alg, angles, frame, tol)
+    return from_unit_spectrum(alg, angles, frame)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +453,7 @@ def _unit_coords(alg):
     return out
 
 
-def _factor_rows(form, rows, tol):
+def _factor_rows(form, rows):
     """(mu, refused) for the coordinate form of g over coordinate rows
     (N, dim), where Delta_g(tz) / Delta_g(0) = prod(1 + t lambda_k),
     mu = 1 + lambda (N, n) and |lambda_k| < 1 on the closed disk, from one
@@ -482,10 +479,10 @@ def _factor_rows(form, rows, tol):
     lam[~finite] = np.nan
     mu = 1.0 + lam
     modulus, spread = np.abs(mu), np.abs(lam)
-    if modulus.min() > tol.rank * (1.0 + spread.max()):     # then every row passes
+    if modulus.min() > RANK_CUTOFF * (1.0 + spread.max()):     # then every row passes
         return mu, {}
     size = modulus.min(axis=1)
-    ok = size > tol.rank * (1.0 + spread.max(axis=1))
+    ok = size > RANK_CUTOFF * (1.0 + spread.max(axis=1))
     return mu, {k: DomainError("undefined where Delta_g vanishes "
                                f"(min |1 + lambda| = {size[k]:.2e})")
                 for k in np.flatnonzero(~ok).tolist()}
@@ -518,10 +515,10 @@ def _checked(result):
     return value
 
 
-def _gated_image(form, z, tol):
+def _gated_image(form, z):
     """g(z) at one coordinate row z for the coordinate form of g; DomainError
     where Delta_g vanishes."""
-    _checked(_factor_rows(form, z[None], tol))
+    _checked(_factor_rows(form, z[None]))
     with _lapack.singular():
         return _lf_image(form, z)
 
@@ -532,16 +529,16 @@ def _cayley_forms(alg):
     return tuple(_LfForm(alg, g) for g in _cayley_matrices(alg))
 
 
-def cayley_p(z, tol: Tolerances = DEFAULT):
+def cayley_p(z):
     """p(z) = e - 2i (z + ie)^{-1}, mapping the tube domain onto the disk."""
     z = complexify(z)
-    return ElementC(z.alg, _gated_image(_cayley_forms(z.alg)[0], z.coords, tol))
+    return ElementC(z.alg, _gated_image(_cayley_forms(z.alg)[0], z.coords))
 
 
-def cayley_c(w, tol: Tolerances = DEFAULT):
+def cayley_c(w):
     """c(w) = -ie + 2i (e - w)^{-1}, inverse of cayley_p."""
     w = complexify(w)
-    return ElementC(w.alg, _gated_image(_cayley_forms(w.alg)[1], w.coords, tol))
+    return ElementC(w.alg, _gated_image(_cayley_forms(w.alg)[1], w.coords))
 
 
 # ---------------------------------------------------------------------------
@@ -739,8 +736,8 @@ class GroupWord:
         gens = [g.inverse() for g in reversed(self.generators)]
         zero = np.zeros(self.alg.dim, dtype=np.complex128)
         inv = _LfForm(self.alg, _lapack.inv(self.linear_fractional()[0]))
-        pre = _gated_image(inv, zero, DEFAULT)
-        phi = _checked(_phi_rows(self, pre[None], DEFAULT))[0]
+        pre = _gated_image(inv, zero)
+        phi = _checked(_phi_rows(self, pre[None]))[0]
         return GroupWord(self.alg, gens, base_arg=-phi)
 
     def __repr__(self):
@@ -752,7 +749,7 @@ def identity_word(alg):
     return GroupWord(alg, [])
 
 
-def compose_words(outer, inner, tol: Tolerances = DEFAULT):
+def compose_words(outer, inner):
     """The word acting as outer(inner(z)), as a covering-group element.
 
     The composed determination is seeded at phi(outer, inner(0)) +
@@ -764,8 +761,8 @@ def compose_words(outer, inner, tol: Tolerances = DEFAULT):
         raise DomainError("algebra mismatch between words")
     alg = outer.alg
     inner0 = _gated_image(inner.coordinate_form(),
-                          np.zeros(alg.dim, dtype=np.complex128), tol)
-    phi = _checked(_phi_rows(outer, inner0[None], tol))[0]
+                          np.zeros(alg.dim, dtype=np.complex128))
+    phi = _checked(_phi_rows(outer, inner0[None]))[0]
     return GroupWord(alg, inner.generators + outer.generators,
                      base_arg=phi + inner.linear_fractional()[2])
 
@@ -779,18 +776,17 @@ def _coords_on(word, z):
     return z.coords
 
 
-def apply_word(word, z, tol: Tolerances = DEFAULT):
+def apply_word(word, z):
     """Evaluate the word at z (ElementC, ElementJ, or ShilovPoint)."""
-    image = _gated_image(word.coordinate_form(), _coords_on(word, z), tol)
+    image = _gated_image(word.coordinate_form(), _coords_on(word, z))
     if isinstance(z, ShilovPoint):
-        return ShilovPoint(ElementC(word.alg, image), tol)
+        return ShilovPoint(ElementC(word.alg, image))
     return ElementC(word.alg, image)
 
 
-def cocycle_j(word, z, tol: Tolerances = DEFAULT):
+def cocycle_j(word, z):
     """j(g, z) = det(Dg(z) e) = j(g, 0) prod(mu)^{-2}."""
-    mu = _checked(_factor_rows(word.coordinate_form(), _coords_on(word, z)[None],
-                               tol))[0]
+    mu = _checked(_factor_rows(word.coordinate_form(), _coords_on(word, z)[None]))[0]
     return complex(word.linear_fractional()[1] / np.prod(mu) ** 2)
 
 
@@ -801,14 +797,14 @@ def word_chi(word):
     return word.linear_fractional()[1]
 
 
-def _phi_rows(word, rows, tol):
+def _phi_rows(word, rows):
     """(phi, refused) over coordinate rows (N, dim): phi(g, z_k) =
     phi(g, 0) - 2 sum Arg mu, continuous along t -> t z_k while every mu
     lies in the open right half-plane, as it does on the closed disk.
     refused maps each failing row to its error: the DomainError of
     _factor_rows, or else an AmbiguityError where a factor left the
     half-plane."""
-    mu, refused = _factor_rows(word.coordinate_form(), rows, tol)
+    mu, refused = _factor_rows(word.coordinate_form(), rows)
     if mu.real.min() <= 0.0:
         for k in np.flatnonzero(mu.real.min(axis=1) <= 0.0).tolist():
             refused.setdefault(k, AmbiguityError("a factor of Delta_g left the "
@@ -816,28 +812,28 @@ def _phi_rows(word, rows, tol):
     return word.linear_fractional()[2] - 2.0 * np.angle(mu).sum(axis=1), refused
 
 
-def _phi_image(word, z, tol):
+def _phi_image(word, z):
     """(phi(g, z), g(z)) at one coordinate row z: the checks of _phi_rows
     first, then the image."""
-    phi = _checked(_phi_rows(word, z[None], tol))[0]
+    phi = _checked(_phi_rows(word, z[None]))[0]
     with _lapack.singular():
         return float(phi), _lf_image(word.coordinate_form(), z)
 
 
-def determination_phi(word, sigma, tol: Tolerances = DEFAULT):
+def determination_phi(word, sigma):
     """The continuous determination phi(g, sigma), seeded at phi(g, 0)."""
-    sigma = as_shilov(sigma, tol)
-    phi, image = _phi_image(word, _coords_on(word, sigma), tol)
-    ShilovPoint(ElementC(word.alg, image), tol)   # g(sigma) must stay on S
+    sigma = as_shilov(sigma)
+    phi, image = _phi_image(word, _coords_on(word, sigma))
+    ShilovPoint(ElementC(word.alg, image))   # g(sigma) must stay on S
     return phi
 
 
-def act_lift(word, lifted, tol: Tolerances = DEFAULT):
+def act_lift(word, lifted):
     """Action on the universal cover: (sigma, theta) ->
     (g(sigma), theta + phi(g, sigma)/r)."""
-    phi, image = _phi_image(word, _coords_on(word, lifted.point), tol)
+    phi, image = _phi_image(word, _coords_on(word, lifted.point))
     value, theta = ElementC(word.alg, image), lifted.theta + phi / word.alg.rank
-    refused = boundary_refusals(word.alg, value.coords[None], tol, [theta])
+    refused = boundary_refusals(word.alg, value.coords[None], [theta])
     if refused:
         raise DomainError(refused[0])
     return _passed_lift(value, theta)

@@ -1,5 +1,6 @@
 """Command line front end: compute, rotation, path, gen, selftest."""
 
+import contextlib
 import functools
 import json
 import math
@@ -49,17 +50,25 @@ def exit_codes(fn):
     return wrapper
 
 
-def _read_json(path):
+@contextlib.contextmanager
+def _file_errors(path):
+    """An OSError on the file at path, read or written, becomes a DomainError."""
     try:
-        if path == "-":
-            return json.load(sys.stdin)
-        with open(path) as fh:
-            return json.load(fh)
+        yield
     except OSError as exc:
         raise DomainError(f"{path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"{path}: invalid JSON ({exc.msg} at line "
-                          f"{exc.lineno})") from exc
+
+
+def _read_json(path):
+    with _file_errors(path):
+        try:
+            if path == "-":
+                return json.load(sys.stdin)
+            with open(path) as fh:
+                return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"{path}: invalid JSON ({exc.msg} at line "
+                              f"{exc.lineno})") from exc
 
 
 def _read_docs(paths):
@@ -124,7 +133,7 @@ def compute(op, tol_transverse, tol_int, mode, files):
     if len(docs) != OP_ARITY[op]:
         raise DomainError(f"op {op} expects {OP_ARITY[op]} points, "
                           f"got {len(docs)}")
-    parsed = [parse_element(doc, tol, where=path) for path, doc in docs]
+    parsed = [parse_element(doc, where=path) for path, doc in docs]
     if op in LIFTED_OPS:
         for (path, _), obj in zip(docs, parsed):
             if not isinstance(obj, bd.LiftedPoint):
@@ -179,7 +188,7 @@ def rotation(power, base_file, tol_transverse, tol_int, mode, word_file):
     word = parse_word(_read_json(word_file), where=word_file)
     base = None
     if base_file is not None:
-        base = parse_element(_read_json(base_file), tol, where=base_file)
+        base = parse_element(_read_json(base_file), where=base_file)
         if not isinstance(base, bd.LiftedPoint):
             raise DomainError(f"{base_file}.theta: base must be a lifted point")
     tau, tau_bound = dy.translation_tau(word, power, base, tol)
@@ -208,26 +217,26 @@ def path(op, csv_file, tol_transverse, tol_int, mode, files):
     if len(files) != 2:
         raise DomainError(f"op {op} expects 2 files, got {len(files)}")
     if op == "arnold":
-        bpath = parse_path(_read_json(files[0]), tol, where=files[0])
-        ref = parse_element(_read_json(files[1]), tol, where=files[1])
+        bpath = parse_path(_read_json(files[0]), where=files[0])
+        ref = parse_element(_read_json(files[1]), where=files[1])
         if isinstance(ref, bd.LiftedPoint):
             ref = ref.point
         if ref.alg != bpath.alg:
             raise DomainError(f"{files[1]}.algebra: does not match the path")
         alg = bpath.alg
-        flow = dy.eigenangle_flow(bpath, ref, tol)
+        flow = dy.eigenangle_flow(bpath, ref)
         value, records = dy.arnold_count(flow, tol)
     else:
-        path1 = parse_path(_read_json(files[0]), tol, where=files[0])
-        path2 = parse_path(_read_json(files[1]), tol, where=files[1])
+        path1 = parse_path(_read_json(files[0]), where=files[0])
+        path2 = parse_path(_read_json(files[1]), where=files[1])
         if path1.alg != path2.alg:
             raise DomainError(f"{files[1]}.algebra: does not match "
                               f"{files[0]}")
         alg = path1.alg
-        flow = dy.eigenangle_flow(path2, path1, tol)
+        flow = dy.eigenangle_flow(path2, path1)
         value, records = dy.pair_path_count(flow, tol)
     if csv_file is not None:
-        with open(csv_file, "w", newline="") as fh:
+        with _file_errors(csv_file), open(csv_file, "w", newline="") as fh:
             dy.write_strand_csv(flow, records, fh)
     _echo_doc({
         "op": op,
@@ -307,7 +316,7 @@ def gen(kind, kind_name, param, seed, family, n_samples, turns, out_file):
     if out_file is None:
         click.echo(text, nl=False)
     else:
-        with open(out_file, "w") as fh:
+        with _file_errors(out_file), open(out_file, "w") as fh:
             fh.write(text)
 
 

@@ -1,4 +1,4 @@
-"""Tolerance bundle shared by every operation, and the fixed thresholds.
+"""The settable tolerances of the index decisions, and the fixed thresholds.
 
 A single transversality gate keeps the integer-valued indices mutually
 consistent: an angle counts as a coincidence direction iff its circular
@@ -11,10 +11,13 @@ must stay below pi, the largest distance an angle can have.
 GRAY_FACTOR also separates the kept from the dropped moduli of a witness
 signature, SPECTRAL bounds the reconstruction residual of a Jordan frame,
 and LIFT_PHASE bounds |arg(det sigma e^{-ir theta})| of a lifted point.
+Membership of S is fixed too: BOUNDARY bounds ||conj z - z^{-1}|| / (1 + ||z||)
+on S, and under RANK_CUTOFF (not a rank) a relative eigenvalue, singular value
+or determinant counts as zero.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -24,29 +27,29 @@ PERMISSIVE = "permissive"
 GRAY_FACTOR = 10.0
 SPECTRAL = 1e-9
 LIFT_PHASE = 1e-6
+BOUNDARY = 1e-7
+RANK_CUTOFF = 1e-8
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """The settable tolerances, each finite and positive, and the gray-zone
-    policy.  An integer bound of 1/2 or more could never refuse a residual,
-    and a gray zone reaching pi would make every angle a coincidence or a
-    refusal, so both are refused too."""
+    """The tolerances of the index decisions, one per CLI flag: two numbers,
+    each finite and positive, and the gray-zone policy.  An integer bound of
+    1/2 or more could never refuse a residual, and a gray zone reaching pi
+    would make every angle a coincidence or a refusal, so both are refused."""
 
     transverse: float = 1e-7     # delta_T, angle distance to pi; gray up to GRAY_FACTOR x
     integer: float = 1e-6        # max |raw - round(raw)| for index reports, < 1/2
-    boundary: float = 1e-7       # Shilov membership residual
-    rank: float = 1e-8           # relative eigenvalue/singular-value cutoff
     mode: str = STRICT           # gray zone and tangencies: STRICT refuses
 
     def __post_init__(self):
         if self.mode not in (STRICT, PERMISSIVE):
             raise DomainError(f"tolerance mode must be {STRICT!r} or "
                               f"{PERMISSIVE!r}, got {self.mode!r}")
-        for field in fields(self)[:-1]:     # the four numbers
-            value = getattr(self, field.name)
+        for name in ("transverse", "integer"):
+            value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
-                raise DomainError(f"tolerance {field.name} must be finite and "
+                raise DomainError(f"tolerance {name} must be finite and "
                                   f"positive, got {value!r}")
         if self.integer >= 0.5:
             raise DomainError(f"tolerance integer must be below 0.5, got "

@@ -131,7 +131,7 @@ def _match_shifts(a, b):
     return shift, moves[rows, shift], span[rows, shift]
 
 
-def _grid_angles(pair_at, ts, tol):
+def _grid_angles(pair_at, ts):
     """The pair angles of the samples at ts (the grid, or one level's
     midpoints) from one _pair_rows call, up to the first sample that cannot
     be taken or whose pair is refused, and that error (or None) for the
@@ -145,13 +145,13 @@ def _grid_angles(pair_at, ts, tol):
         if not pairs:
             raise
         pending = exc
-    angles, refused = _pair_rows(*zip(*pairs), tol)
+    angles, refused = _pair_rows(*zip(*pairs))
     if 0 in refused:
         raise refused[0]
     return angles, refused.get(len(angles), pending)
 
 
-def eigenangle_flow(path, reference, tol: Tolerances = DEFAULT):
+def eigenangle_flow(path, reference):
     """Angle strands of w(t) = relative_element(path(t), reference(t)).
 
     reference may be a fixed ShilovPoint or a second BoundaryPath; grids
@@ -195,7 +195,7 @@ def eigenangle_flow(path, reference, tol: Tolerances = DEFAULT):
     def pair_at(t):
         return value_at(main_grid, main_fn, t), value_at(ref_grid, ref_fn, t)
 
-    raw, pending = _grid_angles(pair_at, ts, tol)
+    raw, pending = _grid_angles(pair_at, ts)
     rows = np.sort(raw, axis=1)
     times = np.array(ts[:len(rows)])
     depth = np.full(len(rows) - 1, REFINE_DEPTH)
@@ -221,7 +221,7 @@ def eigenangle_flow(path, reference, tol: Tolerances = DEFAULT):
         if not flagged.size:
             break
         mids = 0.5 * (times[flagged] + times[flagged + 1])
-        raw_mids, error = _grid_angles(pair_at, mids, tol)
+        raw_mids, error = _grid_angles(pair_at, mids)
         if error is not None:
             pending, k = error, flagged[len(raw_mids)]
             times, rows, depth = times[:k + 1], rows[:k + 1], depth[:k]
@@ -301,7 +301,7 @@ def _counted_level(flow, level, tol, margin, what):
 def arnold_number(path, sigma0, tol: Tolerances = DEFAULT):
     """Signed count of eigenangle strands crossing pi along the path,
     relative to the vertex sigma0.  Endpoints must be transverse."""
-    return arnold_count(eigenangle_flow(path, sigma0, tol), tol)[0]
+    return arnold_count(eigenangle_flow(path, sigma0), tol)[0]
 
 
 def arnold_count(flow, tol: Tolerances = DEFAULT):
@@ -325,7 +325,7 @@ def pair_path_index(path1, path2, tol: Tolerances = DEFAULT):
     the second component is rotated by e^{i theta}, theta half the smallest
     nonvanishing endpoint angle distance, per the perturbation step.
     """
-    return pair_path_count(eigenangle_flow(path2, path1, tol), tol)[0]
+    return pair_path_count(eigenangle_flow(path2, path1), tol)[0]
 
 
 def pair_path_count(flow, tol: Tolerances = DEFAULT):
@@ -371,7 +371,7 @@ def write_strand_csv(flow, records, fileobj):
 
 def quasimorphism_c(word, lifted, tol: Tolerances = DEFAULT):
     """c(g) = m(g . o~, o~) for a base point o~ on the universal cover."""
-    image = bd.act_lift(word, lifted, tol=tol)
+    image = bd.act_lift(word, lifted)
     return souriau_m(image, lifted, tol).value
 
 
@@ -381,20 +381,16 @@ def quasimorphism_c(word, lifted, tol: Tolerances = DEFAULT):
 _BASE_STEP = 2.399963229728653
 
 
-def standard_base_lift(alg, tol: Tolerances = DEFAULT):
-    """The fixed base lift used by default for c(g) and rotation numbers,
-    built once per (alg, tol), however tol is passed."""
-    return _standard_base_lift(alg, tol)
-
-
 @lru_cache(maxsize=64)
-def _standard_base_lift(alg, tol):
+def standard_base_lift(alg, /):
+    """The fixed base lift used by default for c(g) and rotation numbers,
+    built once per algebra (alg is positional, so one call form, one key)."""
     angles = bd.wrap_angle(0.7 + _BASE_STEP * np.arange(1, alg.rank + 1))
-    sigma = bd.from_unit_spectrum(alg, angles, standard_frame(alg), tol)
-    return bd.lift(sigma, 0, tol)
+    sigma = bd.from_unit_spectrum(alg, angles, standard_frame(alg))
+    return bd.lift(sigma, 0)
 
 
-def _power_lift(word, lifted, power, tol):
+def _power_lift(word, lifted, power):
     """g^power . lifted for power >= 1, equal iterate for iterate and error
     for error to `power` calls of bd.act_lift.
 
@@ -436,9 +432,9 @@ def _power_lift(word, lifted, power, tol):
                 rows.append(z)
         rows = np.array(rows)
         with np.errstate(all="ignore"):
-            phis, steps = bd._phi_rows(word, rows[:block], tol)
+            phis, steps = bd._phi_rows(word, rows[:block])
             thetas = np.cumsum(np.r_[theta, phis[:len(rows) - 1] / r])[1:]
-            refused = bd.boundary_refusals(alg, rows[1:], tol, thetas)
+            refused = bd.boundary_refusals(alg, rows[1:], thetas)
         events = {(k, 0): exc for k, exc in steps.items()}
         if stop is not None:
             events[(len(rows) - 1, 1)] = stop
@@ -464,8 +460,8 @@ def translation_tau(word, power, base=None, tol: Tolerances = DEFAULT):
     if power < 1:
         raise DomainError("power must be >= 1")
     if base is None:
-        base = standard_base_lift(word.alg, tol)
-    iterated = _power_lift(word, base, power, tol)
+        base = standard_base_lift(word.alg)
+    iterated = _power_lift(word, base, power)
     c_val = souriau_m(iterated, base, tol).value
     r = word.alg.rank
     return c_val / power, r / power

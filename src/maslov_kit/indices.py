@@ -41,7 +41,7 @@ from .boundary import (ElementC, LiftedPoint, ShilovPoint, _checked,
                        _cinverse_rows, _lie_sphere, as_shilov,
                        cquad_rep_operator, lift, principal_arg, random_shilov,
                        shilov_spectral, wrap_angle)
-from .config import DEFAULT, GRAY_FACTOR, STRICT, Tolerances
+from .config import BOUNDARY, DEFAULT, GRAY_FACTOR, RANK_CUTOFF, STRICT, Tolerances
 from .errors import AmbiguityError, DomainError, IntegralityError
 
 _WITNESS_SEED = 0x6D6B5731
@@ -70,7 +70,7 @@ def _round_guarded(raw, tol, what):
     return value, residual
 
 
-def relative_element(sigma, tau, tol: Tolerances = DEFAULT):
+def relative_element(sigma, tau):
     """w = -P(tau^{-1/2}) sigma, mapping (sigma, tau) to the pair (w, -e).
 
     With a shared frame the angles of w are theta_j - phi_j + pi (mod 2 pi).
@@ -88,11 +88,10 @@ def relative_element(sigma, tau, tol: Tolerances = DEFAULT):
     two points for the spin factor, and the witness check reads its
     signature off tau and the two points (_witness_iota).
     """
-    sigma = as_shilov(sigma, tol)
-    tau = as_shilov(tau, tol)
+    sigma, tau = as_shilov(sigma), as_shilov(tau)
     if sigma.alg != tau.alg:
         raise DomainError(f"algebra mismatch: {sigma.alg} vs {tau.alg}")
-    us = shilov_spectral(tau, tol)
+    us = shilov_spectral(tau)
     alg = tau.alg
     root = np.exp(-0.5j * us.angles) @ np.array([c.coords for c in us.frame])
     s = sigma.value.coords
@@ -102,7 +101,7 @@ def relative_element(sigma, tau, tol: Tolerances = DEFAULT):
     else:
         root = _to_matrix(alg, root)
         w = _from_matrix(alg, root @ _to_matrix(alg, s) @ root)
-    return ShilovPoint(ElementC(alg, -w), tol)
+    return ShilovPoint(ElementC(alg, -w))
 
 
 def _coincidence_split(angles, tol):
@@ -123,7 +122,7 @@ def _coincidence_split(angles, tol):
     return coincident
 
 
-def pair_angles(sigmas, taus, tol: Tolerances = DEFAULT):
+def pair_angles(sigmas, taus):
     """Eigenangles of w(sigma_k, tau_k) for N pairs of one algebra: (N, r).
 
     Each row is sorted descending in (-pi, pi], the order of
@@ -133,21 +132,21 @@ def pair_angles(sigmas, taus, tol: Tolerances = DEFAULT):
     each a direct call of numpy's LAPACK gufunc (_lapack), bit for bit
     np.linalg's.
     The Jordan inverse (solve, not the conjugate) keeps points that are off
-    S within tol.boundary on the spectrum of w; an eigenvalue off the unit
-    circle by more than 10 tol.boundary is refused.  The spin factor takes
-    the angles in closed form from the Lie-sphere form of the two points
+    S within BOUNDARY on the spectrum of w; an eigenvalue off the unit circle
+    by more than 10 BOUNDARY is refused.  The spin factor takes the angles in
+    closed form from the Lie-sphere form of the two points
     (_spin_pair_angles), with no frame; a point off the Lie sphere by more
-    than 10 tol.boundary is refused.
+    than 10 BOUNDARY is refused.
 
     Each pair is checked as a one-pair call would check it.  The DomainError
     is that of the first refused pair, whether a raw element that is not a
     boundary point, a point off the boundary, or a pair of another algebra,
     and carries its index as `row` (_pair_rows).
     """
-    return _checked(_pair_rows(sigmas, taus, tol))
+    return _checked(_pair_rows(sigmas, taus))
 
 
-def _pair_rows(sigmas, taus, tol):
+def _pair_rows(sigmas, taus):
     """(angles, refused) of pair_angles, in the form of _factor_rows: the
     sorted angles of the rows before the first refused row, and
     {row: DomainError} for that row, empty when no row is refused.
@@ -164,7 +163,7 @@ def _pair_rows(sigmas, taus, tol):
     points, refused = [], {}
     for k, (s, t) in enumerate(zip(sigmas, taus)):
         try:
-            s, t = as_shilov(s, tol), as_shilov(t, tol)
+            s, t = as_shilov(s), as_shilov(t)
         except DomainError as exc:
             exc.row = k
             refused = {k: exc}
@@ -188,7 +187,7 @@ def _pair_rows(sigmas, taus, tol):
                                               _to_matrix(alg, scoords)))
         angles, off = principal_arg(zeta), np.abs(np.abs(zeta) - 1.0).max(axis=1)
         what = "relative element has an eigenvalue off the unit circle"
-    bad = off > 10.0 * tol.boundary
+    bad = off > 10.0 * BOUNDARY
     if bad.any():
         n = int(np.argmax(bad))
         refused = {n: _row_error(n, f"not on the Shilov boundary ({what} by "
@@ -224,7 +223,7 @@ def _spin_pair_angles(scoords, tcoords):
 
 def _pair_angles(sigma, tau, tol):
     """One pair through pair_angles: (angles, coincidence mask)."""
-    angles = pair_angles([sigma], [tau], tol)[0]
+    angles = pair_angles([sigma], [tau])[0]
     return angles, _coincidence_split(angles, tol)
 
 
@@ -253,11 +252,10 @@ def _admissible_coranks(alg):
     return {k + d * (k * (k - 1) // 2 + k * (r - k)): k for k in range(r + 1)}
 
 
-def mu_via_corank(sigma, tau, tol: Tolerances = DEFAULT):
+def mu_via_corank(sigma, tau):
     """mu recomputed from the corank of P(sigma - tau) on the
     complexification; errors if the corank fits no admissible k."""
-    sigma = as_shilov(sigma, tol)
-    tau = as_shilov(tau, tol)
+    sigma, tau = as_shilov(sigma), as_shilov(tau)
     if sigma.alg != tau.alg:
         raise DomainError(f"algebra mismatch: {sigma.alg} vs {tau.alg}")
     alg = sigma.alg
@@ -267,7 +265,7 @@ def mu_via_corank(sigma, tau, tol: Tolerances = DEFAULT):
     if svals[0] < 1e-12:
         corank = alg.dim
     else:
-        corank = int(np.sum(svals < tol.rank * svals[0]))
+        corank = int(np.sum(svals < RANK_CUTOFF * svals[0]))
     table = _admissible_coranks(alg)
     if corank not in table:
         raise AmbiguityError(
@@ -306,9 +304,8 @@ def _souriau_value(lift1, lift2, angles, mask, tol):
 @lru_cache(maxsize=64)
 def _witness_draws(alg):
     """The witness candidates of one algebra drawn so far, and the generator
-    they come from: ([(point, lift), ...], rng).  They are drawn and checked
-    at the default tolerances whatever the caller's, so one list serves
-    every tol."""
+    they come from: ([(point, lift), ...], rng).  The boundary test of a
+    draw reads no tolerance, so one list serves every tol."""
     return [], np.random.default_rng(_WITNESS_SEED)
 
 
@@ -324,7 +321,7 @@ def _witnesses(alg):
         yield drawn[k]
 
 
-def _witness_iota(alg, tau, p1, p2, nulls, tol):
+def _witness_iota(alg, tau, p1, p2, nulls):
     """iota(sigma1, sigma2, tau) = -sgn(x1 - x2), x_k = c(P(tau^{-1/2}) sigma_k),
     from a point tau transverse to both points, with no root and no frame.
 
@@ -345,7 +342,7 @@ def _witness_iota(alg, tau, p1, p2, nulls, tol):
     rows = np.array([tau.value.coords, p1.value.coords, p2.value.coords])
     if alg.kind == SPIN:
         t = rows[0]
-        inv = _cinverse_rows(alg, t - rows[1:], tol)[1]
+        inv = _cinverse_rows(alg, t - rows[1:])[1]
         y = 2j * (inv[0] - inv[1])
         half = (t[0] * y[0] + t[1:] @ y[1:]).real
         gap = math.sqrt(max(half * half - (_det(alg, t) * _det(alg, y)).real, 0.0))
@@ -354,18 +351,18 @@ def _witness_iota(alg, tau, p1, p2, nulls, tol):
         mats = _to_matrix(alg, rows)
         x = _lapack.solve(mats[0] - mats[1:], mats[0])
         eigs = _lapack.eigvalsh(2j * (x[0] - x[1]))
-    return _null_signature(eigs, nulls, tol)
+    return _null_signature(eigs, nulls)
 
 
-def _null_signature(eigs, nulls, tol):
+def _null_signature(eigs, nulls):
     """-sgn of eigs over all but its `nulls` smallest in modulus, or None
     unless those are clearly apart from the rest: the smallest kept modulus
-    must exceed GRAY_FACTOR times the largest dropped one (times tol.rank
+    must exceed GRAY_FACTOR times the largest dropped one (times RANK_CUTOFF
     of the largest modulus when nothing is dropped)."""
     order = np.argsort(np.abs(eigs))
     size = np.abs(eigs[order])
     if nulls < size.size:
-        floor = size[nulls - 1] if nulls else tol.rank * size[-1]
+        floor = size[nulls - 1] if nulls else RANK_CUTOFF * size[-1]
         if not size[nulls] > GRAY_FACTOR * floor:
             return None
     return -int(np.sum(np.sign(eigs[order[nulls:]])))
@@ -390,14 +387,14 @@ def _find_witness(lift1, lift2, nulls, tol):
     p1, p2 = lift1.point, lift2.point
     strict = tol if tol.mode == STRICT else replace(tol, mode=STRICT)
     for point, wlift in _witnesses(p1.alg):
-        rows = pair_angles([point, point], [p1, p2], tol)
+        rows = pair_angles([point, point], [p1, p2])
         try:
             masks = [_coincidence_split(a, strict) for a in rows]
         except AmbiguityError:
             continue
         if any(mask.any() for mask in masks):
             continue
-        iota = _witness_iota(p1.alg, point, p1, p2, nulls, tol)
+        iota = _witness_iota(p1.alg, point, p1, p2, nulls)
         if iota is not None:
             return point, _witness_sum(lift1, lift2, wlift, rows, masks, iota, tol)
     raise AmbiguityError("no transverse witness found for the pair")
@@ -442,14 +439,14 @@ def souriau_m_witness(lift1, lift2, wlift, tol: Tolerances = DEFAULT):
     signature of _witness_iota, with no frame of tau.  AmbiguityError when
     the witness does not separate the coincidence directions of the pair."""
     p1, p2, w = lift1.point, lift2.point, wlift.point
-    rows = pair_angles([w, w, p1], [p1, p2, p2], tol)
+    rows = pair_angles([w, w, p1], [p1, p2, p2])
     masks = []
     for angles in rows[:2]:
         masks.append(_coincidence_split(angles, tol))
         if masks[-1].any():
             raise DomainError("witness must be transverse to both points")
     nulls = int(np.sum(_coincidence_split(rows[2], tol)))
-    iota = _witness_iota(w.alg, w, p1, p2, nulls, tol)
+    iota = _witness_iota(w.alg, w, p1, p2, nulls)
     if iota is None:
         raise AmbiguityError("the witness does not separate the coincidence "
                              "directions of the pair")
@@ -470,24 +467,24 @@ def maslov_iota(s1, s2, s3, tol: Tolerances = DEFAULT):
 def _iota_report(s1, s2, s3, tol):
     """maslov_iota and the coincidence masks of its pair passes (s1, s2),
     (s2, s3), (s3, s1), all made in one pair_angles call; fast path when
-    all pairs are transverse."""
-    s1 = as_shilov(s1, tol)
-    s2 = as_shilov(s2, tol)
-    s3 = as_shilov(s3, tol)
-    rows = pair_angles([s1, s2, s3], [s2, s3, s1], tol)
+    all pairs are transverse.  Its raw value is the angle sum over pi, or else
+    the sum of the three unrounded Souriau values."""
+    s1, s2, s3 = (as_shilov(s) for s in (s1, s2, s3))
+    rows = pair_angles([s1, s2, s3], [s2, s3, s1])
     masks = [_coincidence_split(angles, tol) for angles in rows]
     if not any(np.any(mask) for mask in masks):
         raw = sum(float(np.sum(angles)) for angles in rows) / math.pi
-        value, _ = _round_guarded(raw, tol, "Maslov index")
+        value, residual = _round_guarded(raw, tol, "Maslov index")
     else:
-        lifts = [lift(p, 0, tol) for p in (s1, s2, s3)]
-        value = sum(_souriau_value(lifts[k], lifts[(k + 1) % 3], angles,
-                                   masks[k], tol)[0]
-                    for k, angles in enumerate(rows))
+        lifts = [lift(p, 0) for p in (s1, s2, s3)]
+        terms = [_souriau_value(lifts[k], lifts[(k + 1) % 3], angles, masks[k], tol)
+                 for k, angles in enumerate(rows)]
+        value, raw = sum(t[0] for t in terms), sum(t[1] for t in terms)
+        residual = abs(raw - value)
     r = s1.alg.rank
     if abs(value) > r:
         raise IntegralityError(f"Maslov index {value} outside [-{r}, {r}]")
-    return IndexReport(value, float(value), 0.0), masks
+    return IndexReport(value, raw, residual), masks
 
 
 def ord_triple(alpha, beta, gamma):
@@ -546,7 +543,7 @@ def inertia_j(s1, s2, s3, tol: Tolerances = DEFAULT):
     The mu terms are the coincidence counts of the triple index's pair
     passes; mu(1,3) is read off the (3,1) pass, whose angles are those of
     (1,3) negated, at the same distances to pi."""
-    s1 = as_shilov(s1, tol)
+    s1 = as_shilov(s1)
     iota, masks = _iota_report(s1, s2, s3, tol)
     mu12, mu23, mu31 = (int(np.sum(mask)) for mask in masks)
     total = iota.value + mu12 - mu31 + mu23 + s1.alg.rank

@@ -27,7 +27,6 @@ from .boundary import (
     UnitaryGen,
     celement,
 )
-from .config import DEFAULT, Tolerances
 from .dynamics import BoundaryPath
 from .errors import DomainError
 
@@ -81,21 +80,21 @@ def _coords(obj, field, alg, where, required=True):
     return vals
 
 
-def _point(obj, alg, tol, where):
+def _point(obj, alg, where):
     """The ShilovPoint of the coords_re / coords_im fields of obj."""
     re = _coords(obj, "coords_re", alg, where)
     im = _coords(obj, "coords_im", alg, where, required=False)
     try:
-        return ShilovPoint(celement(alg, re, im), tol)
+        return ShilovPoint(celement(alg, re, im))
     except DomainError as exc:
         raise DomainError(f"{where}: {exc}") from exc
 
 
-def parse_element(obj, tol: Tolerances = DEFAULT, where="point"):
+def parse_element(obj, where="point"):
     """Parse a point document into a ShilovPoint, or a LiftedPoint if a
     `theta` field is present."""
     alg = parse_algebra(_require(obj, "algebra", where), where + ".algebra")
-    point = _point(obj, alg, tol, where)
+    point = _point(obj, alg, where)
     if "theta" not in obj:
         return point
     theta = obj["theta"]
@@ -231,7 +230,7 @@ def serialize_word(word):
     return doc
 
 
-def parse_path(obj, tol: Tolerances = DEFAULT, where="path"):
+def parse_path(obj, where="path"):
     """Parse a sampled path: {"algebra": ..., "samples": [{"t": ...,
     "coords_re": ..., "coords_im": ...}, ...]} with t from 0 to 1."""
     alg = parse_algebra(_require(obj, "algebra", where), where + ".algebra")
@@ -244,7 +243,7 @@ def parse_path(obj, tol: Tolerances = DEFAULT, where="path"):
         t = _require(entry, "t", spot)
         if not isinstance(t, (int, float)) or isinstance(t, bool) or not math.isfinite(t):
             raise DomainError(f"{spot}.t: expected a finite number, got {t!r}")
-        samples.append((float(t), _point(entry, alg, tol, spot)))
+        samples.append((float(t), _point(entry, alg, spot)))
     return BoundaryPath(samples)
 
 

@@ -24,7 +24,6 @@ import numpy as np
 from maslov_kit import algebra as al
 from maslov_kit import boundary as bd
 from maslov_kit import dynamics as dy
-from maslov_kit.config import DEFAULT
 from maslov_kit.errors import AmbiguityError, DomainError
 from maslov_kit.indices import pair_angles, relative_element
 
@@ -114,18 +113,18 @@ def spin_pair_angles_mp(sigma, tau, dps=50):
     return np.sort(angles)[::-1]
 
 
-def witness_iota_rooted(tau, p1, p2, tol=DEFAULT):
+def witness_iota_rooted(tau, p1, p2):
     """The eigenvalues of x1 - x2, x_k = c(v_k) = i (e + v_k)(e - v_k)^{-1},
     v_k = P(tau^{-1/2}) sigma_k, through the root tau^{-1/2} from the frame
     of tau: v_k is minus relative_element(sigma_k, tau), and
     x1 - x2 = 2i ((e - v1)^{-1} - (e - v2)^{-1}).  The spectrum is y0 +- |yv|
     on the spin factor, eigvalsh on the matrix kinds."""
     alg = tau.alg
-    v = -np.array([relative_element(p, tau, tol).value.coords for p in (p1, p2)])
+    v = -np.array([relative_element(p, tau).value.coords for p in (p1, p2)])
     if alg.kind == al.SPIN:
         a = -v
         a[:, 0] += 1.0
-        inv = bd._cinverse_rows(alg, a, tol)[1]
+        inv = bd._cinverse_rows(alg, a)[1]
         y = (2j * (inv[0] - inv[1])).real
         size = np.linalg.norm(y[1:])
         return np.array([y[0] - size, y[0] + size])
@@ -178,7 +177,7 @@ def match_step_cyclic(prev, raw):
     return prev + out, float(span[best])
 
 
-def eigenangle_flow_sequential(path, reference, tol=DEFAULT):
+def eigenangle_flow_sequential(path, reference):
     """dynamics.eigenangle_flow one sample at a time: one pair_angles call
     and one matching per sample, continuing the strands step by step, with
     the same refinement, step limit and errors."""
@@ -203,7 +202,7 @@ def eigenangle_flow_sequential(path, reference, tol=DEFAULT):
 
     def raw_at(t):
         return pair_angles([value_at(main_grid, main_fn, t)],
-                           [value_at(ref_grid, ref_fn, t)], tol)[0]
+                           [value_at(ref_grid, ref_fn, t)])[0]
 
     limit = min(dy.STRAND_STEP_LIMIT, math.pi / alg.rank)
     out_t = [ts[0]]
@@ -234,13 +233,13 @@ def eigenangle_flow_sequential(path, reference, tol=DEFAULT):
     return dy.AngleFlow(np.array(out_t), np.vstack(out_a))
 
 
-def power_lift_sequential(word, lifted, power, tol=DEFAULT, trail=None):
+def power_lift_sequential(word, lifted, power, trail=None):
     """g^power . lifted as `power` calls of act_lift, each iterate built and
     checked by ShilovPoint and LiftedPoint as it lands.  When given, `trail`
     collects the iterates, so on an error len(trail) + 1 is the failing one."""
     out = lifted
     for _ in range(power):
-        out = bd.act_lift(word, out, tol=tol)
+        out = bd.act_lift(word, out)
         if trail is not None:
             trail.append(out)
     return out
@@ -308,12 +307,11 @@ def radial_unwrap(word, target, steps=64):
     """(phi(g, z), g(z) coordinates) by unwrapping Arg j(g, t z) along the
     radial segment t in [0, 1], seeded at phi(g, 0); the sample count doubles
     until every increment is below pi/2."""
-    tol = DEFAULT
     alg = word.alg
     base = word.linear_fractional()[2]
     if word.is_unitary():
         # j(u, .) is constant, so the determination is too
-        out = bd.apply_word(word, bd.ElementC(alg, target), tol)
+        out = bd.apply_word(word, bd.ElementC(alg, target))
         return base, out.coords
     while True:
         prev = None
@@ -322,8 +320,8 @@ def radial_unwrap(word, target, steps=64):
         for k, t in enumerate(np.linspace(0.0, 1.0, steps + 1)):
             z = bd.ElementC(alg, t * target)
             if k == steps:
-                out = bd.apply_word(word, z, tol)
-            jval = bd.cocycle_j(word, z, tol)
+                out = bd.apply_word(word, z)
+            jval = bd.cocycle_j(word, z)
             if abs(jval) < 1e-14:
                 raise AmbiguityError("cocycle vanished along the unwrap segment")
             if prev is not None:
@@ -356,7 +354,7 @@ def lf_image_matrix(alg, g, z):
     return al._from_matrix(alg, np.linalg.solve(den.T, num.T).T)
 
 
-def factor_rows_matrix(alg, g, rows, tol=DEFAULT):
+def factor_rows_matrix(alg, g, rows):
     """(mu, refused) of the kernel's factor pass for the matrix g, with the
     factor matrices D^{-1} C w built as one broadcast solve over the matrix
     realizations of the rows instead of from the word's coordinate form."""
@@ -373,7 +371,7 @@ def factor_rows_matrix(alg, g, rows, tol=DEFAULT):
     lam[~finite] = np.nan
     mu = 1.0 + lam
     size = np.abs(mu).min(axis=1)
-    ok = size > tol.rank * (1.0 + np.abs(lam).max(axis=1))
+    ok = size > bd.RANK_CUTOFF * (1.0 + np.abs(lam).max(axis=1))
     return mu, {k: DomainError("undefined where Delta_g vanishes "
                                f"(min |1 + lambda| = {size[k]:.2e})")
                 for k in np.flatnonzero(~ok).tolist()}

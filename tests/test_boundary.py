@@ -1,7 +1,6 @@
 """Complexification, Shilov boundary, Cayley transforms, group words."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ import _oracles as orc
 from _cases import ALGEBRAS, IDS
 from maslov_kit import algebra as al
 from maslov_kit import boundary as bd
-from maslov_kit.config import DEFAULT
 from maslov_kit.errors import DomainError, MaslovKitError
 
 # retry loops skip draws where a word is undefined, and give up after this
@@ -153,21 +151,22 @@ def test_shilov_membership_gate(alg):
         bd.ShilovPoint(bd.celement(alg, np.zeros(alg.dim)))
 
 
-def constructor_refusal(alg, coords, theta, tol):
-    """The message with which ShilovPoint(coords, tol) and then
+def constructor_refusal(alg, coords, theta):
+    """The message with which ShilovPoint(coords) and then
     LiftedPoint(point, theta) refuse, or None."""
     try:
-        bd.LiftedPoint(bd.ShilovPoint(bd.ElementC(alg, coords), tol), theta)
+        bd.LiftedPoint(bd.ShilovPoint(bd.ElementC(alg, coords)), theta)
     except DomainError as exc:
         return str(exc)
     return None
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
-def test_boundary_refusals_match_constructors(alg):
+def test_boundary_refusals_match_constructors(alg, monkeypatch):
     """The batched membership tests give, row by row, the verdict and the
     message of the ShilovPoint and LiftedPoint constructors, on points pushed
-    off S, near-singular points and lifts with a drifted theta."""
+    off S, near-singular points and lifts with a drifted theta, at the fixed
+    cutoffs and at tighter ones."""
     rng = np.random.default_rng(28)
     r = alg.rank
     rows, thetas = [], []
@@ -187,9 +186,11 @@ def test_boundary_refusals_match_constructors(alg):
         rows.append(lifted.point.value.coords)
         thetas.append(lifted.theta + drift * rng.choice([-1.0, 1.0]) / r)
     coords, thetas = np.array(rows), np.array(thetas)
-    for tol in (DEFAULT, replace(DEFAULT, boundary=1e-9, rank=1e-9)):
-        refused = bd.boundary_refusals(alg, coords, tol, thetas)
-        want = {k: constructor_refusal(alg, coords[k], thetas[k], tol)
+    for boundary, cutoff in ((bd.BOUNDARY, bd.RANK_CUTOFF), (1e-9, 1e-9)):
+        monkeypatch.setattr(bd, "BOUNDARY", boundary)
+        monkeypatch.setattr(bd, "RANK_CUTOFF", cutoff)
+        refused = bd.boundary_refusals(alg, coords, thetas)
+        want = {k: constructor_refusal(alg, coords[k], thetas[k])
                 for k in range(len(coords))}
         assert refused == {k: msg for k, msg in want.items() if msg is not None}
         kinds = {msg.split(" (")[0].split(":")[0] for msg in refused.values()}
@@ -197,11 +198,11 @@ def test_boundary_refusals_match_constructors(alg):
         assert any("singular" in msg for msg in refused.values())
         assert len(refused) < len(coords)
         # each test alone, on the rows the other accepts
-        shilov = bd.boundary_refusals(alg, coords, tol=tol)
+        shilov = bd.boundary_refusals(alg, coords)
         assert {k: msg for k, msg in refused.items()
                 if msg.startswith("not on")} == shilov
         on_s = [k for k in range(len(coords)) if k not in shilov]
-        lift = bd.boundary_refusals(alg, coords[on_s], thetas=thetas[on_s])
+        lift = bd._phase_refusals(alg, al._det(alg, coords[on_s]), thetas[on_s])
         assert {on_s[k]: msg for k, msg in lift.items()} == {
             k: msg for k, msg in refused.items() if msg.startswith("invalid")}
 
@@ -218,10 +219,10 @@ def test_factor_rows_are_independent_and_take_filler(alg):
     rows[2] = np.nan
     rows[4, 0] = np.inf
     with np.errstate(all="ignore"):
-        mu, refused = bd._factor_rows(form, rows, DEFAULT)
+        mu, refused = bd._factor_rows(form, rows)
     assert {2, 4} <= set(refused) and np.isnan(mu[[2, 4]]).all()
     for k in (0, 1, 3, 5):
-        alone, verdict = bd._factor_rows(form, rows[k][None], DEFAULT)
+        alone, verdict = bd._factor_rows(form, rows[k][None])
         assert np.array_equal(mu[k], alone[0])
         assert (k in refused) == bool(verdict)
 
@@ -241,7 +242,7 @@ def test_coordinate_form_matches_matrix_route(alg, mode):
         for z in rows:
             want = orc.lf_image_matrix(alg, form.g, z)
             assert np.abs(bd._lf_image(form, z) - want).max() <= ulps * np.abs(want).max()
-        mu, refused = bd._factor_rows(form, rows, DEFAULT)
+        mu, refused = bd._factor_rows(form, rows)
         want, verdicts = orc.factor_rows_matrix(alg, form.g, rows)
         assert not refused and not verdicts
         # eigvals may order the factors differently: match each to the nearest
@@ -250,23 +251,25 @@ def test_coordinate_form_matches_matrix_route(alg, mode):
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
-def test_act_lift_checks_as_the_constructors(alg):
+def test_act_lift_checks_as_the_constructors(alg, monkeypatch):
     """act_lift runs the ShilovPoint and LiftedPoint tests in one
     boundary_refusals call: its lifts, its refusals and their messages are
-    those of the two constructors."""
-    for tol in (DEFAULT, replace(DEFAULT, boundary=1e-15),
-                replace(DEFAULT, boundary=1e-17)):
-        for seed in range(12):
-            rng = np.random.default_rng([seed, 51])
-            word = bd.random_word(alg, rng, ("tube", "mixed", "unitary")[seed % 3])
-            lifted = bd.lift(bd.random_shilov(alg, rng), 1)
+    those of the two constructors, at the fixed cutoff and at tighter ones."""
+    cases = []
+    for seed in range(12):
+        rng = np.random.default_rng([seed, 51])
+        word = bd.random_word(alg, rng, ("tube", "mixed", "unitary")[seed % 3])
+        cases.append((word, bd.lift(bd.random_shilov(alg, rng), 1)))
+    for boundary in (bd.BOUNDARY, 1e-15, 1e-17):
+        monkeypatch.setattr(bd, "BOUNDARY", boundary)
+        for word, lifted in cases:
 
             def by_constructors():
-                phi, image = bd._phi_image(word, lifted.point.value.coords, tol)
-                return bd.LiftedPoint(bd.ShilovPoint(bd.ElementC(alg, image), tol),
+                phi, image = bd._phi_image(word, lifted.point.value.coords)
+                return bd.LiftedPoint(bd.ShilovPoint(bd.ElementC(alg, image)),
                                       lifted.theta + phi / alg.rank)
 
-            got = outcome(lambda: bd.act_lift(word, lifted, tol))
+            got = outcome(lambda: bd.act_lift(word, lifted))
             want = outcome(by_constructors)
             if isinstance(want, MaslovKitError):
                 assert (type(got), str(got)) == (type(want), str(want))
@@ -547,7 +550,7 @@ def determinations(alg, mode, seed):
     zero = bd.ElementC(alg, np.zeros(alg.dim, complex))
     bare = bd.GroupWord(alg, [g.inverse() for g in reversed(word.generators)])
     for target in (sigma.value.coords, 0.5 * sigma.value.coords):
-        yield (lambda t=target: bd._checked(bd._phi_rows(word, t[None], DEFAULT))[0],
+        yield (lambda t=target: bd._checked(bd._phi_rows(word, t[None]))[0],
                lambda t=target: orc.radial_unwrap(word, t)[0])
     yield (lambda: bd.compose_words(word, inner).base_arg,
            lambda: (orc.radial_unwrap(word, bd.apply_word(inner, zero).coords)[0]
@@ -615,17 +618,16 @@ def test_lift_and_shift(alg):
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
-def test_lift_test_reads_only_the_phase(alg):
-    """A point that the caller's tol.boundary admits lifts, however far its
-    |det| is from 1: that is the ShilovPoint test's, not the lift's.  The
-    lift test reads the phase alone, and refuses a theta drifted by
-    1e-5 / r."""
-    loose = replace(DEFAULT, boundary=1e-4)
+def test_lift_test_reads_only_the_phase(alg, monkeypatch):
+    """A point that a looser BOUNDARY admits lifts, however far its |det| is
+    from 1: that is the ShilovPoint test's, not the lift's.  The lift test
+    reads the phase alone, and refuses a theta drifted by 1e-5 / r."""
+    monkeypatch.setattr(bd, "BOUNDARY", 1e-4)
     sigma = bd.random_shilov(alg, np.random.default_rng(0))
-    point = bd.ShilovPoint((1 + 2e-5) * sigma.value, loose)
+    point = bd.ShilovPoint((1 + 2e-5) * sigma.value)
     assert abs(abs(bd.cdet(point.value)) - 1.0) > 1e-5 * alg.rank
-    lifted = bd.lift(point, 0, loose)
-    assert bd.boundary_refusals(alg, point.value.coords[None], loose,
+    lifted = bd.lift(point, 0)
+    assert bd.boundary_refusals(alg, point.value.coords[None],
                                 [lifted.theta]) == {}
     with pytest.raises(DomainError, match="invalid lift"):
         bd.LiftedPoint(point, lifted.theta + 1e-5 / alg.rank)

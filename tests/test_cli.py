@@ -5,7 +5,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ from maslov_kit import dynamics as dy
 from maslov_kit import selftest as st
 from maslov_kit._serialize import dumps
 from maslov_kit.cli import GEN_KINDS, main
-from maslov_kit.config import DEFAULT
+from maslov_kit.config import DEFAULT, Tolerances
 from maslov_kit.errors import DomainError
 from maslov_kit.schemas import (
     parse_element,
@@ -180,6 +180,23 @@ def test_missing_file_exit_2(tmp_path):
     assert res.exit_code == 2
 
 
+def test_unwritable_output_exit_2(tmp_path):
+    """An output file that cannot be written exits 2 with an error line, as
+    an input file that cannot be read does, not with a traceback."""
+    loop, ref = str(tmp_path / "loop.json"), str(tmp_path / "ref.json")
+    assert invoke("gen", "--kind", "loop", "--n", "33", "--seed", "3",
+                  "--out", loop).exit_code == 0
+    assert invoke("gen", "--kind", "element", "--seed", "9", "--out", ref).exit_code == 0
+    missing = tmp_path / "missing"
+    for target, args in ((missing / "x.json", ("gen", "--kind", "element", "--out")),
+                         (missing / "x.csv", ("path", "--op", "arnold", loop, ref,
+                                              "--csv"))):
+        res = invoke(*args, str(target))
+        assert res.exit_code == 2
+        assert res.stderr.startswith(f"error: {target}: ")
+        assert "Traceback" not in res.output
+
+
 def test_gray_zone_strict_exit_3_permissive_0(tmp_path):
     alg = al.algebra(al.SYM_R, 2)
     frame = al.standard_frame(alg)
@@ -223,8 +240,10 @@ def test_tolerance_flag_outside_its_range_exit_2(tmp_path, flag, value, field):
 
 
 def test_flags_build_at_most_one_tolerances(tmp_path, monkeypatch):
-    """The flags at their defaults give DEFAULT itself; any others give one
-    replace of it."""
+    """Tolerances holds one field per flag.  The flags at their defaults give
+    DEFAULT itself; any others give one replace of it."""
+    assert {field.name for field in fields(Tolerances)} == {
+        "transverse", "integer", "mode"}
     p = str(tmp_path / "p.json")
     assert invoke("gen", "--kind", "element", "--seed", "5", "--out", p).exit_code == 0
     built = []
@@ -337,9 +356,9 @@ def test_rotation_walks_one_orbit_per_command(tmp_path, monkeypatch):
     walks = []
     power_lift = dy._power_lift
 
-    def counting(word, lifted, power, tol):
+    def counting(word, lifted, power):
         walks.append(power)
-        return power_lift(word, lifted, power, tol)
+        return power_lift(word, lifted, power)
 
     monkeypatch.setattr(dy, "_power_lift", counting)
     cases = [(al.algebra(al.SYM_R, 2), "mixed"), (al.algebra(al.HERM_C, 2), "tube"),
@@ -811,16 +830,30 @@ def test_src_reads_every_parameter(tmp_path):
     assert unread_parameters(tmp_path) == ["stale.spectral_decompose_real(tol)"]
 
 
+GEOMETRY_MODULES = ("algebra", "boundary", "schemas")
+TOLERANCE_NAMES = {"DEFAULT", "Tolerances"}
+
+
 def default_reads(src):
     """The attribute reads of DEFAULT in the modules of `src`, as
     "module:line DEFAULT.field": a check reads the tolerances it is given,
-    never the defaults behind the caller's back."""
+    never the defaults behind the caller's back.  Also the imports and
+    attribute reads of DEFAULT or Tolerances in the geometry modules
+    (GEOMETRY_MODULES), as "module:line import name" and "module:line
+    .name": membership of S and its parsing take no tolerance at all."""
     found = []
     for path in sorted(src.glob("*.py")):
+        geometry = path.stem in GEOMETRY_MODULES
         for node in ast.walk(ast.parse(path.read_text())):
             if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                     and node.value.id == "DEFAULT"):
                 found.append(f"{path.stem}:{node.lineno} DEFAULT.{node.attr}")
+            if geometry and isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [f"{path.stem}:{node.lineno} import {alias.name}"
+                          for alias in node.names if alias.name in TOLERANCE_NAMES]
+            elif (geometry and isinstance(node, ast.Attribute)
+                    and node.attr in TOLERANCE_NAMES):
+                found.append(f"{path.stem}:{node.lineno} .{node.attr}")
     return found
 
 
@@ -828,7 +861,13 @@ def test_src_reads_no_default_tolerance(tmp_path):
     assert default_reads(Path(maslov_kit.__file__).parent) == []
     (tmp_path / "hidden.py").write_text(
         "def check(res, tol):\n    return res <= 10 * DEFAULT.boundary\n")
-    assert default_reads(tmp_path) == ["hidden:2 DEFAULT.boundary"]
+    (tmp_path / "indices.py").write_text("from .config import DEFAULT, Tolerances\n")
+    (tmp_path / "schemas.py").write_text(
+        "from . import config\nfrom .config import BOUNDARY, DEFAULT\n\n"
+        "def parse(obj, tol=config.Tolerances()):\n    return obj, tol\n")
+    assert default_reads(tmp_path) == ["hidden:2 DEFAULT.boundary",
+                                       "schemas:2 import DEFAULT",
+                                       "schemas:4 .Tolerances"]
 
 
 LAPACK_NAMES = {"solve", "inv", "det", "eigvals", "eigvalsh"}

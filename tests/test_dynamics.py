@@ -17,6 +17,7 @@ from maslov_kit import dynamics as dy
 from maslov_kit import indices as ix
 from maslov_kit.config import DEFAULT, PERMISSIVE, STRICT, Tolerances
 from maslov_kit.errors import AmbiguityError, DomainError, MaslovKitError
+from maslov_kit.schemas import parse_path, serialize_algebra
 
 TWO_PI = 2.0 * math.pi
 
@@ -26,6 +27,15 @@ def phase_loop(sigma, turns=1.0):
     def fn(t):
         return bd.ShilovPoint(np.exp(2j * math.pi * turns * t) * sigma.value)
     return fn
+
+
+def off_boundary(value):
+    """ShilovPoint(value) for a value up to 1e-3 off S: built while the
+    constructor's BOUNDARY reads 1e-3, for a sample that pair_angles refuses
+    at the fixed cutoff."""
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(bd, "BOUNDARY", 1e-3)
+        return bd.ShilovPoint(value)
 
 
 def transverse_pair(alg, rng):
@@ -228,8 +238,7 @@ def bare_phase_loop(sigma, turns, ts, off=None):
     samples = [(t, phase_loop(sigma, turns)(t)) for t in ts]
     if off is not None:
         t, p = samples[off]
-        samples[off] = (t, bd.ShilovPoint(
-            (1 + 1e-5) * p.value, replace(DEFAULT, boundary=1e-3)))
+        samples[off] = (t, off_boundary((1 + 1e-5) * p.value))
     return dy.BoundaryPath(samples)
 
 
@@ -238,6 +247,36 @@ def outcome(fn):
         return fn()
     except MaslovKitError as exc:
         return exc
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_one_boundary_cutoff_on_every_route(alg):
+    """A raw element 1e-5 off S is refused with the message of ShilovPoint
+    as a stored path sample, as a sampler's value inside eigenangle_flow
+    and as a parsed path sample; one 1e-9 off S is accepted by all four."""
+    rng = np.random.default_rng(3)
+    sigma, ref = bd.random_shilov(alg, rng), bd.random_shilov(alg, rng)
+    grid = dy.BoundaryPath([(t, ref) for t in (0.0, 0.5, 1.0)])
+    for scale, refused in ((1 + 1e-5, True), (1 + 1e-9, False)):
+        raw = scale * sigma.value
+        merged = dy.BoundaryPath([(0.0, sigma), (1.0, sigma)],
+                                 sampler=lambda t, raw=raw: raw if t == 0.5 else sigma)
+        doc = {"algebra": serialize_algebra(alg), "samples": [
+            {"t": t, "coords_re": z.coords.real.tolist(),
+             "coords_im": z.coords.imag.tolist()}
+            for t, z in ((0.0, raw), (1.0, sigma.value))]}
+        got = [outcome(route) for route in (
+            lambda: bd.ShilovPoint(raw),
+            lambda: dy.BoundaryPath([(0.0, raw), (1.0, sigma)]),
+            lambda: dy.eigenangle_flow(merged, grid),
+            lambda: parse_path(doc))]
+        if refused:
+            message = str(got[0])
+            assert message.startswith("not on the Shilov boundary (residual")
+            assert all(type(exc) is DomainError and str(exc).endswith(message)
+                       for exc in got)
+        else:
+            assert not any(isinstance(exc, MaslovKitError) for exc in got)
 
 
 def test_flow_raises_earliest_error():
@@ -411,15 +450,14 @@ def jump_path(fn, n, jump, window, off=False):
     samples = [(t, turned(t)) for t in np.linspace(0.0, 1.0, n)]
     if off:
         t, p = samples[-2]
-        samples[-2] = (t, bd.ShilovPoint(
-            (1 + 1e-5) * p.value, replace(DEFAULT, boundary=1e-3)))
+        samples[-2] = (t, off_boundary((1 + 1e-5) * p.value))
     return dy.BoundaryPath(samples, sampler=sampler)
 
 
 @pytest.mark.parametrize("alg", [al.algebra(al.SYM_R, 2), al.algebra(al.HERM_C, 2),
                                  al.algebra(al.SPIN, 5)],
                          ids=lambda a: f"{a.kind}-{a.param}")
-def test_flow_error_order_across_levels(alg):
+def test_flow_error_order_across_levels(alg, monkeypatch):
     """Stuck steps at maximum refinement, refused midpoint samples and a
     refused grid sample after them: the error raised is the sequential
     walk's, class and message; where none is met, the flows agree."""
@@ -441,7 +479,6 @@ def test_flow_error_order_across_levels(alg):
     # one level's midpoints hold a pair off the boundary, then one of another
     # algebra; the next level's first midpoint cannot be taken, and is
     # raised first
-    tight = replace(DEFAULT, boundary=1e-12)
     loop = phase_loop(bd.random_shilov(alg, np.random.default_rng(112)))
     other = bd.random_shilov(al.algebra(al.SYM_R, 3), np.random.default_rng(113))
 
@@ -454,8 +491,9 @@ def test_flow_error_order_across_levels(alg):
 
     path = dy.BoundaryPath([(t, loop(t)) for t in np.linspace(0.0, 1.0, 4)],
                            sampler=sampler)
-    got = outcome(lambda: dy.eigenangle_flow(path, ref, tight))
-    want = outcome(lambda: orc.eigenangle_flow_sequential(path, ref, tight))
+    monkeypatch.setattr(ix, "BOUNDARY", 1e-12)
+    got = outcome(lambda: dy.eigenangle_flow(path, ref))
+    want = outcome(lambda: orc.eigenangle_flow_sequential(path, ref))
     assert type(got) is type(want) is DomainError
     assert str(got) == str(want) == "sample refused at t=0.0833333"
 
@@ -697,18 +735,15 @@ def assert_same_outcome(got, want):
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
 def test_standard_base_lift_is_built_once(alg):
-    """One build per (alg, tol), however tol is passed."""
-    dy._standard_base_lift.cache_clear()
-    bases = [dy.standard_base_lift(alg), dy.standard_base_lift(alg, DEFAULT),
-             dy.standard_base_lift(alg, tol=DEFAULT)]
-    assert dy._standard_base_lift.cache_info().misses == 1
-    assert all(other is bases[0] for other in bases)
-    tol = replace(DEFAULT, transverse=2e-7)
-    base = dy.standard_base_lift(alg, tol)
-    assert dy.standard_base_lift(alg, tol=tol) is base
-    fresh = dy._standard_base_lift.__wrapped__(alg, tol)
+    """One build per algebra, which rotation numbers read under any tol."""
+    dy.standard_base_lift.cache_clear()
+    base, *others = [dy.standard_base_lift(alg) for _ in range(3)]
+    assert dy.standard_base_lift.cache_info().misses == 1
+    assert all(other is base for other in others)
+    fresh = dy.standard_base_lift.__wrapped__(alg)
     assert fresh is not base
     assert_same_lift(fresh, base)
+    tol = replace(DEFAULT, transverse=2e-7)
     word = bd.random_word(alg, np.random.default_rng(3), "mixed")
     assert dy.rotation_rho(word, 8, tol=tol) == dy.rotation_rho(
         word, 8, base=fresh, tol=tol)
@@ -726,7 +761,7 @@ def test_power_lift_matches_sequential_oracle(alg, mode):
         for lifted in (base, other):
             for power in (1, 2, 32, 128):
                 assert_same_outcome(
-                    outcome(lambda: dy._power_lift(word, lifted, power, DEFAULT)),
+                    outcome(lambda: dy._power_lift(word, lifted, power)),
                     outcome(lambda: orc.power_lift_sequential(word, lifted, power)))
 
 
@@ -759,11 +794,11 @@ def test_rotation_orbit_makes_one_factor_pass_and_one_check(alg, mode, monkeypat
         count("_to_matrix", in_image_step, module)
         count("_from_matrix", in_image_step, module)
     count("_lf_image", lambda form, z: ())
-    count("_factor_rows", lambda form, rows, tol: (len(rows),))
-    count("boundary_refusals", lambda alg_, coords, tol=None, thetas=None:
-          (len(coords), tol is not None, thetas is not None))
+    count("_factor_rows", lambda form, rows: (len(rows),))
+    count("boundary_refusals", lambda alg_, coords, thetas=None:
+          (len(coords), thetas is not None))
     word = bd.random_word(alg, np.random.default_rng(5), mode)
-    dy.standard_base_lift(alg, DEFAULT)     # the cached base rotation_rho reads
+    dy.standard_base_lift(alg)     # the cached base rotation_rho reads
     for power in (1, 2, 32):
         log.clear()
         dy.rotation_rho(word, power)
@@ -771,7 +806,7 @@ def test_rotation_orbit_makes_one_factor_pass_and_one_check(alg, mode, monkeypat
         assert not [e for e in log if e[1:] == ("in image step",)]
         assert [e for e in log if e[0] == "_factor_rows"] == [("_factor_rows", power)]
         assert [e for e in log if e[0] == "boundary_refusals"] == [
-            ("boundary_refusals", power, True, True)]
+            ("boundary_refusals", power, True)]
 
 
 ROUTE_ALGEBRAS = ([al.algebra(al.SYM_R, m) for m in (2, 3, 6)]
@@ -794,8 +829,8 @@ def test_rotation_orbit_agrees_with_matrix_route(alg, mode, monkeypatch):
     got = outcomes()
     monkeypatch.setattr(bd, "_lf_image",
                         lambda form, z: orc.lf_image_matrix(form.alg, form.g, z))
-    monkeypatch.setattr(bd, "_factor_rows", lambda form, rows, tol: (
-        orc.factor_rows_matrix(form.alg, form.g, rows, tol)))
+    monkeypatch.setattr(bd, "_factor_rows", lambda form, rows: (
+        orc.factor_rows_matrix(form.alg, form.g, rows)))
     want = outcomes()
     for new, old in zip(got, want):
         if isinstance(old, MaslovKitError):
@@ -836,27 +871,27 @@ def test_coordinate_form_is_built_once_and_read_only(alg, monkeypatch):
 @pytest.mark.parametrize("alg", [al.algebra(al.SYM_R, 2), al.algebra(al.HERM_C, 3),
                                  al.algebra(al.SPIN, 5)],
                          ids=lambda a: f"{a.kind}-{a.param}")
-def test_power_lift_raises_earliest_error(alg, boundary):
-    """Under a tight boundary tolerance, tube orbits are refused at inner
-    iterates; the batched orbit raises the class and message of the
-    sequential loop, at the same iterate."""
-    tol = replace(DEFAULT, boundary=boundary)
-    base = dy.standard_base_lift(alg, tol)
+def test_power_lift_raises_earliest_error(alg, boundary, monkeypatch):
+    """Under a tight BOUNDARY, tube orbits are refused at inner iterates; the
+    batched orbit raises the class and message of the sequential loop, at
+    the same iterate."""
+    monkeypatch.setattr(bd, "BOUNDARY", boundary)
+    base = dy.standard_base_lift(alg)
     inner = []
     for seed in range(40):
         word = bd.random_word(alg, np.random.default_rng(seed), "tube")
         trail = []
-        want = outcome(lambda: orc.power_lift_sequential(word, base, 32, tol, trail))
-        assert_same_outcome(outcome(lambda: dy._power_lift(word, base, 32, tol)), want)
+        want = outcome(lambda: orc.power_lift_sequential(word, base, 32, trail))
+        assert_same_outcome(outcome(lambda: dy._power_lift(word, base, 32)), want)
         if not isinstance(want, MaslovKitError):
             continue
         failing = len(trail) + 1
         inner.append(failing)
         # the iterate before the failing one is reached, the failing one raises
         if trail:
-            assert_same_lift(dy._power_lift(word, base, failing - 1, tol), trail[-1])
+            assert_same_lift(dy._power_lift(word, base, failing - 1), trail[-1])
         assert_same_outcome(
-            outcome(lambda: dy._power_lift(word, base, failing, tol)), want)
+            outcome(lambda: dy._power_lift(word, base, failing)), want)
     assert any(f < 32 for f in inner)
 
 
@@ -870,15 +905,15 @@ def test_power_lift_step_and_check_errors_in_order(monkeypatch, alg, seed,
     after it is not reached.  Step errors are planted in the verdicts of the
     batched checks, which act_lift and the orbit walk both use; a step that
     fails the gate raises the gate's error even where its image raises."""
-    tol = replace(DEFAULT, boundary=boundary)
-    base = dy.standard_base_lift(alg, tol)
+    base = dy.standard_base_lift(alg)
     word = bd.random_word(alg, np.random.default_rng(seed), "tube")
+    loose = []      # the same orbit, accepted at the fixed BOUNDARY
+    orc.power_lift_sequential(word, base, 32, loose)
+    monkeypatch.setattr(bd, "BOUNDARY", boundary)
     trail = []
     with pytest.raises(DomainError, match="not on the Shilov boundary"):
-        orc.power_lift_sequential(word, base, 32, tol, trail)
+        orc.power_lift_sequential(word, base, 32, trail)
     assert len(trail) + 1 == failing
-    loose = []      # the same orbit, accepted under the default tolerance
-    orc.power_lift_sequential(word, base, 32, DEFAULT, loose)
     orbit = [base.point.value.coords] + [p.point.value.coords for p in loose]
 
     def at_step(step, rows):
@@ -887,8 +922,8 @@ def test_power_lift_step_and_check_errors_in_order(monkeypatch, alg, seed,
     real_phi_rows = bd._phi_rows
 
     def plant(step):
-        def phi_rows(word_, rows, tol_):
-            phis, refused = real_phi_rows(word_, rows, tol_)
+        def phi_rows(word_, rows):
+            phis, refused = real_phi_rows(word_, rows)
             for k in at_step(step, rows):
                 refused[k] = AmbiguityError(f"planted at step {step}")
             return phis, refused
@@ -897,9 +932,9 @@ def test_power_lift_step_and_check_errors_in_order(monkeypatch, alg, seed,
     for step, raised in [(failing - 3, f"planted at step {failing - 3}"),
                          (failing + 3, "not on the Shilov boundary")]:
         monkeypatch.setattr(bd, "_phi_rows", plant(step))
-        want = outcome(lambda: orc.power_lift_sequential(word, base, 32, tol))
+        want = outcome(lambda: orc.power_lift_sequential(word, base, 32))
         assert str(want).startswith(raised)
-        assert_same_outcome(outcome(lambda: dy._power_lift(word, base, 32, tol)), want)
+        assert_same_outcome(outcome(lambda: dy._power_lift(word, base, 32)), want)
     monkeypatch.setattr(bd, "_phi_rows", real_phi_rows)
 
     # step k fails the |mu| gate and its image solve raises LinAlgError: the
@@ -907,8 +942,8 @@ def test_power_lift_step_and_check_errors_in_order(monkeypatch, alg, seed,
     step = failing - 3
     real_factor_rows, real_image = bd._factor_rows, bd._lf_image
 
-    def factor_rows(form, rows, tol_):
-        mu, refused = real_factor_rows(form, rows, tol_)
+    def factor_rows(form, rows):
+        mu, refused = real_factor_rows(form, rows)
         for k in at_step(step, rows):
             refused[k] = DomainError(f"planted gate at step {step}")
         return mu, refused
@@ -919,14 +954,14 @@ def test_power_lift_step_and_check_errors_in_order(monkeypatch, alg, seed,
         return real_image(form, z)
 
     monkeypatch.setattr(bd, "_lf_image", lf_image)
-    for lift_orbit in (lambda: orc.power_lift_sequential(word, base, 32, tol),
-                       lambda: dy._power_lift(word, base, 32, tol)):
+    for lift_orbit in (lambda: orc.power_lift_sequential(word, base, 32),
+                       lambda: dy._power_lift(word, base, 32)):
         with pytest.raises(np.linalg.LinAlgError, match="planted singular image"):
             lift_orbit()
     monkeypatch.setattr(bd, "_factor_rows", factor_rows)
-    want = outcome(lambda: orc.power_lift_sequential(word, base, 32, tol))
+    want = outcome(lambda: orc.power_lift_sequential(word, base, 32))
     assert str(want) == f"planted gate at step {step}"
-    assert_same_outcome(outcome(lambda: dy._power_lift(word, base, 32, tol)), want)
+    assert_same_outcome(outcome(lambda: dy._power_lift(word, base, 32)), want)
 
 
 def singular_word(alg):
@@ -964,11 +999,11 @@ def test_singular_image_raises_linalgerror(alg, monkeypatch):
 
     seq = outcome(lambda: orc.power_lift_sequential(word, base, 32))
     assert isinstance(seq, DomainError) and "Delta_g vanishes" in str(seq)
-    assert_same_outcome(outcome(lambda: dy._power_lift(word, base, 32, DEFAULT)), seq)
+    assert_same_outcome(outcome(lambda: dy._power_lift(word, base, 32)), seq)
 
-    monkeypatch.setattr(bd, "_factor_rows", lambda form_, rows, tol: (
+    monkeypatch.setattr(bd, "_factor_rows", lambda form_, rows: (
         np.ones((len(rows), alg.rank), dtype=np.complex128), {}))
-    for image in (lambda: dy._power_lift(word, base, 32, DEFAULT),
+    for image in (lambda: dy._power_lift(word, base, 32),
                   lambda: orc.power_lift_sequential(word, base, 32),
                   lambda: bd.act_lift(word, base),
                   lambda: bd.apply_word(word, base.point)):
@@ -984,34 +1019,35 @@ def test_multi_block_orbit_matches_sequential_oracle(alg, mode):
     power = 2 * dy.ORBIT_BLOCK + 3
     base = dy.standard_base_lift(alg)
     word = bd.random_word(alg, np.random.default_rng(alg.param), mode)
-    assert_same_lift(dy._power_lift(word, base, power, DEFAULT),
+    assert_same_lift(dy._power_lift(word, base, power),
                      orc.power_lift_sequential(word, base, power))
 
 
-def test_multi_block_orbit_raises_in_its_second_block():
-    """Under boundary tolerance 1e-13 a sym-r 2 tube orbit is refused at
-    iterate 1 289, in its second block: the orbit raises the sequential
-    loop's error there, and the orbit of 1 288 steps ends at the loop's
-    last accepted iterate."""
+def test_multi_block_orbit_raises_in_its_second_block(monkeypatch):
+    """With BOUNDARY at 1e-13 a sym-r 2 tube orbit is refused at iterate
+    1 289, in its second block: the orbit raises the sequential loop's error
+    there, and the orbit of 1 288 steps ends at the loop's last accepted
+    iterate."""
     alg = al.algebra(al.SYM_R, 2)
-    tol = replace(DEFAULT, boundary=1e-13)
-    base = dy.standard_base_lift(alg, tol)
+    monkeypatch.setattr(bd, "BOUNDARY", 1e-13)
+    base = dy.standard_base_lift(alg)
     word = bd.random_word(alg, np.random.default_rng(11), "tube")
     power, trail = 2 * dy.ORBIT_BLOCK + 3, []
-    want = outcome(lambda: orc.power_lift_sequential(word, base, power, tol, trail))
+    want = outcome(lambda: orc.power_lift_sequential(word, base, power, trail))
     assert isinstance(want, DomainError) and len(trail) + 1 == 1289
-    assert_same_outcome(outcome(lambda: dy._power_lift(word, base, power, tol)), want)
-    assert_same_lift(dy._power_lift(word, base, 1288, tol), trail[-1])
+    assert_same_outcome(outcome(lambda: dy._power_lift(word, base, power)), want)
+    assert_same_lift(dy._power_lift(word, base, 1288), trail[-1])
 
 
 @pytest.mark.parametrize("block", [1, 5])
 def test_orbit_errors_keep_their_order_across_blocks(monkeypatch, block):
-    """With blocks of 1 and 5 steps the refusals of the tight-tolerance tube
+    """With blocks of 1 and 5 steps the refusals of the tight-BOUNDARY tube
     orbits and the planted step errors fall in later blocks; each raises as
     the sequential loop does."""
     monkeypatch.setattr(dy, "ORBIT_BLOCK", block)
     for alg in (al.algebra(al.SYM_R, 2), al.algebra(al.SPIN, 5)):
-        test_power_lift_raises_earliest_error(alg, 1e-14)
+        with monkeypatch.context() as patched:
+            test_power_lift_raises_earliest_error(alg, 1e-14, patched)
     for case in ((al.algebra(al.SYM_R, 2), 4, 1e-15, 17),
                  (al.algebra(al.HERM_C, 3), 0, 1e-14, 15)):
         with monkeypatch.context() as patched:

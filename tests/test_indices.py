@@ -172,17 +172,18 @@ def test_spin_pair_angles_batch(alg):
 @pytest.mark.parametrize("alg", [al.algebra(al.SYM_R, 2), al.algebra(al.HERM_C, 2),
                                  al.algebra(al.SPIN, 3), al.algebra(al.SPIN, 5)],
                          ids=["sym-r-2", "herm-c-2", "spin-3", "spin-5"])
-def test_pair_angles_names_first_refused_row(alg):
+def test_pair_angles_names_first_refused_row(alg, monkeypatch):
     """A batch raises the one-pair error of its first refused pair and
     carries that pair's index as `row`, also when a later pair mixes
     algebras, and a raw element that is not a boundary point is refused in
     its own row."""
     rng = np.random.default_rng([76, alg.dim])
-    loose = replace(DEFAULT, boundary=1e-3)
     sigmas = [bd.random_shilov(alg, rng) for _ in range(7)]
     taus = [bd.random_shilov(alg, rng) for _ in range(7)]
-    for k, scale in ((2, 1 + 1e-5), (5, 1 + 1e-4)):
-        sigmas[k] = bd.ShilovPoint(scale * sigmas[k].value, loose)
+    with monkeypatch.context() as loose:     # points off S that pair_angles refuses
+        loose.setattr(bd, "BOUNDARY", 1e-3)
+        for k, scale in ((2, 1 + 1e-5), (5, 1 + 1e-4)):
+            sigmas[k] = bd.ShilovPoint(scale * sigmas[k].value)
     taus[6] = bd.random_shilov(al.algebra(al.SYM_R, 3), rng)
     with pytest.raises(DomainError) as batch:
         ix.pair_angles(sigmas, taus)
@@ -645,9 +646,9 @@ def test_witness_signature_matches_maslov_iota(alg, monkeypatch):
     tau^{-1/2} to 1e-9 of the largest, with the same null signature."""
     orig, eigs = ix._null_signature, []
 
-    def recorded(values, nulls, tol):
+    def recorded(values, nulls):
         eigs.append(values)
-        return orig(values, nulls, tol)
+        return orig(values, nulls)
 
     monkeypatch.setattr(ix, "_null_signature", recorded)
     rng = np.random.default_rng(78)
@@ -659,9 +660,9 @@ def test_witness_signature_matches_maslov_iota(alg, monkeypatch):
             if not (ix.transversal(tau, s1) and ix.transversal(tau, s2)):
                 continue
             nulls = ix.mu(s1, s2)
-            got = ix._witness_iota(alg, tau, s1, s2, nulls, DEFAULT)
+            got = ix._witness_iota(alg, tau, s1, s2, nulls)
             rooted = orc.witness_iota_rooted(tau, s1, s2)
-            assert got == orig(rooted, nulls, DEFAULT)
+            assert got == orig(rooted, nulls)
             assert np.max(np.abs(np.sort(eigs[-1]) - np.sort(rooted))) \
                 <= 1e-9 * np.max(np.abs(rooted))
             assert got == ix.maslov_iota(s1, s2, tau).value
@@ -671,10 +672,10 @@ def test_witness_signature_matches_maslov_iota(alg, monkeypatch):
 
 def test_null_signature_needs_a_clear_gap():
     eigs = np.array([2.0, -3e-16, 0.5, -1.5])
-    assert ix._null_signature(eigs, 1, DEFAULT) == -1
-    assert ix._null_signature(eigs, 4, DEFAULT) == 0
-    assert ix._null_signature(np.array([1e-9, -4e-9, 2.0]), 1, DEFAULT) is None
-    assert ix._null_signature(np.array([1e-12, 1.0]), 0, DEFAULT) is None
+    assert ix._null_signature(eigs, 1) == -1
+    assert ix._null_signature(eigs, 4) == 0
+    assert ix._null_signature(np.array([1e-9, -4e-9, 2.0]), 1) is None
+    assert ix._null_signature(np.array([1e-12, 1.0]), 0) is None
 
 
 def test_witness_search_moves_past_an_unclear_gap(monkeypatch):
@@ -688,14 +689,14 @@ def test_witness_search_moves_past_an_unclear_gap(monkeypatch):
     orig = ix._null_signature
     blurred = []
 
-    def blur(eigs, nulls, tol):
+    def blur(eigs, nulls):
         if len(blurred) < limit:
             order = np.argsort(np.abs(eigs))
             eigs = eigs.copy()
             eigs[order[0]] = 0.5 * eigs[order[1]]
-            blurred.append(orig(eigs, nulls, tol))
+            blurred.append(orig(eigs, nulls))
             return blurred[-1]
-        return orig(eigs, nulls, tol)
+        return orig(eigs, nulls)
 
     monkeypatch.setattr(ix, "_null_signature", blur)
     limit = 1
@@ -841,6 +842,33 @@ def test_iota_cocycle_relation(alg):
                  + ix.maslov_iota(q[0], q[2], q[3]).value
                  - ix.maslov_iota(q[1], q[2], q[3]).value)
         assert total == 0
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_iota_reports_the_raw_value_it_rounds(alg):
+    """maslov_iota reports the value it rounded: on a transverse triple the
+    angle sum over pi of its three pair passes, otherwise the sum of the
+    three Souriau values of canonical lifts before rounding, with residual
+    |raw - value|; inertia_j's residual is half of it.  On random triples
+    the raw value is not always an exact integer."""
+    rng = np.random.default_rng(5)
+    triples = [[bd.random_shilov(alg, rng) for _ in range(3)] for _ in range(12)]
+    triples.append(shared_frame_points(alg, rng, 3, coincide=1)[2])
+    inexact = 0
+    for pts in triples:
+        rep = ix.maslov_iota(*pts)
+        rows = ix.pair_angles(pts, pts[1:] + pts[:1])
+        if all(ix.transversal(p, q) for p, q in zip(pts, pts[1:] + pts[:1])):
+            assert rep.raw == sum(float(np.sum(a)) for a in rows) / math.pi
+        else:
+            lifts = [bd.lift(p) for p in pts]
+            assert rep.raw == sum(ix.souriau_m(lifts[k], lifts[(k + 1) % 3]).raw
+                                  for k in range(3))
+        assert rep.residual == abs(rep.raw - rep.value) <= DEFAULT.integer
+        inexact += rep.residual > 0.0
+        assert ix.inertia_j(*pts).residual == pytest.approx(0.5 * rep.residual,
+                                                            abs=1e-15)
+    assert inexact > 0
 
 
 # ------------------------------------------------------------ closed oracles
