@@ -260,14 +260,22 @@ def unit_shilov(alg):
     return ShilovPoint(complexify(unit(alg)))
 
 
+def _row_norms(x):
+    """Euclidean norms of the real rows x (N, n): the arithmetic of
+    np.linalg.norm(x, axis=1) on real rows, bit for bit, without its
+    wrapper."""
+    return np.sqrt((x * x).sum(axis=1))
+
+
 def _lie_sphere(z):
     """(gamma, x, off) of spin rows z: the nearest real unit vector x to
-    y = e^{-i gamma} (z0, -i zv), and its distance off from y."""
+    y = e^{-i gamma} (z0, -i zv), and its distance off from y.  Each row's
+    arithmetic is independent of the other rows."""
     gamma = 0.5 * np.angle(z[:, 0] ** 2 - (z[:, 1:] * z[:, 1:]).sum(axis=1))
     y = np.exp(-1j * gamma)[:, None] * z
     y[:, 1:] *= -1j
-    size = np.linalg.norm(y.real, axis=1)
-    off = np.hypot(np.linalg.norm(y.imag, axis=1), size - 1.0)
+    size = _row_norms(y.real)
+    off = np.hypot(_row_norms(y.imag), size - 1.0)
     return gamma, y.real / size[:, None], off
 
 

@@ -11,7 +11,8 @@ The eigenangles come from pair_angles.  For the matrix kinds w is similar
 to -tau^{-1} sigma, a unitary m x m matrix, so a batch of pairs costs one
 stacked solve and one stacked eigvals call, with no square root and no
 frame.  On the spin factor the two angles are read off the Lie-sphere form
-e^{i gamma} (x0, i xv) of the two points, again with no frame.  Each
+e^{i gamma} (x0, i xv) of the two points, from one Lie-sphere pass over
+all the points of a batch, again with no frame.  Each
 index makes one pass per pair and shares it: inertia_j reads its three mu
 terms off the passes of its triple index, arnold_nu and alm_n read mu off
 the pass of their Souriau index.  A path flow makes one pass per grid.
@@ -24,9 +25,11 @@ The check is independent of the extension formula it checks: iota comes
 from the signature of the Cayley images of the pair with tau at infinity,
 read off tau and the two points with no square root of tau, and the two m
 terms are transverse.  Its witnesses are a fixed stream, drawn once per
-algebra and cached with their lifts, so a check costs one pair_angles call
-and one small solve and eigensolve per candidate tried (usually one), and
-builds no point and no frame.
+algebra and cached with their lifts.  The check shares the direct pass of the
+pair, and per candidate tried (usually one) costs one angle pass of the
+candidate with both points and one small solve and eigensolve; on the
+matrix kinds the pass and the solve share one build of the three matrices,
+and no point is coerced twice.  It builds no point and no frame.
 """
 
 import math
@@ -38,7 +41,7 @@ import numpy as np
 from . import _lapack
 from .algebra import SPIN, _det, _from_matrix, _mul, _to_matrix
 from .boundary import (ElementC, LiftedPoint, ShilovPoint, _checked,
-                       _cinverse_rows, _lie_sphere, as_shilov,
+                       _cinverse_rows, _lie_sphere, _row_norms, as_shilov,
                        cquad_rep_operator, lift, principal_arg, random_shilov,
                        shilov_spectral, wrap_angle)
 from .config import BOUNDARY, DEFAULT, GRAY_FACTOR, RANK_CUTOFF, STRICT, Tolerances
@@ -128,15 +131,16 @@ def pair_angles(sigmas, taus):
     Each row is sorted descending in (-pi, pi], the order of
     shilov_spectral(relative_element(sigma, tau)).angles.  For the matrix
     kinds w = -P(tau^{-1/2}) sigma is similar to -tau^{-1} sigma, whose
-    eigenvalues all pairs get from one stacked solve and one eigvals call,
-    each a direct call of numpy's LAPACK gufunc (_lapack), bit for bit
-    np.linalg's.
+    eigenvalues all pairs get from one _to_matrix call over the 2N points,
+    one stacked solve and one eigvals call, each a direct call of numpy's
+    LAPACK gufunc (_lapack), bit for bit np.linalg's.
     The Jordan inverse (solve, not the conjugate) keeps points that are off
     S within BOUNDARY on the spectrum of w; an eigenvalue off the unit circle
     by more than 10 BOUNDARY is refused.  The spin factor takes the angles in
-    closed form from the Lie-sphere form of the two points
-    (_spin_pair_angles), with no frame; a point off the Lie sphere by more
-    than 10 BOUNDARY is refused.
+    closed form from the Lie-sphere form of the points, one pass over the
+    2N stacked points (_spin_pair_angles), with no frame; a point off the
+    Lie sphere by more than 10 BOUNDARY is refused.  Both are the kernel
+    _angle_rows, which the witness pass of souriau_m also calls.
 
     Each pair is checked as a one-pair call would check it.  The DomainError
     is that of the first refused pair, whether a raw element that is not a
@@ -154,8 +158,8 @@ def _pair_rows(sigmas, taus):
     The rows are scanned in order: sigma_k and then tau_k are made boundary
     points (as_shilov), and their algebras compared.  The first row whose
     coercion fails or whose algebras differ ends the scan; only the rows
-    before it are solved, in one call, and the first of them off the
-    boundary is refused in its place."""
+    before it are passed to _angle_rows, in one call, and the first of them
+    off the boundary is refused in its place."""
     sigmas, taus = list(sigmas), list(taus)
     if not sigmas or len(sigmas) != len(taus):
         raise DomainError(f"pair_angles needs N >= 1 sigmas and N taus, got "
@@ -177,22 +181,38 @@ def _pair_rows(sigmas, taus):
     n = len(points)
     if n == 0:
         return np.empty((0, 0)), refused
-    scoords = np.array([s.value.coords for s, _ in points])
-    tcoords = np.array([t.value.coords for _, t in points])
+    rows = np.array([s.value.coords for s, _ in points]
+                    + [t.value.coords for _, t in points])
+    angles, off_boundary = _angle_rows(alg, rows, slice(0, n), slice(n, None))
+    return angles, off_boundary or refused
+
+
+def _angle_rows(alg, rows, s, t, mats=None):
+    """(angles, refused) of the pairs (rows[s], rows[t]) of coordinate rows
+    (M, dim) of boundary points of one algebra, in the form of _pair_rows;
+    s and t index the rows, so a point shared by several pairs is one row.
+    mats, when given, are the matrices _to_matrix(alg, rows), already built.
+
+    The matrix kinds take -tau^{-1} sigma of every pair from one stacked
+    solve and its eigenvalues from one eigvals call; an eigenvalue off the
+    unit circle by more than 10 BOUNDARY is refused.  The spin factor reads
+    the angles off one Lie-sphere pass over the rows (_spin_pair_angles); a
+    point off the Lie sphere by more than 10 BOUNDARY is refused."""
     if alg.kind == SPIN:
-        angles, off = _spin_pair_angles(scoords, tcoords)
+        angles, off = _spin_pair_angles(rows, s, t)
         what = "a point is off the Lie sphere"
     else:
-        zeta = _lapack.eigvals(-_lapack.solve(_to_matrix(alg, tcoords),
-                                              _to_matrix(alg, scoords)))
+        if mats is None:
+            mats = _to_matrix(alg, rows)
+        zeta = _lapack.eigvals(-_lapack.solve(mats[t], mats[s]))
         angles, off = principal_arg(zeta), np.abs(np.abs(zeta) - 1.0).max(axis=1)
         what = "relative element has an eigenvalue off the unit circle"
     bad = off > 10.0 * BOUNDARY
-    if bad.any():
-        n = int(np.argmax(bad))
-        refused = {n: _row_error(n, f"not on the Shilov boundary ({what} by "
-                                    f"{off[n]:.2e})")}
-    return -np.sort(-angles[:n], axis=-1), refused
+    if not bad.any():
+        return -np.sort(-angles, axis=-1), {}
+    n = int(np.argmax(bad))
+    return -np.sort(-angles[:n], axis=-1), {
+        n: _row_error(n, f"not on the Shilov boundary ({what} by {off[n]:.2e})")}
 
 
 def _row_error(row, message):
@@ -202,9 +222,10 @@ def _row_error(row, message):
     return exc
 
 
-def _spin_pair_angles(scoords, tcoords):
-    """Unsorted angles (N, 2) of w(sigma, tau) on the spin factor, and the
-    distance of each pair from the Lie sphere.
+def _spin_pair_angles(rows, s, t):
+    """Unsorted angles (N, 2) of w(sigma, tau) on the spin factor for the
+    pairs (rows[s], rows[t]), and the distance of each pair from the Lie
+    sphere, from one _lie_sphere pass over the rows.
 
     A spin boundary point is z = e^{i gamma} (x0, i xv) with x a real unit
     vector and e^{2 i gamma} = det z (Faraut-Koranyi, ch. X).  The relative
@@ -213,12 +234,11 @@ def _spin_pair_angles(scoords, tcoords):
     root gamma serves: (gamma + pi, -x) leaves the two angles unchanged
     mod 2 pi.
     """
-    (gs, xs, offs), (gt, xt, offt) = (_lie_sphere(z) for z in (scoords, tcoords))
-    between = 2.0 * np.arctan2(np.linalg.norm(xs - xt, axis=1),
-                               np.linalg.norm(xs + xt, axis=1))
-    base = gs - gt + math.pi
+    gamma, x, off = _lie_sphere(rows)
+    between = 2.0 * np.arctan2(_row_norms(x[s] - x[t]), _row_norms(x[s] + x[t]))
+    base = gamma[s] - gamma[t] + math.pi
     angles = wrap_angle(np.stack([base + between, base - between], axis=1))
-    return angles, np.maximum(offs, offt)
+    return angles, np.maximum(off[s], off[t])
 
 
 def _pair_angles(sigma, tau, tol):
@@ -321,7 +341,7 @@ def _witnesses(alg):
         yield drawn[k]
 
 
-def _witness_iota(alg, tau, p1, p2, nulls):
+def _witness_iota(alg, tau, p1, p2, nulls, mats=None):
     """iota(sigma1, sigma2, tau) = -sgn(x1 - x2), x_k = c(P(tau^{-1/2}) sigma_k),
     from a point tau transverse to both points, with no root and no frame.
 
@@ -338,17 +358,20 @@ def _witness_iota(alg, tau, p1, p2, nulls):
     P(tau^{1/2}) y, halved) and d = det tau det y.  Its `nulls` eigenvalues
     smallest in modulus are the coincidence directions of the pair; None
     when they are not clearly apart from the rest (_null_signature).
+    mats, when given, are the matrices of (tau, sigma1, sigma2), already
+    built (_witness_pass).
     """
-    rows = np.array([tau.value.coords, p1.value.coords, p2.value.coords])
     if alg.kind == SPIN:
-        t = rows[0]
-        inv = _cinverse_rows(alg, t - rows[1:])[1]
+        t = tau.value.coords
+        inv = _cinverse_rows(alg, t - np.array([p1.value.coords, p2.value.coords]))[1]
         y = 2j * (inv[0] - inv[1])
         half = (t[0] * y[0] + t[1:] @ y[1:]).real
         gap = math.sqrt(max(half * half - (_det(alg, t) * _det(alg, y)).real, 0.0))
         eigs = np.array([half - gap, half + gap])
     else:
-        mats = _to_matrix(alg, rows)
+        if mats is None:
+            mats = _to_matrix(alg, np.array([tau.value.coords, p1.value.coords,
+                                             p2.value.coords]))
         x = _lapack.solve(mats[0] - mats[1:], mats[0])
         eigs = _lapack.eigvalsh(2j * (x[0] - x[1]))
     return _null_signature(eigs, nulls)
@@ -368,35 +391,52 @@ def _null_signature(eigs, nulls):
     return -int(np.sum(np.sign(eigs[order[nulls:]])))
 
 
+def _witness_pass(tau, p1, p2, s, t):
+    """(angles, mats) of a witness tau for the pair (sigma1, sigma2): the
+    sorted angle rows of the pairs (rows[s], rows[t]) of the rows
+    (tau, sigma1, sigma2), from one _angle_rows call, and the matrices of
+    the three rows for _witness_iota (None on the spin factor).  The points
+    are boundary points of one algebra already, so none is coerced again,
+    and a matrix kind builds its matrices once."""
+    alg = tau.alg
+    rows = np.array([tau.value.coords, p1.value.coords, p2.value.coords])
+    mats = None if alg.kind == SPIN else _to_matrix(alg, rows)
+    return _checked(_angle_rows(alg, rows, s, t, mats)), mats
+
+
 def _witness_sum(lift1, lift2, wlift, rows, masks, iota, tol):
-    """iota + m(lift1, tau~) + m(tau~, lift2), iota from _witness_iota and
-    both m terms from the (tau, sigma1) and (tau, sigma2) rows of one pair
-    pass: the (sigma1, tau) angles are the (tau, sigma1) ones negated, at
-    the same distances to pi."""
-    m1t = _souriau_value(lift1, wlift, -rows[0], masks[0], tol)[0]
-    mt2 = _souriau_value(wlift, lift2, rows[1], masks[1], tol)[0]
-    return iota + m1t + mt2
+    """(value, raw) of iota + m(lift1, tau~) + m(tau~, lift2), iota from
+    _witness_iota and both m terms from the (tau, sigma1) and (tau, sigma2)
+    rows of the witness pass: the (sigma1, tau) angles are the (tau, sigma1)
+    ones negated, at the same distances to pi.  raw sums iota and the two
+    unrounded Souriau values."""
+    m1t = _souriau_value(lift1, wlift, -rows[0], masks[0], tol)
+    mt2 = _souriau_value(wlift, lift2, rows[1], masks[1], tol)
+    return iota + m1t[0] + mt2[0], iota + m1t[1] + mt2[1]
 
 
 def _find_witness(lift1, lift2, nulls, tol):
     """(witness point, m through it) from the first cached candidate that is
     strictly transverse to both points and whose signature separates the
-    `nulls` coincidence directions of the pair; one pair_angles call per
-    candidate tried.  The candidates are tested in strict mode whatever
-    tol.mode: a candidate in the gray zone of either point is passed over."""
+    `nulls` coincidence directions of the pair.  A candidate tried costs one
+    _witness_pass, whose one _to_matrix call on the matrix kinds also serves
+    its _witness_iota; the points were coerced by the direct pass.  The
+    candidates are tested in strict mode whatever tol.mode: a candidate in
+    the gray zone of either point is passed over, and so is one not strictly
+    transverse to both, before any solve with tau - sigma_k."""
     p1, p2 = lift1.point, lift2.point
     strict = tol if tol.mode == STRICT else replace(tol, mode=STRICT)
     for point, wlift in _witnesses(p1.alg):
-        rows = pair_angles([point, point], [p1, p2])
+        rows, mats = _witness_pass(point, p1, p2, [0, 0], [1, 2])
         try:
             masks = [_coincidence_split(a, strict) for a in rows]
         except AmbiguityError:
             continue
         if any(mask.any() for mask in masks):
             continue
-        iota = _witness_iota(p1.alg, point, p1, p2, nulls)
+        iota = _witness_iota(p1.alg, point, p1, p2, nulls, mats)
         if iota is not None:
-            return point, _witness_sum(lift1, lift2, wlift, rows, masks, iota, tol)
+            return point, _witness_sum(lift1, lift2, wlift, rows, masks, iota, tol)[0]
     raise AmbiguityError("no transverse witness found for the pair")
 
 
@@ -410,8 +450,11 @@ def souriau_m(lift1, lift2, tol: Tolerances = DEFAULT):
     read off a signature (_witness_iota) rather than off the extension
     formula, so the check is independent; disagreement is an error, never
     silently resolved.  The witness comes from a fixed candidate stream
-    cached per algebra, and each candidate tried costs one pair_angles call
-    and one small eigensolve.
+    cached per algebra.  The check costs the direct pass, which it shares,
+    and per candidate tried (usually one) one angle pass of the candidate
+    with both points, one small solve and one small eigensolve; on the
+    matrix kinds the candidate's pass and solve share one build of the
+    three matrices (_witness_pass).
     """
     return _souriau_report(lift1, lift2, tol)[0]
 
@@ -436,22 +479,28 @@ def _souriau_report(lift1, lift2, tol):
 def souriau_m_witness(lift1, lift2, wlift, tol: Tolerances = DEFAULT):
     """Souriau index through an explicit transverse witness:
     iota(sigma1, sigma2, tau) + m(lift1, tau~) + m(tau~, lift2), iota by the
-    signature of _witness_iota, with no frame of tau.  AmbiguityError when
-    the witness does not separate the coincidence directions of the pair."""
+    signature of _witness_iota, with no frame of tau.  One _witness_pass
+    gives the (tau, sigma1), (tau, sigma2) and (sigma1, sigma2) angles.  The
+    report's raw value is iota plus the two unrounded Souriau values.
+    AmbiguityError when the witness does not separate the coincidence
+    directions of the pair."""
     p1, p2, w = lift1.point, lift2.point, wlift.point
-    rows = pair_angles([w, w, p1], [p1, p2, p2])
+    for p in (p1, p2):
+        if p.alg != w.alg:
+            raise DomainError(f"algebra mismatch: {w.alg} vs {p.alg}")
+    rows, mats = _witness_pass(w, p1, p2, [0, 0, 1], [1, 2, 2])
     masks = []
     for angles in rows[:2]:
         masks.append(_coincidence_split(angles, tol))
         if masks[-1].any():
             raise DomainError("witness must be transverse to both points")
     nulls = int(np.sum(_coincidence_split(rows[2], tol)))
-    iota = _witness_iota(w.alg, w, p1, p2, nulls)
+    iota = _witness_iota(w.alg, w, p1, p2, nulls, mats)
     if iota is None:
         raise AmbiguityError("the witness does not separate the coincidence "
                              "directions of the pair")
-    value = _witness_sum(lift1, lift2, wlift, rows, masks, iota, tol)
-    return IndexReport(value, float(value), 0.0, (w,))
+    value, raw = _witness_sum(lift1, lift2, wlift, rows, masks, iota, tol)
+    return IndexReport(value, raw, abs(raw - value), (w,))
 
 
 def maslov_iota(s1, s2, s3, tol: Tolerances = DEFAULT):

@@ -12,7 +12,9 @@ instead of the Lie-sphere closed form, an orbit that validates every
 iterate as it lands instead of one batch at the end, images and factors
 of Delta_g through the matrix realization of each point instead of a word's
 coordinate form, and the witness signature through the root tau^{-1/2}
-instead of tau and the two points.
+instead of tau and the two points.  The spin pair kernel is also kept in its
+earlier form, one Lie-sphere pass per side with np.linalg.norm, as the
+reference that the one-pass kernel must match byte for byte.
 """
 
 import itertools
@@ -111,6 +113,39 @@ def spin_pair_angles_mp(sigma, tau, dps=50):
         root = mpmath.sqrt(mpmath.fsum(x * x for x in w[1:]))
         angles = [float(mpmath.arg(w[0] + root)), float(mpmath.arg(w[0] - root))]
     return np.sort(angles)[::-1]
+
+
+def lie_sphere_two_pass(z):
+    """(gamma, x, off) of spin rows z, as boundary._lie_sphere computed them
+    with np.linalg.norm."""
+    gamma = 0.5 * np.angle(z[:, 0] ** 2 - (z[:, 1:] * z[:, 1:]).sum(axis=1))
+    y = np.exp(-1j * gamma)[:, None] * z
+    y[:, 1:] *= -1j
+    size = np.linalg.norm(y.real, axis=1)
+    off = np.hypot(np.linalg.norm(y.imag, axis=1), size - 1.0)
+    return gamma, y.real / size[:, None], off
+
+
+def spin_pair_angles_two_pass(scoords, tcoords):
+    """Unsorted spin pair angles (N, 2) and the distance of each pair from
+    the Lie sphere, with one Lie-sphere pass over the sigma rows and one
+    over the tau rows, and np.linalg.norm for every row norm."""
+    (gs, xs, offs), (gt, xt, offt) = (lie_sphere_two_pass(z)
+                                      for z in (scoords, tcoords))
+    between = 2.0 * np.arctan2(np.linalg.norm(xs - xt, axis=1),
+                               np.linalg.norm(xs + xt, axis=1))
+    base = gs - gt + math.pi
+    angles = bd.wrap_angle(np.stack([base + between, base - between], axis=1))
+    return angles, np.maximum(offs, offt)
+
+
+def spin_spectral_angles_two_pass(sigma):
+    """The descending angles of shilov_spectral on the spin factor, from
+    lie_sphere_two_pass."""
+    gamma, x, _ = lie_sphere_two_pass(sigma.value.coords[None])
+    half = math.atan2(float(np.linalg.norm(x[0, 1:])), float(x[0, 0]))
+    angles = bd.wrap_angle(gamma[0] + np.array([half, -half]))
+    return angles[np.argsort(-angles, kind="stable")]
 
 
 def witness_iota_rooted(tau, p1, p2):

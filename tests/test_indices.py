@@ -297,6 +297,60 @@ def test_spin_pair_angles_match_mp_oracle(alg):
         assert _circular_gap(ref, want) <= 1e-12
 
 
+BYTE_ALGEBRAS = [al.algebra(al.SPIN, q) for q in (3, 5, 8)]
+
+
+@pytest.mark.parametrize("alg", BYTE_ALGEBRAS,
+                         ids=[f"spin-{a.param}" for a in BYTE_ALGEBRAS])
+def test_spin_kernel_matches_two_pass_oracle(alg, monkeypatch):
+    """The one Lie-sphere pass over the stacked rows returns the bytes of
+    the two-pass, np.linalg.norm form: the angles and distances of the spin,
+    near-scalar and 50-digit corpora, batched and one pair at a time, and
+    the shilov_spectral angles of every point.  A point off the Lie sphere
+    at row k is refused at row k with the message of the two-pass form."""
+    rng = np.random.default_rng([80, alg.param])
+    near = []
+    for _ in range(8):
+        clean, noisy, _ = _near_scalar(alg, rng)
+        tau = bd.random_shilov(alg, rng)
+        near += [(clean, tau), (tau, noisy), (noisy, clean)]
+    for pairs in (list(_spin_corpus(alg, rng)), near, list(_mp_corpus(alg, rng))):
+        sigmas, taus = zip(*pairs)
+        scoords = np.array([s.value.coords for s in sigmas])
+        tcoords = np.array([t.value.coords for t in taus])
+        want, want_off = orc.spin_pair_angles_two_pass(scoords, tcoords)
+        n = len(pairs)
+        got, got_off = ix._spin_pair_angles(np.concatenate([scoords, tcoords]),
+                                            slice(0, n), slice(n, None))
+        assert got.tobytes() == want.tobytes()
+        assert got_off.tobytes() == want_off.tobytes()
+        assert (ix.pair_angles(sigmas, taus).tobytes()
+                == (-np.sort(-want, axis=-1)).tobytes())
+        for s, t, row in zip(sigmas, taus, want):
+            assert ix.pair_angles([s], [t])[0].tobytes() == (-np.sort(-row)).tobytes()
+        for p in sigmas + taus:
+            assert (bd.shilov_spectral(p).angles.tobytes()
+                    == orc.spin_spectral_angles_two_pass(p).tobytes())
+    sigmas = [bd.random_shilov(alg, rng) for _ in range(6)]
+    taus = [bd.random_shilov(alg, rng) for _ in range(6)]
+    for k in (0, 3, 5):
+        moved = list(sigmas), list(taus)
+        with monkeypatch.context() as loose:
+            loose.setattr(bd, "BOUNDARY", 1e-3)
+            side = moved[k % 2]
+            side[k] = bd.ShilovPoint((1 + 1e-5) * side[k].value)
+        want, want_off = orc.spin_pair_angles_two_pass(
+            *(np.array([p.value.coords for p in ps]) for ps in moved))
+        assert int(np.argmax(want_off > 10.0 * ix.BOUNDARY)) == k
+        with pytest.raises(DomainError) as refused:
+            ix.pair_angles(*moved)
+        assert refused.value.row == k
+        assert str(refused.value) == ("not on the Shilov boundary (a point is off "
+                                      f"the Lie sphere by {want_off[k]:.2e})")
+        angles, _ = ix._pair_rows(*moved)
+        assert angles.tobytes() == (-np.sort(-want[:k], axis=-1)).tobytes()
+
+
 @pytest.mark.parametrize("alg", ALGEBRAS + [al.algebra(al.SPIN, 7)],
                          ids=IDS + ["spin-7"])
 def test_pair_angles_are_k_invariant(alg):
@@ -333,7 +387,8 @@ def test_mu_at_tight_transverse_tolerance(alg):
                          ids=["sym-r-3", "herm-c-2", "spin-5"])
 def test_indices_make_one_pair_pass_per_pair(alg, monkeypatch):
     """No index builds w or a frame; each pair is passed through pair_angles
-    once, including the mu terms of inertia_j, arnold_nu and alm_n."""
+    once, including the mu terms of inertia_j, arnold_nu and alm_n, and each
+    witness candidate tried through the angle kernel once."""
     frames, rows = [], []
 
     def count(mod, name, log, size=lambda *args: 1):
@@ -368,9 +423,9 @@ def test_indices_make_one_pair_pass_per_pair(alg, monkeypatch):
     ix.arnold_nu(shared_frame_lift(c1, angles[0]), shared_frame_lift(c2, angles[1]))
     assert frames == []
 
-    # the witness route: one direct pass, then one pass per candidate tried,
-    # drawn once per algebra; the witness is the first transverse draw of a
-    # fresh _WITNESS_SEED stream, bit for bit
+    # the witness route: one direct pass, then one pass of the angle kernel
+    # per candidate tried, drawn once per algebra; the witness is the first
+    # transverse draw of a fresh _WITNESS_SEED stream, bit for bit
     fresh = np.random.default_rng(ix._WITNESS_SEED)
     tries, want = 0, None
     while want is None:
@@ -381,7 +436,7 @@ def test_indices_make_one_pair_pass_per_pair(alg, monkeypatch):
     draws, calls = [], []
     count(bd, "random_shilov", draws)
     count(ix, "random_shilov", draws)
-    count(ix, "pair_angles", calls)
+    count(ix, "_angle_rows", calls)
     ix._witness_draws.cache_clear()
     lifts = (shared_frame_lift(c1, angles[0]), shared_frame_lift(c2, angles[1]))
     for first in (True, False):
@@ -394,6 +449,82 @@ def test_indices_make_one_pair_pass_per_pair(alg, monkeypatch):
     # an explicit witness takes no frame either
     assert ix.souriau_m_witness(*lifts, bd.lift(want)).value == rep.value
     assert frames == []
+
+
+MATRIX_ALGEBRAS = [a for a in ALGEBRAS if a.kind != al.SPIN]
+
+
+@pytest.mark.parametrize("alg", MATRIX_ALGEBRAS,
+                         ids=[f"{a.kind}-{a.param}" for a in MATRIX_ALGEBRAS])
+def test_witness_route_builds_matrices_once_per_pass(alg, monkeypatch):
+    """A witness-route souriau_m on a matrix kind makes at most 3 _to_matrix
+    calls: one for the direct pass, and one per candidate tried, shared by
+    the candidate's angle pass and its iota solve."""
+    rng = np.random.default_rng(81)
+    for _ in range(4):
+        _, (a1, a2), (s1, s2) = shared_frame_points(alg, rng, 2, coincide=1)
+        lifts = (shared_frame_lift(s1, a1), shared_frame_lift(s2, a2))
+        want = ix.souriau_m(*lifts)
+        builds, tries = [], []
+        with monkeypatch.context() as patched:
+            for name, log in (("_to_matrix", builds), ("_witness_pass", tries)):
+                def counted(*args, _orig=getattr(ix, name), _log=log, **kwargs):
+                    _log.append(1)
+                    return _orig(*args, **kwargs)
+                patched.setattr(ix, name, counted)
+            assert ix.souriau_m(*lifts) == want
+        assert len(builds) == 1 + len(tries) <= 3
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_witness_search_passes_over_a_candidate_on_sigma2(alg, monkeypatch):
+    """A first candidate equal to sigma2, or sharing a frame direction with
+    sigma2 at pi, is not transverse to sigma2, so tau - sigma2 is singular.
+    The search passes it over before any solve with tau - sigma2: no
+    LinAlgError, and the value and witness of the plain stream, which starts
+    at the next candidate."""
+    rng = np.random.default_rng(83)
+    frame, (a1, a2), (s1, s2) = shared_frame_points(alg, rng, 2, coincide=1)
+    lifts = (shared_frame_lift(s1, a1), shared_frame_lift(s2, a2))
+    want = ix.souriau_m(*lifts)
+    a3 = rng.uniform(-np.pi, np.pi, alg.rank)
+    a3[-1] = a2[-1]
+    sharing = bd.from_unit_spectrum(alg, a3, frame)
+    orig = ix._witnesses
+    for planted in (s2, sharing):
+        assert ix.mu(planted, s2) >= 1
+        monkeypatch.setattr(ix, "_witnesses", lambda alg, planted=planted:
+                            itertools.chain([(planted, bd.lift(planted))], orig(alg)))
+        got = ix.souriau_m(*lifts)
+        assert got.witnesses[0] is want.witnesses[0]
+        assert got == want
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_witness_report_carries_the_raw_value_it_rounds(alg):
+    """souriau_m_witness reports the value it rounded: iota plus the two
+    unrounded Souriau values through the witness, with residual
+    |raw - value|.  On random pairs and witnesses the raw value is not
+    always an exact integer."""
+    rng = np.random.default_rng(6)
+    pairs = [(bd.lift(bd.random_shilov(alg, rng)), bd.lift(bd.random_shilov(alg, rng), k))
+             for k in (-1, 0, 1, 2) for _ in range(3)]
+    _, (a1, a2), (s1, s2) = shared_frame_points(alg, rng, 2, coincide=1)
+    pairs.append((shared_frame_lift(s1, a1), shared_frame_lift(s2, a2)))
+    inexact = 0
+    for l1, l2 in pairs:
+        wit = bd.random_shilov(alg, rng)
+        while not (ix.transversal(wit, l1.point) and ix.transversal(wit, l2.point)):
+            wit = bd.random_shilov(alg, rng)
+        wlift = bd.lift(wit)
+        rep = ix.souriau_m_witness(l1, l2, wlift)
+        raw = (ix.maslov_iota(l1.point, l2.point, wit).value
+               + ix.souriau_m(l1, wlift).raw + ix.souriau_m(wlift, l2).raw)
+        assert rep.raw == pytest.approx(raw, abs=1e-12)
+        assert rep.residual == abs(rep.raw - rep.value) <= DEFAULT.integer
+        assert rep.value == ix.souriau_m(l1, l2).value
+        inexact += rep.residual > 0.0
+    assert inexact > 0
 
 
 # ------------------------------------------------------------------------ mu
