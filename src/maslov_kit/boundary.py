@@ -21,6 +21,10 @@ G acts on coordinates through its coordinate form (_LfForm), also built
 once per word: an image is one product, one m x m solve and one product
 back to coordinates, and the factors of Delta_g over a batch of rows are
 elementwise sums, with no round trip through the matrix realization.
+
+The covering group acts on the universal cover here only: act_lift takes
+one step and _power_lift K, equal to K act_lift calls bit for bit and error
+for error.  The unchecked image and constructor bypass they share stay here.
 """
 
 import math
@@ -845,6 +849,61 @@ def act_lift(word, lifted):
     if refused:
         raise DomainError(refused[0])
     return _passed_lift(value, theta)
+
+
+ORBIT_BLOCK = 1024
+
+
+def _power_lift(word, lifted, power):
+    """g^power . lifted for power >= 1, equal iterate for iterate and error
+    for error to `power` calls of act_lift, which runs the same kernel on one
+    row in the same error state.
+
+    The orbit is walked in blocks of ORBIT_BLOCK steps, each handing its last
+    iterate and theta to the next, so memory is bounded by one block
+    whatever the power.  Pass 1 of a block walks it with the image step
+    alone, _lf_image on the word's coordinate form, and keeps the block's
+    iterates.  It holds the error state _lapack.singular() once for the whole
+    block, so each solve is a bare LAPACK call; a step whose image raises
+    LinAlgError there (a singular Cw + D, as in np.linalg.solve) ends the
+    pass.  Pass 2, with every floating-point error ignored, checks the inputs
+    of the block's steps in one _phi_rows call, which gives each step's phi
+    (so each iterate's theta) and the verdicts of its gate and half-plane
+    checks, and its iterates in one boundary_refusals call, the ShilovPoint
+    and LiftedPoint tests.  The earliest failing event raises, in the order
+    the sequential loop meets them: the checks of step k, then the
+    LinAlgError of its image, then the refusal of iterate k + 1, then step
+    k + 1.  Iterates past a failed step may be garbage, even non-finite; only
+    the earliest event raises.  The returned point is the last iterate, which
+    the last block's check has passed.
+    """
+    alg, r = word.alg, word.alg.rank
+    form = word.coordinate_form()
+    z, theta = _coords_on(word, lifted.point), lifted.theta
+    for start in range(0, power, ORBIT_BLOCK):
+        block = min(ORBIT_BLOCK, power - start)
+        rows, stop = [z], None
+        with _lapack.singular():
+            for _ in range(block):
+                try:
+                    z = _lf_image(form, z)
+                except np.linalg.LinAlgError as exc:
+                    stop = exc
+                    break
+                rows.append(z)
+        rows = np.array(rows)
+        with np.errstate(all="ignore"):
+            phis, steps = _phi_rows(word, rows[:block])
+            thetas = np.cumsum(np.r_[theta, phis[:len(rows) - 1] / r])[1:]
+            refused = boundary_refusals(alg, rows[1:], thetas)
+        events = {(k, 0): exc for k, exc in steps.items()}
+        if stop is not None:
+            events[(len(rows) - 1, 1)] = stop
+        events.update({(k, 2): DomainError(msg) for k, msg in refused.items()})
+        if events:
+            raise events[min(events)]
+        theta = float(thetas[-1])
+    return _passed_lift(ElementC(alg, rows[-1]), theta)
 
 
 def random_word(alg, rng, mode="tube", n_gens=3, scale=0.4):

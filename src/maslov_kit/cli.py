@@ -265,7 +265,8 @@ GEN_KINDS = ("element", "lift", "word", "loop", "tangent", "constant")
 @click.option("--family", default="mixed", show_default=True,
               type=click.Choice(["tube", "unitary", "mixed"]),
               help="Generator family for --kind word.")
-@click.option("--n", "n_samples", type=int, default=65, show_default=True,
+@click.option("--n", "n_samples", type=click.IntRange(min=2), default=65,
+              show_default=True,
               help="Sample count for path kinds.")
 @click.option("--turns", type=float, default=1.0, show_default=True,
               help="Phase turns for --kind loop.")

@@ -5,7 +5,8 @@ relative element against a reference are matched between samples (minimal
 total angular displacement) and unwrapped, so crossings of the Maslov cycle
 become passages of a strand through pi + 2 pi Z.  The Arnold number and the
 pair-path index are signed crossing counts; the translation number and the
-rotation number come from iterating a group word on the universal cover.
+rotation number come from iterating a group word on the universal cover,
+an orbit that boundary walks (_power_lift, beside act_lift).
 
 Sampling contract: between consecutive samples (stored or refined) every
 true strand must move by less than min(pi/4, pi/r) at rank r.  Under it a
@@ -21,7 +22,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _lapack
 from . import boundary as bd
 from .algebra import standard_frame
 from .config import DEFAULT, STRICT, Tolerances
@@ -31,7 +31,6 @@ from .indices import _pair_rows, souriau_m
 TWO_PI = 2.0 * math.pi
 STRAND_STEP_LIMIT = math.pi / 4
 REFINE_DEPTH = 12
-ORBIT_BLOCK = 1024
 TANGENT_SLOPE = 1e-6     # a strand slower than this on the level is tangent
 
 
@@ -390,78 +389,18 @@ def standard_base_lift(alg, /):
     return bd.lift(sigma, 0)
 
 
-def _power_lift(word, lifted, power):
-    """g^power . lifted for power >= 1, equal iterate for iterate and error
-    for error to `power` calls of bd.act_lift.
-
-    The orbit is walked in blocks of ORBIT_BLOCK steps, each handing its last
-    iterate and theta to the next, so memory is bounded by one block
-    whatever the power.  Pass 1 of a block walks it with the image step
-    alone, bd._lf_image on the word's coordinate form (one product, one
-    m x m solve and one product per step on the matrix kinds, one product
-    on spin), and keeps the block's iterates.  It holds the error state
-    _lapack.singular() once for the whole block, so each solve is a bare
-    LAPACK call; a step whose image raises LinAlgError there (a singular
-    Cw + D, as in np.linalg.solve) ends the pass.  Pass 2, with every
-    floating-point error ignored, checks the inputs of the block's steps in
-    one bd._phi_rows call, which gives each step's phi (so each iterate's
-    theta) and the verdicts of its gate and half-plane checks, and its
-    iterates in one bd.boundary_refusals call, the ShilovPoint and
-    LiftedPoint tests.  The earliest failing event raises, in the order the
-    sequential loop meets them: the checks of step k, then the LinAlgError
-    of its image, then the refusal of iterate k + 1, then step k + 1.
-    Iterates past a failed step may be garbage, even non-finite; only the
-    earliest event raises.  The returned point is the last iterate, which
-    the last block's check has passed.  act_lift runs the same kernel on one
-    row, in the same error state, so the orbit is bit-identical to its
-    calls.
-    """
-    alg, r = word.alg, word.alg.rank
-    form = word.coordinate_form()
-    z, theta = bd._coords_on(word, lifted.point), lifted.theta
-    for start in range(0, power, ORBIT_BLOCK):
-        block = min(ORBIT_BLOCK, power - start)
-        rows, stop = [z], None
-        with _lapack.singular():
-            for _ in range(block):
-                try:
-                    z = bd._lf_image(form, z)
-                except np.linalg.LinAlgError as exc:
-                    stop = exc
-                    break
-                rows.append(z)
-        rows = np.array(rows)
-        with np.errstate(all="ignore"):
-            phis, steps = bd._phi_rows(word, rows[:block])
-            thetas = np.cumsum(np.r_[theta, phis[:len(rows) - 1] / r])[1:]
-            refused = bd.boundary_refusals(alg, rows[1:], thetas)
-        events = {(k, 0): exc for k, exc in steps.items()}
-        if stop is not None:
-            events[(len(rows) - 1, 1)] = stop
-        events.update({(k, 2): DomainError(msg) for k, msg in refused.items()})
-        if events:
-            raise events[min(events)]
-        theta = float(thetas[-1])
-    return bd._passed_lift(bd.ElementC(alg, rows[-1]), theta)
-
-
 def translation_tau(word, power, base=None, tol: Tolerances = DEFAULT):
     """Translation number estimate (c(g^K)/K, error bound r/K).
 
     The bound comes from the quasimorphism defect |c(gh) - c(g) - c(h)| <= r.
-    The orbit of the base lift is walked in blocks of ORBIT_BLOCK steps
-    (_power_lift), each in two passes: its images step by step, each one
-    product and one m x m solve on the word's coordinate form, the solves
-    bare LAPACK calls under one error state per block, then its
-    steps' factors of Delta_g and determinations in one batched pass, and
-    its iterates' boundary checks in another.  A refused orbit raises the
-    error of its earliest failing event, as K calls of act_lift would.
+    The orbit of the base lift is walked by boundary._power_lift, which
+    raises as K calls of act_lift would.
     """
     if power < 1:
         raise DomainError("power must be >= 1")
     if base is None:
         base = standard_base_lift(word.alg)
-    iterated = _power_lift(word, base, power)
+    iterated = bd._power_lift(word, base, power)
     c_val = souriau_m(iterated, base, tol).value
     r = word.alg.rank
     return c_val / power, r / power

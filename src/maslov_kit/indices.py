@@ -341,7 +341,7 @@ def _witnesses(alg):
         yield drawn[k]
 
 
-def _witness_iota(alg, tau, p1, p2, nulls, mats=None):
+def _witness_iota(tau, p1, p2, nulls, mats=None):
     """iota(sigma1, sigma2, tau) = -sgn(x1 - x2), x_k = c(P(tau^{-1/2}) sigma_k),
     from a point tau transverse to both points, with no root and no frame.
 
@@ -361,6 +361,7 @@ def _witness_iota(alg, tau, p1, p2, nulls, mats=None):
     mats, when given, are the matrices of (tau, sigma1, sigma2), already
     built (_witness_pass).
     """
+    alg = tau.alg
     if alg.kind == SPIN:
         t = tau.value.coords
         inv = _cinverse_rows(alg, t - np.array([p1.value.coords, p2.value.coords]))[1]
@@ -434,7 +435,7 @@ def _find_witness(lift1, lift2, nulls, tol):
             continue
         if any(mask.any() for mask in masks):
             continue
-        iota = _witness_iota(p1.alg, point, p1, p2, nulls, mats)
+        iota = _witness_iota(point, p1, p2, nulls, mats)
         if iota is not None:
             return point, _witness_sum(lift1, lift2, wlift, rows, masks, iota, tol)[0]
     raise AmbiguityError("no transverse witness found for the pair")
@@ -495,7 +496,7 @@ def souriau_m_witness(lift1, lift2, wlift, tol: Tolerances = DEFAULT):
         if masks[-1].any():
             raise DomainError("witness must be transverse to both points")
     nulls = int(np.sum(_coincidence_split(rows[2], tol)))
-    iota = _witness_iota(w.alg, w, p1, p2, nulls, mats)
+    iota = _witness_iota(w, p1, p2, nulls, mats)
     if iota is None:
         raise AmbiguityError("the witness does not separate the coincidence "
                              "directions of the pair")

@@ -88,10 +88,9 @@ def _random_lift(alg, rng):
     return bd.lift(bd.random_shilov(alg, rng), int(rng.integers(-2, 3)))
 
 
-def _shared_points(alg, rng, n, coincide, frame=None):
+def _shared_points(alg, rng, n, coincide):
     """n boundary points on one frame with the first `coincide` angles shared."""
-    if frame is None:
-        frame = al.random_frame(alg, rng)
+    frame = al.random_frame(alg, rng)
     base = rng.uniform(-np.pi, np.pi, alg.rank)
     angle_sets = []
     for _ in range(n):

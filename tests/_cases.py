@@ -42,13 +42,12 @@ def minus_i_eps(alg, k):
     return bd.ShilovPoint(bd.ElementC(alg, -1j * eps.coords))
 
 
-def shared_frame_points(alg, rng, n=2, coincide=0, frame=None):
+def shared_frame_points(alg, rng, n=2, coincide=0):
     """n boundary points on one frame; the first `coincide` angles shared.
 
     Returns (frame, angle arrays, points).
     """
-    if frame is None:
-        frame = al.random_frame(alg, rng)
+    frame = al.random_frame(alg, rng)
     base = rng.uniform(-np.pi, np.pi, alg.rank)
     angle_sets = []
     for _ in range(n):

@@ -30,12 +30,6 @@ from maslov_kit.errors import AmbiguityError, DomainError
 from maslov_kit.indices import pair_angles, relative_element
 
 
-def eigh_desc(mat):
-    """LAPACK eigendecomposition, eigenvalues descending."""
-    vals, vecs = np.linalg.eigh(mat)
-    return vals[::-1].copy(), vecs[:, ::-1].copy()
-
-
 def to_matrix(x):
     """Matrix realization of a matrix-kind element."""
     return al._to_matrix(x.alg, x.coords)
@@ -176,11 +170,6 @@ def wrap_angle(a):
     """Reduce to (-pi, pi]."""
     out = np.mod(np.asarray(a, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
     return np.where(out == -np.pi, np.pi, out)
-
-
-def wrap_angle_open(a):
-    """Reduce to [-pi, pi); convenient for sums that must avoid +pi."""
-    return np.mod(np.asarray(a, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
 
 
 def match_step_brute(prev, raw):

@@ -307,6 +307,18 @@ def test_negative_seed_exit_2(command):
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("kind", ["loop", "tangent", "constant", "element"])
+@pytest.mark.parametrize("n", ["-1", "0", "1"])
+def test_sample_count_below_2_exit_2(kind, n):
+    """A path needs two samples, so --n below 2 is refused by its option,
+    for every kind, before anything is drawn: no numpy error, no exit 0."""
+    res = invoke("gen", "--kind", kind, "--n", n)
+    assert res.exit_code == 2
+    assert "--n" in res.output
+    assert "Traceback" not in res.output
+    assert invoke("gen", "--kind", kind, "--n", "2").exit_code == 0
+
+
 # ----------------------------------------------------------------- rotation
 
 def phase_word_doc(alg, phi):
@@ -354,13 +366,13 @@ def test_rotation_walks_one_orbit_per_command(tmp_path, monkeypatch):
     """tau, rho and the bound come from one orbit walk per command and are
     the floats translation_tau and rotation_rho return."""
     walks = []
-    power_lift = dy._power_lift
+    power_lift = bd._power_lift
 
     def counting(word, lifted, power):
         walks.append(power)
         return power_lift(word, lifted, power)
 
-    monkeypatch.setattr(dy, "_power_lift", counting)
+    monkeypatch.setattr(bd, "_power_lift", counting)
     cases = [(al.algebra(al.SYM_R, 2), "mixed"), (al.algebra(al.HERM_C, 2), "tube"),
              (al.algebra(al.SPIN, 5), "unitary")]
     for n, (alg, mode) in enumerate(cases):
@@ -380,6 +392,23 @@ def test_rotation_walks_one_orbit_per_command(tmp_path, monkeypatch):
             rho, bound = dy.rotation_rho(word, 16, lifted)
             assert (doc["tau_estimate"], doc["rho_mod1"], doc["error_bound"]) == (
                 tau, rho, bound)
+
+
+def test_rotation_base_must_be_a_lift_on_the_word_algebra(tmp_path):
+    """--base takes a lifted point; one on another algebra is refused by the
+    orbit walk's coordinate read, before any step."""
+    wf = str(tmp_path / "w.json")
+    invoke("gen", "--kind", "word", "--seed", "4", "--out", wf)
+    point = write_doc(tmp_path / "point.json", unit_doc(al.algebra(al.SYM_R, 2)))
+    res = invoke("rotation", wf, "--base", point)
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {point}.theta: base must be a lifted point\n"
+    spin = al.algebra(al.SPIN, 3)
+    other = write_doc(tmp_path / "other.json", unit_doc(spin, theta=0.0))
+    res = invoke("rotation", wf, "--base", other)
+    assert res.exit_code == 2
+    assert res.stderr == (f"error: algebra mismatch: word on "
+                          f"{al.algebra(al.SYM_R, 2)}, point in {spin}\n")
 
 
 # --------------------------------------------------------------------- path
@@ -531,6 +560,39 @@ def test_path_algebra_mismatch_exit_2(tmp_path):
     assert res.exit_code == 2
 
 
+def test_path_arnold_drops_the_lift_of_its_reference(tmp_path):
+    """A lifted reference is read as its point: the same document as the
+    unlifted one."""
+    loop, lifted = str(tmp_path / "loop.json"), str(tmp_path / "lifted.json")
+    invoke("gen", "--kind", "loop", "--n", "33", "--seed", "3", "--out", loop)
+    invoke("gen", "--kind", "lift", "--seed", "9", "--out", lifted)
+    doc = json.loads(Path(lifted).read_text())
+    assert "theta" in doc
+    del doc["theta"]
+    point = write_doc(tmp_path / "point.json", doc)
+    res = invoke("path", "--op", "arnold", loop, lifted)
+    assert res.exit_code == 0
+    assert res.output == invoke("path", "--op", "arnold", loop, point).output
+
+
+def test_path_arnold_reference_on_another_algebra_exit_2(tmp_path):
+    loop = str(tmp_path / "loop.json")
+    invoke("gen", "--kind", "loop", "--seed", "3", "--out", loop)
+    ref = write_doc(tmp_path / "ref.json", unit_doc(al.algebra(al.SPIN, 3)))
+    res = invoke("path", "--op", "arnold", loop, ref)
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {ref}.algebra: does not match the path\n"
+
+
+@pytest.mark.parametrize("op", ["arnold", "pair"])
+def test_path_with_one_file_exit_2(tmp_path, op):
+    loop = str(tmp_path / "loop.json")
+    invoke("gen", "--kind", "loop", "--seed", "3", "--out", loop)
+    res = invoke("path", "--op", op, loop)
+    assert res.exit_code == 2
+    assert res.stderr == f"error: op {op} expects 2 files, got 1\n"
+
+
 # ------------------------------------------------------- documents and gen
 
 def test_word_document_round_trip(tmp_path):
@@ -555,6 +617,37 @@ def test_linear_word_document_round_trip():
     assert doc == serialize_word(parse_word(doc))
     assert doc["generators"][0]["type"] == "linear"
     assert len(doc["generators"][0]["exponents"]) == 2
+
+
+def test_point_document_without_coords_im_is_real(tmp_path):
+    """coords_im may be omitted: the point is read with zero imaginary
+    coordinates."""
+    alg = al.algebra(al.SYM_R, 2)
+    doc = unit_doc(alg, -1.0, theta=math.pi)
+    del doc["coords_im"]
+    lifted = parse_element(doc)
+    assert lifted.point.value.coords.tolist() == (-al.unit(alg).coords).tolist()
+    assert lifted.theta == math.pi
+    f = write_doc(tmp_path / "p.json", doc)
+    res = invoke("compute", "--op", "mu", f, f)
+    assert res.exit_code == 0
+    assert json.loads(res.output)["value"] == alg.rank
+
+
+@pytest.mark.parametrize("mode,gen", [("tube", bd.LinearGen), ("mixed", bd.UnitaryGen),
+                                      ("unitary", bd.UnitaryGen)])
+def test_top_level_derivation_generator_follows_the_mode(mode, gen):
+    """A top-level derivation generator is a one-factor LinearGen in a tube
+    word and a one-factor UnitaryGen otherwise."""
+    alg = al.algebra(al.SYM_R, 2)
+    rng = np.random.default_rng(3)
+    a, b = al.random_element(alg, rng, 0.4), al.random_element(alg, rng, 0.4)
+    word = parse_word({"algebra": {"kind": "sym-r", "param": 2}, "mode": mode,
+                       "generators": [{"type": "derivation",
+                                       "a": a.coords.tolist(), "b": b.coords.tolist()}]})
+    want = bd.GroupWord(alg, [gen([("derivation", a, b)])])
+    assert type(word.generators[0]) is gen
+    assert np.array_equal(word.linear_fractional()[0], want.linear_fractional()[0])
 
 
 def test_gen_is_seed_deterministic(tmp_path):
@@ -671,12 +764,80 @@ def test_command_documents_keep_their_floats(tmp_path, written, kind, param):
 
 
 def test_unknown_generator_type_exit_2(tmp_path):
-    doc = {"algebra": {"kind": "sym-r", "param": 2}, "mode": "tube",
+    doc = {"algebra": {"kind": "sym-r", "param": 2}, "mode": "mixed",
            "generators": [{"type": "twist"}]}
     wf = write_doc(tmp_path / "w.json", doc)
     res = invoke("rotation", wf, "--k", "4")
     assert res.exit_code == 2
     assert "generators[0]" in res.output
+    assert "generators[0].type: unknown generator type 'twist'" in res.output
+
+
+def schema_doc(kind):
+    """A valid sym-r 2 document of kind point, word or path."""
+    alg = al.algebra(al.SYM_R, 2)
+    if kind == "point":
+        return unit_doc(alg, theta=0.0)
+    if kind == "word":
+        return phase_word_doc(alg, 0.3)
+    return serialize_path(dy.constant_path(bd.unit_shilov(alg)))
+
+
+SCHEMA_COMMANDS = {"point": ("compute", "--op", "mu", "{f}", "{f}"),
+                   "word": ("rotation", "{f}", "--k", "4"),
+                   "path": ("path", "--op", "arnold", "{f}", "{ref}")}
+
+
+def linear_word(exponents):
+    """An edit giving a tube word of one linear generator with these exponents."""
+    return lambda d: {**d, "mode": "tube",
+                      "generators": [{"type": "linear", "exponents": exponents}]}
+
+
+SCHEMA_REFUSALS = [
+    ("non-object", "point", lambda d: "sym-r", "doc.json: expected a JSON object"),
+    ("missing-field", "point", lambda d: {k: v for k, v in d.items() if k != "coords_re"},
+     "doc.json.coords_re: missing required field"),
+    ("algebra-kind", "point", lambda d: {**d, "algebra": {"kind": "octonion", "param": 2}},
+     "doc.json.algebra.kind: 'octonion' is not one of"),
+    ("float-param", "point", lambda d: {**d, "algebra": {"kind": "sym-r", "param": 2.0}},
+     "doc.json.algebra.param: expected an integer, got 2.0"),
+    ("bool-param", "point", lambda d: {**d, "algebra": {"kind": "sym-r", "param": True}},
+     "doc.json.algebra.param: expected an integer, got True"),
+    ("string-coordinate", "point", lambda d: {**d, "coords_re": ["1", 0, 1]},
+     "doc.json.coords_re: expected a list of numbers"),
+    ("infinite-coordinate", "point", lambda d: {**d, "coords_im": [math.inf, 0, 0]},
+     "doc.json.coords_im: coordinates must be finite"),
+    ("string-theta", "point", lambda d: {**d, "theta": "0"},
+     "doc.json.theta: expected a number, got '0'"),
+    ("linear-factor", "word", linear_word([{"type": "twist"}]),
+     "doc.json.generators[0].exponents[0].type: unknown linear factor 'twist'"),
+    ("empty-exponents", "word", linear_word([]),
+     "doc.json.generators[0].exponents: expected a nonempty list"),
+    ("word-mode", "word", lambda d: {**d, "mode": "affine"},
+     "doc.json.mode: 'affine' is not one of tube/unitary/mixed"),
+    ("empty-generators", "word", lambda d: {**d, "generators": []},
+     "doc.json.generators: expected a nonempty list"),
+    ("one-sample", "path", lambda d: {**d, "samples": d["samples"][:1]},
+     "doc.json.samples: expected a list of at least 2 samples"),
+]
+
+
+@pytest.mark.parametrize("kind,edit,message", [case[1:] for case in SCHEMA_REFUSALS],
+                         ids=[case[0] for case in SCHEMA_REFUSALS])
+def test_schema_refusal_exit_2_names_field(tmp_path, kind, edit, message):
+    """Each schema refusal that the other tests leave out exits 2 with one
+    error line naming its field; the document it edits is accepted."""
+    f = tmp_path / "doc.json"
+    ref = write_doc(tmp_path / "ref.json", unit_doc(al.algebra(al.SYM_R, 2), -1.0))
+    args = [a.format(f=f, ref=ref) for a in SCHEMA_COMMANDS[kind]]
+    write_doc(f, schema_doc(kind))
+    assert invoke(*args).exit_code == 0
+    f.write_text(json.dumps(edit(schema_doc(kind))))
+    res = invoke(*args)
+    assert res.exit_code == 2
+    assert res.stderr.startswith(f"error: {tmp_path}/{message}")
+    assert res.stderr.count("\n") == 1
 
 
 # ----------------------------------------------------------------- selftest
@@ -725,15 +886,15 @@ def test_every_public_name_resolves():
         assert getattr(maslov_kit, name) is not None, name
 
 
-def unreferenced_definitions(src):
-    """The definitions in the modules of `src` that no name or attribute in
-    them reads: the module-level functions, classes and assigned non-dunder
-    names outside maslov_kit.__all__ and the non-dunder methods of those
-    classes, plus the methods of Tolerances.  Click commands are left out;
-    click calls them."""
-    trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
+def unreferenced_definitions(modules, readers=()):
+    """The definitions in the files `modules` that no name or attribute in
+    them or in the files `readers` reads: the module-level functions, classes
+    and assigned non-dunder names outside maslov_kit.__all__ and the
+    non-dunder methods of those classes, plus the methods of Tolerances.
+    Click commands are left out; click calls them."""
+    trees = [ast.parse(path.read_text()) for path in modules]
     used = set()
-    for tree in trees:
+    for tree in trees + [ast.parse(path.read_text()) for path in readers]:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
@@ -768,9 +929,32 @@ def unreferenced_definitions(src):
     return found
 
 
+TESTS = Path(__file__).resolve().parent
+
+
 def test_src_holds_no_definition_only_tests_reach():
     """Helpers that only tests call live in tests/_oracles.py, not in src/."""
-    assert unreferenced_definitions(Path(maslov_kit.__file__).parent) == []
+    src = Path(maslov_kit.__file__).parent
+    assert unreferenced_definitions(sorted(src.glob("*.py"))) == []
+
+
+def test_test_helpers_are_all_called(tmp_path):
+    """Each helper of tests/_oracles.py and tests/_cases.py is read by some
+    test module or helper."""
+    helpers = [TESTS / "_oracles.py", TESTS / "_cases.py"]
+    assert unreferenced_definitions(helpers, sorted(TESTS.glob("*.py"))) == []
+    (tmp_path / "_helpers.py").write_text(
+        "LIMIT = 3\nSTALE = 4\n\n\ndef used(x):\n    return min(x, LIMIT)\n\n\n"
+        "def stale(x):\n    return x\n\n\nclass Oracle:\n"
+        "    def run(self):\n        return used(1)\n\n"
+        "    def unused(self):\n        return 0\n")
+    (tmp_path / "test_x.py").write_text(
+        "import _helpers as h\n\n\ndef test_x():\n    assert h.Oracle().run() == 1\n")
+    helpers = [tmp_path / "_helpers.py"]
+    assert unreferenced_definitions(helpers, [tmp_path / "test_x.py"]) == [
+        "STALE", "stale", "Oracle.unused"]
+    assert unreferenced_definitions(helpers) == [
+        "STALE", "stale", "Oracle", "Oracle.run", "Oracle.unused"]
 
 
 def unread_imports(src):
@@ -903,6 +1087,57 @@ def test_src_calls_lapack_only_through_its_module(tmp_path):
         "import numpy as np\n\ndef det(a):\n    return np.linalg.det(a)\n")
     assert bypassed_lapack(tmp_path) == ["direct:2 linalg.eigvals",
                                          "direct:5 linalg.solve"]
+
+
+UNCHECKED_KERNELS = {"_lf_image", "_factor_rows", "_phi_rows", "_passed_lift",
+                     "_coords_on"}
+LAPACK_STATE = {"singular", "solve_in_state"}
+
+
+def unchecked_kernel_reads(src):
+    """The reads of boundary's unchecked kernels (UNCHECKED_KERNELS: the
+    image that leaves its error state to the caller, the constructor bypass
+    and the factor, determination and coordinate kernels) and of _lapack's
+    singular and solve_in_state, in the modules of `src` other than
+    boundary.py and _lapack.py, as "module:line name": every lift of the
+    covering-group action is built and certified where its kernels live."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name in ("boundary.py", "_lapack.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and (
+                    node.attr in UNCHECKED_KERNELS
+                    or (node.attr in LAPACK_STATE and isinstance(node.value, ast.Name)
+                        and node.value.id == "_lapack")):
+                found.append(f"{path.stem}:{node.lineno} {node.attr}")
+            elif isinstance(node, ast.Name) and node.id in UNCHECKED_KERNELS:
+                found.append(f"{path.stem}:{node.lineno} {node.id}")
+            elif isinstance(node, ast.ImportFrom):
+                names = UNCHECKED_KERNELS | (
+                    LAPACK_STATE if (node.module or "").endswith("_lapack") else set())
+                found += [f"{path.stem}:{node.lineno} {alias.name}"
+                          for alias in node.names if alias.name in names]
+    return sorted(found)
+
+
+def test_src_keeps_unchecked_kernels_in_boundary(tmp_path):
+    assert unchecked_kernel_reads(Path(maslov_kit.__file__).parent) == []
+    (tmp_path / "walk.py").write_text(
+        "from . import _lapack\nfrom . import boundary as bd\n"
+        "from ._lapack import solve_in_state\nfrom .boundary import _phi_rows\n\n"
+        "def walk(word, z, singular):\n"
+        "    with _lapack.singular(), singular():\n"
+        "        z = bd._lf_image(word.coordinate_form(), z)\n"
+        "    return bd._passed_lift(z, _phi_rows(word, z)), bd.act_lift\n")
+    (tmp_path / "boundary.py").write_text(
+        "def _coords_on(word, z):\n    return z\n\n"
+        "def image(word, z):\n    return _coords_on(word, z)\n")
+    (tmp_path / "_lapack.py").write_text(
+        "def solve(a, b):\n    with singular():\n        return solve_in_state(a, b)\n")
+    assert unchecked_kernel_reads(tmp_path) == [
+        "walk:3 solve_in_state", "walk:4 _phi_rows", "walk:7 singular",
+        "walk:8 _lf_image", "walk:9 _passed_lift", "walk:9 _phi_rows"]
 
 
 def test_version_flag():

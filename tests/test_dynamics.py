@@ -311,6 +311,48 @@ def test_flow_raises_earliest_error():
         assert type(got) is type(want) and str(got) == str(want)
 
 
+def test_flow_takes_a_path_and_a_reference_on_its_algebra():
+    """The first argument must be a path, and the reference, a point or a
+    path, must lie on the path's algebra."""
+    alg, other = al.algebra(al.SYM_R, 2), al.algebra(al.HERM_C, 2)
+    rng = np.random.default_rng(7)
+    sigma, stranger = bd.random_shilov(alg, rng), bd.random_shilov(other, rng)
+    path = dy.constant_path(sigma)
+    with pytest.raises(DomainError, match="^first argument must be a BoundaryPath$"):
+        dy.eigenangle_flow(sigma, path)
+    for reference in (stranger, dy.constant_path(stranger)):
+        with pytest.raises(DomainError) as info:
+            dy.eigenangle_flow(path, reference)
+        assert str(info.value) == f"algebra mismatch: {alg} vs {other}"
+
+
+def test_flow_raises_a_midpoint_on_another_algebra_at_once(monkeypatch):
+    """A sampler value on another algebra at the first midpoint of a level is
+    the first row of that level's pair pass, refused there: the error is
+    raised at once, with no further match, as the sequential walk raises
+    it."""
+    alg = al.algebra(al.SYM_R, 2)
+    rng = np.random.default_rng(5)
+    sigma, ref = bd.random_shilov(alg, rng), bd.random_shilov(alg, rng)
+    stranger = bd.random_shilov(al.algebra(al.SPIN, 3), rng)
+    loop = phase_loop(sigma, 3)
+    path = dy.BoundaryPath([(t, loop(t)) for t in np.linspace(0.0, 1.0, 9)],
+                           sampler=lambda t: stranger if t == 0.0625 else loop(t))
+    match_shifts, matches = dy._match_shifts, []
+
+    def counted(a, b):
+        matches.append(len(a))
+        return match_shifts(a, b)
+
+    monkeypatch.setattr(dy, "_match_shifts", counted)
+    got = outcome(lambda: dy.eigenangle_flow(path, ref))
+    assert type(got) is DomainError
+    assert str(got) == f"algebra mismatch: {stranger.alg} vs {alg}"
+    assert matches == [8]
+    want = outcome(lambda: orc.eigenangle_flow_sequential(path, ref))
+    assert type(want) is DomainError and str(want) == str(got)
+
+
 @pytest.mark.parametrize("alg", [al.algebra(al.SYM_R, 2), al.algebra(al.HERM_C, 2),
                                  al.algebra(al.SPIN, 5)],
                          ids=lambda a: f"{a.kind}-{a.param}")
@@ -761,7 +803,7 @@ def test_power_lift_matches_sequential_oracle(alg, mode):
         for lifted in (base, other):
             for power in (1, 2, 32, 128):
                 assert_same_outcome(
-                    outcome(lambda: dy._power_lift(word, lifted, power)),
+                    outcome(lambda: bd._power_lift(word, lifted, power)),
                     outcome(lambda: orc.power_lift_sequential(word, lifted, power)))
 
 
@@ -882,16 +924,16 @@ def test_power_lift_raises_earliest_error(alg, boundary, monkeypatch):
         word = bd.random_word(alg, np.random.default_rng(seed), "tube")
         trail = []
         want = outcome(lambda: orc.power_lift_sequential(word, base, 32, trail))
-        assert_same_outcome(outcome(lambda: dy._power_lift(word, base, 32)), want)
+        assert_same_outcome(outcome(lambda: bd._power_lift(word, base, 32)), want)
         if not isinstance(want, MaslovKitError):
             continue
         failing = len(trail) + 1
         inner.append(failing)
         # the iterate before the failing one is reached, the failing one raises
         if trail:
-            assert_same_lift(dy._power_lift(word, base, failing - 1), trail[-1])
+            assert_same_lift(bd._power_lift(word, base, failing - 1), trail[-1])
         assert_same_outcome(
-            outcome(lambda: dy._power_lift(word, base, failing)), want)
+            outcome(lambda: bd._power_lift(word, base, failing)), want)
     assert any(f < 32 for f in inner)
 
 
@@ -934,7 +976,7 @@ def test_power_lift_step_and_check_errors_in_order(monkeypatch, alg, seed,
         monkeypatch.setattr(bd, "_phi_rows", plant(step))
         want = outcome(lambda: orc.power_lift_sequential(word, base, 32))
         assert str(want).startswith(raised)
-        assert_same_outcome(outcome(lambda: dy._power_lift(word, base, 32)), want)
+        assert_same_outcome(outcome(lambda: bd._power_lift(word, base, 32)), want)
     monkeypatch.setattr(bd, "_phi_rows", real_phi_rows)
 
     # step k fails the |mu| gate and its image solve raises LinAlgError: the
@@ -955,13 +997,13 @@ def test_power_lift_step_and_check_errors_in_order(monkeypatch, alg, seed,
 
     monkeypatch.setattr(bd, "_lf_image", lf_image)
     for lift_orbit in (lambda: orc.power_lift_sequential(word, base, 32),
-                       lambda: dy._power_lift(word, base, 32)):
+                       lambda: bd._power_lift(word, base, 32)):
         with pytest.raises(np.linalg.LinAlgError, match="planted singular image"):
             lift_orbit()
     monkeypatch.setattr(bd, "_factor_rows", factor_rows)
     want = outcome(lambda: orc.power_lift_sequential(word, base, 32))
     assert str(want) == f"planted gate at step {step}"
-    assert_same_outcome(outcome(lambda: dy._power_lift(word, base, 32)), want)
+    assert_same_outcome(outcome(lambda: bd._power_lift(word, base, 32)), want)
 
 
 def singular_word(alg):
@@ -999,11 +1041,11 @@ def test_singular_image_raises_linalgerror(alg, monkeypatch):
 
     seq = outcome(lambda: orc.power_lift_sequential(word, base, 32))
     assert isinstance(seq, DomainError) and "Delta_g vanishes" in str(seq)
-    assert_same_outcome(outcome(lambda: dy._power_lift(word, base, 32)), seq)
+    assert_same_outcome(outcome(lambda: bd._power_lift(word, base, 32)), seq)
 
     monkeypatch.setattr(bd, "_factor_rows", lambda form_, rows: (
         np.ones((len(rows), alg.rank), dtype=np.complex128), {}))
-    for image in (lambda: dy._power_lift(word, base, 32),
+    for image in (lambda: bd._power_lift(word, base, 32),
                   lambda: orc.power_lift_sequential(word, base, 32),
                   lambda: bd.act_lift(word, base),
                   lambda: bd.apply_word(word, base.point)):
@@ -1016,10 +1058,10 @@ def test_singular_image_raises_linalgerror(alg, monkeypatch):
 def test_multi_block_orbit_matches_sequential_oracle(alg, mode):
     """An orbit of 2 blocks and 3 steps, handed on from block to block, is
     bit-identical to K calls of act_lift."""
-    power = 2 * dy.ORBIT_BLOCK + 3
+    power = 2 * bd.ORBIT_BLOCK + 3
     base = dy.standard_base_lift(alg)
     word = bd.random_word(alg, np.random.default_rng(alg.param), mode)
-    assert_same_lift(dy._power_lift(word, base, power),
+    assert_same_lift(bd._power_lift(word, base, power),
                      orc.power_lift_sequential(word, base, power))
 
 
@@ -1032,11 +1074,11 @@ def test_multi_block_orbit_raises_in_its_second_block(monkeypatch):
     monkeypatch.setattr(bd, "BOUNDARY", 1e-13)
     base = dy.standard_base_lift(alg)
     word = bd.random_word(alg, np.random.default_rng(11), "tube")
-    power, trail = 2 * dy.ORBIT_BLOCK + 3, []
+    power, trail = 2 * bd.ORBIT_BLOCK + 3, []
     want = outcome(lambda: orc.power_lift_sequential(word, base, power, trail))
     assert isinstance(want, DomainError) and len(trail) + 1 == 1289
-    assert_same_outcome(outcome(lambda: dy._power_lift(word, base, power)), want)
-    assert_same_lift(dy._power_lift(word, base, 1288), trail[-1])
+    assert_same_outcome(outcome(lambda: bd._power_lift(word, base, power)), want)
+    assert_same_lift(bd._power_lift(word, base, 1288), trail[-1])
 
 
 @pytest.mark.parametrize("block", [1, 5])
@@ -1044,7 +1086,7 @@ def test_orbit_errors_keep_their_order_across_blocks(monkeypatch, block):
     """With blocks of 1 and 5 steps the refusals of the tight-BOUNDARY tube
     orbits and the planted step errors fall in later blocks; each raises as
     the sequential loop does."""
-    monkeypatch.setattr(dy, "ORBIT_BLOCK", block)
+    monkeypatch.setattr(bd, "ORBIT_BLOCK", block)
     for alg in (al.algebra(al.SYM_R, 2), al.algebra(al.SPIN, 5)):
         with monkeypatch.context() as patched:
             test_power_lift_raises_earliest_error(alg, 1e-14, patched)
@@ -1062,7 +1104,7 @@ def test_orbit_memory_is_bounded_by_one_block():
     dy.rotation_rho(word, 2)        # builds the cached base and the word's form
     tracemalloc.start()
     try:
-        dy.rotation_rho(word, 8 * dy.ORBIT_BLOCK)
+        dy.rotation_rho(word, 8 * bd.ORBIT_BLOCK)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -791,7 +791,7 @@ def test_witness_signature_matches_maslov_iota(alg, monkeypatch):
             if not (ix.transversal(tau, s1) and ix.transversal(tau, s2)):
                 continue
             nulls = ix.mu(s1, s2)
-            got = ix._witness_iota(alg, tau, s1, s2, nulls)
+            got = ix._witness_iota(tau, s1, s2, nulls)
             rooted = orc.witness_iota_rooted(tau, s1, s2)
             assert got == orig(rooted, nulls)
             assert np.max(np.abs(np.sort(eigs[-1]) - np.sort(rooted))) \
