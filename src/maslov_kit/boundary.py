@@ -24,7 +24,8 @@ elementwise sums, with no round trip through the matrix realization.
 
 The covering group acts on the universal cover here only: act_lift takes
 one step and _power_lift K, equal to K act_lift calls bit for bit and error
-for error.  The unchecked image and constructor bypass they share stay here.
+for error, and turn_lift is the circle action.  The unchecked image and the
+constructor bypass they share stay here.
 """
 
 import math
@@ -258,6 +259,14 @@ def lift(sigma, k=0):
 def t_shift(lifted, n=1):
     """Deck transformation T^n: (sigma, theta) -> (sigma, theta + 2 pi n / r)."""
     return LiftedPoint(lifted.point, lifted.theta + TWO_PI * n / lifted.alg.rank)
+
+
+def turn_lift(lifted, alpha):
+    """Circle action (sigma, theta) -> (e^{i alpha} sigma, theta + alpha).
+    A unit scalar keeps conj(z) = z^{-1} and det z e^{-i r theta}, so the image
+    passes both constructor tests as `lifted` did, and skips them."""
+    value = ElementC(lifted.alg, np.exp(1j * alpha) * lifted.point.value.coords)
+    return _passed_lift(value, lifted.theta + alpha)
 
 
 def unit_shilov(alg):

@@ -69,6 +69,8 @@ def _read_json(path):
         except json.JSONDecodeError as exc:
             raise DomainError(f"{path}: invalid JSON ({exc.msg} at line "
                               f"{exc.lineno})") from exc
+        except ValueError as exc:   # past Python's digit limit, or not UTF-8
+            raise DomainError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def _read_docs(paths):
@@ -175,8 +177,8 @@ def compute(op, tol_transverse, tol_int, mode, files):
 
 
 @main.command()
-@click.option("--k", "power", type=int, default=32, show_default=True,
-              help="Power K in the c(g^K)/K estimate.")
+@click.option("--k", "power", type=click.IntRange(min=1), default=32,
+              show_default=True, help="Power K in the c(g^K)/K estimate.")
 @click.option("--base", "base_file", default=None,
               help="Optional base lift file (defaults to a fixed generic lift).")
 @tol_options
@@ -191,6 +193,8 @@ def rotation(power, base_file, tol_transverse, tol_int, mode, word_file):
         base = parse_element(_read_json(base_file), where=base_file)
         if not isinstance(base, bd.LiftedPoint):
             raise DomainError(f"{base_file}.theta: base must be a lifted point")
+        if base.alg != word.alg:
+            raise DomainError(f"{base_file}.algebra: does not match the word")
     tau, tau_bound = dy.translation_tau(word, power, base, tol)
     rho, bound = dy.rho_from_tau(tau, tau_bound)
     _echo_doc({
@@ -281,6 +285,8 @@ def gen(kind, kind_name, param, seed, family, n_samples, turns, out_file):
     tangent touches the reference cycle of the unit element without
     crossing it; constant stays put.
     """
+    if not math.isfinite(turns):
+        raise click.BadParameter(f"{turns!r} is not finite", param_hint="'--turns'")
     alg = al.algebra(kind_name, param)
     rng = np.random.default_rng(seed)
     if kind == "element":

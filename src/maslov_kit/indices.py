@@ -21,34 +21,28 @@ All discrete outputs pass an integrality guard and a parity guard
 (m = r - mu mod 2, a determinant identity), and the extended (non-transverse)
 Souriau index is re-derived through a transverse witness tau as a runtime
 cross-check, m = iota(sigma1, sigma2, tau) + m(sigma1~, tau~) + m(tau~, sigma2~).
-The check is independent of the extension formula it checks: iota comes
-from the signature of the Cayley images of the pair with tau at infinity,
+iota is the signature of the Cayley images of the pair with tau at infinity,
 read off tau and the two points with no square root of tau, and the two m
-terms are transverse.  Its witnesses are a fixed stream, drawn once per
-algebra and cached with their lifts.  The check shares the direct pass of the
-pair, and per candidate tried (usually one) costs one angle pass of the
-candidate with both points and one small solve and eigensolve; on the
-matrix kinds the pass and the solve share one build of the three matrices,
-and no point is coerced twice.  It builds no point and no frame.
+terms are transverse, so the check tests the coincidence-dropping formula
+against that signature.  tau = e^{i alpha} sigma1 is read off the direct
+pass, at least pi/(r + 1) from a coincidence with either point.  The check
+costs one angle pass of tau with both points and one small solve and
+eigensolve, which share one build of the three matrices on the matrix kinds.
 """
 
 import math
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _lapack
 from .algebra import SPIN, _det, _from_matrix, _mul, _to_matrix
-from .boundary import (ElementC, LiftedPoint, ShilovPoint, _checked,
+from .boundary import (TWO_PI, ElementC, LiftedPoint, ShilovPoint, _checked,
                        _cinverse_rows, _lie_sphere, _row_norms, as_shilov,
-                       cquad_rep_operator, lift, principal_arg, random_shilov,
-                       shilov_spectral, wrap_angle)
+                       cquad_rep_operator, lift, principal_arg, shilov_spectral,
+                       turn_lift, wrap_angle)
 from .config import BOUNDARY, DEFAULT, GRAY_FACTOR, RANK_CUTOFF, STRICT, Tolerances
 from .errors import AmbiguityError, DomainError, IntegralityError
-
-_WITNESS_SEED = 0x6D6B5731
-_WITNESS_TRIES = 48
 
 
 @dataclass(frozen=True)
@@ -321,26 +315,6 @@ def _souriau_value(lift1, lift2, angles, mask, tol):
     return value, raw, residual, m_count
 
 
-@lru_cache(maxsize=64)
-def _witness_draws(alg):
-    """The witness candidates of one algebra drawn so far, and the generator
-    they come from: ([(point, lift), ...], rng).  The boundary test of a
-    draw reads no tolerance, so one list serves every tol."""
-    return [], np.random.default_rng(_WITNESS_SEED)
-
-
-def _witnesses(alg):
-    """The witness candidates of one algebra: the draws of random_shilov
-    from _WITNESS_SEED, each with its canonical lift.  They are drawn lazily
-    into the cached list, so a search extends it only as far as it reaches."""
-    drawn, rng = _witness_draws(alg)
-    for k in range(_WITNESS_TRIES):
-        if k == len(drawn):
-            point = random_shilov(alg, rng)
-            drawn.append((point, lift(point)))
-        yield drawn[k]
-
-
 def _witness_iota(tau, p1, p2, nulls, mats=None):
     """iota(sigma1, sigma2, tau) = -sgn(x1 - x2), x_k = c(P(tau^{-1/2}) sigma_k),
     from a point tau transverse to both points, with no root and no frame.
@@ -416,46 +390,43 @@ def _witness_sum(lift1, lift2, wlift, rows, masks, iota, tol):
     return iota + m1t[0] + mt2[0], iota + m1t[1] + mt2[1]
 
 
-def _find_witness(lift1, lift2, nulls, tol):
-    """(witness point, m through it) from the first cached candidate that is
-    strictly transverse to both points and whose signature separates the
-    `nulls` coincidence directions of the pair.  A candidate tried costs one
-    _witness_pass, whose one _to_matrix call on the matrix kinds also serves
-    its _witness_iota; the points were coerced by the direct pass.  The
-    candidates are tested in strict mode whatever tol.mode: a candidate in
-    the gray zone of either point is passed over, and so is one not strictly
-    transverse to both, before any solve with tau - sigma_k."""
-    p1, p2 = lift1.point, lift2.point
-    strict = tol if tol.mode == STRICT else replace(tol, mode=STRICT)
-    for point, wlift in _witnesses(p1.alg):
-        rows, mats = _witness_pass(point, p1, p2, [0, 0], [1, 2])
-        try:
-            masks = [_coincidence_split(a, strict) for a in rows]
-        except AmbiguityError:
-            continue
-        if any(mask.any() for mask in masks):
-            continue
-        iota = _witness_iota(point, p1, p2, nulls, mats)
-        if iota is not None:
-            return point, _witness_sum(lift1, lift2, wlift, rows, masks, iota, tol)[0]
-    raise AmbiguityError("no transverse witness found for the pair")
+def _witness_turn(angles):
+    """alpha of the witness e^{i alpha} sigma1 of a pair with direct angles
+    a_j.  Its angles are alpha - pi with sigma1 and a_j + alpha with sigma2;
+    alpha is the middle of the largest circular gap among the r + 1 points
+    {0} u {-a_j - pi mod 2 pi}, so every witness angle is >= pi/(r + 1) from pi."""
+    points = sorted([0.0] + [(-a - math.pi) % TWO_PI for a in angles.tolist()])
+    gaps = [b - a for a, b in zip(points, points[1:] + [points[0] + TWO_PI])]
+    k = gaps.index(max(gaps))
+    return points[k] + 0.5 * gaps[k]
+
+
+def _find_witness(lift1, lift2, angles, nulls, tol):
+    """(witness point, m through it) of a pair with direct angles `angles`
+    and `nulls` coincidences, through (e^{i alpha} sigma1, theta1 + alpha):
+    one _witness_pass, transverse by construction in either mode, and one
+    _witness_iota, refused when it does not separate the coincidences."""
+    wlift, p1, p2 = turn_lift(lift1, _witness_turn(angles)), lift1.point, lift2.point
+    rows, mats = _witness_pass(wlift.point, p1, p2, [0, 0], [1, 2])
+    masks = np.zeros(rows.shape, dtype=bool)
+    iota = _witness_iota(wlift.point, p1, p2, nulls, mats)
+    if iota is None:
+        raise AmbiguityError("the witness does not separate the coincidence "
+                             "directions of the pair")
+    return wlift.point, _witness_sum(lift1, lift2, wlift, rows, masks, iota, tol)[0]
 
 
 def souriau_m(lift1, lift2, tol: Tolerances = DEFAULT):
     """Souriau index of two lifted boundary points.
 
     Transverse pairs use the defining formula directly.  Non-transverse
-    pairs use the coincidence-dropping extension and are re-derived through
-    a transverse witness tau as
-    iota(sigma1, sigma2, tau) + m(lift1, tau~) + m(tau~, lift2), with iota
-    read off a signature (_witness_iota) rather than off the extension
-    formula, so the check is independent; disagreement is an error, never
-    silently resolved.  The witness comes from a fixed candidate stream
-    cached per algebra.  The check costs the direct pass, which it shares,
-    and per candidate tried (usually one) one angle pass of the candidate
-    with both points, one small solve and one small eigensolve; on the
-    matrix kinds the candidate's pass and solve share one build of the
-    three matrices (_witness_pass).
+    pairs use the coincidence-dropping extension, checked against
+    iota(sigma1, sigma2, tau) + m(lift1, tau~) + m(tau~, lift2) with iota
+    read off a signature (_witness_iota); disagreement is an error, never
+    silently resolved.  The one witness tau = e^{i alpha} sigma1 shares
+    sigma1's frame and is at least pi/(r + 1) from a coincidence with either
+    point (_witness_turn).  The check costs the direct pass, which it
+    shares, and one _witness_pass, solve and eigensolve.
     """
     return _souriau_report(lift1, lift2, tol)[0]
 
@@ -468,7 +439,7 @@ def _souriau_report(lift1, lift2, tol):
     value, raw, residual, m_count = _souriau_value(lift1, lift2, angles, mask, tol)
     witnesses = ()
     if m_count > 0:
-        point, check = _find_witness(lift1, lift2, m_count, tol)
+        point, check = _find_witness(lift1, lift2, angles, m_count, tol)
         if check != value:
             raise IntegralityError(
                 "extended Souriau index failed its witness cross-check: "

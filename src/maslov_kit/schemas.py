@@ -59,6 +59,23 @@ def serialize_algebra(alg):
     return {"kind": alg.kind, "param": alg.param}
 
 
+def _floats(raw, where):
+    """float64 of a JSON number or list, refusing integers past the float range."""
+    try:
+        return np.asarray(raw, dtype=np.float64)
+    except OverflowError:
+        raise DomainError(f"{where}: integer beyond the float range") from None
+
+
+def _finite_number(value, where):
+    """The float of a number field that must be finite."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        number = float(_floats(value, where))
+        if math.isfinite(number):
+            return number
+    raise DomainError(f"{where}: expected a finite number, got {value!r}")
+
+
 def _coords(obj, field, alg, where, required=True):
     if field not in obj:
         if required:
@@ -74,7 +91,7 @@ def _coords(obj, field, alg, where, required=True):
             f"{where}.{field}: expected {alg.dim} coordinates for "
             f"{alg.kind}-{alg.param}, got {len(raw)}"
         )
-    vals = np.asarray(raw, dtype=np.float64)
+    vals = _floats(raw, f"{where}.{field}")
     if not np.all(np.isfinite(vals)):
         raise DomainError(f"{where}.{field}: coordinates must be finite")
     return vals
@@ -100,8 +117,9 @@ def parse_element(obj, where="point"):
     theta = obj["theta"]
     if not isinstance(theta, (int, float)) or isinstance(theta, bool):
         raise DomainError(f"{where}.theta: expected a number, got {theta!r}")
+    theta = float(_floats(theta, f"{where}.theta"))
     try:
-        return LiftedPoint(point, float(theta))
+        return LiftedPoint(point, theta)
     except DomainError as exc:
         raise DomainError(f"{where}.theta: {exc}") from exc
 
@@ -176,12 +194,9 @@ def parse_word(obj, where="word"):
         for i, g in enumerate(raw_gens)
     ]
     base_arg = obj.get("base_arg")
-    if base_arg is not None and (
-        not isinstance(base_arg, (int, float)) or isinstance(base_arg, bool)
-        or not math.isfinite(base_arg)
-    ):
-        raise DomainError(f"{where}.base_arg: expected a finite number, got {base_arg!r}")
-    return GroupWord(alg, gens, base_arg=None if base_arg is None else float(base_arg))
+    if base_arg is not None:
+        base_arg = _finite_number(base_arg, f"{where}.base_arg")
+    return GroupWord(alg, gens, base_arg=base_arg)
 
 
 def _coord_list(el):
@@ -240,10 +255,8 @@ def parse_path(obj, where="path"):
     samples = []
     for i, entry in enumerate(raw):
         spot = f"{where}.samples[{i}]"
-        t = _require(entry, "t", spot)
-        if not isinstance(t, (int, float)) or isinstance(t, bool) or not math.isfinite(t):
-            raise DomainError(f"{spot}.t: expected a finite number, got {t!r}")
-        samples.append((float(t), _point(entry, alg, spot)))
+        t = _finite_number(_require(entry, "t", spot), f"{spot}.t")
+        samples.append((t, _point(entry, alg, spot)))
     return BoundaryPath(samples)
 
 

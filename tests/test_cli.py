@@ -319,6 +319,17 @@ def test_sample_count_below_2_exit_2(kind, n):
     assert invoke("gen", "--kind", kind, "--n", "2").exit_code == 0
 
 
+@pytest.mark.parametrize("turns", ["nan", "inf", "-inf"])
+def test_non_finite_turns_exit_2(turns):
+    """A non-finite --turns is refused by its option, which the message
+    names, before any point is built."""
+    res = invoke("gen", "--kind", "loop", "--turns", turns)
+    assert res.exit_code == 2
+    assert "'--turns'" in res.stderr
+    assert "coordinates must be finite" not in res.stderr
+    assert invoke("gen", "--kind", "loop", "--turns", "2.5").exit_code == 0
+
+
 # ----------------------------------------------------------------- rotation
 
 def phase_word_doc(alg, phi):
@@ -395,8 +406,8 @@ def test_rotation_walks_one_orbit_per_command(tmp_path, monkeypatch):
 
 
 def test_rotation_base_must_be_a_lift_on_the_word_algebra(tmp_path):
-    """--base takes a lifted point; one on another algebra is refused by the
-    orbit walk's coordinate read, before any step."""
+    """--base takes a lifted point; one on another algebra is refused naming
+    its file's algebra field, as path refuses its reference."""
     wf = str(tmp_path / "w.json")
     invoke("gen", "--kind", "word", "--seed", "4", "--out", wf)
     point = write_doc(tmp_path / "point.json", unit_doc(al.algebra(al.SYM_R, 2)))
@@ -407,8 +418,19 @@ def test_rotation_base_must_be_a_lift_on_the_word_algebra(tmp_path):
     other = write_doc(tmp_path / "other.json", unit_doc(spin, theta=0.0))
     res = invoke("rotation", wf, "--base", other)
     assert res.exit_code == 2
-    assert res.stderr == (f"error: algebra mismatch: word on "
-                          f"{al.algebra(al.SYM_R, 2)}, point in {spin}\n")
+    assert res.stderr == f"error: {other}.algebra: does not match the word\n"
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_rotation_power_below_1_exit_2(tmp_path, k):
+    """--k below 1 is refused by its option, which the message names."""
+    wf = str(tmp_path / "w.json")
+    invoke("gen", "--kind", "word", "--seed", "4", "--out", wf)
+    res = invoke("rotation", wf, "--k", k)
+    assert res.exit_code == 2
+    assert "'--k'" in res.stderr
+    assert "power must be" not in res.stderr
+    assert invoke("rotation", wf, "--k", "1").exit_code == 0
 
 
 # --------------------------------------------------------------------- path
@@ -820,6 +842,21 @@ SCHEMA_REFUSALS = [
      "doc.json.generators: expected a nonempty list"),
     ("one-sample", "path", lambda d: {**d, "samples": d["samples"][:1]},
      "doc.json.samples: expected a list of at least 2 samples"),
+    ("big-coordinate", "point", lambda d: {**d, "coords_re": [10**400, 0, 1]},
+     "doc.json.coords_re: integer beyond the float range"),
+    ("big-theta", "point", lambda d: {**d, "theta": -10**400},
+     "doc.json.theta: integer beyond the float range"),
+    ("big-t", "path", lambda d: {**d, "samples": [{**d["samples"][0], "t": 10**400},
+                                                  *d["samples"][1:]]},
+     "doc.json.samples[0].t: integer beyond the float range"),
+    ("big-u", "word", lambda d: {**d, "mode": "tube", "generators": [
+        {"type": "translate", "u": [0, 10**400, 0]}]},
+     "doc.json.generators[0].u: integer beyond the float range"),
+    ("big-v", "word", lambda d: {**d, "generators": [
+        {"type": "exp-iL", "v": [10**400, 0, 0]}]},
+     "doc.json.generators[0].v: integer beyond the float range"),
+    ("big-base-arg", "word", lambda d: {**d, "base_arg": 10**400},
+     "doc.json.base_arg: integer beyond the float range"),
 ]
 
 
@@ -837,6 +874,26 @@ def test_schema_refusal_exit_2_names_field(tmp_path, kind, edit, message):
     res = invoke(*args)
     assert res.exit_code == 2
     assert res.stderr.startswith(f"error: {tmp_path}/{message}")
+    assert res.stderr.count("\n") == 1
+
+
+def long_integer_doc():
+    """The point document of schema_doc with a 5000-digit integer coordinate."""
+    text = json.dumps(schema_doc("point"))
+    return text.replace('"coords_re": [1.0', '"coords_re": [' + "9" * 5000).encode()
+
+
+@pytest.mark.parametrize("content", [long_integer_doc(), b"\xff\xfe{}"],
+                         ids=["5000-digit-integer", "not-utf-8"])
+def test_unreadable_document_exit_2(tmp_path, content):
+    """A file that json cannot turn into numbers, an integer past Python's
+    digit limit or bytes that are not UTF-8, exits 2 with one error line
+    naming it (an integer past the float range where Python has no limit)."""
+    f = tmp_path / "doc.json"
+    f.write_bytes(content)
+    res = invoke("compute", "--op", "mu", str(f), str(f))
+    assert res.exit_code == 2
+    assert res.stderr.startswith(f"error: {f}")
     assert res.stderr.count("\n") == 1
 
 
@@ -986,9 +1043,8 @@ def test_src_imports_only_names_it_reads():
 def unread_parameters(src):
     """The parameters of the functions in the modules of `src` that their
     bodies never read, as "module.function(parameter)".  Left out: self,
-    dunder methods (Python fixes their signatures), the (rng, s) of an
-    acceptance suite (the suite protocol) and the alg of _witness_draws
-    (its cache key)."""
+    dunder methods (Python fixes their signatures) and the (rng, s) of an
+    acceptance suite (the suite protocol)."""
     found = []
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -1002,8 +1058,7 @@ def unread_parameters(src):
             read = {name.id for stmt in node.body for name in ast.walk(stmt)
                     if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
             found += [f"{path.stem}.{node.name}({p})" for p in params
-                      if p not in read and p != "self"
-                      and (node.name, p) != ("_witness_draws", "alg")]
+                      if p not in read and p != "self"]
     return found
 
 

@@ -423,32 +423,31 @@ def test_indices_make_one_pair_pass_per_pair(alg, monkeypatch):
     ix.arnold_nu(shared_frame_lift(c1, angles[0]), shared_frame_lift(c2, angles[1]))
     assert frames == []
 
-    # the witness route: one direct pass, then one pass of the angle kernel
-    # per candidate tried, drawn once per algebra; the witness is the first
-    # transverse draw of a fresh _WITNESS_SEED stream, bit for bit
-    fresh = np.random.default_rng(ix._WITNESS_SEED)
-    tries, want = 0, None
-    while want is None:
-        cand = bd.random_shilov(alg, fresh)
-        tries += 1
-        if ix.transversal(cand, c1) and ix.transversal(cand, c2):
-            want = cand
-    draws, calls = [], []
-    count(bd, "random_shilov", draws)
-    count(ix, "random_shilov", draws)
+    # the witness route: one direct pass, then exactly one pass of the angle
+    # kernel; the witness is e^{i alpha} sigma1 under the gap rule, bit for bit
+    calls = []
     count(ix, "_angle_rows", calls)
-    ix._witness_draws.cache_clear()
     lifts = (shared_frame_lift(c1, angles[0]), shared_frame_lift(c2, angles[1]))
-    for first in (True, False):
-        draws.clear()
-        calls.clear()
-        rep = ix.souriau_m(*lifts)
-        assert len(calls) == 1 + tries
-        assert len(draws) == (tries if first else 0)
-        assert rep.witnesses[0].value.coords.tobytes() == want.value.coords.tobytes()
+    rep = ix.souriau_m(*lifts)
+    assert len(calls) == 2
+    alpha = gap_rule_alpha(ix.pair_angles([c1], [c2])[0])
+    want = np.exp(1j * alpha) * c1.value.coords
+    assert rep.witnesses[0].value.coords.tobytes() == want.tobytes()
     # an explicit witness takes no frame either
-    assert ix.souriau_m_witness(*lifts, bd.lift(want)).value == rep.value
+    wlift = bd.LiftedPoint(bd.ShilovPoint(bd.ElementC(alg, want)),
+                           lifts[0].theta + alpha)
+    assert ix.souriau_m_witness(*lifts, wlift).value == rep.value
     assert frames == []
+
+
+def gap_rule_alpha(angles):
+    """The middle of the largest circular gap between the r + 1 points
+    {0} u {-a_j - pi mod 2 pi}, in numpy: the witness turn of a pair with
+    direct angles a_j."""
+    points = np.sort(np.r_[0.0, np.mod(-angles - np.pi, 2.0 * np.pi)])
+    gaps = np.diff(np.r_[points, points[0] + 2.0 * np.pi])
+    k = int(np.argmax(gaps))
+    return points[k] + 0.5 * gaps[k]
 
 
 MATRIX_ALGEBRAS = [a for a in ALGEBRAS if a.kind != al.SPIN]
@@ -457,47 +456,23 @@ MATRIX_ALGEBRAS = [a for a in ALGEBRAS if a.kind != al.SPIN]
 @pytest.mark.parametrize("alg", MATRIX_ALGEBRAS,
                          ids=[f"{a.kind}-{a.param}" for a in MATRIX_ALGEBRAS])
 def test_witness_route_builds_matrices_once_per_pass(alg, monkeypatch):
-    """A witness-route souriau_m on a matrix kind makes at most 3 _to_matrix
-    calls: one for the direct pass, and one per candidate tried, shared by
-    the candidate's angle pass and its iota solve."""
+    """A witness-route souriau_m on a matrix kind makes exactly 2 _to_matrix
+    calls: one for the direct pass, and one for the witness, shared by its
+    angle pass and its iota solve."""
     rng = np.random.default_rng(81)
     for _ in range(4):
         _, (a1, a2), (s1, s2) = shared_frame_points(alg, rng, 2, coincide=1)
         lifts = (shared_frame_lift(s1, a1), shared_frame_lift(s2, a2))
         want = ix.souriau_m(*lifts)
-        builds, tries = [], []
+        builds = []
         with monkeypatch.context() as patched:
-            for name, log in (("_to_matrix", builds), ("_witness_pass", tries)):
-                def counted(*args, _orig=getattr(ix, name), _log=log, **kwargs):
-                    _log.append(1)
-                    return _orig(*args, **kwargs)
-                patched.setattr(ix, name, counted)
-            assert ix.souriau_m(*lifts) == want
-        assert len(builds) == 1 + len(tries) <= 3
-
-
-@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
-def test_witness_search_passes_over_a_candidate_on_sigma2(alg, monkeypatch):
-    """A first candidate equal to sigma2, or sharing a frame direction with
-    sigma2 at pi, is not transverse to sigma2, so tau - sigma2 is singular.
-    The search passes it over before any solve with tau - sigma2: no
-    LinAlgError, and the value and witness of the plain stream, which starts
-    at the next candidate."""
-    rng = np.random.default_rng(83)
-    frame, (a1, a2), (s1, s2) = shared_frame_points(alg, rng, 2, coincide=1)
-    lifts = (shared_frame_lift(s1, a1), shared_frame_lift(s2, a2))
-    want = ix.souriau_m(*lifts)
-    a3 = rng.uniform(-np.pi, np.pi, alg.rank)
-    a3[-1] = a2[-1]
-    sharing = bd.from_unit_spectrum(alg, a3, frame)
-    orig = ix._witnesses
-    for planted in (s2, sharing):
-        assert ix.mu(planted, s2) >= 1
-        monkeypatch.setattr(ix, "_witnesses", lambda alg, planted=planted:
-                            itertools.chain([(planted, bd.lift(planted))], orig(alg)))
-        got = ix.souriau_m(*lifts)
-        assert got.witnesses[0] is want.witnesses[0]
-        assert got == want
+            def counted(*args, _orig=ix._to_matrix, **kwargs):
+                builds.append(1)
+                return _orig(*args, **kwargs)
+            patched.setattr(ix, "_to_matrix", counted)
+            got = ix.souriau_m(*lifts)
+        assert (got.value, got.raw) == (want.value, want.raw)
+        assert len(builds) == 2
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
@@ -809,63 +784,63 @@ def test_null_signature_needs_a_clear_gap():
     assert ix._null_signature(np.array([1e-12, 1.0]), 0) is None
 
 
-def test_witness_search_moves_past_an_unclear_gap(monkeypatch):
-    """A candidate whose null eigenvalues are not clearly apart from the
-    rest is skipped, never read; with no clear candidate the route refuses."""
+def test_witness_route_refuses_an_unclear_gap(monkeypatch):
+    """A witness whose null eigenvalues are not clearly apart from the rest
+    is never read: the route refuses with AmbiguityError."""
     alg = al.algebra(al.SYM_R, 3)
     rng = np.random.default_rng(79)
     _, (a1, a2), (s1, s2) = shared_frame_points(alg, rng, 2, coincide=1)
     lifts = (shared_frame_lift(s1, a1), shared_frame_lift(s2, a2))
-    clear = ix.souriau_m(*lifts)
+    ix.souriau_m(*lifts)
     orig = ix._null_signature
     blurred = []
 
     def blur(eigs, nulls):
-        if len(blurred) < limit:
-            order = np.argsort(np.abs(eigs))
-            eigs = eigs.copy()
-            eigs[order[0]] = 0.5 * eigs[order[1]]
-            blurred.append(orig(eigs, nulls))
-            return blurred[-1]
-        return orig(eigs, nulls)
+        order = np.argsort(np.abs(eigs))
+        eigs = eigs.copy()
+        eigs[order[0]] = 0.5 * eigs[order[1]]
+        blurred.append(orig(eigs, nulls))
+        return blurred[-1]
 
     monkeypatch.setattr(ix, "_null_signature", blur)
-    limit = 1
-    rep = ix.souriau_m(*lifts)
-    assert blurred == [None]
-    assert rep.value == clear.value
-    assert not np.array_equal(rep.witnesses[0].value.coords,
-                              clear.witnesses[0].value.coords)
-    limit = ix._WITNESS_TRIES + 1
-    with pytest.raises(AmbiguityError, match="no transverse witness"):
+    with pytest.raises(AmbiguityError, match="does not separate"):
         ix.souriau_m(*lifts)
+    assert blurred == [None]
 
 
-@pytest.mark.parametrize("alg", [a for a in ALGEBRAS if a.rank >= 2],
-                         ids=lambda a: f"{a.kind}-{a.param}")
-def test_witness_search_stays_strict_in_permissive_mode(alg):
-    """The first witness candidate lies in the gray zone of sigma1, which
-    permissive mode counts as transverse.  The search tests candidates in
-    strict mode whatever tol.mode, so both modes pass it over and report the
-    same witness."""
-    first = next(ix._witnesses(alg))[0]
-    spec = bd.shilov_spectral(first)
-    shift = np.full(alg.rank, 1.0)
-    shift[0] = 3e-7
-    a1 = bd.wrap_angle(spec.angles + shift)
-    a2 = a1.copy()
-    a2[0] += 1.5
-    a2[2:] -= 0.7
-    lifts = [shared_frame_lift(bd.from_unit_spectrum(alg, a, spec.frame), a)
-             for a in (a1, bd.wrap_angle(a2))]
+WITNESS_ALGEBRAS = ALGEBRAS + [al.algebra(al.SYM_R, 5), al.algebra(al.SPIN, 8)]
+
+
+@pytest.mark.parametrize("alg", WITNESS_ALGEBRAS,
+                         ids=[f"{a.kind}-{a.param}" for a in WITNESS_ALGEBRAS])
+def test_closed_form_witness_on_non_transverse_pairs(alg):
+    """On shared frames with 1..r coincidences and on deck shifts
+    (sigma, k), souriau_m equals the closed form (m_shared_frame, or 2k),
+    its witness is at least pi/(r + 1) from pi against both points, and
+    strict and permissive mode return the same report."""
+    rng = np.random.default_rng(84)
+    r = alg.rank
     loose = Tolerances(mode=PERMISSIVE)
-    assert ix.transversal(first, lifts[0].point, loose)
-    with pytest.raises(AmbiguityError):
-        ix.transversal(first, lifts[0].point)
-    strict, permissive = ix.souriau_m(*lifts), ix.souriau_m(*lifts, loose)
-    assert ix.mu(lifts[0].point, lifts[1].point) == 1
-    assert strict.witnesses[0] is permissive.witnesses[0] is not first
-    assert strict == permissive
+    cases = []
+    for ell in range(1, r + 1):
+        for _ in range(4):
+            _, (a1, a2), (s1, s2) = shared_frame_points(alg, rng, 2, coincide=ell)
+            k1, k2 = (int(k) for k in rng.integers(-2, 3, 2))
+            lifts = (shared_frame_lift(s1, a1, k1), shared_frame_lift(s2, a2, k2))
+            cases.append((lifts, ix.m_shared_frame(a1, lifts[0].theta,
+                                                   a2, lifts[1].theta)))
+    for k in range(-2, 3):
+        sigma = bd.random_shilov(alg, rng)
+        cases.append(((bd.lift(sigma), bd.lift(sigma, k)), 2 * k))
+    for lifts, want in cases:
+        strict, permissive = ix.souriau_m(*lifts), ix.souriau_m(*lifts, loose)
+        assert strict.value == want
+        (tau,) = strict.witnesses
+        rows = ix.pair_angles([tau, tau], [lift.point for lift in lifts])
+        assert np.min(np.pi - np.abs(rows)) >= np.pi / (r + 1) - 1e-9
+        assert (permissive.value, permissive.raw, permissive.residual) \
+            == (strict.value, strict.raw, strict.residual)
+        assert permissive.witnesses[0].value.coords.tobytes() == tau.value.coords.tobytes()
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
