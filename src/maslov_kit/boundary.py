@@ -22,10 +22,10 @@ once per word: an image is one product, one m x m solve and one product
 back to coordinates, and the factors of Delta_g over a batch of rows are
 elementwise sums, with no round trip through the matrix realization.
 
-The covering group acts on the universal cover here only: act_lift takes
-one step and _power_lift K, equal to K act_lift calls bit for bit and error
-for error, and turn_lift is the circle action.  The unchecked image and the
-constructor bypass they share stay here.
+The covering group acts on the universal cover here only, through one
+orbit walk: _power_lift takes K steps and act_lift is that walk at K = 1;
+turn_lift is the circle action.  The unchecked image and the constructor
+bypass the walk uses stay here.
 """
 
 import math
@@ -183,8 +183,8 @@ def boundary_refusals(alg, coords, thetas=None):
     """
     det, inv, ok = _cinverse_rows(alg, coords)
     refused = {} if thetas is None else _phase_refusals(alg, det, thetas)
-    resid = np.linalg.norm(np.conj(coords) - inv, axis=-1)
-    norms = np.linalg.norm(coords, axis=-1)
+    resid = _row_norms(np.conj(coords) - inv)
+    norms = _row_norms(coords)
     for k, (good, res, norm) in enumerate(zip(ok.tolist(), resid.tolist(),
                                               norms.tolist())):
         if not good:
@@ -236,10 +236,15 @@ class LiftedPoint:
         return self.point.alg
 
 
-def _passed_lift(value, theta):
-    """LiftedPoint(ShilovPoint(value), theta) for an ElementC row that
-    boundary_refusals(alg, rows, thetas) has passed with theta: the tests of
-    both constructors, already run in that one call."""
+def _passed_lift(alg, coords, theta):
+    """LiftedPoint(ShilovPoint(ElementC(alg, coords)), theta) for a row that
+    boundary_refusals(alg, rows, thetas) has passed with theta, so a finite
+    one: the constructors' tests, already run.  coords, which nothing else
+    holds, becomes the point's read-only array."""
+    coords.setflags(write=False)
+    value = object.__new__(ElementC)
+    object.__setattr__(value, "alg", alg)
+    object.__setattr__(value, "coords", coords)
     point = object.__new__(ShilovPoint)
     object.__setattr__(point, "value", value)
     lifted = object.__new__(LiftedPoint)
@@ -262,11 +267,11 @@ def t_shift(lifted, n=1):
 
 
 def turn_lift(lifted, alpha):
-    """Circle action (sigma, theta) -> (e^{i alpha} sigma, theta + alpha).
-    A unit scalar keeps conj(z) = z^{-1} and det z e^{-i r theta}, so the image
-    passes both constructor tests as `lifted` did, and skips them."""
-    value = ElementC(lifted.alg, np.exp(1j * alpha) * lifted.point.value.coords)
-    return _passed_lift(value, lifted.theta + alpha)
+    """Circle action (sigma, theta) -> (e^{i alpha} sigma, theta + alpha),
+    alpha finite.  A unit scalar keeps conj(z) = z^{-1} and det z e^{-i r theta},
+    so the image passes the constructor tests as `lifted` did, and skips them."""
+    return _passed_lift(lifted.alg, np.exp(1j * alpha) * lifted.point.value.coords,
+                        lifted.theta + alpha)
 
 
 def unit_shilov(alg):
@@ -274,10 +279,9 @@ def unit_shilov(alg):
 
 
 def _row_norms(x):
-    """Euclidean norms of the real rows x (N, n): the arithmetic of
-    np.linalg.norm(x, axis=1) on real rows, bit for bit, without its
-    wrapper."""
-    return np.sqrt((x * x).sum(axis=1))
+    """Euclidean norms of the real or complex rows x (N, n): the arithmetic
+    of np.linalg.norm(x, axis=-1), bit for bit, without its wrapper."""
+    return np.sqrt((x.conj() * x).real.sum(axis=-1))
 
 
 def _lie_sphere(z):
@@ -480,10 +484,10 @@ def _factor_rows(form, rows):
     mu = 1 + lambda (N, n) and |lambda_k| < 1 on the closed disk, from one
     stacked eigvals.  refused maps each row where Delta_g vanishes to its
     DomainError; a row whose factor matrix is not finite is among them, with
-    mu = nan: it is masked to a zero filler ahead of the one eigvals call,
-    which would refuse the whole stack.  Each row's arithmetic is
-    independent of the other rows: the factor matrices are elementwise sums,
-    whose bits do not depend on N as a BLAS matrix product's may."""
+    mu = nan, masked to a zero filler once eigvals refuses the stack.  Each
+    row's arithmetic is independent of the other rows: the factor matrices
+    are elementwise sums, whose bits do not depend on N as a BLAS matrix
+    product's may, and eigvals solves each matrix alone."""
     alg = form.alg
     if alg.kind == "spin":
         # 1 + t p + t^2 s = (1 + t l1)(1 + t l2): l1, l2 solve x^2 - p x + s
@@ -495,9 +499,12 @@ def _factor_rows(form, rows):
     else:
         m = alg.param
         mats = (rows[:, :, None] * form.fac).sum(axis=1).reshape(len(rows), m, m)
-    finite = np.isfinite(mats).all(axis=(1, 2))
-    lam = _lapack.eigvals(np.where(finite[:, None, None], mats, 0.0))
-    lam[~finite] = np.nan
+    try:
+        lam = _lapack.eigvals(mats)
+    except np.linalg.LinAlgError:
+        finite = np.isfinite(mats).all(axis=(1, 2))
+        lam = _lapack.eigvals(np.where(finite[:, None, None], mats, 0.0))
+        lam[~finite] = np.nan
     mu = 1.0 + lam
     modulus, spread = np.abs(mu), np.abs(lam)
     if modulus.min() > RANK_CUTOFF * (1.0 + spread.max()):     # then every row passes
@@ -833,40 +840,28 @@ def _phi_rows(word, rows):
     return word.linear_fractional()[2] - 2.0 * np.angle(mu).sum(axis=1), refused
 
 
-def _phi_image(word, z):
-    """(phi(g, z), g(z)) at one coordinate row z: the checks of _phi_rows
-    first, then the image."""
-    phi = _checked(_phi_rows(word, z[None]))[0]
-    with _lapack.singular():
-        return float(phi), _lf_image(word.coordinate_form(), z)
-
-
 def determination_phi(word, sigma):
-    """The continuous determination phi(g, sigma), seeded at phi(g, 0)."""
+    """phi(g, sigma), seeded at phi(g, 0): the checks of _phi_rows, then
+    g(sigma) through apply_word, which must stay on S."""
     sigma = as_shilov(sigma)
-    phi, image = _phi_image(word, _coords_on(word, sigma))
-    ShilovPoint(ElementC(word.alg, image))   # g(sigma) must stay on S
-    return phi
+    phi = _checked(_phi_rows(word, _coords_on(word, sigma)[None]))[0]
+    apply_word(word, sigma)
+    return float(phi)
 
 
 def act_lift(word, lifted):
     """Action on the universal cover: (sigma, theta) ->
-    (g(sigma), theta + phi(g, sigma)/r)."""
-    phi, image = _phi_image(word, _coords_on(word, lifted.point))
-    value, theta = ElementC(word.alg, image), lifted.theta + phi / word.alg.rank
-    refused = boundary_refusals(word.alg, value.coords[None], [theta])
-    if refused:
-        raise DomainError(refused[0])
-    return _passed_lift(value, theta)
+    (g(sigma), theta + phi(g, sigma)/r), the orbit walk at K = 1."""
+    return _power_lift(word, lifted, 1)
 
 
 ORBIT_BLOCK = 1024
 
 
 def _power_lift(word, lifted, power):
-    """g^power . lifted for power >= 1, equal iterate for iterate and error
-    for error to `power` calls of act_lift, which runs the same kernel on one
-    row in the same error state.
+    """g^power . lifted for power >= 1: `power` steps of (sigma, theta) ->
+    (g(sigma), theta + phi(g, sigma)/r), each iterate checked by the tests of
+    ShilovPoint and LiftedPoint.
 
     The orbit is walked in blocks of ORBIT_BLOCK steps, each handing its last
     iterate and theta to the next, so memory is bounded by one block
@@ -880,10 +875,10 @@ def _power_lift(word, lifted, power):
     (so each iterate's theta) and the verdicts of its gate and half-plane
     checks, and its iterates in one boundary_refusals call, the ShilovPoint
     and LiftedPoint tests.  The earliest failing event raises, in the order
-    the sequential loop meets them: the checks of step k, then the
-    LinAlgError of its image, then the refusal of iterate k + 1, then step
-    k + 1.  Iterates past a failed step may be garbage, even non-finite; only
-    the earliest event raises.  The returned point is the last iterate, which
+    a loop checking each step as it lands meets them: the checks of step k,
+    then the LinAlgError of its image, then the refusal of iterate k + 1,
+    then step k + 1.  Iterates past a failed step may be garbage, even
+    non-finite; only the earliest event raises.  The returned point is the last iterate, which
     the last block's check has passed.
     """
     alg, r = word.alg, word.alg.rank
@@ -903,16 +898,18 @@ def _power_lift(word, lifted, power):
         rows = np.array(rows)
         with np.errstate(all="ignore"):
             phis, steps = _phi_rows(word, rows[:block])
-            thetas = np.cumsum(np.r_[theta, phis[:len(rows) - 1] / r])[1:]
+            thetas = phis[:len(rows) - 1] / r
+            thetas[:1] += theta
+            thetas = thetas.cumsum()
             refused = boundary_refusals(alg, rows[1:], thetas)
-        events = {(k, 0): exc for k, exc in steps.items()}
-        if stop is not None:
-            events[(len(rows) - 1, 1)] = stop
-        events.update({(k, 2): DomainError(msg) for k, msg in refused.items()})
-        if events:
+        if steps or refused or stop is not None:
+            events = {(k, 0): exc for k, exc in steps.items()}
+            if stop is not None:
+                events[(len(rows) - 1, 1)] = stop
+            events.update({(k, 2): DomainError(msg) for k, msg in refused.items()})
             raise events[min(events)]
         theta = float(thetas[-1])
-    return _passed_lift(ElementC(alg, rows[-1]), theta)
+    return _passed_lift(alg, z, theta)
 
 
 def random_word(alg, rng, mode="tube", n_gens=3, scale=0.4):

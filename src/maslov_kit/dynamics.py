@@ -6,7 +6,7 @@ total angular displacement) and unwrapped, so crossings of the Maslov cycle
 become passages of a strand through pi + 2 pi Z.  The Arnold number and the
 pair-path index are signed crossing counts; the translation number and the
 rotation number come from iterating a group word on the universal cover,
-an orbit that boundary walks (_power_lift, beside act_lift).
+an orbit that boundary._power_lift walks (act_lift is its K = 1).
 
 Sampling contract: between consecutive samples (stored or refined) every
 true strand must move by less than min(pi/4, pi/r) at rank r.  Under it a
@@ -17,6 +17,7 @@ counts depend only on that sum.
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -393,11 +394,11 @@ def translation_tau(word, power, base=None, tol: Tolerances = DEFAULT):
     """Translation number estimate (c(g^K)/K, error bound r/K).
 
     The bound comes from the quasimorphism defect |c(gh) - c(g) - c(h)| <= r.
-    The orbit of the base lift is walked by boundary._power_lift, which
-    raises as K calls of act_lift would.
+    K is a Python or numpy integer >= 1.  The orbit of the base lift is
+    walked once by boundary._power_lift.
     """
-    if power < 1:
-        raise DomainError("power must be >= 1")
+    if isinstance(power, bool) or not isinstance(power, numbers.Integral) or power < 1:
+        raise DomainError(f"power must be an integer >= 1, got {power!r}")
     if base is None:
         base = standard_base_lift(word.alg)
     iterated = bd._power_lift(word, base, power)

@@ -8,8 +8,9 @@ finite differences instead of a word's linear-fractional matrix, a sampled
 radial unwrap instead of the sum over the factors of its denominator, an
 eigenangle flow that solves and matches one sample at a time instead of one
 pass over the grid, the spectrum of the spin relative element at 50 digits
-instead of the Lie-sphere closed form, an orbit that validates every
-iterate as it lands instead of one batch at the end, images and factors
+instead of the Lie-sphere closed form, an orbit that steps through
+determination_phi and apply_word and validates every iterate as it lands
+instead of the orbit walk's one batch per block, images and factors
 of Delta_g through the matrix realization of each point instead of a word's
 coordinate form, and the witness signature through the root tau^{-1/2}
 instead of tau and the two points.  The spin pair kernel is also kept in its
@@ -258,12 +259,16 @@ def eigenangle_flow_sequential(path, reference):
 
 
 def power_lift_sequential(word, lifted, power, trail=None):
-    """g^power . lifted as `power` calls of act_lift, each iterate built and
-    checked by ShilovPoint and LiftedPoint as it lands.  When given, `trail`
-    collects the iterates, so on an error len(trail) + 1 is the failing one."""
-    out = lifted
+    """g^power . lifted as `power` steps through the one-row public route:
+    phi = determination_phi(g, sigma) (its gate and half-plane check, then
+    the image's LinAlgError, then ShilovPoint of g(sigma)), and the iterate
+    LiftedPoint(apply_word(g, sigma), theta + phi / r), built and checked as
+    it lands.  When given, `trail` collects the iterates, so on an error
+    len(trail) + 1 is the failing one."""
+    out, r = lifted, word.alg.rank
     for _ in range(power):
-        out = bd.act_lift(word, out)
+        phi = bd.determination_phi(word, out.point)
+        out = bd.LiftedPoint(bd.apply_word(word, out.point), out.theta + phi / r)
         if trail is not None:
             trail.append(out)
     return out
@@ -399,3 +404,40 @@ def factor_rows_matrix(alg, g, rows):
     return mu, {k: DomainError("undefined where Delta_g vanishes "
                                f"(min |1 + lambda| = {size[k]:.2e})")
                 for k in np.flatnonzero(~ok).tolist()}
+
+
+def spin_to_matrix_kind(alg):
+    """(target algebra, coordinate matrix) of the Jordan isomorphism of the
+    spin factor onto a matrix kind: spin 3 onto sym-r 2 and spin 4 onto
+    herm-c 2, (x0, x1, x2[, x3]) -> (x0 + x1, x0 - x1, sqrt2 x2[, sqrt2 x3]),
+    that is x0 I + x1 s_z + x2 s_x [- x3 s_y] over the Pauli matrices."""
+    target = {3: al.algebra(al.SYM_R, 2), 4: al.algebra(al.HERM_C, 2)}[alg.param]
+    mat = np.zeros((alg.dim, alg.dim))
+    mat[:2, :2] = [[1.0, 1.0], [1.0, -1.0]]
+    mat[2:, 2:] = math.sqrt(2.0) * np.eye(alg.dim - 2)
+    return target, mat
+
+
+def map_word(word, target, mat):
+    """The word on `target` whose generators are those of `word` carried
+    through the coordinate map `mat`: offsets and factor operands are
+    mapped, inversions stay inversions, and base_arg is kept."""
+    def carry(x):
+        return al.element(target, mat @ x.coords)
+
+    gens = []
+    for gen in word.generators:
+        if isinstance(gen, bd.TranslateGen):
+            gens.append(bd.TranslateGen(carry(gen.u)))
+        elif isinstance(gen, bd.InversionGen):
+            gens.append(bd.InversionGen())
+        else:
+            gens.append(type(gen)([(kind, *map(carry, ops))
+                                   for kind, *ops in gen.factors]))
+    return bd.GroupWord(target, gens, base_arg=word.base_arg)
+
+
+def map_lift(lifted, target, mat):
+    """The lift on `target` with the mapped coordinates and the same theta."""
+    point = bd.ShilovPoint(bd.ElementC(target, mat @ lifted.point.value.coords))
+    return bd.LiftedPoint(point, lifted.theta)

@@ -9,7 +9,7 @@ import _oracles as orc
 from _cases import ALGEBRAS, IDS
 from maslov_kit import algebra as al
 from maslov_kit import boundary as bd
-from maslov_kit.errors import DomainError, MaslovKitError
+from maslov_kit.errors import AmbiguityError, DomainError, MaslovKitError
 
 # retry loops skip draws where a word is undefined, and give up after this
 # many tries per case they need, so a defect that refuses every draw fails
@@ -208,6 +208,33 @@ def test_boundary_refusals_match_constructors(alg, monkeypatch):
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_row_norms_are_linalg_norm(alg):
+    """_row_norms is np.linalg.norm(x, axis=-1) byte for byte on real and
+    complex rows, NaN and +-inf rows included, and on the Lie-sphere rows
+    of spin points; boundary_refusals refuses exactly the non-finite rows
+    of a batch of points of S."""
+    rng = np.random.default_rng(29)
+    lifts = [bd.lift(bd.random_shilov(alg, rng)) for _ in range(8)]
+    rows = np.array([lifted.point.value.coords for lifted in lifts])
+    rows[1, 0] = np.nan
+    rows[3, -1] = np.inf
+    rows[4, 0] = complex(1.0, -np.inf)
+    rows[6] = complex(np.nan, np.inf)
+    real = rng.standard_normal((6, alg.dim)) * np.logspace(-150, 150, 6)[:, None]
+    real[2, 0], real[5, -1] = -np.inf, np.nan
+    with np.errstate(all="ignore"):
+        for x in (rows, rows.real, rows.imag, real, np.conj(rows) - 2.0 * rows):
+            assert bd._row_norms(x).tobytes() == np.linalg.norm(x, axis=-1).tobytes()
+        refused = bd.boundary_refusals(alg, rows, [lifted.theta for lifted in lifts])
+    assert sorted(refused) == [1, 3, 4, 6]
+    assert all(msg.startswith("not on the Shilov boundary") for msg in refused.values())
+    if alg.kind == al.SPIN:
+        z = rows[[0, 2, 5, 7]]
+        got, want = bd._lie_sphere(z), orc.lie_sphere_two_pass(z)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
 def test_factor_rows_are_independent_and_take_filler(alg):
     """Each row's factors and verdict in a batch are those of the row alone,
     bit for bit; a non-finite row is refused with mu = nan, and the batch
@@ -254,29 +281,59 @@ def test_coordinate_form_matches_matrix_route(alg, mode):
 def test_act_lift_checks_as_the_constructors(alg, monkeypatch):
     """act_lift runs the ShilovPoint and LiftedPoint tests in one
     boundary_refusals call: its lifts, its refusals and their messages are
-    those of the two constructors, at the fixed cutoff and at tighter ones."""
+    those of the one-row public route (determination_phi, apply_word and the
+    two constructors), at the fixed cutoffs and with BOUNDARY or LIFT_PHASE
+    tighter."""
     cases = []
     for seed in range(12):
         rng = np.random.default_rng([seed, 51])
         word = bd.random_word(alg, rng, ("tube", "mixed", "unitary")[seed % 3])
         cases.append((word, bd.lift(bd.random_shilov(alg, rng), 1)))
-    for boundary in (bd.BOUNDARY, 1e-15, 1e-17):
+    for boundary, lift_phase in [(bd.BOUNDARY, bd.LIFT_PHASE), (1e-15, bd.LIFT_PHASE),
+                                 (1e-17, bd.LIFT_PHASE), (bd.BOUNDARY, 1e-15),
+                                 (bd.BOUNDARY, 1e-16)]:
         monkeypatch.setattr(bd, "BOUNDARY", boundary)
+        monkeypatch.setattr(bd, "LIFT_PHASE", lift_phase)
         for word, lifted in cases:
-
-            def by_constructors():
-                phi, image = bd._phi_image(word, lifted.point.value.coords)
-                return bd.LiftedPoint(bd.ShilovPoint(bd.ElementC(alg, image)),
-                                      lifted.theta + phi / alg.rank)
-
             got = outcome(lambda: bd.act_lift(word, lifted))
-            want = outcome(by_constructors)
+            want = outcome(lambda: orc.power_lift_sequential(word, lifted, 1))
             if isinstance(want, MaslovKitError):
                 assert (type(got), str(got)) == (type(want), str(want))
             else:
                 assert got.theta == want.theta
                 assert np.array_equal(got.point.value.coords, want.point.value.coords)
                 assert isinstance(got.point, bd.ShilovPoint)
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_act_lift_raises_step_checks_before_the_image_refusal(alg, monkeypatch):
+    """Where BOUNDARY is so tight that the image of sigma is refused, a
+    failed check of the step itself (planted in _phi_rows) still raises
+    first, from act_lift as from the one-row public route."""
+    cases = []
+    for seed in range(6):
+        rng = np.random.default_rng([seed, 53])
+        word = bd.random_word(alg, rng, ("tube", "mixed", "unitary")[seed % 3])
+        cases.append((word, bd.lift(bd.random_shilov(alg, rng))))
+    monkeypatch.setattr(bd, "BOUNDARY", 1e-17)
+    real_phi_rows = bd._phi_rows
+
+    def planted(word_, rows):
+        phis, verdicts = real_phi_rows(word_, rows)
+        verdicts[0] = AmbiguityError("planted step check")
+        return phis, verdicts
+
+    refused = 0
+    for word, lifted in cases:
+        got = outcome(lambda: bd.act_lift(word, lifted))
+        refused += str(got).startswith("not on the Shilov boundary")
+        with monkeypatch.context() as patched:
+            patched.setattr(bd, "_phi_rows", planted)
+            for route in (lambda: bd.act_lift(word, lifted),
+                          lambda: orc.power_lift_sequential(word, lifted, 1)):
+                with pytest.raises(AmbiguityError, match="^planted step check$"):
+                    route()
+    assert refused >= 3
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)

@@ -677,6 +677,30 @@ def test_translation_identity(alg):
     assert bound == pytest.approx(alg.rank / 8)
 
 
+@pytest.mark.parametrize("power", [0, -3, 2.5, 8.0, math.nan, math.inf, True, False,
+                                   "8", None, np.float64(8)],
+                         ids=repr)
+def test_translation_power_must_be_an_integer(power):
+    """A power that is not an integer >= 1 is refused with a DomainError
+    naming `power`, by translation_tau and rotation_rho alike: a float, even
+    an integral one, NaN, inf, a bool (True is not K = 1) or a string."""
+    word = bd.random_word(al.algebra(al.SYM_R, 2), np.random.default_rng(2), "mixed")
+    for estimate in (dy.translation_tau, dy.rotation_rho):
+        with pytest.raises(DomainError, match="^power must be an integer >= 1"):
+            estimate(word, power)
+
+
+def test_translation_power_takes_numpy_integers():
+    """A numpy integer is a power like the Python int of the same value."""
+    word = bd.random_word(al.algebra(al.SPIN, 5), np.random.default_rng(2), "mixed")
+    want = dy.rotation_rho(word, 8)
+    for power in (np.int64(8), np.int32(8), np.uint8(8)):
+        assert dy.rotation_rho(word, power) == want
+        assert dy.translation_tau(word, power) == dy.translation_tau(word, 8)
+    with pytest.raises(DomainError, match="power must be an integer >= 1"):
+        dy.translation_tau(word, np.int64(0))
+
+
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
 def test_translation_scalar_phase(alg):
     r = alg.rank
@@ -805,6 +829,32 @@ def test_power_lift_matches_sequential_oracle(alg, mode):
                 assert_same_outcome(
                     outcome(lambda: bd._power_lift(word, lifted, power)),
                     outcome(lambda: orc.power_lift_sequential(word, lifted, power)))
+
+
+@pytest.mark.parametrize("alg", [al.algebra(al.SPIN, 3), al.algebra(al.SPIN, 4)],
+                         ids=lambda a: f"{a.kind}-{a.param}")
+def test_orbit_walk_commutes_with_jordan_isomorphism(alg):
+    """The Jordan isomorphisms spin 3 -> sym-r 2 and spin 4 -> herm-c 2 of
+    tests/_oracles carry a word, generator by generator, and a lift, by its
+    coordinates with theta kept.  The spin walk's (q + 2) x (q + 2) block
+    and the matrix kind's 4 x 4 block then give the same orbit at K = 1, 8
+    and 32 on tube, mixed and unitary words: images and theta within 1e-8
+    and the same integer c(g^K)."""
+    target, mat = orc.spin_to_matrix_kind(alg)
+    for seed in range(40):
+        for mode in ("tube", "mixed", "unitary"):
+            rng = np.random.default_rng([seed, 73])
+            word = bd.random_word(alg, rng, mode)
+            base = bd.lift(bd.random_shilov(alg, rng), seed % 3 - 1)
+            mword, mbase = orc.map_word(word, target, mat), orc.map_lift(base, target, mat)
+            for power in (1, 8, 32):
+                spin, matrix = bd._power_lift(word, base, power), bd._power_lift(
+                    mword, mbase, power)
+                image = mat @ spin.point.value.coords
+                assert np.abs(image - matrix.point.value.coords).max() <= 1e-8
+                assert abs(spin.theta - matrix.theta) <= 1e-8
+                assert (ix.souriau_m(spin, base).value
+                        == ix.souriau_m(matrix, mbase).value)
 
 
 @pytest.mark.parametrize("mode", ["unitary", "tube", "mixed"])
@@ -937,16 +987,43 @@ def test_power_lift_raises_earliest_error(alg, boundary, monkeypatch):
     assert any(f < 32 for f in inner)
 
 
+@pytest.mark.parametrize("lift_phase", [1e-14, 3e-15])
+@pytest.mark.parametrize("alg", [al.algebra(al.SYM_R, 2), al.algebra(al.HERM_C, 2),
+                                 al.algebra(al.SPIN, 5)],
+                         ids=lambda a: f"{a.kind}-{a.param}")
+def test_power_lift_refuses_a_drifted_theta_as_the_loop(alg, lift_phase, monkeypatch):
+    """Under a tight LIFT_PHASE the LiftedPoint test refuses orbits at inner
+    iterates, where theta has drifted from Arg det sigma / r by rounding;
+    the walk raises the class and message of the sequential loop at the same
+    iterate, and its orbit one step shorter ends at the loop's last lift."""
+    base = dy.standard_base_lift(alg)     # built at the fixed LIFT_PHASE
+    monkeypatch.setattr(bd, "LIFT_PHASE", lift_phase)
+    inner = []
+    for seed in range(12):
+        word = bd.random_word(alg, np.random.default_rng(seed),
+                              ("tube", "mixed", "unitary")[seed % 3])
+        trail = []
+        want = outcome(lambda: orc.power_lift_sequential(word, base, 32, trail))
+        assert_same_outcome(outcome(lambda: bd._power_lift(word, base, 32)), want)
+        if isinstance(want, MaslovKitError):
+            assert str(want).startswith("invalid lift")
+            inner.append(len(trail) + 1)
+            if trail:
+                assert_same_lift(bd._power_lift(word, base, len(trail)), trail[-1])
+    assert any(f < 32 for f in inner)
+
+
 @pytest.mark.parametrize("alg, seed, boundary, failing", [
     (al.algebra(al.SYM_R, 2), 4, 1e-15, 17),
     (al.algebra(al.HERM_C, 3), 0, 1e-14, 15),
 ])
 def test_power_lift_step_and_check_errors_in_order(monkeypatch, alg, seed,
                                                    boundary, failing):
-    """A step error planted before the refused iterate is raised; one planted
-    after it is not reached.  Step errors are planted in the verdicts of the
-    batched checks, which act_lift and the orbit walk both use; a step that
-    fails the gate raises the gate's error even where its image raises."""
+    """A step error planted before the refused iterate is raised, and so is
+    one planted at the step that yields it; one planted at the refused
+    iterate or after it is not reached.  Step errors are planted in the
+    verdicts of the batched checks; a step that fails the gate raises the
+    gate's error even where its image raises."""
     base = dy.standard_base_lift(alg)
     word = bd.random_word(alg, np.random.default_rng(seed), "tube")
     loose = []      # the same orbit, accepted at the fixed BOUNDARY
@@ -972,6 +1049,8 @@ def test_power_lift_step_and_check_errors_in_order(monkeypatch, alg, seed,
         return phi_rows
 
     for step, raised in [(failing - 3, f"planted at step {failing - 3}"),
+                         (failing, f"planted at step {failing}"),
+                         (failing + 1, "not on the Shilov boundary"),
                          (failing + 3, "not on the Shilov boundary")]:
         monkeypatch.setattr(bd, "_phi_rows", plant(step))
         want = outcome(lambda: orc.power_lift_sequential(word, base, 32))
@@ -1042,6 +1121,7 @@ def test_singular_image_raises_linalgerror(alg, monkeypatch):
     seq = outcome(lambda: orc.power_lift_sequential(word, base, 32))
     assert isinstance(seq, DomainError) and "Delta_g vanishes" in str(seq)
     assert_same_outcome(outcome(lambda: bd._power_lift(word, base, 32)), seq)
+    assert_same_outcome(outcome(lambda: bd.act_lift(word, base)), seq)
 
     monkeypatch.setattr(bd, "_factor_rows", lambda form_, rows: (
         np.ones((len(rows), alg.rank), dtype=np.complex128), {}))
