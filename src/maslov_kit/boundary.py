@@ -29,6 +29,7 @@ bypass the walk uses stay here.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -253,8 +254,18 @@ def _passed_lift(alg, coords, theta):
     return lifted
 
 
+def _integer(name, value, least=-math.inf):
+    """int(value) for an integer >= least (numpy integers pass, bool does not),
+    else a DomainError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        bound = f" >= {least}" if least > -math.inf else ""
+        raise DomainError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
 def lift(sigma, k=0):
-    """Canonical lift with theta = (Arg det(sigma) + 2 pi k) / r."""
+    """Canonical lift with theta = (Arg det(sigma) + 2 pi k) / r, k an integer."""
+    k = _integer("k", k)
     sigma = as_shilov(sigma)
     r = sigma.alg.rank
     theta = (principal_arg(cdet(sigma.value)) + TWO_PI * k) / r
@@ -263,6 +274,7 @@ def lift(sigma, k=0):
 
 def t_shift(lifted, n=1):
     """Deck transformation T^n: (sigma, theta) -> (sigma, theta + 2 pi n / r)."""
+    n = _integer("n", n)
     return LiftedPoint(lifted.point, lifted.theta + TWO_PI * n / lifted.alg.rank)
 
 
@@ -759,13 +771,11 @@ class GroupWord:
 
     def inverse(self):
         """Inverse in the covering group: the determination is seeded at
-        -phi(g, g^{-1}(0)) so that g composed with g.inverse() is the
-        identity element, not a deck translate of it."""
+        -phi(g, g^{-1}(0)), g^{-1}(0) being the image compose_words takes, so
+        that g composed with g.inverse() is the identity element with base_arg
+        exactly 0, not a deck translate of it."""
         gens = [g.inverse() for g in reversed(self.generators)]
-        zero = np.zeros(self.alg.dim, dtype=np.complex128)
-        inv = _LfForm(self.alg, _lapack.inv(self.linear_fractional()[0]))
-        pre = _gated_image(inv, zero)
-        phi = _checked(_phi_rows(self, pre[None]))[0]
+        phi = _phi_at_image_of_zero(self, GroupWord(self.alg, gens))
         return GroupWord(self.alg, gens, base_arg=-phi)
 
     def __repr__(self):
@@ -787,12 +797,15 @@ def compose_words(outer, inner):
     """
     if outer.alg != inner.alg:
         raise DomainError("algebra mismatch between words")
-    alg = outer.alg
-    inner0 = _gated_image(inner.coordinate_form(),
-                          np.zeros(alg.dim, dtype=np.complex128))
-    phi = _checked(_phi_rows(outer, inner0[None]))[0]
-    return GroupWord(alg, inner.generators + outer.generators,
-                     base_arg=phi + inner.linear_fractional()[2])
+    return GroupWord(outer.alg, inner.generators + outer.generators,
+                     base_arg=_phi_at_image_of_zero(outer, inner)
+                     + inner.linear_fractional()[2])
+
+
+def _phi_at_image_of_zero(outer, inner):
+    """phi(outer, inner(0)), inner(0) through inner's coordinate form."""
+    inner0 = _gated_image(inner.coordinate_form(), np.zeros(outer.alg.dim, complex))
+    return _checked(_phi_rows(outer, inner0[None]))[0]
 
 
 def _coords_on(word, z):
@@ -841,11 +854,13 @@ def _phi_rows(word, rows):
 
 
 def determination_phi(word, sigma):
-    """phi(g, sigma), seeded at phi(g, 0): the checks of _phi_rows, then
-    g(sigma) through apply_word, which must stay on S."""
-    sigma = as_shilov(sigma)
-    phi = _checked(_phi_rows(word, _coords_on(word, sigma)[None]))[0]
-    apply_word(word, sigma)
+    """phi(g, sigma), seeded at phi(g, 0): the checks of _phi_rows, then the
+    image g(sigma) past that gate, which must be defined and stay on S."""
+    z = _coords_on(word, as_shilov(sigma))
+    phi = _checked(_phi_rows(word, z[None]))[0]
+    with _lapack.singular():
+        image = _lf_image(word.coordinate_form(), z)
+    ShilovPoint(ElementC(word.alg, image))
     return float(phi)
 
 

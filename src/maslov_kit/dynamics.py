@@ -17,7 +17,6 @@ counts depend only on that sum.
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -397,8 +396,7 @@ def translation_tau(word, power, base=None, tol: Tolerances = DEFAULT):
     K is a Python or numpy integer >= 1.  The orbit of the base lift is
     walked once by boundary._power_lift.
     """
-    if isinstance(power, bool) or not isinstance(power, numbers.Integral) or power < 1:
-        raise DomainError(f"power must be an integer >= 1, got {power!r}")
+    power = bd._integer("power", power, 1)
     if base is None:
         base = standard_base_lift(word.alg)
     iterated = bd._power_lift(word, base, power)

@@ -25,9 +25,9 @@ iota is the signature of the Cayley images of the pair with tau at infinity,
 read off tau and the two points with no square root of tau, and the two m
 terms are transverse, so the check tests the coincidence-dropping formula
 against that signature.  tau = e^{i alpha} sigma1 is read off the direct
-pass, at least pi/(r + 1) from a coincidence with either point.  The check
-costs one angle pass of tau with both points and one small solve and
-eigensolve, which share one build of the three matrices on the matrix kinds.
+pass, at least pi/(r + 1) from a coincidence with either point, and so are
+its angles, alpha - pi with sigma1 and a_j + alpha with sigma2 for the direct
+angles a_j.  The check costs one small solve and eigensolve.
 """
 
 import math
@@ -134,7 +134,7 @@ def pair_angles(sigmas, taus):
     closed form from the Lie-sphere form of the points, one pass over the
     2N stacked points (_spin_pair_angles), with no frame; a point off the
     Lie sphere by more than 10 BOUNDARY is refused.  Both are the kernel
-    _angle_rows, which the witness pass of souriau_m also calls.
+    _angle_rows, which souriau_m_witness also calls.
 
     Each pair is checked as a one-pair call would check it.  The DomainError
     is that of the first refused pair, whether a raw element that is not a
@@ -333,7 +333,7 @@ def _witness_iota(tau, p1, p2, nulls, mats=None):
     smallest in modulus are the coincidence directions of the pair; None
     when they are not clearly apart from the rest (_null_signature).
     mats, when given, are the matrices of (tau, sigma1, sigma2), already
-    built (_witness_pass).
+    built (souriau_m_witness).
     """
     alg = tau.alg
     if alg.kind == SPIN:
@@ -366,25 +366,15 @@ def _null_signature(eigs, nulls):
     return -int(np.sum(np.sign(eigs[order[nulls:]])))
 
 
-def _witness_pass(tau, p1, p2, s, t):
-    """(angles, mats) of a witness tau for the pair (sigma1, sigma2): the
-    sorted angle rows of the pairs (rows[s], rows[t]) of the rows
-    (tau, sigma1, sigma2), from one _angle_rows call, and the matrices of
-    the three rows for _witness_iota (None on the spin factor).  The points
-    are boundary points of one algebra already, so none is coerced again,
-    and a matrix kind builds its matrices once."""
-    alg = tau.alg
-    rows = np.array([tau.value.coords, p1.value.coords, p2.value.coords])
-    mats = None if alg.kind == SPIN else _to_matrix(alg, rows)
-    return _checked(_angle_rows(alg, rows, s, t, mats)), mats
-
-
 def _witness_sum(lift1, lift2, wlift, rows, masks, iota, tol):
     """(value, raw) of iota + m(lift1, tau~) + m(tau~, lift2), iota from
     _witness_iota and both m terms from the (tau, sigma1) and (tau, sigma2)
-    rows of the witness pass: the (sigma1, tau) angles are the (tau, sigma1)
-    ones negated, at the same distances to pi.  raw sums iota and the two
-    unrounded Souriau values."""
+    angle rows: the (sigma1, tau) angles are the (tau, sigma1) ones negated,
+    at the same distances to pi.  raw sums iota and the two unrounded
+    Souriau values.  AmbiguityError when iota is None."""
+    if iota is None:
+        raise AmbiguityError("the witness does not separate the coincidence "
+                             "directions of the pair")
     m1t = _souriau_value(lift1, wlift, -rows[0], masks[0], tol)
     mt2 = _souriau_value(wlift, lift2, rows[1], masks[1], tol)
     return iota + m1t[0] + mt2[0], iota + m1t[1] + mt2[1]
@@ -402,17 +392,15 @@ def _witness_turn(angles):
 
 
 def _find_witness(lift1, lift2, angles, nulls, tol):
-    """(witness point, m through it) of a pair with direct angles `angles`
-    and `nulls` coincidences, through (e^{i alpha} sigma1, theta1 + alpha):
-    one _witness_pass, transverse by construction in either mode, and one
-    _witness_iota, refused when it does not separate the coincidences."""
-    wlift, p1, p2 = turn_lift(lift1, _witness_turn(angles)), lift1.point, lift2.point
-    rows, mats = _witness_pass(wlift.point, p1, p2, [0, 0], [1, 2])
-    masks = np.zeros(rows.shape, dtype=bool)
-    iota = _witness_iota(wlift.point, p1, p2, nulls, mats)
-    if iota is None:
-        raise AmbiguityError("the witness does not separate the coincidence "
-                             "directions of the pair")
+    """(witness point, m through it) of a pair with direct angles a_j and
+    `nulls` coincidences, through (e^{i alpha} sigma1, theta1 + alpha), whose
+    angles, alpha - pi with sigma1 and a_j + alpha with sigma2, are read off
+    the direct angles and transverse by construction, and one _witness_iota."""
+    alpha = _witness_turn(angles)
+    wlift, p1, p2 = turn_lift(lift1, alpha), lift1.point, lift2.point
+    rows = (np.full(angles.size, alpha - math.pi), wrap_angle(angles + alpha))
+    masks = np.zeros((2, angles.size), dtype=bool)
+    iota = _witness_iota(wlift.point, p1, p2, nulls)
     return wlift.point, _witness_sum(lift1, lift2, wlift, rows, masks, iota, tol)[0]
 
 
@@ -425,8 +413,8 @@ def souriau_m(lift1, lift2, tol: Tolerances = DEFAULT):
     read off a signature (_witness_iota); disagreement is an error, never
     silently resolved.  The one witness tau = e^{i alpha} sigma1 shares
     sigma1's frame and is at least pi/(r + 1) from a coincidence with either
-    point (_witness_turn).  The check costs the direct pass, which it
-    shares, and one _witness_pass, solve and eigensolve.
+    point (_witness_turn).  The check reads tau's angles off the direct
+    pass, which it shares, and costs one solve and eigensolve.
     """
     return _souriau_report(lift1, lift2, tol)[0]
 
@@ -451,16 +439,18 @@ def _souriau_report(lift1, lift2, tol):
 def souriau_m_witness(lift1, lift2, wlift, tol: Tolerances = DEFAULT):
     """Souriau index through an explicit transverse witness:
     iota(sigma1, sigma2, tau) + m(lift1, tau~) + m(tau~, lift2), iota by the
-    signature of _witness_iota, with no frame of tau.  One _witness_pass
-    gives the (tau, sigma1), (tau, sigma2) and (sigma1, sigma2) angles.  The
-    report's raw value is iota plus the two unrounded Souriau values.
-    AmbiguityError when the witness does not separate the coincidence
-    directions of the pair."""
+    signature of _witness_iota, with no frame of tau.  One _angle_rows call
+    gives the (tau, sigma1), (tau, sigma2) and (sigma1, sigma2) angles, on
+    the matrices that _witness_iota also takes.  The report's raw value is
+    iota plus the two unrounded Souriau values.  AmbiguityError when the
+    witness does not separate the coincidence directions of the pair."""
     p1, p2, w = lift1.point, lift2.point, wlift.point
     for p in (p1, p2):
         if p.alg != w.alg:
             raise DomainError(f"algebra mismatch: {w.alg} vs {p.alg}")
-    rows, mats = _witness_pass(w, p1, p2, [0, 0, 1], [1, 2, 2])
+    rows = np.array([w.value.coords, p1.value.coords, p2.value.coords])
+    mats = None if w.alg.kind == SPIN else _to_matrix(w.alg, rows)
+    rows = _checked(_angle_rows(w.alg, rows, [0, 0, 1], [1, 2, 2], mats))
     masks = []
     for angles in rows[:2]:
         masks.append(_coincidence_split(angles, tol))
@@ -468,9 +458,6 @@ def souriau_m_witness(lift1, lift2, wlift, tol: Tolerances = DEFAULT):
             raise DomainError("witness must be transverse to both points")
     nulls = int(np.sum(_coincidence_split(rows[2], tol)))
     iota = _witness_iota(w, p1, p2, nulls, mats)
-    if iota is None:
-        raise AmbiguityError("the witness does not separate the coincidence "
-                             "directions of the pair")
     value, raw = _witness_sum(lift1, lift2, wlift, rows, masks, iota, tol)
     return IndexReport(value, raw, abs(raw - value), (w,))
 

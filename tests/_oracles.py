@@ -418,6 +418,14 @@ def spin_to_matrix_kind(alg):
     return target, mat
 
 
+def real_to_complex_kind(alg):
+    """(target algebra, coordinate matrix) of the inclusion of sym-r n into
+    herm-c n: the real coordinates are kept and zero imaginary coordinates
+    appended."""
+    target = al.algebra(al.HERM_C, alg.param)
+    return target, np.eye(target.dim, alg.dim)
+
+
 def map_word(word, target, mat):
     """The word on `target` whose generators are those of `word` carried
     through the coordinate map `mat`: offsets and factor operands are

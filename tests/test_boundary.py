@@ -674,6 +674,27 @@ def test_lift_and_shift(alg):
         bd.LiftedPoint(bd.unit_shilov(alg), 1.0)
 
 
+@pytest.mark.parametrize("value", [True, False, 0.5, 1.0, np.float64(2.0), math.nan,
+                                   "x", None, 1 + 0j])
+def test_lift_and_t_shift_take_an_integer(value):
+    """k of lift and n of t_shift are integers: bool is not one, and a
+    float, even an integral one, is refused naming k or n."""
+    lifted = bd.lift(bd.unit_shilov(al.algebra(al.SYM_R, 2)))
+    with pytest.raises(DomainError, match="^k must be an integer, got"):
+        bd.lift(lifted.point, value)
+    with pytest.raises(DomainError, match="^n must be an integer, got"):
+        bd.t_shift(lifted, value)
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_lift_and_t_shift_take_numpy_integers(alg):
+    sigma = bd.random_shilov(alg, np.random.default_rng(5))
+    for k in (np.int64(-2), np.int32(3), np.uint8(1)):
+        assert bd.lift(sigma, k).theta == bd.lift(sigma, int(k)).theta
+        lifted = bd.lift(sigma)
+        assert bd.t_shift(lifted, k).theta == bd.t_shift(lifted, int(k)).theta
+
+
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
 def test_lift_test_reads_only_the_phase(alg, monkeypatch):
     """A point that a looser BOUNDARY admits lifts, however far its |det| is
@@ -725,6 +746,57 @@ def test_inverse_word(alg):
         done += 1
         assert np.allclose(back.value.coords, sigma.value.coords, atol=1e-6)
     assert done == 10, f"only {done} of 10 words defined at their point"
+
+
+@pytest.mark.parametrize("plant", [{}, {"BOUNDARY": 1e-17}, {"RANK_CUTOFF": 0.5}],
+                         ids=["as-is", "image-refused", "gate-and-image-refuse"])
+@pytest.mark.parametrize("mode", ["tube", "mixed"])
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_determination_phi_makes_one_factor_pass(alg, mode, plant, monkeypatch):
+    """determination_phi runs the factor pass of its point once, and gives
+    the bits and the error of its gate, then the image's LinAlgError, then
+    the ShilovPoint test of g(sigma): those of _phi_rows followed by
+    apply_word.  The planted cutoffs, set once the points are drawn, make
+    the image's test, or the gate and the image's test, refuse."""
+    def composed(word, sigma):
+        phi = bd._checked(bd._phi_rows(word, sigma.value.coords[None]))[0]
+        bd.apply_word(word, sigma)
+        return float(phi)
+
+    cases = [drawn_word(alg, mode, seed) for seed in range(30)]
+    for name, value in plant.items():
+        monkeypatch.setattr(bd, name, value)
+    orig, calls, outcomes = bd._factor_rows, [], []
+
+    def counted(*args):
+        calls.append(1)
+        return orig(*args)
+
+    for word, sigma in cases:
+        got = outcome(lambda: bd.determination_phi(word, sigma))
+        want = outcome(lambda: composed(word, sigma))
+        if isinstance(want, float):
+            assert got == want
+        else:
+            assert (type(got), str(got)) == (type(want), str(want))
+        outcomes.append(type(want))
+        monkeypatch.setattr(bd, "_factor_rows", counted)
+        calls.clear()
+        outcome(lambda: bd.determination_phi(word, sigma))
+        assert len(calls) == 1
+        monkeypatch.setattr(bd, "_factor_rows", orig)
+    assert (DomainError if plant else float) in outcomes
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_word_composed_with_its_inverse_has_base_arg_zero(alg):
+    """g^{-1}(0) is read off the inverse word's own coordinate form, the
+    image compose_words takes, so g g^{-1} is seeded at exactly 0."""
+    rng = np.random.default_rng(39)
+    for _ in range(200):
+        word = bd.random_word(alg, rng, mode="mixed", n_gens=int(rng.integers(1, 5)),
+                              scale=float(rng.choice([0.4, 1.0])))
+        assert bd.compose_words(word, word.inverse()).base_arg == 0.0
 
 
 def test_base_arg_validation():

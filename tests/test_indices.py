@@ -387,8 +387,8 @@ def test_mu_at_tight_transverse_tolerance(alg):
                          ids=["sym-r-3", "herm-c-2", "spin-5"])
 def test_indices_make_one_pair_pass_per_pair(alg, monkeypatch):
     """No index builds w or a frame; each pair is passed through pair_angles
-    once, including the mu terms of inertia_j, arnold_nu and alm_n, and each
-    witness candidate tried through the angle kernel once."""
+    once, including the mu terms of inertia_j, arnold_nu and alm_n, and the
+    witness makes no second pass of the angle kernel."""
     frames, rows = [], []
 
     def count(mod, name, log, size=lambda *args: 1):
@@ -423,13 +423,17 @@ def test_indices_make_one_pair_pass_per_pair(alg, monkeypatch):
     ix.arnold_nu(shared_frame_lift(c1, angles[0]), shared_frame_lift(c2, angles[1]))
     assert frames == []
 
-    # the witness route: one direct pass, then exactly one pass of the angle
-    # kernel; the witness is e^{i alpha} sigma1 under the gap rule, bit for bit
-    calls = []
+    # the witness route: the direct pass is the one call of the angle kernel,
+    # since the witness's angles are read off it, and a matrix kind builds
+    # matrices twice, for that pass and for _witness_iota; the witness is
+    # e^{i alpha} sigma1 under the gap rule, bit for bit
+    calls, builds = [], []
     count(ix, "_angle_rows", calls)
+    count(ix, "_to_matrix", builds)
     lifts = (shared_frame_lift(c1, angles[0]), shared_frame_lift(c2, angles[1]))
     rep = ix.souriau_m(*lifts)
-    assert len(calls) == 2
+    assert len(calls) == 1
+    assert len(builds) == (0 if alg.kind == al.SPIN else 2)
     alpha = gap_rule_alpha(ix.pair_angles([c1], [c2])[0])
     want = np.exp(1j * alpha) * c1.value.coords
     assert rep.witnesses[0].value.coords.tobytes() == want.tobytes()
@@ -811,18 +815,11 @@ def test_witness_route_refuses_an_unclear_gap(monkeypatch):
 WITNESS_ALGEBRAS = ALGEBRAS + [al.algebra(al.SYM_R, 5), al.algebra(al.SPIN, 8)]
 
 
-@pytest.mark.parametrize("alg", WITNESS_ALGEBRAS,
-                         ids=[f"{a.kind}-{a.param}" for a in WITNESS_ALGEBRAS])
-def test_closed_form_witness_on_non_transverse_pairs(alg):
-    """On shared frames with 1..r coincidences and on deck shifts
-    (sigma, k), souriau_m equals the closed form (m_shared_frame, or 2k),
-    its witness is at least pi/(r + 1) from pi against both points, and
-    strict and permissive mode return the same report."""
-    rng = np.random.default_rng(84)
-    r = alg.rank
-    loose = Tolerances(mode=PERMISSIVE)
+def witness_cases(alg, rng):
+    """(lifts, closed-form m) of non-transverse pairs: shared frames with
+    1..r coincidences, 4 each, and the deck shifts (sigma, k), k in -2..2."""
     cases = []
-    for ell in range(1, r + 1):
+    for ell in range(1, alg.rank + 1):
         for _ in range(4):
             _, (a1, a2), (s1, s2) = shared_frame_points(alg, rng, 2, coincide=ell)
             k1, k2 = (int(k) for k in rng.integers(-2, 3, 2))
@@ -832,7 +829,19 @@ def test_closed_form_witness_on_non_transverse_pairs(alg):
     for k in range(-2, 3):
         sigma = bd.random_shilov(alg, rng)
         cases.append(((bd.lift(sigma), bd.lift(sigma, k)), 2 * k))
-    for lifts, want in cases:
+    return cases
+
+
+@pytest.mark.parametrize("alg", WITNESS_ALGEBRAS,
+                         ids=[f"{a.kind}-{a.param}" for a in WITNESS_ALGEBRAS])
+def test_closed_form_witness_on_non_transverse_pairs(alg):
+    """On shared frames with 1..r coincidences and on deck shifts
+    (sigma, k), souriau_m equals the closed form (m_shared_frame, or 2k),
+    its witness is at least pi/(r + 1) from pi against both points, and
+    strict and permissive mode return the same report."""
+    r = alg.rank
+    loose = Tolerances(mode=PERMISSIVE)
+    for lifts, want in witness_cases(alg, np.random.default_rng(84)):
         strict, permissive = ix.souriau_m(*lifts), ix.souriau_m(*lifts, loose)
         assert strict.value == want
         (tau,) = strict.witnesses
@@ -841,6 +850,84 @@ def test_closed_form_witness_on_non_transverse_pairs(alg):
         assert (permissive.value, permissive.raw, permissive.residual) \
             == (strict.value, strict.raw, strict.residual)
         assert permissive.witnesses[0].value.coords.tobytes() == tau.value.coords.tobytes()
+
+
+@pytest.mark.parametrize("alg", WITNESS_ALGEBRAS,
+                         ids=[f"{a.kind}-{a.param}" for a in WITNESS_ALGEBRAS])
+def test_witness_rows_are_an_angle_pass_of_the_witness(alg, monkeypatch):
+    """The witness rows read off the direct angles a_j, alpha - pi with
+    sigma1 and a_j + alpha with sigma2, are the rows that an _angle_rows
+    pass of (tau, sigma1) and (tau, sigma2) gives, within 1e-12 and on the
+    same side of the -pi/pi cut, and no coincidence is masked."""
+    orig, seen = ix._witness_sum, []
+
+    def recorded(lift1, lift2, wlift, rows, masks, iota, tol):
+        seen.append((wlift.point, rows, masks))
+        return orig(lift1, lift2, wlift, rows, masks, iota, tol)
+
+    monkeypatch.setattr(ix, "_witness_sum", recorded)
+    for (l1, l2), _ in witness_cases(alg, np.random.default_rng(85)):
+        seen.clear()
+        ix.souriau_m(l1, l2)
+        ((tau, rows, masks),) = seen
+        coords = np.array([p.value.coords for p in (tau, l1.point, l2.point)])
+        passed = bd._checked(ix._angle_rows(alg, coords, [0, 0], [1, 2]))
+        assert not np.any(masks)
+        for got, want in zip(rows, passed):
+            assert np.abs(-np.sort(-got) - want).max() <= 1e-12
+
+
+JORDAN_MAPS = [(al.algebra(al.SPIN, 3), orc.spin_to_matrix_kind),
+               (al.algebra(al.SPIN, 4), orc.spin_to_matrix_kind),
+               (al.algebra(al.SYM_R, 2), orc.real_to_complex_kind),
+               (al.algebra(al.SYM_R, 3), orc.real_to_complex_kind)]
+
+
+def index_outcome(fn, *args):
+    """The integer an index returns, or the class of its refusal."""
+    try:
+        return int(fn(*args))
+    except (AmbiguityError, DomainError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("alg, carry", JORDAN_MAPS,
+                         ids=[f"{a.kind}-{a.param}" for a, _ in JORDAN_MAPS])
+def test_indices_commute_with_jordan_isomorphism(alg, carry):
+    """The Jordan isomorphisms spin 3 -> sym-r 2 and spin 4 -> herm-c 2 and
+    the inclusion sym-r n -> herm-c n carry points by their coordinates and
+    lifts with theta kept; mu, maslov_iota, inertia_j, souriau_m and alm_n
+    are the same on both sides.  The pairs are random, shared frames with
+    0..r coincidences and deck shifts (sigma, k), so the witness route runs
+    on both sides."""
+    target, mat = carry(alg)
+    rng = np.random.default_rng(86)
+    triples, pairs = [], []
+    for _ in range(10):
+        triples.append([bd.random_shilov(alg, rng) for _ in range(3)])
+        pairs.append((bd.lift(triples[-1][0], 0), bd.lift(triples[-1][1], 1)))
+    for ell in range(alg.rank + 1):
+        for _ in range(4):
+            _, (a1, a2, _), points = shared_frame_points(alg, rng, 3, coincide=ell)
+            triples.append(points)
+            pairs.append((shared_frame_lift(points[0], a1, int(rng.integers(-2, 3))),
+                          shared_frame_lift(points[1], a2)))
+    for k in range(-2, 3):
+        sigma = bd.random_shilov(alg, rng)
+        pairs.append((bd.lift(sigma), bd.lift(sigma, k)))
+    witnessed = 0
+    for points in triples:
+        mapped = [bd.ShilovPoint(bd.ElementC(target, mat @ p.value.coords))
+                  for p in points]
+        for fn in (ix.maslov_iota, ix.inertia_j):
+            assert index_outcome(fn, *points) == index_outcome(fn, *mapped)
+        assert index_outcome(ix.mu, *points[:2]) == index_outcome(ix.mu, *mapped[:2])
+    for lifts in pairs:
+        mapped = [orc.map_lift(lifted, target, mat) for lifted in lifts]
+        for fn in (ix.souriau_m, ix.alm_n):
+            assert index_outcome(fn, *lifts) == index_outcome(fn, *mapped)
+        witnessed += len(ix.souriau_m(*mapped).witnesses)
+    assert witnessed >= 4 * alg.rank + 5
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
