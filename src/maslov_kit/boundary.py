@@ -25,7 +25,8 @@ elementwise sums, with no round trip through the matrix realization.
 The covering group acts on the universal cover here only, through one
 orbit walk: _power_lift takes K steps and act_lift is that walk at K = 1;
 turn_lift is the circle action.  The unchecked image and the constructor
-bypass the walk uses stay here.
+bypasses that the walk and the batched point test (shilov_rows) use stay
+here.
 """
 
 import math
@@ -237,21 +238,40 @@ class LiftedPoint:
         return self.point.alg
 
 
-def _passed_lift(alg, coords, theta):
-    """LiftedPoint(ShilovPoint(ElementC(alg, coords)), theta) for a row that
-    boundary_refusals(alg, rows, thetas) has passed with theta, so a finite
-    one: the constructors' tests, already run.  coords, which nothing else
-    holds, becomes the point's read-only array."""
+def _passed_point(alg, coords):
+    """ShilovPoint(ElementC(alg, coords)) for a finite row that
+    boundary_refusals(alg, rows) has passed: the constructor's test, already
+    run.  coords, which nothing else holds, becomes the point's read-only
+    array."""
     coords.setflags(write=False)
     value = object.__new__(ElementC)
     object.__setattr__(value, "alg", alg)
     object.__setattr__(value, "coords", coords)
     point = object.__new__(ShilovPoint)
     object.__setattr__(point, "value", value)
+    return point
+
+
+def _passed_lift(alg, coords, theta):
+    """LiftedPoint(ShilovPoint(ElementC(alg, coords)), theta) for a row that
+    boundary_refusals(alg, rows, thetas) has passed with theta, so a finite
+    one (_passed_point, with the lift test also run)."""
     lifted = object.__new__(LiftedPoint)
-    object.__setattr__(lifted, "point", point)
+    object.__setattr__(lifted, "point", _passed_point(alg, coords))
     object.__setattr__(lifted, "theta", theta)
     return lifted
+
+
+def shilov_rows(alg, coords):
+    """(points, refusals) of finite complex coordinate rows coords (N, dim),
+    tested in one boundary_refusals call: refusals is its {row: message},
+    and points[k] is ShilovPoint(ElementC(alg, coords[k])) built from a
+    read-only copy of row k with no second test, or None where row k is
+    refused.  Each row gets the verdict and the message that ShilovPoint
+    gives it alone."""
+    refusals = boundary_refusals(alg, coords)
+    return [None if k in refusals else _passed_point(alg, row.copy())
+            for k, row in enumerate(coords)], refusals
 
 
 def _integer(name, value, least=-math.inf):
@@ -699,7 +719,7 @@ class GroupWord:
     agree with Arg j(g, 0) modulo 2 pi (checked when used).
     """
 
-    __slots__ = ("alg", "generators", "base_arg", "_lf", "_form")
+    __slots__ = ("alg", "generators", "base_arg", "_lf", "_g", "_form")
 
     def __init__(self, alg, generators, base_arg=None):
         if not isinstance(alg, AlgebraDescriptor):
@@ -715,7 +735,7 @@ class GroupWord:
         self.base_arg = None if base_arg is None else float(base_arg)
         if self.base_arg is not None and not math.isfinite(self.base_arg):
             raise DomainError(f"base_arg must be finite, got {self.base_arg!r}")
-        self._lf = self._form = None
+        self._lf = self._g = self._form = None
 
     def is_unitary(self):
         return all(g.family == "unitary" for g in self.generators)
@@ -733,6 +753,21 @@ class GroupWord:
         Every use of G on coordinates reads its coordinate form instead
         (coordinate_form)."""
         if self._lf is None:
+            g, j0 = self._matrix()
+            phi0 = principal_arg(j0)
+            if self.base_arg is not None:
+                if abs(np.exp(1j * self.base_arg) - j0 / abs(j0)) > 1e-6:
+                    raise DomainError(
+                        "base_arg is not a determination of Arg j(g, 0) "
+                        f"(base_arg={self.base_arg:.6f}, principal={phi0:.6f})")
+                phi0 = self.base_arg
+            self._lf = (g, j0, phi0)
+        return self._lf
+
+    def _matrix(self):
+        """(G, j(g, 0)), built once per word from its generators; G is
+        read-only."""
+        if self._g is None:
             alg, m = self.alg, self.alg.param
             p, pinv = _cayley_matrices(alg)
             g = np.eye(_lf_size(alg), dtype=np.complex128)
@@ -750,33 +785,31 @@ class GroupWord:
                           / g[0, 0] ** 2)
             else:
                 j0 = _lapack.det(g) / _lapack.det(g[m:, m:]) ** 2
-            j0 = complex(j0)
-            phi0 = principal_arg(j0)
-            if self.base_arg is not None:
-                if abs(np.exp(1j * self.base_arg) - j0 / abs(j0)) > 1e-6:
-                    raise DomainError(
-                        "base_arg is not a determination of Arg j(g, 0) "
-                        f"(base_arg={self.base_arg:.6f}, principal={phi0:.6f})")
-                phi0 = self.base_arg
             g.setflags(write=False)
-            self._lf = (g, j0, phi0)
-        return self._lf
+            self._g = (g, complex(j0))
+        return self._g
 
     def coordinate_form(self):
         """The coordinate form of G (_LfForm), built once, on first use by
-        an image or a factor pass."""
+        an image or a factor pass; each use validates base_arg first
+        (linear_fractional)."""
+        g = self.linear_fractional()[0]
         if self._form is None:
-            self._form = _LfForm(self.alg, self.linear_fractional()[0])
+            self._form = _LfForm(self.alg, g)
         return self._form
 
     def inverse(self):
         """Inverse in the covering group: the determination is seeded at
         -phi(g, g^{-1}(0)), g^{-1}(0) being the image compose_words takes, so
         that g composed with g.inverse() is the identity element with base_arg
-        exactly 0, not a deck translate of it."""
+        exactly 0, not a deck translate of it.  The unseeded inverse word that
+        gives g^{-1}(0) hands its G and coordinate form to the returned word,
+        whose base_arg is still validated on first use."""
         gens = [g.inverse() for g in reversed(self.generators)]
-        phi = _phi_at_image_of_zero(self, GroupWord(self.alg, gens))
-        return GroupWord(self.alg, gens, base_arg=-phi)
+        unseeded = GroupWord(self.alg, gens)
+        word = GroupWord(self.alg, gens, base_arg=-_phi_at_image_of_zero(self, unseeded))
+        word._g, word._form = unseeded._g, unseeded._form
+        return word
 
     def __repr__(self):
         kinds = ",".join(type(g).__name__.replace("Gen", "") for g in self.generators)

@@ -26,6 +26,7 @@ from .boundary import (
     TranslateGen,
     UnitaryGen,
     celement,
+    shilov_rows,
 )
 from .dynamics import BoundaryPath
 from .errors import DomainError
@@ -247,17 +248,38 @@ def serialize_word(word):
 
 def parse_path(obj, where="path"):
     """Parse a sampled path: {"algebra": ..., "samples": [{"t": ...,
-    "coords_re": ..., "coords_im": ...}, ...]} with t from 0 to 1."""
+    "coords_re": ..., "coords_im": ...}, ...]} with t from 0 to 1.
+
+    The samples are checked against the schema in order (t, then coords_re,
+    then coords_im) up to the first that fails, and the coordinates of the
+    samples before it are tested for S in one batch (shilov_rows).  The
+    error raised is the one a sample-by-sample parse meets first: the
+    boundary refusal of the first refused sample if one is refused, else
+    the schema fault."""
     alg = parse_algebra(_require(obj, "algebra", where), where + ".algebra")
     raw = _require(obj, "samples", where)
     if not isinstance(raw, list) or len(raw) < 2:
         raise DomainError(f"{where}.samples: expected a list of at least 2 samples")
-    samples = []
+    ts, rows, fault = [], [], None
     for i, entry in enumerate(raw):
         spot = f"{where}.samples[{i}]"
-        t = _finite_number(_require(entry, "t", spot), f"{spot}.t")
-        samples.append((t, _point(entry, alg, spot)))
-    return BoundaryPath(samples)
+        try:
+            t = _finite_number(_require(entry, "t", spot), f"{spot}.t")
+            re = _coords(entry, "coords_re", alg, spot)
+            im = _coords(entry, "coords_im", alg, spot, required=False)
+        except DomainError as exc:
+            fault = exc
+            break
+        ts.append(t)
+        rows.append(re + 1j * im)       # the coordinates celement makes
+    if rows:
+        points, refusals = shilov_rows(alg, np.array(rows))
+        if refusals:
+            k = min(refusals)
+            raise DomainError(f"{where}.samples[{k}]: {refusals[k]}")
+    if fault is not None:
+        raise fault
+    return BoundaryPath(zip(ts, points))
 
 
 def serialize_path(path):

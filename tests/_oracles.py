@@ -426,6 +426,21 @@ def real_to_complex_kind(alg):
     return target, np.eye(target.dim, alg.dim)
 
 
+JORDAN_MAPS = [(al.algebra(al.SPIN, 3), spin_to_matrix_kind),
+               (al.algebra(al.SPIN, 4), spin_to_matrix_kind),
+               (al.algebra(al.SYM_R, 2), real_to_complex_kind),
+               (al.algebra(al.SYM_R, 3), real_to_complex_kind)]
+
+
+def index_outcome(fn, *args):
+    """The integer an index or a path count returns, or the class of its
+    refusal."""
+    try:
+        return int(fn(*args))
+    except (AmbiguityError, DomainError) as exc:
+        return type(exc)
+
+
 def map_word(word, target, mat):
     """The word on `target` whose generators are those of `word` carried
     through the coordinate map `mat`: offsets and factor operands are
@@ -445,7 +460,21 @@ def map_word(word, target, mat):
     return bd.GroupWord(target, gens, base_arg=word.base_arg)
 
 
+def map_point(point, target, mat):
+    """The boundary point on `target` with the mapped coordinates."""
+    return bd.ShilovPoint(bd.ElementC(target, mat @ point.value.coords))
+
+
 def map_lift(lifted, target, mat):
     """The lift on `target` with the mapped coordinates and the same theta."""
-    point = bd.ShilovPoint(bd.ElementC(target, mat @ lifted.point.value.coords))
-    return bd.LiftedPoint(point, lifted.theta)
+    return bd.LiftedPoint(map_point(lifted.point, target, mat), lifted.theta)
+
+
+def map_path(path, target, mat):
+    """The path on `target` whose samples, and whose sampler's points, are
+    those of `path` mapped, at the same t."""
+    def sampler(t):
+        return map_point(bd.as_shilov(path.sampler(t)), target, mat)
+
+    return dy.BoundaryPath([(t, map_point(p, target, mat)) for t, p in path.samples],
+                           sampler=None if path.sampler is None else sampler)

@@ -18,13 +18,16 @@ from maslov_kit import algebra as al
 from maslov_kit import boundary as bd
 from maslov_kit import cli
 from maslov_kit import dynamics as dy
+from maslov_kit import schemas as sc
 from maslov_kit import selftest as st
 from maslov_kit._serialize import dumps
 from maslov_kit.cli import GEN_KINDS, main
 from maslov_kit.config import DEFAULT, Tolerances
 from maslov_kit.errors import DomainError
 from maslov_kit.schemas import (
+    parse_algebra,
     parse_element,
+    parse_path,
     parse_word,
     serialize_element,
     serialize_path,
@@ -606,6 +609,139 @@ def test_path_arnold_reference_on_another_algebra_exit_2(tmp_path):
     assert res.stderr == f"error: {ref}.algebra: does not match the path\n"
 
 
+def loop_doc(alg, seed, n):
+    """The document of a one-turn phase loop on alg, n samples, read back
+    from its JSON text."""
+    sigma = bd.random_shilov(alg, np.random.default_rng(seed))
+    loop = dy.BoundaryPath.from_function(
+        lambda t: bd.ShilovPoint(np.exp(2j * math.pi * t) * sigma.value), n=n)
+    return json.loads(dumps(serialize_path(loop)))
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_parse_path_makes_one_boundary_pass(monkeypatch, alg):
+    """A valid 33-sample document is tested for S in one boundary_refusals
+    call, and each sample is the point ShilovPoint(celement(...)) of its
+    fields, bit for bit, on a read-only array of its own."""
+    doc = loop_doc(alg, 31, 33)
+    calls = []
+    refusals = bd.boundary_refusals
+
+    def counted(alg, coords, thetas=None):
+        calls.append(len(coords))
+        return refusals(alg, coords, thetas)
+
+    monkeypatch.setattr(bd, "boundary_refusals", counted)
+    path = parse_path(doc)
+    assert calls == [33]
+    monkeypatch.undo()
+    arrays = []
+    for (t, point), entry in zip(path.samples, doc["samples"]):
+        expected = bd.ShilovPoint(bd.celement(alg, entry["coords_re"], entry["coords_im"]))
+        coords = point.value.coords
+        assert t == entry["t"] and point.alg == alg
+        assert coords.dtype == expected.value.coords.dtype
+        assert coords.tobytes() == expected.value.coords.tobytes()
+        assert not coords.flags.writeable
+        assert not any(np.shares_memory(coords, other) for other in arrays)
+        arrays.append(coords)
+
+
+def per_sample_error(doc, where):
+    """The message of the sample-by-sample parse of a path document's
+    samples: each sample's t, then its coordinates and their ShilovPoint
+    test, in turn; None when every sample passes."""
+    alg = parse_algebra(doc["algebra"])
+    for i, entry in enumerate(doc["samples"]):
+        spot = f"{where}.samples[{i}]"
+        try:
+            sc._finite_number(sc._require(entry, "t", spot), f"{spot}.t")
+            sc._point(entry, alg, spot)
+        except DomainError as exc:
+            return str(exc)
+    return None
+
+
+def drop_t(entry):
+    del entry["t"]
+
+
+def nan_coordinate(entry):
+    entry["coords_im"][0] = math.nan
+
+
+def short_coordinates(entry):
+    entry["coords_re"].pop()
+
+
+def true_coordinate(entry):
+    entry["coords_re"][-1] = True
+
+
+def big_coordinate(entry):
+    entry["coords_re"][0] = 10**400
+
+
+SAMPLE_FAULTS = [drop_t, nan_coordinate, short_coordinates, true_coordinate,
+                 big_coordinate]
+
+
+def faulty_path_doc(alg, n, off, fault, at):
+    """A loop document whose sample `off` is scaled off S by 1 + 1e-5 and
+    whose sample `at` has the schema fault `fault` (None: no such sample)."""
+    doc = loop_doc(alg, 32, n)
+    if off is not None:
+        entry = doc["samples"][off]
+        for field in ("coords_re", "coords_im"):
+            entry[field] = [(1.0 + 1e-5) * v for v in entry[field]]
+    if at is not None:
+        fault(doc["samples"][at])
+    return doc
+
+
+@pytest.mark.parametrize("alg", [al.algebra(al.SYM_R, 2), al.algebra(al.HERM_C, 2),
+                                 al.algebra(al.SPIN, 3)], ids=lambda a: f"{a.kind}-{a.param}")
+def test_parse_path_raises_the_first_sample_error(alg):
+    """With a sample off S at i and a schema fault at j, i and j in {0, 1,
+    last, none}, the batched parse raises the sample-by-sample parse's
+    error: that of sample min(i, j), the schema fault where i = j, since a
+    sample's fields are checked before its point is tested."""
+    n, where = 7, "doc.json"
+    positions = [0, 1, n - 1, None]
+    for fault in SAMPLE_FAULTS:
+        for off in positions:
+            for at in positions:
+                doc = faulty_path_doc(alg, n, off, fault, at)
+                expected = per_sample_error(doc, where)
+                first = min((k for k in (off, at) if k is not None), default=None)
+                if first is None:
+                    assert expected is None
+                    assert len(parse_path(doc, where).samples) == n
+                    continue
+                with pytest.raises(DomainError) as err:
+                    parse_path(doc, where)
+                assert str(err.value) == expected, (fault.__name__, off, at)
+                assert expected.startswith(f"{where}.samples[{first}]")
+                boundary = "not on the Shilov boundary (residual"
+                assert (boundary in expected) == (off == first and at != first)
+
+
+def test_path_command_names_the_first_bad_sample(tmp_path):
+    """On the command line, a sample off S before a schema fault and a
+    schema fault before a sample off S each give one error line naming the
+    earlier sample, exit 2."""
+    alg = al.algebra(al.SYM_R, 2)
+    ref = write_doc(tmp_path / "ref.json", unit_doc(alg, -1.0))
+    f = tmp_path / "doc.json"
+    for off, at, message in [(1, 4, "samples[1]: not on the Shilov boundary (residual "),
+                             (4, 1, "samples[1].coords_im: coordinates must be finite")]:
+        f.write_text(json.dumps(faulty_path_doc(alg, 7, off, nan_coordinate, at)))
+        res = invoke("path", "--op", "arnold", str(f), ref)
+        assert res.exit_code == 2
+        assert res.stderr.startswith(f"error: {f}.{message}")
+        assert res.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("op", ["arnold", "pair"])
 def test_path_with_one_file_exit_2(tmp_path, op):
     loop = str(tmp_path / "loop.json")
@@ -1145,13 +1281,13 @@ def test_src_calls_lapack_only_through_its_module(tmp_path):
 
 
 UNCHECKED_KERNELS = {"_lf_image", "_factor_rows", "_phi_rows", "_passed_lift",
-                     "_coords_on"}
+                     "_passed_point", "_coords_on"}
 LAPACK_STATE = {"singular", "solve_in_state"}
 
 
 def unchecked_kernel_reads(src):
     """The reads of boundary's unchecked kernels (UNCHECKED_KERNELS: the
-    image that leaves its error state to the caller, the constructor bypass
+    image that leaves its error state to the caller, the constructor bypasses
     and the factor, determination and coordinate kernels) and of _lapack's
     singular and solve_in_state, in the modules of `src` other than
     boundary.py and _lapack.py, as "module:line name": every lift of the
@@ -1184,15 +1320,18 @@ def test_src_keeps_unchecked_kernels_in_boundary(tmp_path):
         "def walk(word, z, singular):\n"
         "    with _lapack.singular(), singular():\n"
         "        z = bd._lf_image(word.coordinate_form(), z)\n"
-        "    return bd._passed_lift(z, _phi_rows(word, z)), bd.act_lift\n")
+        "    return bd._passed_lift(z, _phi_rows(word, z)), bd.act_lift\n\n\n"
+        "def points(alg, rows):\n"
+        "    return bd.shilov_rows(alg, rows), bd._passed_point(alg, rows[0])\n")
     (tmp_path / "boundary.py").write_text(
         "def _coords_on(word, z):\n    return z\n\n"
         "def image(word, z):\n    return _coords_on(word, z)\n")
     (tmp_path / "_lapack.py").write_text(
         "def solve(a, b):\n    with singular():\n        return solve_in_state(a, b)\n")
     assert unchecked_kernel_reads(tmp_path) == [
-        "walk:3 solve_in_state", "walk:4 _phi_rows", "walk:7 singular",
-        "walk:8 _lf_image", "walk:9 _passed_lift", "walk:9 _phi_rows"]
+        "walk:13 _passed_point", "walk:3 solve_in_state", "walk:4 _phi_rows",
+        "walk:7 singular", "walk:8 _lf_image", "walk:9 _passed_lift",
+        "walk:9 _phi_rows"]
 
 
 def test_version_flag():

@@ -549,6 +549,39 @@ def test_pair_path_reproduces_arnold(alg):
     assert got == want
 
 
+@pytest.mark.parametrize("alg, carry", orc.JORDAN_MAPS,
+                         ids=[f"{a.kind}-{a.param}" for a, _ in orc.JORDAN_MAPS])
+def test_path_counts_commute_with_jordan_isomorphism(alg, carry):
+    """The Jordan isomorphisms spin 3 -> sym-r 2 and spin 4 -> herm-c 2 and
+    the inclusion sym-r n -> herm-c n carry a path sample by sample, and
+    its sampler point by point (orc.map_path): arnold_number and
+    pair_path_index are the same on both sides, on crossing-rich paths
+    against e and a random point, pairs of them, and phase loops of 1 and
+    -3 turns."""
+    target, mat = carry(alg)
+    rng = np.random.default_rng(87)
+    paths = [rich_path(alg, seed) for seed in (96, 97, 101)]
+    loops = [dy.BoundaryPath.from_function(
+        phase_loop(bd.random_shilov(alg, rng), turns), n=33) for turns in (1, -3)]
+    refs = [bd.unit_shilov(alg), bd.random_shilov(alg, rng)]
+    arnold = [(path, ref) for path in paths + loops for ref in refs]
+    pairs = list(zip(paths, paths[1:] + loops[:1]))
+    crossings = 0
+    for path, ref in arnold:
+        want = orc.index_outcome(dy.arnold_number, path, ref)
+        got = orc.index_outcome(dy.arnold_number, orc.map_path(path, target, mat),
+                           orc.map_point(ref, target, mat))
+        assert got == want
+        crossings += isinstance(want, int) and want != 0
+    for path1, path2 in pairs:
+        want = orc.index_outcome(dy.pair_path_index, path1, path2)
+        got = orc.index_outcome(dy.pair_path_index, orc.map_path(path1, target, mat),
+                           orc.map_path(path2, target, mat))
+        assert got == want
+        crossings += isinstance(want, int) and want != 0
+    assert crossings >= 8
+
+
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
 def test_pair_transverse_is_zero(alg):
     rng = np.random.default_rng(100)

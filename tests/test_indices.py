@@ -877,22 +877,8 @@ def test_witness_rows_are_an_angle_pass_of_the_witness(alg, monkeypatch):
             assert np.abs(-np.sort(-got) - want).max() <= 1e-12
 
 
-JORDAN_MAPS = [(al.algebra(al.SPIN, 3), orc.spin_to_matrix_kind),
-               (al.algebra(al.SPIN, 4), orc.spin_to_matrix_kind),
-               (al.algebra(al.SYM_R, 2), orc.real_to_complex_kind),
-               (al.algebra(al.SYM_R, 3), orc.real_to_complex_kind)]
-
-
-def index_outcome(fn, *args):
-    """The integer an index returns, or the class of its refusal."""
-    try:
-        return int(fn(*args))
-    except (AmbiguityError, DomainError) as exc:
-        return type(exc)
-
-
-@pytest.mark.parametrize("alg, carry", JORDAN_MAPS,
-                         ids=[f"{a.kind}-{a.param}" for a, _ in JORDAN_MAPS])
+@pytest.mark.parametrize("alg, carry", orc.JORDAN_MAPS,
+                         ids=[f"{a.kind}-{a.param}" for a, _ in orc.JORDAN_MAPS])
 def test_indices_commute_with_jordan_isomorphism(alg, carry):
     """The Jordan isomorphisms spin 3 -> sym-r 2 and spin 4 -> herm-c 2 and
     the inclusion sym-r n -> herm-c n carry points by their coordinates and
@@ -917,15 +903,15 @@ def test_indices_commute_with_jordan_isomorphism(alg, carry):
         pairs.append((bd.lift(sigma), bd.lift(sigma, k)))
     witnessed = 0
     for points in triples:
-        mapped = [bd.ShilovPoint(bd.ElementC(target, mat @ p.value.coords))
-                  for p in points]
+        mapped = [orc.map_point(p, target, mat) for p in points]
         for fn in (ix.maslov_iota, ix.inertia_j):
-            assert index_outcome(fn, *points) == index_outcome(fn, *mapped)
-        assert index_outcome(ix.mu, *points[:2]) == index_outcome(ix.mu, *mapped[:2])
+            assert orc.index_outcome(fn, *points) == orc.index_outcome(fn, *mapped)
+        assert (orc.index_outcome(ix.mu, *points[:2])
+                == orc.index_outcome(ix.mu, *mapped[:2]))
     for lifts in pairs:
         mapped = [orc.map_lift(lifted, target, mat) for lifted in lifts]
         for fn in (ix.souriau_m, ix.alm_n):
-            assert index_outcome(fn, *lifts) == index_outcome(fn, *mapped)
+            assert orc.index_outcome(fn, *lifts) == orc.index_outcome(fn, *mapped)
         witnessed += len(ix.souriau_m(*mapped).witnesses)
     assert witnessed >= 4 * alg.rank + 5
 
