@@ -12,8 +12,6 @@ documents produced here.  All schema violations raise DomainError naming
 the offending field.
 """
 
-import math
-
 import numpy as np
 
 from .algebra import KINDS, algebra, element
@@ -60,48 +58,120 @@ def serialize_algebra(alg):
     return {"kind": alg.kind, "param": alg.param}
 
 
-def _floats(raw, where):
-    """float64 of a JSON number or list, refusing integers past the float range."""
+_NUMBER_TYPES = {int, float}
+
+# field kinds of _columns: a finite number, a list of alg.dim finite numbers,
+# and such a list that reads as zeros when absent
+_NUMBER, _COORDS, _COORDS_OR_ZEROS = range(3)
+_POINT_FIELDS = (("coords_re", _COORDS), ("coords_im", _COORDS_OR_ZEROS))
+_PATH_FIELDS = (("t", _NUMBER),) + _POINT_FIELDS
+
+
+def _is_number(value):
+    """A JSON number: an int or a float (numpy's float64 too), not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _all_numbers(values):
+    """_is_number of every value, with the exact types tested at C level."""
+    return set(map(type, values)) <= _NUMBER_TYPES or all(map(_is_number, values))
+
+
+def _floats(values):
+    """(array, k): the float64 array of a list of numbers or of number lists,
+    and the index k of the first entry holding an integer past the float
+    range (None if there is none), where the array stops."""
     try:
-        return np.asarray(raw, dtype=np.float64)
+        return np.asarray(values, dtype=np.float64), None
     except OverflowError:
-        raise DomainError(f"{where}: integer beyond the float range") from None
+        for k in range(len(values)):        # the error path finds its entry
+            try:
+                np.asarray(values[k], dtype=np.float64)
+            except OverflowError:
+                return np.asarray(values[:k], dtype=np.float64), k
+        raise
 
 
-def _finite_number(value, where):
-    """The float of a number field that must be finite."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        number = float(_floats(value, where))
-        if math.isfinite(number):
-            return number
-    raise DomainError(f"{where}: expected a finite number, got {value!r}")
+def _columns(entries, fields, alg):
+    """The float64 columns of the number fields of a list of JSON objects,
+    with one conversion and one finiteness test per field over all rows.
+
+    `fields` lists (name, kind) in check order.  A loop over the rows makes
+    the structural checks, row by row and field by field (the row is an
+    object; the field is present, unless _COORDS_OR_ZEROS; it is a number,
+    or a list of numbers of length alg.dim), and stops at the first that
+    fails.  The values that passed are then converted field by field; an
+    integer past the float range or a value that is not finite is a fault
+    of its row and field.  The fault kept is the first by (row, field),
+    the one a row-by-row check meets first.
+
+    Returns (columns, fault): columns[f] holds field f on the rows before
+    the faulty one (on every row if there is none), and fault is (row,
+    message) with the message to append to that row's name, or None."""
+    dim = alg.dim
+    raws = [[] for _ in fields]
+    faults = []             # (row, field, message); field -1 for the row itself
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            faults.append((i, -1, ": expected a JSON object"))
+            break
+        for f, (name, kind) in enumerate(fields):
+            if name not in entry:
+                if kind != _COORDS_OR_ZEROS:
+                    faults.append((i, f, f".{name}: missing required field"))
+                    break
+                raws[f].append([0.0] * dim)
+                continue
+            value = entry[name]
+            if kind == _NUMBER:
+                if not _is_number(value):
+                    faults.append((i, f, f".{name}: expected a finite number, got {value!r}"))
+                    break
+            elif not isinstance(value, list) or not _all_numbers(value):
+                faults.append((i, f, f".{name}: expected a list of numbers"))
+                break
+            elif len(value) != dim:
+                faults.append((i, f, f".{name}: expected {dim} coordinates for "
+                                     f"{alg.kind}-{alg.param}, got {len(value)}"))
+                break
+            raws[f].append(value)
+        if faults:
+            break
+    columns = []
+    for f, (name, kind) in enumerate(fields):
+        values, big = _floats(raws[f])
+        if big is not None:
+            faults.append((big, f, f".{name}: integer beyond the float range"))
+        finite = np.isfinite(values)
+        if not finite.all():
+            row = int(np.argmin(finite.reshape(len(values), -1).all(axis=1)))
+            message = (f"expected a finite number, got {raws[f][row]!r}"
+                       if kind == _NUMBER else "coordinates must be finite")
+            faults.append((row, f, f".{name}: {message}"))
+        columns.append(values)
+    if not faults:
+        return columns, None
+    row, _, message = min(faults)
+    return [values[:row] for values in columns], (row, message)
 
 
-def _coords(obj, field, alg, where, required=True):
-    if field not in obj:
-        if required:
-            raise DomainError(f"{where}.{field}: missing required field")
-        return np.zeros(alg.dim)
-    raw = obj[field]
-    if not isinstance(raw, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw
-    ):
-        raise DomainError(f"{where}.{field}: expected a list of numbers")
-    if len(raw) != alg.dim:
-        raise DomainError(
-            f"{where}.{field}: expected {alg.dim} coordinates for "
-            f"{alg.kind}-{alg.param}, got {len(raw)}"
-        )
-    vals = _floats(raw, f"{where}.{field}")
-    if not np.all(np.isfinite(vals)):
-        raise DomainError(f"{where}.{field}: coordinates must be finite")
-    return vals
+def _row(obj, fields, alg, where):
+    """The one-row case of _columns: the values of obj's fields, or the
+    DomainError of the first check they fail."""
+    columns, fault = _columns([obj], fields, alg)
+    if fault is not None:
+        raise DomainError(where + fault[1])
+    return [values[0] for values in columns]
+
+
+def _coords(obj, field, alg, where):
+    """The float64 coordinates of obj's list field `field`."""
+    return _row(obj, ((field, _COORDS),), alg, where)[0]
 
 
 def _point(obj, alg, where):
     """The ShilovPoint of the coords_re / coords_im fields of obj."""
-    re = _coords(obj, "coords_re", alg, where)
-    im = _coords(obj, "coords_im", alg, where, required=False)
+    re, im = _row(obj, _POINT_FIELDS, alg, where)
     try:
         return ShilovPoint(celement(alg, re, im))
     except DomainError as exc:
@@ -116,11 +186,13 @@ def parse_element(obj, where="point"):
     if "theta" not in obj:
         return point
     theta = obj["theta"]
-    if not isinstance(theta, (int, float)) or isinstance(theta, bool):
+    if not _is_number(theta):
         raise DomainError(f"{where}.theta: expected a number, got {theta!r}")
-    theta = float(_floats(theta, f"{where}.theta"))
+    values, big = _floats([theta])
+    if big is not None:
+        raise DomainError(f"{where}.theta: integer beyond the float range")
     try:
-        return LiftedPoint(point, theta)
+        return LiftedPoint(point, float(values[0]))
     except DomainError as exc:
         raise DomainError(f"{where}.theta: {exc}") from exc
 
@@ -194,9 +266,9 @@ def parse_word(obj, where="word"):
         _parse_generator(g, alg, mode, f"{where}.generators[{i}]")
         for i, g in enumerate(raw_gens)
     ]
-    base_arg = obj.get("base_arg")
-    if base_arg is not None:
-        base_arg = _finite_number(base_arg, f"{where}.base_arg")
+    base_arg = None
+    if obj.get("base_arg") is not None:
+        base_arg = float(_row(obj, (("base_arg", _NUMBER),), alg, where)[0])
     return GroupWord(alg, gens, base_arg=base_arg)
 
 
@@ -246,39 +318,51 @@ def serialize_word(word):
     return doc
 
 
+def _time_fault(ts):
+    """(k, message) of the first sample whose finite time breaks BoundaryPath's
+    rule 0 = t_0 < t_1 < ... < t_{n-1} = 1 (within 1e-12 at the ends), with
+    the message to append to that sample's name, or None.  At the last
+    sample the order test comes before the end test."""
+    last = len(ts) - 1
+    if not abs(ts[0]) < 1e-12:
+        return 0, f".t: the path must start at t = 0, got {float(ts[0])!r}"
+    steps = np.flatnonzero(np.diff(ts) <= 0)
+    if len(steps):
+        k = int(steps[0]) + 1
+        return k, (f".t: sample times must be strictly increasing, got "
+                   f"{float(ts[k])!r} after {float(ts[k - 1])!r}")
+    if not abs(ts[last] - 1.0) < 1e-12:
+        return last, f".t: the path must end at t = 1, got {float(ts[last])!r}"
+    return None
+
+
 def parse_path(obj, where="path"):
     """Parse a sampled path: {"algebra": ..., "samples": [{"t": ...,
     "coords_re": ..., "coords_im": ...}, ...]} with t from 0 to 1.
 
-    The samples are checked against the schema in order (t, then coords_re,
-    then coords_im) up to the first that fails, and the coordinates of the
-    samples before it are tested for S in one batch (shilov_rows).  The
-    error raised is the one a sample-by-sample parse meets first: the
-    boundary refusal of the first refused sample if one is refused, else
-    the schema fault."""
+    The samples' fields are read by _columns: a structural check of each
+    sample (t, then coords_re, then coords_im) up to the first that fails,
+    then one float64 conversion and one finiteness test per field over all
+    the samples before it.  The coordinates of the samples before the first
+    faulty one are tested for S in one batch (shilov_rows).  The error
+    raised is the one a sample-by-sample parse meets first: the boundary
+    refusal of the first refused sample if one is refused, else the schema
+    fault.  Only then are the times checked, and the first sample out of
+    order is named as {where}.samples[k].t."""
     alg = parse_algebra(_require(obj, "algebra", where), where + ".algebra")
     raw = _require(obj, "samples", where)
     if not isinstance(raw, list) or len(raw) < 2:
         raise DomainError(f"{where}.samples: expected a list of at least 2 samples")
-    ts, rows, fault = [], [], None
-    for i, entry in enumerate(raw):
-        spot = f"{where}.samples[{i}]"
-        try:
-            t = _finite_number(_require(entry, "t", spot), f"{spot}.t")
-            re = _coords(entry, "coords_re", alg, spot)
-            im = _coords(entry, "coords_im", alg, spot, required=False)
-        except DomainError as exc:
-            fault = exc
-            break
-        ts.append(t)
-        rows.append(re + 1j * im)       # the coordinates celement makes
-    if rows:
-        points, refusals = shilov_rows(alg, np.array(rows))
+    (ts, re, im), fault = _columns(raw, _PATH_FIELDS, alg)
+    if len(ts):
+        points, refusals = shilov_rows(alg, re + 1j * im)   # the coordinates celement makes
         if refusals:
             k = min(refusals)
             raise DomainError(f"{where}.samples[{k}]: {refusals[k]}")
+    if fault is None:
+        fault = _time_fault(ts)
     if fault is not None:
-        raise fault
+        raise DomainError(f"{where}.samples[{fault[0]}]{fault[1]}")
     return BoundaryPath(zip(ts, points))
 
 

@@ -15,7 +15,10 @@ of Delta_g through the matrix realization of each point instead of a word's
 coordinate form, and the witness signature through the root tau^{-1/2}
 instead of tau and the two points.  The spin pair kernel is also kept in its
 earlier form, one Lie-sphere pass per side with np.linalg.norm, as the
-reference that the one-pass kernel must match byte for byte.
+reference that the one-pass kernel must match byte for byte.  A path
+document's fields are read one sample and one field at a time, each with its
+own conversion and finiteness test, instead of one pass per field over all
+the samples, and its times are checked one sample at a time.
 """
 
 import itertools
@@ -478,3 +481,79 @@ def map_path(path, target, mat):
 
     return dy.BoundaryPath([(t, map_point(p, target, mat)) for t, p in path.samples],
                            sampler=None if path.sampler is None else sampler)
+
+
+# The sample-by-sample field rules of a document: each field of one object is
+# converted and tested on its own.
+
+def require(obj, field, where):
+    if not isinstance(obj, dict):
+        raise DomainError(f"{where}: expected a JSON object")
+    if field not in obj:
+        raise DomainError(f"{where}.{field}: missing required field")
+    return obj[field]
+
+
+def floats(raw, where):
+    """float64 of a JSON number or list, refusing integers past the float range."""
+    try:
+        return np.asarray(raw, dtype=np.float64)
+    except OverflowError:
+        raise DomainError(f"{where}: integer beyond the float range") from None
+
+
+def finite_number(value, where):
+    """The float of a number field that must be finite."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        number = float(floats(value, where))
+        if math.isfinite(number):
+            return number
+    raise DomainError(f"{where}: expected a finite number, got {value!r}")
+
+
+def coords(obj, field, alg, where, required=True):
+    if field not in obj:
+        if required:
+            raise DomainError(f"{where}.{field}: missing required field")
+        return np.zeros(alg.dim)
+    raw = obj[field]
+    if not isinstance(raw, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw
+    ):
+        raise DomainError(f"{where}.{field}: expected a list of numbers")
+    if len(raw) != alg.dim:
+        raise DomainError(
+            f"{where}.{field}: expected {alg.dim} coordinates for "
+            f"{alg.kind}-{alg.param}, got {len(raw)}"
+        )
+    vals = floats(raw, f"{where}.{field}")
+    if not np.all(np.isfinite(vals)):
+        raise DomainError(f"{where}.{field}: coordinates must be finite")
+    return vals
+
+
+def point(obj, alg, where):
+    """The ShilovPoint of the coords_re / coords_im fields of obj."""
+    re = coords(obj, "coords_re", alg, where)
+    im = coords(obj, "coords_im", alg, where, required=False)
+    try:
+        return bd.ShilovPoint(bd.celement(alg, re, im))
+    except DomainError as exc:
+        raise DomainError(f"{where}: {exc}") from exc
+
+
+def path_time_error(times, where):
+    """The message naming the first sample, in order, whose time breaks
+    0 = t_0 < t_1 < ... < t_{n-1} = 1 (within 1e-12 at the ends), or None:
+    at one sample, the start, then the order, then the end."""
+    last = len(times) - 1
+    for k, t in enumerate(times):
+        spot = f"{where}.samples[{k}].t"
+        if k == 0 and not abs(t) < 1e-12:
+            return f"{spot}: the path must start at t = 0, got {t!r}"
+        if k > 0 and not t > times[k - 1]:
+            return (f"{spot}: sample times must be strictly increasing, "
+                    f"got {t!r} after {times[k - 1]!r}")
+        if k == last and not abs(t - 1.0) < 1e-12:
+            return f"{spot}: the path must end at t = 1, got {t!r}"
+    return None

@@ -13,6 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 from _cases import ALGEBRAS, IDS, minus_i_eps
+import _oracles as orc
 import maslov_kit
 from maslov_kit import algebra as al
 from maslov_kit import boundary as bd
@@ -649,17 +650,19 @@ def test_parse_path_makes_one_boundary_pass(monkeypatch, alg):
 
 def per_sample_error(doc, where):
     """The message of the sample-by-sample parse of a path document's
-    samples: each sample's t, then its coordinates and their ShilovPoint
-    test, in turn; None when every sample passes."""
+    samples (the _oracles rules): each sample's t, then its coordinates and
+    their ShilovPoint test, in turn, then the times in order; None when
+    every sample passes."""
     alg = parse_algebra(doc["algebra"])
+    times = []
     for i, entry in enumerate(doc["samples"]):
         spot = f"{where}.samples[{i}]"
         try:
-            sc._finite_number(sc._require(entry, "t", spot), f"{spot}.t")
-            sc._point(entry, alg, spot)
+            times.append(orc.finite_number(orc.require(entry, "t", spot), f"{spot}.t"))
+            orc.point(entry, alg, spot)
         except DomainError as exc:
             return str(exc)
-    return None
+    return orc.path_time_error(times, where)
 
 
 def drop_t(entry):
@@ -682,20 +685,70 @@ def big_coordinate(entry):
     entry["coords_re"][0] = 10**400
 
 
+def text_t(entry):
+    entry["t"] = "x"
+
+
+def nan_t(entry):
+    entry["t"] = math.nan
+
+
+def true_t(entry):
+    entry["t"] = True
+
+
+def big_t(entry):
+    entry["t"] = 10**400
+
+
+def drop_coords_re(entry):
+    del entry["coords_re"]
+
+
+def scalar_coords_re(entry):
+    entry["coords_re"] = 1.5
+
+
+def text_coordinate(entry):
+    entry["coords_re"][1] = "1.0"
+
+
+def nested_coordinate(entry):
+    entry["coords_im"][0] = [1.0]
+
+
+def not_an_object(entry):
+    return [entry["t"], entry["coords_re"], entry["coords_im"]]
+
+
+def text_t_and_coords_re(entry):
+    entry["t"] = "x"
+    entry["coords_re"] = "x"
+
+
+def inf_coordinate_and_short_im(entry):
+    entry["coords_re"][2] = -math.inf
+    entry["coords_im"].pop()
+
+
 SAMPLE_FAULTS = [drop_t, nan_coordinate, short_coordinates, true_coordinate,
-                 big_coordinate]
+                 big_coordinate, text_t, nan_t, true_t, big_t, drop_coords_re,
+                 scalar_coords_re, text_coordinate, nested_coordinate,
+                 not_an_object, text_t_and_coords_re, inf_coordinate_and_short_im]
 
 
 def faulty_path_doc(alg, n, off, fault, at):
     """A loop document whose sample `off` is scaled off S by 1 + 1e-5 and
-    whose sample `at` has the schema fault `fault` (None: no such sample)."""
+    whose sample `at` has the schema fault `fault` (None: no such sample).
+    A fault changes the sample in place or returns what replaces it."""
     doc = loop_doc(alg, 32, n)
+    samples = doc["samples"]
     if off is not None:
-        entry = doc["samples"][off]
+        entry = samples[off]
         for field in ("coords_re", "coords_im"):
             entry[field] = [(1.0 + 1e-5) * v for v in entry[field]]
     if at is not None:
-        fault(doc["samples"][at])
+        samples[at] = fault(samples[at]) or samples[at]
     return doc
 
 
@@ -740,6 +793,159 @@ def test_path_command_names_the_first_bad_sample(tmp_path):
         assert res.exit_code == 2
         assert res.stderr.startswith(f"error: {f}.{message}")
         assert res.stderr.count("\n") == 1
+
+
+def test_parse_path_converts_each_field_once(monkeypatch):
+    """A valid document's fields are converted by one _floats call each (t,
+    coords_re, coords_im), whatever its number of samples."""
+    calls = []
+    floats = sc._floats
+
+    def counted(*args):
+        calls.append(args)
+        return floats(*args)
+
+    monkeypatch.setattr(sc, "_floats", counted)
+    for alg in ALGEBRAS:
+        counts = []
+        for n in (9, 33):
+            calls.clear()
+            assert len(parse_path(loop_doc(alg, 33, n)).samples) == n
+            counts.append(len(calls))
+        assert counts == [3, 3], alg
+
+
+def test_parse_path_takes_numpy_floats():
+    """A library caller may hand numpy floats for t and the coordinates: the
+    path is the one the same document of Python floats gives, bit for bit."""
+    alg = al.algebra(al.HERM_C, 2)
+    doc = loop_doc(alg, 34, 9)
+    numpy_doc = {"algebra": doc["algebra"], "samples": [
+        {"t": np.float64(entry["t"]),
+         "coords_re": list(np.array(entry["coords_re"])),
+         "coords_im": list(np.array(entry["coords_im"]))}
+        for entry in doc["samples"]]}
+    assert type(numpy_doc["samples"][1]["coords_re"][0]) is np.float64
+    for (t, point), (u, other) in zip(parse_path(numpy_doc).samples,
+                                      parse_path(doc).samples):
+        assert t == u
+        assert point.value.coords.tobytes() == other.value.coords.tobytes()
+
+
+@pytest.mark.parametrize("op, bad_first", [("arnold", True), ("pair", True),
+                                           ("pair", False)])
+def test_path_names_the_sample_out_of_time_order(tmp_path, op, bad_first):
+    """A first t that is not 0, a repeated t or a last t short of 1 is refused
+    with exit 2, naming the file and the sample, in whichever of the two
+    files of --op pair it sits.  The library keeps its own messages."""
+    alg = al.algebra(al.SYM_R, 2)
+    good = str(tmp_path / "good.json")
+    invoke("gen", "--kind", "loop", "--seed", "4", "--n", "9", "--out", good)
+    other = good if op == "pair" else write_doc(tmp_path / "ref.json", unit_doc(alg, -1.0))
+    bad = tmp_path / "bad.json"
+    for k, t, message in [
+            (0, 0.001, "samples[0].t: the path must start at t = 0, got 0.001"),
+            (3, 0.25, "samples[3].t: sample times must be strictly increasing, "
+                      "got 0.25 after 0.25"),
+            (8, 0.9999, "samples[8].t: the path must end at t = 1, got 0.9999")]:
+        doc = json.loads(Path(good).read_text())
+        doc["samples"][k]["t"] = t
+        write_doc(bad, doc)
+        files = (str(bad), other) if bad_first else (other, str(bad))
+        res = invoke("path", "--op", op, *files)
+        assert res.exit_code == 2
+        assert res.stderr == f"error: {bad}.{message}\n"
+        assert orc.path_time_error([e["t"] for e in doc["samples"]], str(bad)) \
+            == f"{bad}.{message}"
+        samples = [(e["t"], bd.ShilovPoint(bd.celement(alg, e["coords_re"], e["coords_im"])))
+                   for e in doc["samples"]]
+        with pytest.raises(DomainError, match="^path (parameter|sample times)"):
+            dy.BoundaryPath(samples)
+
+
+GRID_VALUES = [math.nan, math.inf, -math.inf, 1e308, 1e-320, -0.0, 10**400, "x",
+               None, [], {}, True, [1.0], 1.5]
+
+
+def grid_docs(doc):
+    """The grid's changes of a path document: in samples 0, 1 and the last,
+    each field and each of the first 3 entries of a coordinate list replaced
+    by each GRID_VALUES value, and each field deleted."""
+    n = len(doc["samples"])
+    for k in (0, 1, n - 1):
+        for field in ("t", "coords_re", "coords_im"):
+            for j in [None] + ([] if field == "t" else [0, 1, 2]):
+                for value in GRID_VALUES + (["delete"] if j is None else []):
+                    samples = list(doc["samples"])
+                    entry = samples[k] = dict(samples[k])
+                    if value == "delete":
+                        del entry[field]
+                    elif j is None:
+                        entry[field] = value
+                    else:
+                        entry[field] = list(entry[field])
+                        entry[field][j] = value
+                    yield {"algebra": doc["algebra"], "samples": samples}
+
+
+def library_path_outcome(op, first, second):
+    """(exit code, stdout, stderr) that `path --op op` should give on two
+    valid documents, from the library: BoundaryPath and the flow of their
+    points, with no schema parse."""
+    def as_path(doc):
+        alg = parse_algebra(doc["algebra"])
+        return dy.BoundaryPath([(e["t"], bd.ShilovPoint(bd.celement(
+            alg, e["coords_re"], e.get("coords_im")))) for e in doc["samples"]])
+
+    path = as_path(first)
+    try:
+        if op == "arnold":
+            ref = parse_element(second)
+            value, records = dy.arnold_count(dy.eigenangle_flow(path, ref), DEFAULT)
+        else:
+            flow = dy.eigenangle_flow(as_path(second), path)
+            value, records = dy.pair_path_count(flow, DEFAULT)
+    except (DomainError, maslov_kit.AmbiguityError) as exc:
+        code = 3 if isinstance(exc, maslov_kit.AmbiguityError) else 2
+        return code, "", f"error: {exc}\n"
+    return 0, dumps({
+        "op": op, "algebra": first["algebra"], "mode": DEFAULT.mode,
+        "value": int(value),
+        "crossings": [{"t": float(r.t), "strand": int(r.strand), "sign": int(r.sign)}
+                      for r in records]}), ""
+
+
+# a 1e308 coordinate overflows numpy arithmetic in the boundary test
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("alg", [al.algebra(al.SYM_R, 2), al.algebra(al.HERM_C, 2),
+                                 al.algebra(al.SPIN, 3)], ids=lambda a: f"{a.kind}-{a.param}")
+def test_path_command_grid_of_sample_faults(tmp_path, alg):
+    """Every change of the grid (grid_docs) on a 9-sample loop, in turn
+    through --op arnold, --op pair as the first file and --op pair as the
+    second: a document the sample-by-sample rules refuse exits 2 with one
+    error line, their message, and any other gives the library's output."""
+    doc = loop_doc(alg, 32, 9)
+    ref = unit_doc(alg, -1.0)
+    partner = loop_doc(alg, 35, 9)
+    other = {"arnold": write_doc(tmp_path / "ref.json", ref),
+             "pair": write_doc(tmp_path / "partner.json", partner)}
+    bad = tmp_path / "doc.json"
+    exits = set()
+    for i, changed in enumerate(grid_docs(doc)):
+        op, bad_first = [("arnold", True), ("pair", True), ("pair", False)][i % 3]
+        bad.write_text(json.dumps(changed))
+        files = (str(bad), other[op]) if bad_first else (other[op], str(bad))
+        res = runner.invoke(main, ["path", "--op", op, *files])
+        message = per_sample_error(changed, str(bad))
+        if message is not None:
+            assert (res.exit_code, res.stdout, res.stderr) == (2, "", f"error: {message}\n")
+        else:
+            docs = (changed, ref if op == "arnold" else partner)
+            expected = library_path_outcome(op, *(docs if bad_first else docs[::-1]))
+            assert (res.exit_code, res.stdout, res.stderr) == expected
+        exits.add(res.exit_code)
+    assert i + 1 == 3 * (15 + 2 * (15 + 3 * 14))
+    assert exits == {0, 2}
 
 
 @pytest.mark.parametrize("op", ["arnold", "pair"])
