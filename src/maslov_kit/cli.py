@@ -36,11 +36,14 @@ LIFTED_OPS = ("souriau", "arnold", "alm")
 
 
 def exit_codes(fn):
-    """DomainError exits 2, AmbiguityError (integrality included) exits 3."""
+    """DomainError exits 2, AmbiguityError (integrality included) exits 3,
+    each with one `error:` line: numpy's warnings are off in the command
+    (_lapack's own error states still raise LinAlgError inside it)."""
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
-            return fn(*args, **kwargs)
+            with np.errstate(all="ignore"):
+                return fn(*args, **kwargs)
         except AmbiguityError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
@@ -84,14 +87,18 @@ def _read_docs(paths):
 
 
 def tol_options(fn):
+    """--tol-transverse and --mode, which every index command reads."""
     fn = click.option("--tol-transverse", type=float, default=None,
                       help="Angle distance to pi treated as a coincidence.")(fn)
-    fn = click.option("--tol-int", type=float, default=None,
-                      help="Largest accepted distance to an integer.")(fn)
     fn = click.option("--mode", metavar=f"[{STRICT}|{PERMISSIVE}]",
                       default=STRICT, show_default=True,
                       help="Gray-zone policy near coincidence thresholds.")(fn)
     return fn
+
+
+# compute and rotation round a real number; path counts and rounds nothing
+tol_int_option = click.option("--tol-int", type=float, default=None,
+                              help="Largest accepted distance to an integer.")
 
 
 def _build_tol(tol_transverse, tol_int, mode):
@@ -121,6 +128,7 @@ def main():
 @click.option("--op", "op", required=True,
               type=click.Choice(sorted(OP_ARITY)), help="Index to compute.")
 @tol_options
+@tol_int_option
 @click.argument("files", nargs=-1, required=True)
 @exit_codes
 def compute(op, tol_transverse, tol_int, mode, files):
@@ -182,6 +190,7 @@ def compute(op, tol_transverse, tol_int, mode, files):
 @click.option("--base", "base_file", default=None,
               help="Optional base lift file (defaults to a fixed generic lift).")
 @tol_options
+@tol_int_option
 @click.argument("word_file")
 @exit_codes
 def rotation(power, base_file, tol_transverse, tol_int, mode, word_file):
@@ -215,9 +224,9 @@ def rotation(power, base_file, tol_transverse, tol_int, mode, word_file):
 @tol_options
 @click.argument("files", nargs=-1, required=True)
 @exit_codes
-def path(op, csv_file, tol_transverse, tol_int, mode, files):
+def path(op, csv_file, tol_transverse, mode, files):
     """Crossing indices along sampled boundary paths."""
-    tol = _build_tol(tol_transverse, tol_int, mode)
+    tol = _build_tol(tol_transverse, None, mode)
     if len(files) != 2:
         raise DomainError(f"op {op} expects 2 files, got {len(files)}")
     if op == "arnold":

@@ -26,7 +26,7 @@ from . import boundary as bd
 from .algebra import standard_frame
 from .config import DEFAULT, STRICT, Tolerances
 from .errors import AmbiguityError, DomainError, MaslovKitError
-from .indices import _pair_rows, souriau_m
+from .indices import _pair_rows, _row_error, souriau_m
 
 TWO_PI = 2.0 * math.pi
 STRAND_STEP_LIMIT = math.pi / 4
@@ -50,6 +50,10 @@ class BoundaryPath:
     `samples` is a list of (t, ShilovPoint) with t strictly increasing from
     0 to 1.  A `sampler` callback t -> ShilovPoint allows adaptive
     refinement when strands move too fast between stored samples.
+
+    The one check of the time rule: the start, the order (a NaN fails it),
+    then the end, within 1e-12.  A refusal of a time or of a sample on
+    another algebra names its sample in `row`, as pair_angles's do.
     """
 
     __slots__ = ("samples", "sampler")
@@ -59,15 +63,19 @@ class BoundaryPath:
         if len(samples) < 2:
             raise DomainError("a path needs at least two samples")
         ts = np.array([t for t, _ in samples])
-        if not (abs(ts[0]) < 1e-12 and abs(ts[-1] - 1.0) < 1e-12):
-            raise DomainError("path parameter must run from 0 to 1")
-        if not np.all(np.diff(ts) > 0):     # a NaN or an infinity fails too
-            raise DomainError("path sample times must be finite and strictly "
-                              "increasing")
+        if not abs(ts[0]) < 1e-12:
+            raise _row_error(0, f"the path must start at t = 0, got {float(ts[0])!r}")
+        steps = np.flatnonzero(~(np.diff(ts) > 0))
+        if len(steps):
+            k = int(steps[0]) + 1
+            raise _row_error(k, f"sample times must be strictly increasing, got "
+                                f"{float(ts[k])!r} after {float(ts[k - 1])!r}")
+        if not abs(ts[-1] - 1.0) < 1e-12:
+            raise _row_error(len(ts) - 1, f"the path must end at t = 1, got {float(ts[-1])!r}")
         alg = samples[0][1].alg
-        for _, p in samples:
+        for k, (_, p) in enumerate(samples):
             if p.alg != alg:
-                raise DomainError("all path samples must share one algebra")
+                raise _row_error(k, "all path samples must share one algebra")
         object.__setattr__(self, "samples", tuple(samples))
         object.__setattr__(self, "sampler", sampler)
 

@@ -210,7 +210,8 @@ def _angle_rows(alg, rows, s, t, mats=None):
 
 
 def _row_error(row, message):
-    """The DomainError of pair_angles for its first refused pair."""
+    """A DomainError naming in `row` the row it refuses: the first refused
+    pair of pair_angles, or the first faulty sample of a BoundaryPath."""
     exc = DomainError(message)
     exc.row = row
     return exc

@@ -180,19 +180,15 @@ def _point(obj, alg, where):
 
 def parse_element(obj, where="point"):
     """Parse a point document into a ShilovPoint, or a LiftedPoint if a
-    `theta` field is present."""
+    `theta` field is present: a finite number, read by _columns as
+    base_arg is, and refused as {where}.theta where LiftedPoint refuses it."""
     alg = parse_algebra(_require(obj, "algebra", where), where + ".algebra")
     point = _point(obj, alg, where)
     if "theta" not in obj:
         return point
-    theta = obj["theta"]
-    if not _is_number(theta):
-        raise DomainError(f"{where}.theta: expected a number, got {theta!r}")
-    values, big = _floats([theta])
-    if big is not None:
-        raise DomainError(f"{where}.theta: integer beyond the float range")
+    theta = _row(obj, (("theta", _NUMBER),), alg, where)[0]
     try:
-        return LiftedPoint(point, float(values[0]))
+        return LiftedPoint(point, float(theta))
     except DomainError as exc:
         raise DomainError(f"{where}.theta: {exc}") from exc
 
@@ -318,24 +314,6 @@ def serialize_word(word):
     return doc
 
 
-def _time_fault(ts):
-    """(k, message) of the first sample whose finite time breaks BoundaryPath's
-    rule 0 = t_0 < t_1 < ... < t_{n-1} = 1 (within 1e-12 at the ends), with
-    the message to append to that sample's name, or None.  At the last
-    sample the order test comes before the end test."""
-    last = len(ts) - 1
-    if not abs(ts[0]) < 1e-12:
-        return 0, f".t: the path must start at t = 0, got {float(ts[0])!r}"
-    steps = np.flatnonzero(np.diff(ts) <= 0)
-    if len(steps):
-        k = int(steps[0]) + 1
-        return k, (f".t: sample times must be strictly increasing, got "
-                   f"{float(ts[k])!r} after {float(ts[k - 1])!r}")
-    if not abs(ts[last] - 1.0) < 1e-12:
-        return last, f".t: the path must end at t = 1, got {float(ts[last])!r}"
-    return None
-
-
 def parse_path(obj, where="path"):
     """Parse a sampled path: {"algebra": ..., "samples": [{"t": ...,
     "coords_re": ..., "coords_im": ...}, ...]} with t from 0 to 1.
@@ -347,8 +325,8 @@ def parse_path(obj, where="path"):
     faulty one are tested for S in one batch (shilov_rows).  The error
     raised is the one a sample-by-sample parse meets first: the boundary
     refusal of the first refused sample if one is refused, else the schema
-    fault.  Only then are the times checked, and the first sample out of
-    order is named as {where}.samples[k].t."""
+    fault.  Only then is the BoundaryPath built; its time check names the
+    first sample out of order in `row`, raised as {where}.samples[row].t."""
     alg = parse_algebra(_require(obj, "algebra", where), where + ".algebra")
     raw = _require(obj, "samples", where)
     if not isinstance(raw, list) or len(raw) < 2:
@@ -359,11 +337,12 @@ def parse_path(obj, where="path"):
         if refusals:
             k = min(refusals)
             raise DomainError(f"{where}.samples[{k}]: {refusals[k]}")
-    if fault is None:
-        fault = _time_fault(ts)
     if fault is not None:
         raise DomainError(f"{where}.samples[{fault[0]}]{fault[1]}")
-    return BoundaryPath(zip(ts, points))
+    try:
+        return BoundaryPath(zip(ts, points))
+    except DomainError as exc:
+        raise DomainError(f"{where}.samples[{exc.row}].t: {exc}") from exc
 
 
 def serialize_path(path):

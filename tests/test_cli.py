@@ -1,10 +1,12 @@
 """CLI contract: document schemas, exit codes, worked examples."""
 
 import ast
+import copy
 import csv
 import io
 import json
 import math
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from maslov_kit import algebra as al
 from maslov_kit import boundary as bd
 from maslov_kit import cli
 from maslov_kit import dynamics as dy
+from maslov_kit import indices as ix
 from maslov_kit import schemas as sc
 from maslov_kit import selftest as st
 from maslov_kit._serialize import dumps
@@ -30,6 +33,7 @@ from maslov_kit.schemas import (
     parse_element,
     parse_path,
     parse_word,
+    serialize_algebra,
     serialize_element,
     serialize_path,
     serialize_word,
@@ -39,7 +43,13 @@ runner = CliRunner()
 
 
 def invoke(*args, **kwargs):
-    return runner.invoke(main, list(args), catch_exceptions=False, **kwargs)
+    """Run the CLI in-process.  pytest records warnings, so none reaches the
+    runner's stderr; the call records them itself and fails on any."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = runner.invoke(main, list(args), catch_exceptions=False, **kwargs)
+    assert not caught, [f"{w.category.__name__}: {w.message}" for w in caught]
+    return res
 
 
 def write_doc(path, doc):
@@ -286,8 +296,10 @@ def test_non_finite_path_time_exit_2(tmp_path):
     assert res.exit_code == 2
     assert "samples[25].t" in res.output
     point = bd.ShilovPoint(bd.complexify(al.unit(al.algebra(al.SYM_R, 2))))
-    with pytest.raises(DomainError, match="finite"):
+    with pytest.raises(DomainError) as err:
         dy.BoundaryPath([(0.0, point), (math.nan, point), (1.0, point)])
+    assert str(err.value) == "sample times must be strictly increasing, got nan after 0.0"
+    assert err.value.row == 1
 
 
 def test_non_finite_base_arg_exit_2(tmp_path):
@@ -835,9 +847,12 @@ def test_parse_path_takes_numpy_floats():
 @pytest.mark.parametrize("op, bad_first", [("arnold", True), ("pair", True),
                                            ("pair", False)])
 def test_path_names_the_sample_out_of_time_order(tmp_path, op, bad_first):
-    """A first t that is not 0, a repeated t or a last t short of 1 is refused
-    with exit 2, naming the file and the sample, in whichever of the two
-    files of --op pair it sits.  The library keeps its own messages."""
+    """A first t that is not 0, a repeated or decreasing t or a last t short
+    of 1 is refused with exit 2, naming the file and the sample, in
+    whichever of the two files of --op pair it sits; a last t that is both
+    out of order and short of 1 is out of order.  The message after the
+    sample's name is BoundaryPath's, whose refusal names the sample in
+    `row`."""
     alg = al.algebra(al.SYM_R, 2)
     good = str(tmp_path / "good.json")
     invoke("gen", "--kind", "loop", "--seed", "4", "--n", "9", "--out", good)
@@ -847,6 +862,10 @@ def test_path_names_the_sample_out_of_time_order(tmp_path, op, bad_first):
             (0, 0.001, "samples[0].t: the path must start at t = 0, got 0.001"),
             (3, 0.25, "samples[3].t: sample times must be strictly increasing, "
                       "got 0.25 after 0.25"),
+            (3, 0.125, "samples[3].t: sample times must be strictly increasing, "
+                       "got 0.125 after 0.25"),
+            (8, 0.5, "samples[8].t: sample times must be strictly increasing, "
+                     "got 0.5 after 0.875"),
             (8, 0.9999, "samples[8].t: the path must end at t = 1, got 0.9999")]:
         doc = json.loads(Path(good).read_text())
         doc["samples"][k]["t"] = t
@@ -859,10 +878,28 @@ def test_path_names_the_sample_out_of_time_order(tmp_path, op, bad_first):
             == f"{bad}.{message}"
         samples = [(e["t"], bd.ShilovPoint(bd.celement(alg, e["coords_re"], e["coords_im"])))
                    for e in doc["samples"]]
-        with pytest.raises(DomainError, match="^path (parameter|sample times)"):
+        with pytest.raises(DomainError) as err:
             dy.BoundaryPath(samples)
+        assert f"samples[{k}].t: {err.value}" == message
+        assert err.value.row == k
 
 
+def test_path_takes_no_integer_bound(tmp_path):
+    """path counts crossings and rounds nothing, so it offers no --tol-int:
+    the flag exits 2 naming it, while the flags path reads still run."""
+    alg = al.algebra(al.SYM_R, 2)
+    loop = write_doc(tmp_path / "loop.json", loop_doc(alg, 37, 33))
+    ref = write_doc(tmp_path / "ref.json", unit_doc(alg, -1.0))
+    res = invoke("path", "--op", "arnold", "--tol-int", "1e-6", loop, ref)
+    assert res.exit_code == 2
+    assert "No such option '--tol-int'" in res.stderr
+    res = invoke("path", "--op", "arnold", "--mode", "permissive",
+                 "--tol-transverse", "1e-8", loop, ref)
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.stdout)["mode"] == "permissive"
+
+
+GRID_ALGEBRAS = [al.algebra(al.SYM_R, 2), al.algebra(al.HERM_C, 2), al.algebra(al.SPIN, 3)]
 GRID_VALUES = [math.nan, math.inf, -math.inf, 1e308, 1e-320, -0.0, 10**400, "x",
                None, [], {}, True, [1.0], 1.5]
 
@@ -888,6 +925,17 @@ def grid_docs(doc):
                     yield {"algebra": doc["algebra"], "samples": samples}
 
 
+def library_outcome(run):
+    """(exit code, stdout, stderr) that a command should give, from the
+    library call run() returning its output document."""
+    try:
+        doc = run()
+    except (DomainError, maslov_kit.AmbiguityError) as exc:
+        code = 3 if isinstance(exc, maslov_kit.AmbiguityError) else 2
+        return code, "", f"error: {exc}\n"
+    return 0, dumps(doc), ""
+
+
 def library_path_outcome(op, first, second):
     """(exit code, stdout, stderr) that `path --op op` should give on two
     valid documents, from the library: BoundaryPath and the flow of their
@@ -898,32 +946,31 @@ def library_path_outcome(op, first, second):
             alg, e["coords_re"], e.get("coords_im")))) for e in doc["samples"]])
 
     path = as_path(first)
-    try:
+
+    def run():
         if op == "arnold":
             ref = parse_element(second)
             value, records = dy.arnold_count(dy.eigenangle_flow(path, ref), DEFAULT)
         else:
             flow = dy.eigenangle_flow(as_path(second), path)
             value, records = dy.pair_path_count(flow, DEFAULT)
-    except (DomainError, maslov_kit.AmbiguityError) as exc:
-        code = 3 if isinstance(exc, maslov_kit.AmbiguityError) else 2
-        return code, "", f"error: {exc}\n"
-    return 0, dumps({
-        "op": op, "algebra": first["algebra"], "mode": DEFAULT.mode,
-        "value": int(value),
-        "crossings": [{"t": float(r.t), "strand": int(r.strand), "sign": int(r.sign)}
-                      for r in records]}), ""
+        return {
+            "op": op, "algebra": first["algebra"], "mode": DEFAULT.mode,
+            "value": int(value),
+            "crossings": [{"t": float(r.t), "strand": int(r.strand), "sign": int(r.sign)}
+                          for r in records]}
+
+    return library_outcome(run)
 
 
-# a 1e308 coordinate overflows numpy arithmetic in the boundary test
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("alg", [al.algebra(al.SYM_R, 2), al.algebra(al.HERM_C, 2),
-                                 al.algebra(al.SPIN, 3)], ids=lambda a: f"{a.kind}-{a.param}")
+@pytest.mark.parametrize("alg", GRID_ALGEBRAS, ids=lambda a: f"{a.kind}-{a.param}")
 def test_path_command_grid_of_sample_faults(tmp_path, alg):
     """Every change of the grid (grid_docs) on a 9-sample loop, in turn
     through --op arnold, --op pair as the first file and --op pair as the
     second: a document the sample-by-sample rules refuse exits 2 with one
-    error line, their message, and any other gives the library's output."""
+    error line, their message, and any other gives the library's output.
+    No change makes a warning (a 1e308 coordinate overflows the boundary
+    test's arithmetic)."""
     doc = loop_doc(alg, 32, 9)
     ref = unit_doc(alg, -1.0)
     partner = loop_doc(alg, 35, 9)
@@ -935,7 +982,7 @@ def test_path_command_grid_of_sample_faults(tmp_path, alg):
         op, bad_first = [("arnold", True), ("pair", True), ("pair", False)][i % 3]
         bad.write_text(json.dumps(changed))
         files = (str(bad), other[op]) if bad_first else (other[op], str(bad))
-        res = runner.invoke(main, ["path", "--op", op, *files])
+        res = invoke("path", "--op", op, *files)
         message = per_sample_error(changed, str(bad))
         if message is not None:
             assert (res.exit_code, res.stdout, res.stderr) == (2, "", f"error: {message}\n")
@@ -955,6 +1002,182 @@ def test_path_with_one_file_exit_2(tmp_path, op):
     res = invoke("path", "--op", op, loop)
     assert res.exit_code == 2
     assert res.stderr == f"error: op {op} expects 2 files, got 1\n"
+
+
+def grid_changes(doc, spots):
+    """The grid's changes of a JSON document at each spot, a key path into
+    it: the value there replaced by each GRID_VALUES value, or deleted if
+    present, and each of its first 3 entries, if it is a list, replaced by
+    each value."""
+    for *parents, key in spots:
+        def holder(root):
+            for part in parents:
+                root = root[part]
+            return root
+
+        current = holder(doc).get(key)
+        entries = range(min(3, len(current))) if isinstance(current, list) else ()
+        for j in [None, *entries]:
+            for value in GRID_VALUES + (["delete"] if j is None and key in holder(doc) else []):
+                changed = copy.deepcopy(doc)
+                target = holder(changed)
+                if value == "delete":
+                    del target[key]
+                elif j is None:
+                    target[key] = value
+                else:
+                    target[key][j] = value
+                yield changed
+
+
+def point_doc_error(doc, where):
+    """The message of the field-by-field parse of a point or lift document:
+    its algebra, then the _oracles rules (point, and finite_number for
+    theta), then LiftedPoint for a theta that is a finite number; None when
+    the document passes."""
+    try:
+        alg = parse_algebra(orc.require(doc, "algebra", where), f"{where}.algebra")
+        point = orc.point(doc, alg, where)
+        if "theta" in doc:
+            theta = orc.finite_number(doc["theta"], f"{where}.theta")
+            try:
+                bd.LiftedPoint(point, theta)
+            except DomainError as exc:
+                return f"{where}.theta: {exc}"
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+def compute_doc(op, points):
+    """The output document of `compute --op mu|souriau` on parsed points,
+    from the library."""
+    if op == "mu":
+        value = ix.mu(*points, DEFAULT)
+        raw, residual, witnesses = float(value), 0.0, ()
+    else:
+        rep = ix.souriau_m(*points, DEFAULT)
+        value, raw, residual, witnesses = rep.value, rep.raw, rep.residual, rep.witnesses
+    doc = {"op": op, "algebra": serialize_algebra(points[0].alg), "mode": DEFAULT.mode,
+           "value": int(value), "raw": float(raw), "residual": float(residual),
+           "tolerances": {"transverse": DEFAULT.transverse, "integer": DEFAULT.integer}}
+    if witnesses:
+        doc["witnesses"] = [serialize_element(w) for w in witnesses]
+    return doc
+
+
+def rotation_doc(word, base):
+    """The output document of `rotation --k 4` on a parsed word and base
+    lift (None: the default one), from the library."""
+    tau, tau_bound = dy.translation_tau(word, 4, base, DEFAULT)
+    rho, bound = dy.rho_from_tau(tau, tau_bound)
+    return {"algebra": serialize_algebra(word.alg), "k": 4, "tau_estimate": float(tau),
+            "rho_mod1": float(rho), "error_bound": float(bound)}
+
+
+def grid_word_doc(alg):
+    """A mixed word document holding each generator type; the derivation
+    factor, which a linear generator may also hold, stands alone."""
+    rng = np.random.default_rng(21)
+
+    def small():
+        return al.random_element(alg, rng, 0.3)
+
+    word = bd.GroupWord(alg, [
+        bd.TranslateGen(small()),
+        bd.LinearGen([("lmul", small())]),
+        bd.InversionGen(),
+        bd.UnitaryGen([("exp-iL", small())]),
+        bd.UnitaryGen([("derivation", small(), small())]),
+    ])
+    return json.loads(dumps(serialize_word(word)))
+
+
+def word_spots(doc):
+    """The grid's spots of a word document: mode, base_arg, every field of
+    each generator and of each linear factor."""
+    yield ("mode",)
+    yield ("base_arg",)
+    for i, gen in enumerate(doc["generators"]):
+        yield from (("generators", i, key) for key in gen)
+        for k, factor in enumerate(gen.get("exponents", ())):
+            yield from (("generators", i, "exponents", k, key) for key in factor)
+
+
+@pytest.mark.parametrize("alg", GRID_ALGEBRAS, ids=lambda a: f"{a.kind}-{a.param}")
+def test_point_command_grid_of_field_faults(tmp_path, alg):
+    """Every change of the grid (grid_changes) to the coordinates, theta and
+    algebra of the unit element's lift document, in turn through compute
+    --op mu as the first file, compute --op souriau as the second and
+    rotation --k 4 as --base: a document the field-by-field rules refuse exits 2 with one
+    error line, their message, and any other gives the library's output on
+    the parsed documents.  No change makes a warning."""
+    doc = unit_doc(alg, theta=0.0)
+    partner = serialize_element(bd.lift(bd.random_shilov(alg, np.random.default_rng(42)), 1))
+    word = phase_word_doc(alg, 0.3)
+    other = write_doc(tmp_path / "partner.json", partner)
+    word_file = write_doc(tmp_path / "word.json", word)
+    bad = tmp_path / "doc.json"
+    spots = [("coords_re",), ("coords_im",), ("theta",), ("algebra",),
+             ("algebra", "kind"), ("algebra", "param")]
+    exits = set()
+    for i, changed in enumerate(grid_changes(doc, spots)):
+        shape = ("mu", "souriau", "rotation")[i % 3]
+        bad.write_text(json.dumps(changed))
+        if shape == "mu":
+            res = invoke("compute", "--op", "mu", str(bad), other)
+        elif shape == "souriau":
+            res = invoke("compute", "--op", "souriau", other, str(bad))
+        else:
+            res = invoke("rotation", "--k", "4", "--base", str(bad), word_file)
+        message = point_doc_error(changed, str(bad))
+        if message is not None:
+            expected = (2, "", f"error: {message}\n")
+        elif shape != "mu" and "theta" not in changed:
+            need = "op souriau needs lifted points" if shape == "souriau" else \
+                "base must be a lifted point"
+            expected = (2, "", f"error: {bad}.theta: {need}\n")
+        else:
+            point = parse_element(changed)
+            if shape == "mu":
+                expected = library_outcome(lambda: compute_doc(
+                    "mu", [point.point if "theta" in changed else point,
+                           parse_element(partner).point]))
+            elif shape == "souriau":
+                expected = library_outcome(lambda: compute_doc(
+                    "souriau", [parse_element(partner), point]))
+            else:
+                expected = library_outcome(lambda: rotation_doc(parse_word(word), point))
+        assert (res.exit_code, res.stdout, res.stderr) == expected, (i, shape)
+        exits.add(res.exit_code)
+    assert i + 1 == 2 * (15 + 3 * 14) + 4 * 15
+    assert exits == {0, 2}
+
+
+@pytest.mark.parametrize("alg", GRID_ALGEBRAS, ids=lambda a: f"{a.kind}-{a.param}")
+def test_word_command_grid_of_field_faults(tmp_path, alg):
+    """Every change of the grid (grid_changes) to a mixed word document's
+    mode, base_arg and each generator's and linear factor's fields, through
+    rotation --k 4: a document parse_word refuses exits 2 with one error
+    line, its message, and any other gives the library's output on the
+    parsed word.  No change makes a warning."""
+    doc = grid_word_doc(alg)
+    bad = tmp_path / "word.json"
+    exits = set()
+    for i, changed in enumerate(grid_changes(doc, word_spots(doc))):
+        bad.write_text(json.dumps(changed))
+        res = invoke("rotation", "--k", "4", str(bad))
+        try:
+            word = parse_word(changed, str(bad))
+        except DomainError as exc:
+            expected = (2, "", f"error: {exc}\n")
+        else:
+            expected = library_outcome(lambda: rotation_doc(word, None))
+        assert (res.exit_code, res.stdout, res.stderr) == expected, i
+        exits.add(res.exit_code)
+    # mode and base_arg; 6 types; u, 2 v, a and b; exponents, a 1-entry list
+    assert i + 1 == 15 + 14 + 6 * 15 + 5 * (15 + 3 * 14) + (15 + 14)
+    assert exits == {0, 2}
 
 
 # ------------------------------------------------------- documents and gen
@@ -1173,7 +1396,7 @@ SCHEMA_REFUSALS = [
     ("infinite-coordinate", "point", lambda d: {**d, "coords_im": [math.inf, 0, 0]},
      "doc.json.coords_im: coordinates must be finite"),
     ("string-theta", "point", lambda d: {**d, "theta": "0"},
-     "doc.json.theta: expected a number, got '0'"),
+     "doc.json.theta: expected a finite number, got '0'"),
     ("linear-factor", "word", linear_word([{"type": "twist"}]),
      "doc.json.generators[0].exponents[0].type: unknown linear factor 'twist'"),
     ("empty-exponents", "word", linear_word([]),

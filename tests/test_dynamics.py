@@ -92,6 +92,39 @@ def test_boundary_path_validation():
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_boundary_path_refusal_names_its_sample(alg):
+    """BoundaryPath tests the start, then the order (a NaN or an infinity
+    fails it), then the end, and its refusal names the first faulty sample
+    in `row`; so does a sample of another algebra."""
+    sigma = bd.random_shilov(alg, np.random.default_rng(5))
+    other = bd.unit_shilov(al.algebra(al.SPIN, 4) if alg.kind != al.SPIN
+                           else al.algebra(al.SYM_R, 2))
+    ts = [0.0, 0.25, 0.5, 0.75, 1.0]
+    increasing = "sample times must be strictly increasing, got "
+    for changes, row, message in [
+            ({0: 0.001}, 0, "the path must start at t = 0, got 0.001"),
+            ({0: math.nan}, 0, "the path must start at t = 0, got nan"),
+            ({2: 0.25}, 2, increasing + "0.25 after 0.25"),
+            ({2: 0.125}, 2, increasing + "0.125 after 0.25"),
+            ({2: math.nan}, 2, increasing + "nan after 0.25"),
+            ({2: math.inf}, 3, increasing + "0.75 after inf"),
+            ({2: -math.inf}, 2, increasing + "-inf after 0.25"),
+            ({4: math.nan}, 4, increasing + "nan after 0.75"),
+            ({4: 0.9999}, 4, "the path must end at t = 1, got 0.9999"),
+            ({4: math.inf}, 4, "the path must end at t = 1, got inf"),
+            ({3: 0.5, 4: 0.9}, 3, increasing + "0.5 after 0.5")]:
+        times = [changes.get(k, t) for k, t in enumerate(ts)]
+        with pytest.raises(DomainError) as err:
+            dy.BoundaryPath([(t, sigma) for t in times])
+        assert (str(err.value), err.value.row) == (message, row), changes
+    points = [sigma, sigma, sigma, other, sigma]
+    with pytest.raises(DomainError) as err:
+        dy.BoundaryPath(zip(ts, points))
+    assert (str(err.value), err.value.row) == ("all path samples must share one algebra", 3)
+    assert len(dy.BoundaryPath([(t, sigma) for t in ts]).samples) == 5
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
 def test_eigenangle_flow_constant_path(alg):
     rng = np.random.default_rng(91)
     sigma = bd.random_shilov(alg, rng)
